@@ -7,126 +7,14 @@ and 3D-radial energy spectra, and integrates planar orbits under the
 deformed bracket structure.  Natural units, hbar = 1.
 """
 
-from .errors import (
-    CollisionSingularity,
-    DegenerateFit,
-    InsufficientPeriods,
-    NegativeBeta,
-    NoRootInWindow,
-    NonFinite,
-    NonPositiveCoupling,
-    NonPositiveMass,
-    OutOfWindow,
-    ParameterError,
-    RequiresNonzeroL,
-    SnyderCoulombError,
-    StepUnderflow,
-    ToleranceNotReached,
-)
-from .model import (
-    EnergyWindow,
-    PhysicalParams,
-    QuantumNumbers,
-    dimensionless_deformation,
-    energy_window,
-    validate_params,
-)
-from .analytic import (
-    PhaseIntegralResult,
-    TurningPoints,
-    energy_1d_closed,
-    energy_1d_series,
-    energy_3d_perturbative_ref,
-    energy_3d_series,
-    phase_integral_1d_closed,
-    radial_phase_integral_closed,
-    turning_points,
-)
-from .numerics import (
-    CorrectionFit,
-    DEFAULT_QUADRATURE,
-    LLimitRow,
-    QuadratureSpec,
-    SpectrumEntry,
-    correction_order,
-    integrate_band,
-    integrate_real_line,
-    l_limit_study,
-    phase_integral_numeric,
-    solve_bs_energy,
-    spectrum_table,
-)
-from .dynamics import (
-    DEFAULT_COLLISION_FLOOR,
-    OrbitState,
-    PrecessionResult,
-    Trajectory,
-    equations_of_motion,
-    hamiltonian_gradients,
-    integrate_orbit,
-    invariants,
-    poisson_bracket,
-    precession_per_orbit,
-)
+from . import analytic, dynamics, errors, model, numerics
+from .errors import *
+from .model import *
+from .analytic import *
+from .numerics import *
+from .dynamics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "SnyderCoulombError",
-    "ParameterError",
-    "NonPositiveMass",
-    "NonPositiveCoupling",
-    "NegativeBeta",
-    "NonFinite",
-    "OutOfWindow",
-    "RequiresNonzeroL",
-    "InsufficientPeriods",
-    "ToleranceNotReached",
-    "NoRootInWindow",
-    "DegenerateFit",
-    "CollisionSingularity",
-    "StepUnderflow",
-    # model
-    "PhysicalParams",
-    "QuantumNumbers",
-    "EnergyWindow",
-    "validate_params",
-    "dimensionless_deformation",
-    "energy_window",
-    # analytic
-    "TurningPoints",
-    "PhaseIntegralResult",
-    "turning_points",
-    "phase_integral_1d_closed",
-    "radial_phase_integral_closed",
-    "energy_1d_closed",
-    "energy_1d_series",
-    "energy_3d_series",
-    "energy_3d_perturbative_ref",
-    # numerics
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
-    "SpectrumEntry",
-    "CorrectionFit",
-    "LLimitRow",
-    "integrate_real_line",
-    "integrate_band",
-    "phase_integral_numeric",
-    "solve_bs_energy",
-    "spectrum_table",
-    "correction_order",
-    "l_limit_study",
-    # dynamics
-    "OrbitState",
-    "Trajectory",
-    "PrecessionResult",
-    "DEFAULT_COLLISION_FLOOR",
-    "equations_of_motion",
-    "invariants",
-    "poisson_bracket",
-    "hamiltonian_gradients",
-    "integrate_orbit",
-    "precession_per_orbit",
-]
+__all__ = ["__version__", *errors.__all__, *model.__all__, *analytic.__all__,
+           *numerics.__all__, *dynamics.__all__]

@@ -97,9 +97,9 @@ def turning_points(params: PhysicalParams, energy: float, l: float) -> TurningPo
     z_plus is evaluated directly, z_minus through the exact product
     z_minus z_plus = (2mE)^2 to avoid cancellation at small E.
     """
-    if l <= 0:
+    if not l > 0:
         raise ValueError(f"l must be > 0, got {l!r}")
-    if energy <= 0:
+    if not energy > 0:
         raise OutOfWindow(f"binding energy must be > 0, got {energy!r}")
     m, e2 = params.m, params.e2
     q = m * e2**2 / (l * l)

@@ -12,12 +12,13 @@ Output is byte-deterministic: row order is fixed, floats are printed with
 17 significant digits, CSV uses '.' decimals and ',' separators, JSON is a
 single object with ``meta`` (full config echo plus tool version) and
 ``rows``.  Exit status is 0 only when every requested check passed its
-stated tolerance; configuration errors exit 2, failed checks or per-row
-errors exit 1.
+stated tolerance; invalid input (any ValueError, including the library's
+parameter errors) exits 2, failed checks or per-row errors exit 1.
 
 Option precedence: command-line flags override ``--config`` file entries,
-which override built-in defaults.  Config files are flat ``key = value``
-lines mirroring the long flag names (for example ``n-prime-max = 4``).
+which override built-in defaults; the config entries become argparse
+defaults of the subcommand.  Config files are flat ``key = value`` lines
+mirroring the long flag names (for example ``n-prime-max = 4``).
 """
 
 from __future__ import annotations
@@ -26,30 +27,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .analytic import phase_integral_1d_closed, radial_phase_integral_closed
-from .errors import (
-    CollisionSingularity,
-    DegenerateFit,
-    InsufficientPeriods,
-    OutOfWindow,
-    ParameterError,
-    SnyderCoulombError,
-)
-from .model import QuantumNumbers, energy_window, validate_params
+from .errors import CollisionSingularity, InsufficientPeriods, SnyderCoulombError
+from .model import PhysicalParams, QuantumNumbers, energy_window, validate_params
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     correction_order,
+    l_limit_study,
     phase_integral_numeric,
     spectrum_table,
 )
-from .dynamics import OrbitState, integrate_orbit, precession_per_orbit
+from .dynamics import OrbitState, integrate_orbit, invariants, precession_per_orbit
 
 __all__ = ["main", "run"]
 
@@ -67,15 +62,16 @@ EXIT_CONFIG = 2
 # --------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str) -> list[float]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return [float(piece) for piece in items]
+def _list_of(convert: Callable[[str], Any]) -> Callable[[str], list]:
+    """Converter of a comma list of ``convert`` values; an empty list is an error."""
 
+    def parse_list(text: str) -> list:
+        items = [piece.strip() for piece in text.split(",") if piece.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return [convert(piece) for piece in items]
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(piece.strip()) for piece in text.split(",") if piece.strip()]
+    return parse_list
 
 
 def _parse_bool(text: str) -> bool:
@@ -87,135 +83,40 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-@dataclass(frozen=True)
-class Opt:
-    """One resolvable option: flag name, converter from string, default."""
+def _apply_config(path: str, command: argparse.ArgumentParser, actions: dict) -> None:
+    """Make the ``key = value`` lines of a config file the defaults of ``command``.
 
-    name: str
-    convert: Callable[[str], Any]
-    default: Any
-    help: str
-    is_flag: bool = False
-
-    @property
-    def dest(self) -> str:
-        return self.name.replace("-", "_")
-
-
-_COMMON = [
-    Opt("m", float, 1.0, "particle mass (natural units)"),
-    Opt("e2", float, 1.0, "Coulomb coupling e^2"),
-    Opt("format", str, "csv", "output format: csv or json"),
-    Opt("out", str, "-", "output path, '-' for standard output"),
-    Opt("config", str, None, "flat key = value config file"),
-]
-
-_DEFAULT_SCAN_BETAS = ",".join(format(b, ".17g") for b in np.logspace(-4, -2, 7))
-
-_OPTIONS: dict[str, list[Opt]] = {
-    "spectrum": _COMMON
-    + [
-        Opt("beta", float, 0.0, "deformation parameter"),
-        Opt("n-prime-max", int, 3, "largest principal number n'"),
-        Opt("tol-quad", float, None, "relative quadrature tolerance override"),
-        Opt("tol-root", float, None, "relative root tolerance override"),
-    ],
-    "verify-integrals": _COMMON
-    + [
-        Opt("beta-grid", _parse_float_list, [0.0, 0.05, 0.1], "comma list of betas"),
-        Opt("l-grid", _parse_int_list, [0, 1, 2, 3], "comma list of angular momenta"),
-        Opt("energies-per-cell", int, 9, "energies generated per (l, beta) cell"),
-        Opt("e-grid", _parse_float_list, None, "explicit energies (overrides generation)"),
-        Opt("tol-quad", float, None, "relative quadrature tolerance override"),
-    ],
-    "scan-order": _COMMON
-    + [
-        Opt("l-list", _parse_int_list, [0, 1, 2], "comma list of angular momenta"),
-        Opt("n", int, 1, "radial quantum number of the scanned level"),
-        Opt("beta-grid", _parse_float_list, _parse_float_list(_DEFAULT_SCAN_BETAS),
-            "comma list of betas (>= 4 points over >= 1.5 decades)"),
-        Opt("tol-quad", float, None, "relative quadrature tolerance override"),
-        Opt("tol-root", float, None, "relative root tolerance override"),
-    ],
-    "orbit": _COMMON
-    + [
-        Opt("beta", float, 0.0, "deformation parameter"),
-        Opt("x1", float, 2.0, "initial position x1"),
-        Opt("x2", float, 0.0, "initial position x2"),
-        Opt("p1", float, 0.0, "initial momentum p1"),
-        Opt("p2", float, 0.5, "initial momentum p2"),
-        Opt("t-end", float, None, "integration time (default: 100 undeformed periods)"),
-        Opt("local-tol", float, 1e-12, "local error tolerance of the integrator"),
-        Opt("dump-samples", _parse_bool, False, "emit sampled trajectory", is_flag=True),
-    ],
-    "l-limit": _COMMON
-    + [
-        Opt("beta-grid", _parse_float_list, [0.001, 0.01, 0.1], "comma list of betas"),
-        Opt("energy", float, 0.125, "binding energy of the comparison"),
-        Opt("l-grid", _parse_float_list, [0.1, 0.03, 0.01, 0.003, 0.001],
-            "comma list of small angular momenta"),
-    ],
-}
-
-
-class ConfigError(Exception):
-    pass
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+    Values are converted and checked as argparse converts and checks the
+    flag of the same name.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+            lines = handle.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
-    opts = _OPTIONS[command]
-    known = {o.name for o in opts}
-    file_values: dict[str, str] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = _load_config_file(config_path)
-        unknown = set(file_values) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown config key(s) for {command}: {', '.join(sorted(unknown))}"
-            )
-    resolved: dict[str, Any] = {}
-    for opt in opts:
-        flag_value = getattr(args, opt.dest)
-        if flag_value is not None:
-            resolved[opt.dest] = flag_value
-        elif opt.name in file_values:
-            try:
-                resolved[opt.dest] = opt.convert(file_values[opt.name])
-            except ValueError as exc:
-                raise ConfigError(f"config key {opt.name}: {exc}") from exc
-        else:
-            resolved[opt.dest] = opt.default
-    return resolved
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, text = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        if key not in actions:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        action = actions[key]
+        try:
+            value = _parse_bool(text) if action.nargs == 0 else (action.type or str)(text)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"not one of {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: config key {key}: {exc}") from exc
+        command.set_defaults(**{action.dest: value})
 
 
 def _quad_spec(tol_quad: float | None) -> QuadratureSpec:
     if tol_quad is None:
         return DEFAULT_QUADRATURE
-    if tol_quad <= 0:
-        raise ConfigError("tol-quad must be > 0")
-    return QuadratureSpec(
-        abs_tol=tol_quad * 1e-2,
-        rel_tol=tol_quad,
-        max_subdivisions=DEFAULT_QUADRATURE.max_subdivisions,
-    )
+    return replace(DEFAULT_QUADRATURE, abs_tol=tol_quad * 1e-2, rel_tol=tol_quad)
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +210,7 @@ def _emit(
                 " ".join(f"{k}={_fmt(v)}" for k, v in summary.items()),
                 file=sys.stderr,
             )
-    if cfg["out"] in (None, "-"):
+    if cfg["out"] == "-":
         sys.stdout.write(text)
     else:
         with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
@@ -323,8 +224,6 @@ def _emit(
 
 def _cmd_spectrum(cfg: dict[str, Any]) -> int:
     params = validate_params(cfg["m"], cfg["e2"], cfg["beta"])
-    if cfg["n_prime_max"] < 1:
-        raise ConfigError("n-prime-max must be >= 1")
     kwargs = {} if cfg["tol_root"] is None else {"root_rtol": cfg["tol_root"]}
     entries = spectrum_table(
         params, cfg["n_prime_max"], _quad_spec(cfg["tol_quad"]), **kwargs
@@ -359,7 +258,7 @@ def _cell_energies(params, l: int, count: int) -> list[float]:
 
 def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     if cfg["energies_per_cell"] < 1:
-        raise ConfigError("energies-per-cell must be >= 1")
+        raise ValueError("energies-per-cell must be >= 1")
     spec = _quad_spec(cfg["tol_quad"])
     header = ["beta", "l", "E", "phi_closed", "phi_numeric", "rel_dev"]
     rows = []
@@ -368,8 +267,6 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     for beta in cfg["beta_grid"]:
         params = validate_params(cfg["m"], cfg["e2"], beta)
         for l in cfg["l_grid"]:
-            if l < 0:
-                raise ConfigError("l-grid entries must be >= 0")
             window = energy_window(params, l)
             energies = cfg["e_grid"] or _cell_energies(params, l, cfg["energies_per_cell"])
             for energy in energies:
@@ -398,15 +295,6 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
 
 def _cmd_scan_order(cfg: dict[str, Any]) -> int:
     params_base = validate_params(cfg["m"], cfg["e2"], 0.0)
-    if cfg["n"] < 1:
-        raise ConfigError("n must be >= 1")
-    betas = cfg["beta_grid"]
-    if len(betas) < 4:
-        raise ConfigError("beta-grid needs at least 4 points")
-    if min(betas) <= 0:
-        raise ConfigError("beta-grid entries must be > 0")
-    if math.log10(max(betas) / min(betas)) < 1.5 - 1e-12:
-        raise ConfigError("beta-grid must span at least 1.5 decades")
     spec = _quad_spec(cfg["tol_quad"])
     kwargs = {} if cfg["tol_root"] is None else {"root_rtol": cfg["tol_root"]}
     header = ["l", "slope", "rms_residual", "n_used", "pass"]
@@ -414,7 +302,7 @@ def _cmd_scan_order(cfg: dict[str, Any]) -> int:
     all_pass = True
     for l in cfg["l_list"]:
         qn = QuantumNumbers(n=cfg["n"], l=l)
-        fit = correction_order(params_base, qn, betas, spec, **kwargs)
+        fit = correction_order(params_base, qn, cfg["beta_grid"], spec, **kwargs)
         lo, hi = SLOPE_BAND_1D if l == 0 else SLOPE_BAND_3D
         ok = lo <= fit.slope <= hi
         all_pass = all_pass and ok
@@ -423,29 +311,22 @@ def _cmd_scan_order(cfg: dict[str, Any]) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _undeformed_period(m: float, e2: float, state: OrbitState) -> float:
-    energy_total = (state.p1**2 + state.p2**2) / (2.0 * m) - e2 / state.r
+def _undeformed_period(params: PhysicalParams, state: OrbitState) -> float:
+    energy_total, _ = invariants(state, params)
     if energy_total >= 0:
-        raise ConfigError(
-            "initial state is unbound at beta = 0; give --t-end explicitly"
-        )
-    semi_major = e2 / (2.0 * abs(energy_total))
-    return 2.0 * math.pi * math.sqrt(m * semi_major**3 / e2)
+        raise ValueError("initial state is unbound at beta = 0; give --t-end explicitly")
+    semi_major = params.e2 / (2.0 * abs(energy_total))
+    return 2.0 * math.pi * math.sqrt(params.m * semi_major**3 / params.e2)
 
 
 def _cmd_orbit(cfg: dict[str, Any]) -> int:
     params = validate_params(cfg["m"], cfg["e2"], cfg["beta"])
-    if cfg["local_tol"] <= 0:
-        raise ConfigError("local-tol must be > 0")
-    try:
-        state0 = OrbitState(cfg["x1"], cfg["x2"], cfg["p1"], cfg["p2"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    state0 = OrbitState(cfg["x1"], cfg["x2"], cfg["p1"], cfg["p2"])
     t_end = cfg["t_end"]
     if t_end is None:
-        t_end = 100.0 * _undeformed_period(params.m, params.e2, state0)
+        t_end = 100.0 * _undeformed_period(params, state0)
     elif t_end <= 0:
-        raise ConfigError("t-end must be > 0")
+        raise ValueError("t-end must be > 0")
 
     try:
         traj = integrate_orbit(state0, params, t_end, local_tol=cfg["local_tol"])
@@ -486,30 +367,16 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
 
 def _cmd_l_limit(cfg: dict[str, Any]) -> int:
     if cfg["energy"] <= 0:
-        raise ConfigError("energy must be > 0")
+        raise ValueError("energy must be > 0")
     header = ["beta", "l", "phi_radial", "phi_one_dim", "gap", "error"]
     rows = []
-    any_error = False
     for beta in cfg["beta_grid"]:
         params = validate_params(cfg["m"], cfg["e2"], beta)
-        try:
-            phi_1d = phase_integral_1d_closed(params, cfg["energy"]).value
-        except OutOfWindow as exc:
-            for l in cfg["l_grid"]:
-                rows.append([beta, float(l), math.nan, math.nan, math.nan,
-                             f"OutOfWindow: {exc}"])
-            any_error = True
-            continue
-        for l in cfg["l_grid"]:
-            try:
-                phi_r = radial_phase_integral_closed(params, cfg["energy"], float(l)).value
-                rows.append([beta, float(l), phi_r, phi_1d, phi_r - phi_1d, ""])
-            except OutOfWindow as exc:
-                rows.append([beta, float(l), math.nan, phi_1d, math.nan,
-                             f"OutOfWindow: {exc}"])
-                any_error = True
+        for row in l_limit_study(params, cfg["energy"], cfg["l_grid"]):
+            rows.append([beta, row.l, row.phi_radial, row.phi_one_dim, row.gap,
+                         row.error or ""])
     _emit(cfg, "l-limit", header, rows)
-    return EXIT_CHECK_FAILED if any_error else EXIT_OK
+    return EXIT_CHECK_FAILED if any(row[-1] for row in rows) else EXIT_OK
 
 
 _COMMANDS = {
@@ -521,7 +388,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The parser, and per command its subparser and its actions by flag name."""
     parser = argparse.ArgumentParser(
         prog="snyder-coulomb",
         description="Semiclassical spectra and orbits of the Coulomb problem "
@@ -529,33 +397,93 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _OPTIONS.items():
-        sub = subparsers.add_parser(command)
-        for opt in opts:
-            if opt.is_flag:
-                sub.add_argument(f"--{opt.name}", dest=opt.dest, default=None,
-                                 action="store_const", const=True, help=opt.help)
-            elif opt.convert in (_parse_float_list, _parse_int_list):
-                sub.add_argument(f"--{opt.name}", dest=opt.dest, default=None,
-                                 type=opt.convert, help=opt.help, metavar="LIST")
-            else:
-                sub.add_argument(f"--{opt.name}", dest=opt.dest, default=None,
-                                 type=opt.convert if opt.convert is not str else str,
-                                 help=opt.help)
-    return parser
+    commands = {}
+
+    def add_command(name: str) -> Callable[..., None]:
+        sub = subparsers.add_parser(name)
+        actions: dict[str, argparse.Action] = {}
+        commands[name] = (sub, actions)
+
+        def add(flag: str, **kwargs: Any) -> None:
+            actions[flag] = sub.add_argument(f"--{flag}", **kwargs)
+
+        add("m", type=float, default=1.0, help="particle mass (natural units)")
+        add("e2", type=float, default=1.0, help="Coulomb coupling e^2")
+        add("format", default="csv", choices=("csv", "json"), metavar="FORMAT",
+            help="output format: csv or json")
+        add("out", default="-", help="output path, '-' for standard output")
+        add("config", help="flat key = value config file")
+        return add
+
+    floats, ints = _list_of(float), _list_of(int)
+
+    add = add_command("spectrum")
+    add("beta", type=float, default=0.0, help="deformation parameter")
+    add("n-prime-max", type=int, default=3, help="largest principal number n'")
+    add("tol-quad", type=float, help="relative quadrature tolerance override")
+    add("tol-root", type=float, help="relative root tolerance override")
+
+    add = add_command("verify-integrals")
+    add("beta-grid", type=floats, default=[0.0, 0.05, 0.1], metavar="LIST",
+        help="comma list of betas")
+    add("l-grid", type=ints, default=[0, 1, 2, 3], metavar="LIST",
+        help="comma list of angular momenta")
+    add("energies-per-cell", type=int, default=9,
+        help="energies generated per (l, beta) cell")
+    add("e-grid", type=floats, metavar="LIST",
+        help="explicit energies (overrides generation)")
+    add("tol-quad", type=float, help="relative quadrature tolerance override")
+
+    add = add_command("scan-order")
+    add("l-list", type=ints, default=[0, 1, 2], metavar="LIST",
+        help="comma list of angular momenta")
+    add("n", type=int, default=1, help="radial quantum number of the scanned level")
+    add("beta-grid", type=floats, default=[float(b) for b in np.logspace(-4, -2, 7)],
+        metavar="LIST", help="comma list of betas (>= 4 points over >= 1.5 decades)")
+    add("tol-quad", type=float, help="relative quadrature tolerance override")
+    add("tol-root", type=float, help="relative root tolerance override")
+
+    add = add_command("orbit")
+    add("beta", type=float, default=0.0, help="deformation parameter")
+    add("x1", type=float, default=2.0, help="initial position x1")
+    add("x2", type=float, default=0.0, help="initial position x2")
+    add("p1", type=float, default=0.0, help="initial momentum p1")
+    add("p2", type=float, default=0.5, help="initial momentum p2")
+    add("t-end", type=float,
+        help="integration time (default: 100 undeformed periods)")
+    add("local-tol", type=float, default=1e-12,
+        help="local error tolerance of the integrator")
+    add("dump-samples", action="store_true", help="emit sampled trajectory")
+
+    add = add_command("l-limit")
+    add("beta-grid", type=floats, default=[0.001, 0.01, 0.1], metavar="LIST",
+        help="comma list of betas")
+    add("energy", type=float, default=0.125, help="binding energy of the comparison")
+    add("l-grid", type=floats, default=[0.1, 0.03, 0.01, 0.003, 0.001], metavar="LIST",
+        help="comma list of small angular momenta")
+    return parser, commands
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit status instead of raising SystemExit."""
-    parser = _build_parser()
+    """Entry point; returns the process exit status.
+
+    Invalid input (including a bad ``--config`` file) returns 2 and a
+    failed check or per-row error returns 1.  Argparse usage errors, such
+    as an unknown flag or a flag value it cannot convert, still raise
+    ``SystemExit(2)``; ``--help`` and ``--version`` raise ``SystemExit(0)``.
+    """
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_options(args.command, args)
-        return _COMMANDS[args.command](cfg)
-    except (ConfigError, ParameterError, ValueError) as exc:
+        if args.config:
+            _apply_config(args.config, *commands[args.command])
+            args = parser.parse_args(argv)
+        cfg = vars(args)
+        return _COMMANDS[cfg.pop("command")](cfg)
+    except ValueError as exc:
         print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateFit, SnyderCoulombError) as exc:
+    except SnyderCoulombError as exc:
         print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -7,6 +7,23 @@ or the builtin category they already handle.
 
 from __future__ import annotations
 
+__all__ = [
+    "SnyderCoulombError",
+    "ParameterError",
+    "NonPositiveMass",
+    "NonPositiveCoupling",
+    "NegativeBeta",
+    "NonFinite",
+    "OutOfWindow",
+    "RequiresNonzeroL",
+    "InsufficientPeriods",
+    "ToleranceNotReached",
+    "NoRootInWindow",
+    "DegenerateFit",
+    "CollisionSingularity",
+    "StepUnderflow",
+]
+
 
 class SnyderCoulombError(Exception):
     """Base class for all package-specific errors."""

@@ -117,12 +117,18 @@ class CorrectionFit:
 
 @dataclass(frozen=True)
 class LLimitRow:
-    """Radial closed form at small l next to the 1D closed form."""
+    """Radial closed form at small l next to the 1D closed form.
+
+    ``error`` carries an out-of-window failure; the failed values are NaN
+    in that case, and phi_one_dim stays populated when only the radial
+    form failed.
+    """
 
     l: float
     phi_radial: float
     phi_one_dim: float
     gap: float
+    error: str | None = None
 
 
 def _quad_checked(
@@ -405,15 +411,21 @@ def l_limit_study(
     The gap column is the raw difference phi_radial(l) - phi_one_dim; it is
     dominated by the -pi*l band-offset term at small l, and the l -> 0
     limit of the radial closed form reproduces the 1D closed form exactly
-    (for every beta), as the rows make visible.
+    (for every beta), as the rows make visible.  OutOfWindow failures are
+    recorded in-row, as in :func:`spectrum_table`, and do not abort the
+    study; when the 1D form fails, the radial form is not evaluated.
     """
-    phi_1d = phase_integral_1d_closed(params, energy).value
+    try:
+        phi_1d = phase_integral_1d_closed(params, energy).value
+    except OutOfWindow as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return [LLimitRow(float(l), math.nan, math.nan, math.nan, error) for l in l_grid]
     rows: list[LLimitRow] = []
     for l in l_grid:
-        phi_r = radial_phase_integral_closed(params, energy, float(l)).value
-        rows.append(
-            LLimitRow(
-                l=float(l), phi_radial=phi_r, phi_one_dim=phi_1d, gap=phi_r - phi_1d
-            )
-        )
+        try:
+            phi_r = radial_phase_integral_closed(params, energy, float(l)).value
+            rows.append(LLimitRow(float(l), phi_r, phi_1d, phi_r - phi_1d))
+        except OutOfWindow as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            rows.append(LLimitRow(float(l), math.nan, phi_1d, math.nan, error))
     return rows

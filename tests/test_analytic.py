@@ -80,6 +80,18 @@ class TestTurningPoints:
         with pytest.raises(OutOfWindow):
             turning_points(validate_params(1, 1, 0), 0.6, 1)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda p: turning_points(p, math.nan, 1), OutOfWindow),
+            (lambda p: radial_phase_integral_closed(p, 0.1, math.nan), ValueError),
+        ],
+        ids=["nan-energy", "nan-l"],
+    )
+    def test_nan_is_rejected(self, call, error):
+        with pytest.raises(error):
+            call(validate_params(1, 1, 0))
+
     def test_product_and_sum_identities_on_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(300):

@@ -124,6 +124,16 @@ class TestScanOrder:
         assert code == 2
         assert "at least 4" in err
 
+    def test_empty_l_list_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-order", "--l-list", ","])
+        assert exc.value.code == 2
+        config = tmp_path / "run.conf"
+        config.write_text("l-list = ,\n")
+        code, out, err = run_cli(capsys, "scan-order", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "empty list" in err
+
     def test_l_zero_only_reports_residual(self, capsys):
         code, out, _ = run_cli(capsys, "scan-order", "--l-list", "0")
         assert code == 0
@@ -207,6 +217,11 @@ class TestLLimit:
                 -2 * math.pi * float(row["l"]), rel=1e-9
             )
 
+    def test_nan_l_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "l-limit", "--l-grid", "nan")
+        assert (code, out) == (2, "")
+        assert "l must be > 0" in err
+
     def test_out_of_window_rows_flagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "l-limit", "--beta-grid", "0", "--energy", "0.6",
@@ -257,6 +272,16 @@ class TestInfrastructure:
         code, _, err = run_cli(capsys, "spectrum", "--config", str(config))
         assert code == 2
         assert "betta" in err
+
+    def test_unknown_format_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--format", "xml"])
+        assert exc.value.code == 2
+        config = tmp_path / "run.conf"
+        config.write_text("format = xml\n")
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "format" in err
 
     def test_seventeen_digit_floats(self, capsys):
         code, out, _ = run_cli(

@@ -321,6 +321,14 @@ class TestLLimitStudy:
         expected = -PI * (1e-3 + 1e-6 / (2 * g))
         assert row.gap == pytest.approx(expected, rel=1e-3)
 
-    def test_out_of_window_propagates(self):
-        with pytest.raises(OutOfWindow):
-            l_limit_study(validate_params(1, 1, 0), 0.6, [1.0])
+    def test_out_of_window_recorded_in_row(self):
+        # E = 0.6 lies above the l = 1 circular-orbit bound but inside the
+        # 1D window, so only the radial value fails
+        (row,) = l_limit_study(validate_params(1, 1, 0), 0.6, [1.0])
+        assert row.error.startswith("OutOfWindow")
+        assert math.isnan(row.phi_radial) and math.isnan(row.gap)
+        assert math.isfinite(row.phi_one_dim)
+        # past the 1D pole at beta = 1.5 every value of every row fails
+        rows = l_limit_study(validate_params(1, 1, 1.5), 0.6, [1.0, 1e-3])
+        assert all(r.error.startswith("OutOfWindow") for r in rows)
+        assert all(math.isnan(r.phi_one_dim) for r in rows)
