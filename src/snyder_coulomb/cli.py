@@ -347,15 +347,12 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
              precession, n_orbits, circular]]
     extra = None
     if cfg["dump_samples"]:
-        samples = [
-            {"t": s.t, "x1": s.x1, "x2": s.x2, "p1": s.p1, "p2": s.p2}
-            for s in traj.samples
-        ]
+        names = list(traj.samples.dtype.names)
+        records = traj.samples.tolist()
         if cfg["format"] == "json":
-            extra = {"samples": samples}
+            extra = {"samples": [dict(zip(names, rec)) for rec in records]}
         else:
-            header = ["t", "x1", "x2", "p1", "p2"]
-            rows = [[s.t, s.x1, s.x2, s.p1, s.p2] for s in traj.samples]
+            header, rows = names, records
             print(
                 f"h_drift={_fmt(traj.h_drift)} j_drift={_fmt(traj.j_drift)} "
                 f"precession_per_orbit={_fmt(precession)}",
@@ -366,7 +363,7 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_l_limit(cfg: dict[str, Any]) -> int:
-    if cfg["energy"] <= 0:
+    if not cfg["energy"] > 0:
         raise ValueError("energy must be > 0")
     header = ["beta", "l", "phi_radial", "phi_one_dim", "gap", "error"]
     rows = []

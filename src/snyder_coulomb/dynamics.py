@@ -82,18 +82,21 @@ class OrbitState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit with worst-case relative drift of H and J."""
+    """Sampled orbit with worst-case relative drift of H and J.
 
-    samples: tuple[OrbitState, ...]
+    ``samples`` is a read-only ``np.recarray`` with one record per sample
+    and the fields ``t, x1, x2, p1, p2``: ``samples[k].x1`` reads one
+    sample and ``samples.x1`` the whole column.
+    """
+
+    samples: np.recarray
     h_drift: float
     j_drift: float
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return (t, x1, x2, p1, p2) as numpy arrays."""
-        data = np.array(
-            [(s.t, s.x1, s.x2, s.p1, s.p2) for s in self.samples], dtype=float
-        )
-        return data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4]
+        """Return the columns (t, x1, x2, p1, p2) as read-only views."""
+        s = self.samples
+        return s.t, s.x1, s.x2, s.p1, s.p2
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,17 @@ def equations_of_motion(
     )
 
 
-def invariants(state: OrbitState, params: PhysicalParams) -> tuple[float, float]:
-    """Conserved pair (H, J) at ``state``."""
-    h = (state.p1**2 + state.p2**2) / (2.0 * params.m) - params.e2 / state.r
+def invariants(
+    state: OrbitState | np.recarray, params: PhysicalParams
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Conserved pair (H, J) at ``state``.
+
+    ``state`` is an OrbitState, or ``Trajectory.samples`` (anything with
+    the attributes x1, x2, p1, p2), for which H and J are arrays with one
+    entry per sample.
+    """
+    r = np.hypot(state.x1, state.x2)
+    h = (state.p1**2 + state.p2**2) / (2.0 * params.m) - params.e2 / r
     j = state.x1 * state.p2 - state.x2 * state.p1
     return h, j
 
@@ -212,6 +223,8 @@ def integrate_orbit(
         raise ValueError(f"local_tol must be > 0, got {local_tol!r}")
     if n_samples is None:
         n_samples = int(min(400_000, max(2000, 60.0 * t_end)))
+    elif n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
 
     m, e2, beta = params.m, params.e2, params.beta
 
@@ -249,27 +262,14 @@ def integrate_orbit(
             raise StepUnderflow(message)
         raise StepUnderflow(f"integrator stopped early: {message}")
 
-    t0 = float(state0.t)
-    samples = tuple(
-        OrbitState(
-            x1=float(sol.y[0, k]),
-            x2=float(sol.y[1, k]),
-            p1=float(sol.y[2, k]),
-            p2=float(sol.y[3, k]),
-            t=t0 + float(sol.t[k]),
-        )
-        for k in range(sol.t.size)
-    )
+    if not np.isfinite(sol.y).all():
+        raise ValueError("orbit state components must be finite")
+    samples = np.rec.fromarrays([state0.t + sol.t, *sol.y], names="t,x1,x2,p1,p2")
+    samples.flags.writeable = False
 
-    h0, j0 = invariants(samples[0], params)
-    h_scale = max(abs(h0), 1e-300)
-    j_scale = max(abs(j0), 1e-300)
-    h_drift = 0.0
-    j_drift = 0.0
-    for s in samples:
-        h, j = invariants(s, params)
-        h_drift = max(h_drift, abs(h - h0) / h_scale)
-        j_drift = max(j_drift, abs(j - j0) / j_scale)
+    h, j = invariants(samples, params)
+    h_drift = float(np.max(np.abs(h - h[0])) / max(abs(h[0]), 1e-300))
+    j_drift = float(np.max(np.abs(j - j[0])) / max(abs(j[0]), 1e-300))
     return Trajectory(samples=samples, h_drift=h_drift, j_drift=j_drift)
 
 

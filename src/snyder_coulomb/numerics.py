@@ -270,6 +270,8 @@ def solve_bs_energy(
     """
     if method not in ("closed_form", "numeric"):
         raise ValueError(f"method must be 'closed_form' or 'numeric', got {method!r}")
+    if not root_rtol > 0:
+        raise ValueError(f"root_rtol must be > 0, got {root_rtol!r}")
     n, l = qn.n, qn.l
     target = TWO_PI * n
     window = energy_window(params, l)
@@ -278,9 +280,9 @@ def solve_bs_energy(
     def residual(energy: float) -> float:
         return _phase_value(params, energy, l, method, spec) - target
 
-    top = window.e_max * (1.0 - 1e-9) if math.isfinite(window.e_max) else math.inf
-    lo = min(e0 / 4.0, top / 4.0 if math.isfinite(top) else e0 / 4.0)
-    hi = min(4.0 * e0, top) if math.isfinite(top) else 4.0 * e0
+    top = window.e_max * (1.0 - 1e-9)
+    lo = min(e0, top) / 4.0
+    hi = min(4.0 * e0, top)
 
     f_lo = residual(lo)
     for _ in range(100):

@@ -64,6 +64,13 @@ class TestSpectrum:
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["E_closed"] == pytest.approx(0.5, rel=1e-10)
 
+    @pytest.mark.parametrize("command", ["spectrum", "scan-order"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_nonpositive_tol_root_is_config_error(self, capsys, command, tol):
+        code, out, err = run_cli(capsys, command, "--tol-root", tol)
+        assert (code, out) == (2, "")
+        assert "root_rtol must be > 0" in err
+
     def test_infeasible_levels_flagged_in_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum", "--beta", "3", "--n-prime-max", "1",
@@ -221,6 +228,11 @@ class TestLLimit:
         code, out, err = run_cli(capsys, "l-limit", "--l-grid", "nan")
         assert (code, out) == (2, "")
         assert "l must be > 0" in err
+
+    def test_nan_energy_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "l-limit", "--energy", "nan")
+        assert (code, out) == (2, "")
+        assert "energy must be > 0" in err
 
     def test_out_of_window_rows_flagged(self, capsys):
         code, out, _ = run_cli(

@@ -24,6 +24,7 @@ from snyder_coulomb import (
     precession_per_orbit,
     validate_params,
 )
+from snyder_coulomb import dynamics
 
 TWO_PI = 2.0 * math.pi
 ECCENTRIC = OrbitState(2.0, 0.0, 0.0, 0.5)
@@ -278,6 +279,56 @@ class TestIntegrateOrbit:
     def test_rejects_nonpositive_t_end(self):
         with pytest.raises(ValueError):
             integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 0.0)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_nonpositive_n_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=n_samples)
+
+    def test_single_sample_is_the_start_state(self):
+        traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=1)
+        assert traj.samples.tolist() == [(0.0, 2.0, 0.0, 0.0, 0.5)]
+        assert (traj.h_drift, traj.j_drift) == (0.0, 0.0)
+
+    def test_start_time_shifts_sample_times(self):
+        start = OrbitState(2.0, 0.0, 0.0, 0.5, t=5.0)
+        traj = integrate_orbit(start, validate_params(1, 1, 0.05), 3.0, n_samples=7)
+        assert traj.samples.t[0] == 5.0
+        assert traj.samples.t[-1] == 5.0 + 3.0
+
+    def test_sample_invariants_match_per_state_formula(self):
+        params = validate_params(1, 1, 0.05)
+        traj = integrate_orbit(ECCENTRIC, params, 2 * T_ECC, n_samples=200)
+        h, j = invariants(traj.samples, params)
+        per_state = [
+            invariants(OrbitState(s.x1, s.x2, s.p1, s.p2, s.t), params)
+            for s in traj.samples
+        ]
+        assert h.shape == j.shape == (200,)
+        np.testing.assert_array_equal(h, [hs for hs, _ in per_state])
+        np.testing.assert_array_equal(j, [js for _, js in per_state])
+
+    def test_non_finite_solution_is_rejected(self, monkeypatch):
+        solve = dynamics.solve_ivp
+
+        def poisoned(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.y[2, -1] = math.nan
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", poisoned)
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
+
+    def test_samples_are_read_only(self):
+        traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.samples.x1[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.samples[1] = (0.0, 1.0, 1.0, 1.0, 1.0)
+        t, *_ = traj.arrays()
+        with pytest.raises(ValueError, match="read-only"):
+            t[0] = 1.0
 
 
 class TestPrecession:

@@ -198,6 +198,17 @@ class TestSolveBsEnergy:
         with pytest.raises(ValueError):
             solve_bs_energy(validate_params(1, 1, 0), QuantumNumbers(1, 0), "magic")
 
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_root_rtol(self, rtol):
+        with pytest.raises(ValueError, match="root_rtol"):
+            solve_bs_energy(validate_params(1, 1, 0.1), QuantumNumbers(1, 1), root_rtol=rtol)
+
+    def test_tiny_root_rtol_is_clamped_to_brent_floor(self):
+        params, qn = validate_params(1, 1, 0.1), QuantumNumbers(1, 1)
+        assert solve_bs_energy(params, qn, root_rtol=1e-300) == solve_bs_energy(
+            params, qn, root_rtol=9e-16
+        )
+
 
 class TestSpectrumTable:
     def test_newtonian_degeneracy(self):
