@@ -14,6 +14,9 @@ Conventions (hbar = 1):
 * ``radial_phase_integral_closed`` -- full radial loop of the planar
   problem in polar momentum coordinates, expressed in z = p_rho^2 between
   the turning points z- <= z <= z+.
+* ``energy_1d_closed``, ``energy_3d_closed`` -- the levels themselves:
+  Phi(E) = 2 pi n solved algebraically (a quadratic for the 1D problem, a
+  quartic for l >= 1), with no root search.
 
 The radial closed form implemented here is the exact value of
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfWindow, RequiresNonzeroL
+from .errors import NoRootInWindow, OutOfWindow, RequiresNonzeroL
 from .model import PhysicalParams, QuantumNumbers, energy_window
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "phase_integral_1d_closed",
     "radial_phase_integral_closed",
     "energy_1d_closed",
+    "energy_3d_closed",
     "energy_1d_series",
     "energy_3d_series",
     "energy_3d_perturbative_ref",
@@ -51,6 +55,11 @@ PI = math.pi
 # Relative slack for the turning-point discriminant: energies computed as
 # exactly the circular-orbit bound may land a few ulp past it.
 _DISC_SLACK = 4e-15
+
+# Newton on the level quartic stops once a step is below this fraction of
+# the root: at most eight evaluations of the quartic on n' <= 50,
+# beta m e2 <= 30.
+_NEWTON_RTOL = 2.3e-16
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,69 @@ def energy_1d_closed(params: PhysicalParams, n: int) -> float:
     m, e2, beta = params.m, params.e2, params.beta
     u = 2.0 * m * e2 / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
     return u * u / (2.0 * m)
+
+
+def energy_3d_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
+    """Exact binding energy of the level ``qn`` with l >= 1.
+
+    With u = sqrt(2mE), A = 2 m e2, N = 2n + l and K = N^2 - l^2 = 4n(n + l),
+    squaring Phi(E) = 2 pi n gives the quartic
+
+        g(u) = ((N - l) u - A)((N + l) u - A) - K beta^2 u^4 = 0,
+
+    evaluated in this factored form, which is free of cancellation.  g falls
+    strictly on (0, u0], from A^2 to -K beta^2 u0^4 at the Newtonian root
+    u0 = A/(N + l) = m e2/n', so it has exactly one root u* there; Newton's
+    method from u0, kept inside the bracket [0, u0] by bisection, finds it
+    to about one ulp.  u* lies below the circular-orbit bound A/(2l), and
+    A/(u* W) > N + l (W = 1 - beta^2 u*^2) gives it the sign of the
+    unsquared condition.  As g(1/beta) = A (A - 2N/beta), u* lies below the
+    pole, and the level is feasible, exactly when beta m e2 < 2n + l; a
+    root on the pole is infeasible.  No other root is admissible: for
+    u >= A/(N - l) the unsquared residual Phi/pi - 2n is at most
+    A/(u (1 + beta u)) - N <= -l.
+
+    Raises NoRootInWindow for an infeasible level.
+    """
+    if qn.l == 0:
+        raise RequiresNonzeroL("the l = 0 channel is energy_1d_closed")
+    n, l, m, beta = qn.n, qn.l, params.m, params.beta
+    a, big_n, k = 2.0 * m * params.e2, 2 * n + l, 4 * n * (n + l)
+    if not beta * a < 2 * big_n:
+        raise _infeasible(params, qn)
+    kb2 = k * beta * beta
+    lo, hi = 0.0, a / (big_n + l)
+    u = hi
+    for _ in range(100):
+        g = ((big_n - l) * u - a) * ((big_n + l) * u - a) - kb2 * u**4
+        if g == 0.0:
+            break
+        if g > 0.0:
+            lo = u
+        else:
+            hi = u
+        new = u - g / (2.0 * k * u - 2.0 * big_n * a - 4.0 * kb2 * u**3)
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        step, u = abs(new - u), new
+        if step <= _NEWTON_RTOL * u:
+            break
+    return u * u / (2.0 * m)
+
+
+def _infeasible(params: PhysicalParams, qn: QuantumNumbers) -> NoRootInWindow:
+    """The error for a level with no root, quoting Phi - 2 pi n below the window top."""
+    e_max = energy_window(params, qn.l).e_max
+    top = e_max * (1.0 - 1e-9)
+    phi = (
+        phase_integral_1d_closed(params, top)
+        if qn.l == 0
+        else radial_phase_integral_closed(params, top, qn.l)
+    )
+    return NoRootInWindow(
+        f"Phi(E) - 2 pi n = {phi.value - 2.0 * PI * qn.n!r} does not change sign inside "
+        f"(0, {e_max!r}) for {qn}: level infeasible at beta={params.beta!r}"
+    )
 
 
 def energy_1d_series(params: PhysicalParams, n: int) -> float:

@@ -21,16 +21,18 @@ deformation (it grows as beta^2).
 
 Integration uses an adaptive embedded explicit Runge-Kutta pair (DOP853
 via scipy); no structure-preserving scheme exists for this noncanonical
-bracket, so drift is monitored instead.
+bracket, so drift is monitored instead.  ``solve_ivp`` is imported from
+scipy on first use, as in the numerics module.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CollisionSingularity,
@@ -55,6 +57,17 @@ __all__ = [
 DEFAULT_COLLISION_FLOOR = 1e-8
 
 TWO_PI = 2.0 * math.pi
+
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import ``solve_ivp`` from scipy on first access (PEP 562)."""
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module("scipy.integrate").solve_ivp
+    globals()[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -214,8 +227,10 @@ def integrate_orbit(
     enough for sub-sample perihelion interpolation) and carries the
     worst-case relative drift of H and J as integrator diagnostics.
 
-    Raises CollisionSingularity if the orbit reaches ``r_floor`` and
-    StepUnderflow if the controller's step collapses before ``t_end``.
+    Raises ValueError if the flow is not finite at ``state0`` (momenta
+    so large that p^2 overflows), CollisionSingularity if the orbit reaches
+    ``r_floor`` and StepUnderflow if the controller's step collapses
+    before ``t_end``.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be > 0, got {t_end!r}")
@@ -227,6 +242,10 @@ def integrate_orbit(
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
 
     m, e2, beta = params.m, params.e2, params.beta
+    # solve_ivp does not return when the flow at the start is not finite
+    deriv0 = _deriv(state0.x1, state0.x2, state0.p1, state0.p2, m, e2, beta)
+    if not all(math.isfinite(v) for v in deriv0):
+        raise ValueError(f"the flow is not finite at the initial state {state0!r}")
 
     def rhs(t: float, y: np.ndarray):
         return _deriv(y[0], y[1], y[2], y[3], m, e2, beta)
@@ -238,7 +257,7 @@ def integrate_orbit(
     collision.direction = -1.0
 
     t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(
+    sol = _module.solve_ivp(
         rhs,
         (0.0, t_end),
         np.array([state0.x1, state0.x2, state0.p1, state0.p2], dtype=float),

@@ -15,12 +15,17 @@ of variable before being handed to an adaptive Gauss-Kronrod rule
 * band integrands use z = a + (b - a) sin^2(phi), which absorbs the
   square-root vanishing of the integrand at both band edges.
 
-The energy solver brackets the root of Phi(E) = 2 pi n starting from the
+The energy solver has two routes.  The closed-form route is algebraic
+(``energy_1d_closed`` and ``energy_3d_closed``): no root search.  The
+quadrature route brackets the root of Phi(E) = 2 pi n starting from the
 undeformed level m e2^2 / (2 n'^2), expanding geometrically inside the
-energy window, then polishes with Brent's method.  Phi is strictly
-decreasing in E throughout the tested regime; close to the deformation
-pole (beta*m*e2 of order l and beyond) monotonicity can fail and root
-reporting is best effort.
+energy window, then polishes with Brent's method.
+
+scipy is imported on first use: ``quad``, ``brentq`` (and
+``dynamics.solve_ivp``) are module attributes resolved by a module
+``__getattr__`` (PEP 562) and called through the module, so a replacement
+assigned to them is the one called.  The closed-form routes never load
+scipy.
 
 All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.
@@ -28,16 +33,19 @@ All operations are pure; tables are evaluated sequentially and ordered by
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .analytic import (
+    _infeasible,
+    energy_1d_closed,
     energy_1d_series,
+    energy_3d_closed,
     energy_3d_series,
     phase_integral_1d_closed,
     PhaseIntegralResult,
@@ -69,6 +77,18 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+_SCIPY = {"quad": "scipy.integrate", "brentq": "scipy.optimize"}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import ``quad`` or ``brentq`` from scipy on first access (PEP 562)."""
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY[name]), name)
+    globals()[name] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,7 +155,7 @@ def _quad_checked(
     func: Callable[[float], float], a: float, b: float, spec: QuadratureSpec
 ) -> tuple[float, float]:
     """Run scipy's adaptive rule, turning non-convergence into an error."""
-    result = quad(
+    result = _module.quad(
         func,
         a,
         b,
@@ -237,20 +257,6 @@ def phase_integral_numeric(
     return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
 
 
-def _phase_value(
-    params: PhysicalParams,
-    energy: float,
-    l: int,
-    method: str,
-    spec: QuadratureSpec,
-) -> float:
-    if method == "closed_form":
-        if l == 0:
-            return phase_integral_1d_closed(params, energy).value
-        return radial_phase_integral_closed(params, energy, l).value
-    return phase_integral_numeric(params, energy, l, spec).value
-
-
 def solve_bs_energy(
     params: PhysicalParams,
     qn: QuantumNumbers,
@@ -260,25 +266,35 @@ def solve_bs_energy(
 ) -> float:
     """Solve the quantization condition Phi(E) = 2 pi n for the level ``qn``.
 
-    ``method`` selects the closed-form or the quadrature evaluation of Phi.
-    The bracket starts at [E0/4, min(4 E0, window top)] around the
-    undeformed level E0 = m e2^2/(2 n'^2) and expands geometrically until
-    the residual changes sign; Brent's method then refines to relative
-    width ``root_rtol``.  Raises NoRootInWindow when Phi - 2 pi n has no
-    sign change inside the window (the level is infeasible at this
-    deformation).
+    ``method="closed_form"`` solves it algebraically: ``energy_1d_closed``
+    (checked against the window) for l = 0, ``energy_3d_closed`` for
+    l >= 1; ``spec`` and ``root_rtol`` do not enter.  ``method="numeric"``
+    finds the root of the quadrature Phi: the bracket starts at
+    [E0/4, min(4 E0, window top)] around the undeformed level
+    E0 = m e2^2/(2 n'^2) and expands geometrically until the residual
+    changes sign; Brent's method then refines to relative width
+    ``root_rtol`` (at least 9e-16).  Raises NoRootInWindow when the level
+    is infeasible at this deformation (no root inside the window).
     """
     if method not in ("closed_form", "numeric"):
         raise ValueError(f"method must be 'closed_form' or 'numeric', got {method!r}")
     if not root_rtol > 0:
         raise ValueError(f"root_rtol must be > 0, got {root_rtol!r}")
     n, l = qn.n, qn.l
-    target = TWO_PI * n
     window = energy_window(params, l)
+    if method == "closed_form":
+        if l >= 1:
+            return energy_3d_closed(params, qn)
+        energy = energy_1d_closed(params, n)
+        if not window.contains(energy):
+            raise _infeasible(params, qn)
+        return energy
+
+    target = TWO_PI * n
     e0 = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
 
     def residual(energy: float) -> float:
-        return _phase_value(params, energy, l, method, spec) - target
+        return phase_integral_numeric(params, energy, l, spec).value - target
 
     top = window.e_max * (1.0 - 1e-9)
     lo = min(e0, top) / 4.0
@@ -308,7 +324,7 @@ def solve_bs_energy(
         raise NoRootInWindow(f"no sign change found up to E={hi!r} for {qn}")
 
     return float(
-        brentq(residual, lo, hi, xtol=e0 * 1e-15, rtol=max(root_rtol, 9e-16))
+        _module.brentq(residual, lo, hi, xtol=e0 * 1e-15, rtol=max(root_rtol, 9e-16))
     )
 
 
@@ -369,8 +385,9 @@ def correction_order(
     fits log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
     channel has slope 1, the l >= 1 channels slope 2.  Grid points with a
     correction below ``noise_floor`` are excluded; fewer than two usable
-    points raise DegenerateFit.  The root tolerance defaults to machine
-    precision so that solver noise stays below the noise floor.
+    points raise DegenerateFit.  The levels are algebraic, so ``spec`` and
+    ``root_rtol`` are only passed on to :func:`solve_bs_energy`, which
+    checks ``root_rtol``; neither changes the result.
     """
     betas = [float(b) for b in beta_grid]
     if len(betas) < 4:

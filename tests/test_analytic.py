@@ -12,15 +12,18 @@ import numpy as np
 import pytest
 
 from snyder_coulomb import (
+    NoRootInWindow,
     OutOfWindow,
     QuantumNumbers,
     RequiresNonzeroL,
     energy_1d_closed,
     energy_1d_series,
+    energy_3d_closed,
     energy_3d_perturbative_ref,
     energy_3d_series,
     phase_integral_1d_closed,
     radial_phase_integral_closed,
+    energy_window,
     turning_points,
     validate_params,
 )
@@ -237,6 +240,100 @@ class TestEnergy1D:
                 energy = energy_1d_closed(params, n)
                 value = phase_integral_1d_closed(params, energy).value
                 assert abs(value - 2 * PI * n) <= 1e-12 * 2 * PI * n
+
+
+def level_reference(beta, qn):
+    """Level of ``qn`` at m = e2 = 1 from the unsquared condition, to 50 digits.
+
+    Solves Phi(E) = 2 pi n in u = sqrt(2E) with mpmath, from the phase
+    integrals written out (1D: 2/(u(1 + beta u)); l >= 1:
+    2/(u W) - l - sqrt(l^2 + 4 beta^2/W^2) with W = 1 - beta^2 u^2).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        b, n, l = mp.mpf(beta), qn.n, qn.l
+
+        def residual(u):
+            if l == 0:
+                return 2 / (u * (1 + b * u)) - 2 * n
+            w = 1 - b * b * u * u
+            return 2 / (u * w) - l - mp.sqrt(l * l + 4 * b * b / (w * w)) - 2 * n
+
+        u = mp.findroot(residual, (mp.mpf(0.99) / qn.n_prime, mp.mpf(1) / qn.n_prime))
+        return u * u / 2
+
+
+def admissible_quartic_roots(beta, qn):
+    """Roots u of the squared condition that solve the unsquared one (m = e2 = 1).
+
+    All four roots of K beta^2 u^4 - K u^2 + 2 A N u - A^2 from numpy's
+    companion matrix, kept when real, positive, below the pole and the
+    circular-orbit bound, and of the sign A >= N u W before squaring.
+    """
+    n, l = qn.n, qn.l
+    a, big_n, k = 2.0, 2 * n + l, 4 * n * (n + l)
+    kept = []
+    for root in np.roots([k * beta * beta, 0.0, -k, 2.0 * a * big_n, -a * a]):
+        u = root.real
+        if abs(root.imag) > 1e-9 * abs(root) or u <= 0:
+            continue
+        w = 1.0 - beta * beta * u * u
+        if w > 1e-12 and u <= a / (2 * l) * (1 + 1e-12) and a >= big_n * u * w * (1 - 1e-9):
+            kept.append(u)
+    return kept
+
+
+class TestEnergy3D:
+    def test_newtonian_levels(self):
+        params = validate_params(1, 1, 0)
+        for n_prime in range(2, 12):
+            for l in range(1, n_prime):
+                energy = energy_3d_closed(params, QuantumNumbers(n_prime - l, l))
+                assert energy == pytest.approx(0.5 / n_prime**2, rel=4.5e-16)
+
+    def test_requires_nonzero_l(self):
+        with pytest.raises(RequiresNonzeroL):
+            energy_3d_closed(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=0))
+
+    def test_closed_levels_match_50_digit_references(self):
+        # <= 4 ulp over the grid, the 1D channel through energy_1d_closed
+        worst = 0.0
+        for beta in (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.9):
+            params = validate_params(1, 1, beta)
+            for n_prime in (1, 2, 3, 5, 8, 13, 21, 34, 50):
+                for l in sorted({0, 1, 2, n_prime // 2, n_prime - 1} & set(range(n_prime))):
+                    qn = QuantumNumbers(n_prime - l, l)
+                    energy = (
+                        energy_1d_closed(params, qn.n) if l == 0 else energy_3d_closed(params, qn)
+                    )
+                    ref = level_reference(beta, qn)
+                    worst = max(worst, float(abs(energy - ref) / ref))
+        assert worst <= 9e-16
+
+    @pytest.mark.parametrize("beta,n,l", [(3.0, 1, 1), (5.0, 1, 3), (5.0, 2, 1)])
+    def test_root_on_the_pole_is_infeasible(self, beta, n, l):
+        # beta m e2 = 2n + l puts the root of the quartic exactly at u = 1/beta
+        qn = QuantumNumbers(n, l)
+        assert np.polyval([4 * n * (n + l) * beta**2, 0, -4 * n * (n + l),
+                           4 * (2 * n + l), -4], 1 / beta) == pytest.approx(0, abs=1e-12)
+        with pytest.raises(NoRootInWindow, match="level infeasible"):
+            energy_3d_closed(validate_params(1, 1, beta), qn)
+
+    def test_one_admissible_quartic_root_exactly_when_feasible(self):
+        for beta in [*np.linspace(0.01, 5, 120), 0.9, 3.0]:
+            params = validate_params(1, 1, beta)
+            for n_prime in range(2, 11):
+                for l in range(1, n_prime):
+                    qn = QuantumNumbers(n_prime - l, l)
+                    roots = admissible_quartic_roots(beta, qn)
+                    try:
+                        energy = energy_3d_closed(params, qn)
+                    except NoRootInWindow:
+                        assert roots == [], (beta, qn)
+                        continue
+                    assert len(roots) == 1, (beta, qn, roots)
+                    assert math.sqrt(2 * energy) == pytest.approx(roots[0], rel=1e-9)
+                    assert 0 < energy < energy_window(params, l).e_max
 
 
 class TestEnergySeries:

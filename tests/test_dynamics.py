@@ -320,6 +320,14 @@ class TestIntegrateOrbit:
         with pytest.raises(ValueError, match="must be finite"):
             integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
 
+    @pytest.mark.parametrize("beta,p2", [(0.0, 1e200), (1.0, 1e155)])
+    def test_non_finite_flow_at_start_is_rejected(self, beta, p2):
+        # p^2 overflows: the flow at the start is NaN or inf, on which
+        # solve_ivp would never return
+        with pytest.raises(ValueError, match="not finite at the initial state"):
+            integrate_orbit(OrbitState(1.0, 0.0, 0.0, p2), validate_params(1, 1, beta), 1.0,
+                            n_samples=3)
+
     def test_samples_are_read_only(self):
         traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
         with pytest.raises(ValueError, match="read-only"):

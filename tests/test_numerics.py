@@ -22,6 +22,7 @@ from snyder_coulomb import (
     radial_phase_integral_closed,
     solve_bs_energy,
     spectrum_table,
+    energy_window,
     turning_points,
     validate_params,
 )
@@ -208,6 +209,40 @@ class TestSolveBsEnergy:
         assert solve_bs_energy(params, qn, root_rtol=1e-300) == solve_bs_energy(
             params, qn, root_rtol=9e-16
         )
+
+    def test_tiny_root_rtol_is_clamped_to_brent_floor_on_numeric_route(self):
+        params, qn = validate_params(1, 1, 0.1), QuantumNumbers(1, 1)
+        assert solve_bs_energy(params, qn, "numeric", root_rtol=1e-300) == solve_bs_energy(
+            params, qn, "numeric", root_rtol=9e-16
+        )
+
+    def test_infeasible_levels_are_those_without_a_sign_change(self):
+        # The closed route decides feasibility algebraically.  The oracle is
+        # the sign of Phi - 2 pi n just below the window top, from the phase
+        # integrals, which is what the bracketing solver decided; on this
+        # grid it found 172 infeasible levels.
+        infeasible, expected = set(), set()
+        for beta in [*np.linspace(0.01, 5, 120), 0.9, 3.0]:
+            params = validate_params(1, 1, beta)
+            for n_prime in range(1, 11):
+                for l in range(n_prime):
+                    qn = QuantumNumbers(n_prime - l, l)
+                    top = energy_window(params, l).e_max * (1 - 1e-9)
+                    phi = (
+                        phase_integral_1d_closed(params, top)
+                        if l == 0
+                        else radial_phase_integral_closed(params, top, l)
+                    )
+                    if phi.value >= 2 * PI * qn.n:
+                        expected.add((beta, qn))
+                    try:
+                        solve_bs_energy(params, qn)
+                    except NoRootInWindow:
+                        infeasible.add((beta, qn))
+        assert infeasible == expected
+        assert len(infeasible) == 172
+        # beta m e2 = 2n + l: the root sits on the pole
+        assert {(3.0, QuantumNumbers(1, 1)), (5.0, QuantumNumbers(1, 3))} <= infeasible
 
 
 class TestSpectrumTable:
