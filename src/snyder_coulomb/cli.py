@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,8 +36,6 @@ from .analytic import phase_integral_1d_closed, radial_phase_integral_closed
 from .errors import CollisionSingularity, InsufficientPeriods, SnyderCoulombError
 from .model import PhysicalParams, QuantumNumbers, energy_window, validate_params
 from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     correction_order,
     l_limit_study,
     phase_integral_numeric,
@@ -113,10 +110,10 @@ def _apply_config(path: str, command: argparse.ArgumentParser, actions: dict) ->
         command.set_defaults(**{action.dest: value})
 
 
-def _quad_spec(tol_quad: float | None) -> QuadratureSpec:
-    if tol_quad is None:
-        return DEFAULT_QUADRATURE
-    return replace(DEFAULT_QUADRATURE, abs_tol=tol_quad * 1e-2, rel_tol=tol_quad)
+def _tolerances(cfg: dict[str, Any]) -> dict[str, float]:
+    """Library keyword arguments of the tolerance flags that were given."""
+    names = {"tol_quad": "quad_rtol", "tol_root": "root_rtol"}
+    return {arg: cfg[key] for key, arg in names.items() if cfg.get(key) is not None}
 
 
 # --------------------------------------------------------------------------
@@ -224,10 +221,7 @@ def _emit(
 
 def _cmd_spectrum(cfg: dict[str, Any]) -> int:
     params = validate_params(cfg["m"], cfg["e2"], cfg["beta"])
-    kwargs = {} if cfg["tol_root"] is None else {"root_rtol": cfg["tol_root"]}
-    entries = spectrum_table(
-        params, cfg["n_prime_max"], _quad_spec(cfg["tol_quad"]), **kwargs
-    )
+    entries = spectrum_table(params, cfg["n_prime_max"], **_tolerances(cfg))
     header = ["n_prime", "l", "beta", "E_newton", "E_closed", "E_numeric",
               "E_series", "rel_gap_closed_numeric", "error"]
     rows = []
@@ -259,7 +253,7 @@ def _cell_energies(params, l: int, count: int) -> list[float]:
 def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     if cfg["energies_per_cell"] < 1:
         raise ValueError("energies-per-cell must be >= 1")
-    spec = _quad_spec(cfg["tol_quad"])
+    tolerances = _tolerances(cfg)
     header = ["beta", "l", "E", "phi_closed", "phi_numeric", "rel_dev"]
     rows = []
     skipped = 0
@@ -277,7 +271,7 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
                     phi_c = phase_integral_1d_closed(params, energy).value
                 else:
                     phi_c = radial_phase_integral_closed(params, energy, l).value
-                phi_n = phase_integral_numeric(params, energy, l, spec).value
+                phi_n = phase_integral_numeric(params, energy, l, **tolerances).value
                 dev = abs(phi_c - phi_n) / abs(phi_c)
                 max_dev = max(max_dev, dev)
                 rows.append([beta, l, energy, phi_c, phi_n, dev])
@@ -295,14 +289,12 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
 
 def _cmd_scan_order(cfg: dict[str, Any]) -> int:
     params_base = validate_params(cfg["m"], cfg["e2"], 0.0)
-    spec = _quad_spec(cfg["tol_quad"])
-    kwargs = {} if cfg["tol_root"] is None else {"root_rtol": cfg["tol_root"]}
     header = ["l", "slope", "rms_residual", "n_used", "pass"]
     rows = []
     all_pass = True
     for l in cfg["l_list"]:
         qn = QuantumNumbers(n=cfg["n"], l=l)
-        fit = correction_order(params_base, qn, cfg["beta_grid"], spec, **kwargs)
+        fit = correction_order(params_base, qn, cfg["beta_grid"])
         lo, hi = SLOPE_BAND_1D if l == 0 else SLOPE_BAND_3D
         ok = lo <= fit.slope <= hi
         all_pass = all_pass and ok
@@ -437,8 +429,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     add("n", type=int, default=1, help="radial quantum number of the scanned level")
     add("beta-grid", type=floats, default=[float(b) for b in np.logspace(-4, -2, 7)],
         metavar="LIST", help="comma list of betas (>= 4 points over >= 1.5 decades)")
-    add("tol-quad", type=float, help="relative quadrature tolerance override")
-    add("tol-root", type=float, help="relative root tolerance override")
 
     add = add_command("orbit")
     add("beta", type=float, default=0.0, help="deformation parameter")

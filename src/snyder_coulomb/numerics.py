@@ -15,6 +15,10 @@ of variable before being handed to an adaptive Gauss-Kronrod rule
 * band integrands use z = a + (b - a) sin^2(phi), which absorbs the
   square-root vanishing of the integrand at both band edges.
 
+One float, ``quad_rtol`` (default 1e-10), sets the rule's tolerances:
+relative ``quad_rtol``, absolute ``1e-2 * quad_rtol``, within a fixed
+budget of 60 subdivisions (``QUAD_LIMIT``).
+
 The energy solver has two routes.  The closed-form route is algebraic
 (``energy_1d_closed`` and ``energy_3d_closed``): no root search.  The
 quadrature route brackets the root of Phi(E) = 2 pi n starting from the
@@ -62,8 +66,6 @@ from .errors import (
 from .model import PhysicalParams, QuantumNumbers, energy_window
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "SpectrumEntry",
     "CorrectionFit",
     "LLimitRow",
@@ -77,6 +79,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+QUAD_LIMIT = 60  # subdivision budget of the adaptive rule
 
 _SCIPY = {"quad": "scipy.integrate", "brentq": "scipy.optimize"}
 _module = sys.modules[__name__]
@@ -89,24 +92,6 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(_SCIPY[name]), name)
     globals()[name] = value
     return value
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -152,21 +137,23 @@ class LLimitRow:
 
 
 def _quad_checked(
-    func: Callable[[float], float], a: float, b: float, spec: QuadratureSpec
+    func: Callable[[float], float], a: float, b: float, quad_rtol: float
 ) -> tuple[float, float]:
     """Run scipy's adaptive rule, turning non-convergence into an error."""
+    if not quad_rtol > 0:
+        raise ValueError("quadrature tolerances must be > 0")
     result = _module.quad(
         func,
         a,
         b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        epsabs=quad_rtol * 1e-2,
+        epsrel=quad_rtol,
+        limit=QUAD_LIMIT,
         full_output=1,
     )
     if len(result) > 3:
         raise ToleranceNotReached(
-            f"quadrature did not converge within {spec.max_subdivisions} "
+            f"quadrature did not converge within {QUAD_LIMIT} "
             f"subdivisions: {result[3]}"
         )
     value, err = result[0], result[1]
@@ -174,7 +161,7 @@ def _quad_checked(
 
 
 def integrate_real_line(
-    func: Callable[[float], float], spec: QuadratureSpec = DEFAULT_QUADRATURE
+    func: Callable[[float], float], quad_rtol: float = 1e-10
 ) -> tuple[float, float]:
     """Integrate ``func`` over the whole real line.
 
@@ -186,14 +173,14 @@ def integrate_real_line(
         c = math.cos(theta)
         return func(math.tan(theta)) / (c * c)
 
-    return _quad_checked(compactified, -math.pi / 2.0, math.pi / 2.0, spec)
+    return _quad_checked(compactified, -math.pi / 2.0, math.pi / 2.0, quad_rtol)
 
 
 def integrate_band(
     func: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    quad_rtol: float = 1e-10,
 ) -> tuple[float, float]:
     """Integrate ``func`` over [a, b] with square-root-friendly endpoints.
 
@@ -210,14 +197,14 @@ def integrate_band(
         z = a + width * s * s
         return func(z) * width * math.sin(2.0 * phi)
 
-    return _quad_checked(substituted, 0.0, math.pi / 2.0, spec)
+    return _quad_checked(substituted, 0.0, math.pi / 2.0, quad_rtol)
 
 
 def phase_integral_numeric(
     params: PhysicalParams,
     energy: float,
     l: int,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    quad_rtol: float = 1e-10,
 ) -> PhaseIntegralResult:
     """Loop phase integral evaluated from the raw integrand.
 
@@ -239,7 +226,7 @@ def phase_integral_numeric(
             p2 = p * p
             return 2.0 * m * e2 / ((p2 + two_m_e) * (1.0 + b2 * p2))
 
-        value, err = integrate_real_line(line_integrand, spec)
+        value, err = integrate_real_line(line_integrand, quad_rtol)
         return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
 
     tp = turning_points(params, energy, l)
@@ -253,7 +240,7 @@ def phase_integral_numeric(
             return 0.0
         return l * math.sqrt(radicand) / (z * (z + two_m_e) * (1.0 + b2 * z))
 
-    value, err = integrate_band(band_integrand, z_minus, z_plus, spec)
+    value, err = integrate_band(band_integrand, z_minus, z_plus, quad_rtol)
     return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
 
 
@@ -261,14 +248,14 @@ def solve_bs_energy(
     params: PhysicalParams,
     qn: QuantumNumbers,
     method: str = "closed_form",
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    quad_rtol: float = 1e-10,
     root_rtol: float = 1e-12,
 ) -> float:
     """Solve the quantization condition Phi(E) = 2 pi n for the level ``qn``.
 
     ``method="closed_form"`` solves it algebraically: ``energy_1d_closed``
     (checked against the window) for l = 0, ``energy_3d_closed`` for
-    l >= 1; ``spec`` and ``root_rtol`` do not enter.  ``method="numeric"``
+    l >= 1; ``quad_rtol`` and ``root_rtol`` do not enter.  ``method="numeric"``
     finds the root of the quadrature Phi: the bracket starts at
     [E0/4, min(4 E0, window top)] around the undeformed level
     E0 = m e2^2/(2 n'^2) and expands geometrically until the residual
@@ -280,6 +267,8 @@ def solve_bs_energy(
         raise ValueError(f"method must be 'closed_form' or 'numeric', got {method!r}")
     if not root_rtol > 0:
         raise ValueError(f"root_rtol must be > 0, got {root_rtol!r}")
+    if not quad_rtol > 0:
+        raise ValueError("quadrature tolerances must be > 0")
     n, l = qn.n, qn.l
     window = energy_window(params, l)
     if method == "closed_form":
@@ -294,7 +283,7 @@ def solve_bs_energy(
     e0 = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
 
     def residual(energy: float) -> float:
-        return phase_integral_numeric(params, energy, l, spec).value - target
+        return phase_integral_numeric(params, energy, l, quad_rtol).value - target
 
     top = window.e_max * (1.0 - 1e-9)
     lo = min(e0, top) / 4.0
@@ -331,7 +320,7 @@ def solve_bs_energy(
 def spectrum_table(
     params: PhysicalParams,
     n_prime_max: int,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    quad_rtol: float = 1e-10,
     root_rtol: float = 1e-12,
 ) -> list[SpectrumEntry]:
     """All levels with 1 <= n' <= n_prime_max, 0 <= l <= n' - 1.
@@ -352,8 +341,8 @@ def spectrum_table(
                 else energy_3d_series(params, qn)
             )
             try:
-                e_closed = solve_bs_energy(params, qn, "closed_form", spec, root_rtol)
-                e_numeric = solve_bs_energy(params, qn, "numeric", spec, root_rtol)
+                e_closed = solve_bs_energy(params, qn, "closed_form", quad_rtol, root_rtol)
+                e_numeric = solve_bs_energy(params, qn, "numeric", quad_rtol, root_rtol)
                 entries.append(
                     SpectrumEntry(qn, e_newton, e_closed, e_numeric, e_series)
                 )
@@ -375,8 +364,6 @@ def correction_order(
     params_base: PhysicalParams,
     qn: QuantumNumbers,
     beta_grid: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    root_rtol: float = 9e-16,
     noise_floor: float = 1e-13,
 ) -> CorrectionFit:
     """Fitted power of beta of the relative energy correction for ``qn``.
@@ -385,9 +372,7 @@ def correction_order(
     fits log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
     channel has slope 1, the l >= 1 channels slope 2.  Grid points with a
     correction below ``noise_floor`` are excluded; fewer than two usable
-    points raise DegenerateFit.  The levels are algebraic, so ``spec`` and
-    ``root_rtol`` are only passed on to :func:`solve_bs_energy`, which
-    checks ``root_rtol``; neither changes the result.
+    points raise DegenerateFit.
     """
     betas = [float(b) for b in beta_grid]
     if len(betas) < 4:
@@ -401,7 +386,7 @@ def correction_order(
     log_b, log_c = [], []
     for beta in betas:
         deformed = PhysicalParams(params_base.m, params_base.e2, beta)
-        energy = solve_bs_energy(deformed, qn, "closed_form", spec, root_rtol)
+        energy = solve_bs_energy(deformed, qn, "closed_form")
         corr = abs(energy / e_ref - 1.0)
         if corr < noise_floor:
             continue

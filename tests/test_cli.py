@@ -64,7 +64,7 @@ class TestSpectrum:
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["E_closed"] == pytest.approx(0.5, rel=1e-10)
 
-    @pytest.mark.parametrize("command", ["spectrum", "scan-order"])
+    @pytest.mark.parametrize("command", ["spectrum"])
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_nonpositive_tol_root_is_config_error(self, capsys, command, tol):
         code, out, err = run_cli(capsys, command, "--tol-root", tol)

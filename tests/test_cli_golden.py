@@ -37,6 +37,7 @@ CONFIGS = {
     "verify.conf": "beta-grid = 0.02, 0.2\nl-grid = 0,3\nenergies-per-cell = 3\n"
                    "format = json\n",
     "scan.conf": "n = 2\nl-list = 1\nbeta-grid = 1e-4,1e-3,1e-2,3e-2\n",
+    "scan-tol.conf": "l-list = 1\ntol-quad = 1e-8\n",
     "orbit.conf": "beta = 0.05\nt-end = 12\nlocal-tol = 1e-10\ndump-samples = false\n",
     "l-limit.conf": "\nbeta-grid = 0,0.2\nenergy = 0.1\nl-grid = 0.02\n",
     "unknown.conf": "betta = 0.1\n",
@@ -94,6 +95,7 @@ RUNS = {
     "scan-zero-beta": ["scan-order", "--beta-grid", "0,1e-3,1e-2,1e-1"],
     "scan-narrow-grid": ["scan-order", "--beta-grid", "1e-3,2e-3,3e-3,4e-3"],
     "scan-negative-l": ["scan-order", "--l-list", "-1"],
+    "scan-tol-root": ["scan-order", "--tol-root", "1e-10"],
     # orbit
     "orbit-short-csv": ["orbit", "--t-end", "20"],
     "orbit-short-json": ["orbit", "--t-end", "20", "--format", "json"],
@@ -135,6 +137,7 @@ RUNS = {
     "config-verify-flag-wins": ["verify-integrals", "--config", "{tmp}/verify.conf",
                                 "--l-grid", "1", "--format", "csv"],
     "config-scan": ["scan-order", "--config", "{tmp}/scan.conf", "--format", "json"],
+    "config-scan-tol-key": ["scan-order", "--config", "{tmp}/scan-tol.conf"],
     "config-orbit": ["orbit", "--config", "{tmp}/orbit.conf", "--format", "json"],
     "config-orbit-flag-wins": ["orbit", "--config", "{tmp}/orbit.conf", "--beta", "0"],
     "config-l-limit": ["l-limit", "--config", "{tmp}/l-limit.conf"],

@@ -9,7 +9,6 @@ from snyder_coulomb import (
     DegenerateFit,
     NoRootInWindow,
     OutOfWindow,
-    QuadratureSpec,
     QuantumNumbers,
     correction_order,
     energy_1d_closed,
@@ -55,19 +54,22 @@ class TestIntegrateRealLine:
         value, _ = integrate_real_line(lambda p: p / (1.0 + p**4))
         assert value == pytest.approx(0.0, abs=1e-12)
 
-    def test_quadrature_spec_guards(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+    @pytest.mark.parametrize("quad_rtol", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_quad_rtol(self, quad_rtol):
+        with pytest.raises(ValueError, match="quadrature tolerances"):
+            integrate_real_line(lambda p: 2.0 / (p * p + 1.0), quad_rtol)
+        with pytest.raises(ValueError, match="quadrature tolerances"):
+            solve_bs_energy(
+                validate_params(1, 1, 0.1), QuantumNumbers(1, 1), quad_rtol=quad_rtol
+            )
 
     def test_exhausted_subdivisions_raise(self):
         from snyder_coulomb import ToleranceNotReached
 
         nearly_singular = lambda p: 2.0 / (p * p + 1e-14)
-        tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)
-        with pytest.raises(ToleranceNotReached):
-            integrate_real_line(nearly_singular, tight)
+        for quad_rtol in (1e-10, 1e-12, 1e-14):
+            with pytest.raises(ToleranceNotReached, match="60 subdivisions"):
+                integrate_real_line(nearly_singular, quad_rtol)
 
 
 class TestIntegrateBand:
