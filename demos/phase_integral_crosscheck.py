@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Cross-validate every closed-form phase integral against raw quadrature.
 
-The closed forms and the adaptive quadrature share nothing but the physics:
-one is elementary algebra, the other integrates the bare integrands
-(a deformed Lorentzian over the real line for l = 0, a square-root band
-integrand in z = p_rho^2 for l >= 1).  Their agreement to ~1e-14 relative
+The closed forms and the trapezoid rule in log variables share nothing but
+the physics: one is elementary algebra, the other integrates the bare
+integrands (a deformed Lorentzian over the real line for l = 0, a
+square-root band integrand in z = p_rho^2 for l >= 1), each evaluated as
+one numpy array per phase integral.  Their agreement to ~1e-14 relative
 is the package's central correctness check.
 """
 
@@ -17,7 +18,7 @@ from snyder_coulomb import (
     validate_params,
 )
 
-print("closed form vs adaptive quadrature, m = e2 = 1")
+print("closed form vs trapezoid quadrature, m = e2 = 1")
 print(f"{'beta':>6} {'l':>3} {'E':>10} {'phi_closed':>20} {'rel dev':>12}")
 
 worst = 0.0

@@ -4,8 +4,8 @@
 At beta = 0 the loop quantization condition is exact for the Coulomb
 problem: solving Phi(E) = 2 pi n for every (n', l) must land on the
 familiar levels, degenerate in l.  Both solver routes are shown: the
-closed-form phase integral and blind adaptive quadrature of the raw
-integrand.
+closed-form levels and Brent's method on a blind trapezoid rule (in log
+variables) over the raw integrand.
 """
 
 from snyder_coulomb import QuantumNumbers, solve_bs_energy, validate_params

@@ -1,8 +1,8 @@
 """Semiclassical spectra and classical orbits of the Coulomb problem in Snyder space.
 
 The package computes loop phase integrals of the minimal-length (Snyder)
-deformation of the Coulomb problem in closed form and by independent
-adaptive quadrature, solves the resulting quantization condition for 1D
+deformation of the Coulomb problem in closed form and by an independent
+trapezoid rule in log variables, solves the resulting quantization condition for 1D
 and 3D-radial energy spectra, and integrates planar orbits under the
 deformed bracket structure.  Natural units, hbar = 1.
 """

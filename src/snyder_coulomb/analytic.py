@@ -23,7 +23,7 @@ The radial closed form implemented here is the exact value of
     l * Integral_{z-}^{z+} sqrt((z - z-)(z+ - z)) / (z (z + 2mE) (1 + beta^2 z)) dz
 
 obtained by partial fractions; it vanishes at the circular-orbit endpoint
-and matches adaptive quadrature of the raw integrand to machine precision
+and matches a trapezoid rule on the raw integrand to machine precision
 (see the numerics module and the test suite for the cross-checks).
 
 All functions are pure and all result types immutable.

@@ -62,7 +62,7 @@ class InsufficientPeriods(SnyderCoulombError, ValueError):
 
 
 class ToleranceNotReached(SnyderCoulombError, RuntimeError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """The trapezoid rule missed its tolerance within its panel cap."""
 
 
 class NoRootInWindow(SnyderCoulombError, RuntimeError):

@@ -6,18 +6,22 @@ two independent routes to every phase integral.  Agreement between them is
 the core cross-check of the package (see ``verify-integrals`` in the CLI
 and the acceptance tests).
 
-Quadrature strategy: the integrands are regularized by an explicit change
-of variable before being handed to an adaptive Gauss-Kronrod rule
-(scipy.integrate.quad):
+Quadrature strategy: a trapezoid rule in log variables, evaluated as one
+numpy array per Phi.  The integrands are analytic, so the rule converges
+exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
 
-* real-line integrands use p = tan(theta), compactifying (-inf, inf) to
-  (-pi/2, pi/2);
-* band integrands use z = a + (b - a) sin^2(phi), which absorbs the
-  square-root vanishing of the integrand at both band edges.
+* the real-line integrand is even; p = e^s maps (0, inf) to the line, and
+  s spans ln sqrt(2mE) +- 45 starting at 450 panels (h = 0.2);
+* band integrands use z = e^s, s = ln z- + ln(z+/z-) sin^2(phi): the log
+  sends the 1/z pole to s -> -inf, and sin^2 absorbs the square-root
+  vanishing at both band edges, so the integrand in phi is smooth and
+  vanishes at both ends.  The rule starts at 16 (2 + floor(L/8)) panels,
+  L = ln(z+/z-).
 
-One float, ``quad_rtol`` (default 1e-10), sets the rule's tolerances:
-relative ``quad_rtol``, absolute ``1e-2 * quad_rtol``, within a fixed
-budget of 60 subdivisions (``QUAD_LIMIT``).
+The error estimate is |T_n - T_{n/2}|: the half-order sum is taken over
+every other node of the same array, so it costs no evaluations.  While it
+exceeds ``quad_rtol`` (default 1e-10, never below the roundoff floor
+``RTOL_FLOOR``) relative, the panel count doubles, up to ``MAX_PANELS``.
 
 The energy solver has two routes.  The closed-form route is algebraic
 (``energy_1d_closed`` and ``energy_3d_closed``): no root search.  The
@@ -25,11 +29,10 @@ quadrature route brackets the root of Phi(E) = 2 pi n starting from the
 undeformed level m e2^2 / (2 n'^2), expanding geometrically inside the
 energy window, then polishes with Brent's method.
 
-scipy is imported on first use: ``quad``, ``brentq`` (and
-``dynamics.solve_ivp``) are module attributes resolved by a module
-``__getattr__`` (PEP 562) and called through the module, so a replacement
-assigned to them is the one called.  The closed-form routes never load
-scipy.
+scipy is imported on first use: ``brentq`` (and ``dynamics.solve_ivp``)
+are module attributes resolved by a module ``__getattr__`` (PEP 562) and
+called through the module, so a replacement assigned to them is the one
+called.  Only the quadrature route's root solve loads scipy.
 
 All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.
@@ -69,8 +72,6 @@ __all__ = [
     "SpectrumEntry",
     "CorrectionFit",
     "LLimitRow",
-    "integrate_real_line",
-    "integrate_band",
     "phase_integral_numeric",
     "solve_bs_energy",
     "spectrum_table",
@@ -79,14 +80,15 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-QUAD_LIMIT = 60  # subdivision budget of the adaptive rule
+MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
+RTOL_FLOOR = 1e-14  # the trapezoid rule's smallest relative tolerance
 
-_SCIPY = {"quad": "scipy.integrate", "brentq": "scipy.optimize"}
+_SCIPY = {"brentq": "scipy.optimize"}
 _module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Import ``quad`` or ``brentq`` from scipy on first access (PEP 562)."""
+    """Import ``brentq`` from scipy on first access (PEP 562)."""
     if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(_SCIPY[name]), name)
@@ -136,68 +138,34 @@ class LLimitRow:
     error: str | None = None
 
 
-def _quad_checked(
-    func: Callable[[float], float], a: float, b: float, quad_rtol: float
+def _trapezoid(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int, rtol: float
 ) -> tuple[float, float]:
-    """Run scipy's adaptive rule, turning non-convergence into an error."""
-    if not quad_rtol > 0:
+    """n-panel trapezoid sum of the array function ``f`` over [a, b].
+
+    The error estimate |T_n - T_{n/2}| reuses every other node of the same
+    evaluation.  While it exceeds ``rtol * |T_n|``, n doubles; a doubling
+    past ``MAX_PANELS`` raises ToleranceNotReached instead.  ``rtol`` is
+    clamped to ``RTOL_FLOOR``, the roundoff of the two sums.  Returns
+    (value, error estimate) as Python floats.
+    """
+    if not rtol > 0:
         raise ValueError("quadrature tolerances must be > 0")
-    result = _module.quad(
-        func,
-        a,
-        b,
-        epsabs=quad_rtol * 1e-2,
-        epsrel=quad_rtol,
-        limit=QUAD_LIMIT,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise ToleranceNotReached(
-            f"quadrature did not converge within {QUAD_LIMIT} "
-            f"subdivisions: {result[3]}"
-        )
-    value, err = result[0], result[1]
-    return value, err
-
-
-def integrate_real_line(
-    func: Callable[[float], float], quad_rtol: float = 1e-10
-) -> tuple[float, float]:
-    """Integrate ``func`` over the whole real line.
-
-    Assumes decay at least as fast as 1/p^2 at infinity (true for every
-    rational integrand in this package).  Returns (value, error estimate).
-    """
-
-    def compactified(theta: float) -> float:
-        c = math.cos(theta)
-        return func(math.tan(theta)) / (c * c)
-
-    return _quad_checked(compactified, -math.pi / 2.0, math.pi / 2.0, quad_rtol)
-
-
-def integrate_band(
-    func: Callable[[float], float],
-    a: float,
-    b: float,
-    quad_rtol: float = 1e-10,
-) -> tuple[float, float]:
-    """Integrate ``func`` over [a, b] with square-root-friendly endpoints.
-
-    The substitution z = a + (b - a) sin^2(phi) makes integrands vanishing
-    like sqrt(z - a) and sqrt(b - z) smooth at the edges; smooth integrands
-    are unaffected.  Returns (value, error estimate).
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
-    width = b - a
-
-    def substituted(phi: float) -> float:
-        s = math.sin(phi)
-        z = a + width * s * s
-        return func(z) * width * math.sin(2.0 * phi)
-
-    return _quad_checked(substituted, 0.0, math.pi / 2.0, quad_rtol)
+    rtol = max(rtol, RTOL_FLOOR)
+    while True:
+        h = (b - a) / n
+        y = f(a + h * np.arange(n + 1))
+        ends = 0.5 * (y[0] + y[-1])
+        value = h * (y.sum() - ends)
+        err = abs(value - 2.0 * h * (y[::2].sum() - ends))
+        if err <= rtol * abs(value):
+            return float(value), float(err)
+        if 2 * n > MAX_PANELS:
+            raise ToleranceNotReached(
+                f"trapezoid rule did not reach rtol={rtol!r} within "
+                f"{MAX_PANELS} panels (estimate {err:.3g})"
+            )
+        n *= 2
 
 
 def phase_integral_numeric(
@@ -209,8 +177,10 @@ def phase_integral_numeric(
     """Loop phase integral evaluated from the raw integrand.
 
     l = 0: integrates 2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) over the real
-    line.  l >= 1: integrates
-    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band.
+    line, as twice the integral over p = e^s, s in ln sqrt(2mE) +- 45.
+    l >= 1: integrates
+    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band,
+    with z = e^s and s = ln z- + ln(z+/z-) sin^2(phi), phi in [0, pi/2].
     Must agree with the closed-form counterpart within quadrature tolerance.
     """
     m, e2, beta = params.m, params.e2, params.beta
@@ -222,25 +192,30 @@ def phase_integral_numeric(
 
     if l == 0:
 
-        def line_integrand(p: float) -> float:
+        def line_integrand(s: np.ndarray) -> np.ndarray:
+            p = np.exp(s)
             p2 = p * p
-            return 2.0 * m * e2 / ((p2 + two_m_e) * (1.0 + b2 * p2))
+            raw = 2.0 * m * e2 / ((p2 + two_m_e) * (1.0 + b2 * p2))
+            return 2.0 * raw * p  # even: twice the half line; dp = p ds
 
-        value, err = integrate_real_line(line_integrand, quad_rtol)
+        centre = 0.5 * math.log(two_m_e)
+        value, err = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450, quad_rtol)
         return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
 
     tp = turning_points(params, energy, l)
     if tp.degenerate:
         return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
     z_minus, z_plus = tp.z_minus, tp.z_plus
+    log_z_minus, width = math.log(z_minus), math.log(z_plus / z_minus)
 
-    def band_integrand(z: float) -> float:
-        radicand = (z - z_minus) * (z_plus - z)
-        if radicand <= 0.0:
-            return 0.0
-        return l * math.sqrt(radicand) / (z * (z + two_m_e) * (1.0 + b2 * z))
+    def band_integrand(phi: np.ndarray) -> np.ndarray:
+        z = np.exp(log_z_minus + width * np.sin(phi) ** 2)
+        radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
+        raw = l * np.sqrt(radicand) / (z * (z + two_m_e) * (1.0 + b2 * z))
+        return raw * z * width * np.sin(2.0 * phi)  # dz = z ds
 
-    value, err = integrate_band(band_integrand, z_minus, z_plus, quad_rtol)
+    panels = 16 * (2 + int(width // 8.0))
+    value, err = _trapezoid(band_integrand, 0.0, math.pi / 2.0, panels, quad_rtol)
     return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
 
 

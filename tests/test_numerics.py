@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from snyder_coulomb import numerics
 from snyder_coulomb import (
     DegenerateFit,
     NoRootInWindow,
     OutOfWindow,
     QuantumNumbers,
+    ToleranceNotReached,
     correction_order,
     energy_1d_closed,
     energy_3d_series,
-    integrate_band,
-    integrate_real_line,
     l_limit_study,
     phase_integral_1d_closed,
     phase_integral_numeric,
@@ -22,7 +22,6 @@ from snyder_coulomb import (
     solve_bs_energy,
     spectrum_table,
     energy_window,
-    turning_points,
     validate_params,
 )
 
@@ -31,10 +30,13 @@ E_1D_BETA01_N1 = 0.4196010845019197
 
 
 class TestIntegrateRealLine:
+    """The l = 0 route: the raw integrand over the real line, in p = e^s."""
+
     def test_arctangent_integral(self):
-        value, err = integrate_real_line(lambda p: 2.0 / (p * p + 1.0))
-        assert value == pytest.approx(2 * PI, rel=1e-12)
-        assert err < 1e-8
+        # at beta = 0, 2mE = 1 the integrand is 2 / (p^2 + 1)
+        res = phase_integral_numeric(validate_params(1, 1, 0), 0.5, 0)
+        assert res.value == pytest.approx(2 * PI, rel=1e-13)
+        assert res.err_estimate <= 1e-10 * res.value
 
     def test_deformed_lorentzian_against_partial_fractions(self):
         # 2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) integrates to
@@ -42,61 +44,86 @@ class TestIntegrateRealLine:
         m = e2 = 1.0
         energy, beta = 0.5, 0.1
         a = math.sqrt(2 * m * energy)
-
-        def integrand(p):
-            return 2 * m * e2 / ((p * p + 2 * m * energy) * (1 + beta**2 * p * p))
-
-        value, _ = integrate_real_line(integrand)
-        assert value == pytest.approx(2 * m * e2 * PI / (a * (1 + beta * a)), rel=1e-12)
-        assert value == pytest.approx(2 * PI / 1.1, rel=1e-12)
-
-    def test_odd_integrand_vanishes(self):
-        value, _ = integrate_real_line(lambda p: p / (1.0 + p**4))
-        assert value == pytest.approx(0.0, abs=1e-12)
+        value = phase_integral_numeric(validate_params(m, e2, beta), energy, 0).value
+        assert value == pytest.approx(2 * m * e2 * PI / (a * (1 + beta * a)), rel=1e-13)
+        assert value == pytest.approx(2 * PI / 1.1, rel=1e-13)
 
     @pytest.mark.parametrize("quad_rtol", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_quad_rtol(self, quad_rtol):
+        params = validate_params(1, 1, 0.1)
+        for l in (0, 1):
+            with pytest.raises(ValueError, match="quadrature tolerances"):
+                phase_integral_numeric(params, 0.1, l, quad_rtol)
         with pytest.raises(ValueError, match="quadrature tolerances"):
-            integrate_real_line(lambda p: 2.0 / (p * p + 1.0), quad_rtol)
-        with pytest.raises(ValueError, match="quadrature tolerances"):
-            solve_bs_energy(
-                validate_params(1, 1, 0.1), QuantumNumbers(1, 1), quad_rtol=quad_rtol
-            )
+            solve_bs_energy(params, QuantumNumbers(1, 1), quad_rtol=quad_rtol)
 
     def test_exhausted_subdivisions_raise(self):
-        from snyder_coulomb import ToleranceNotReached
-
+        # the spike of height 2e14 at p = 0 needs h << 1e-7 to resolve
         nearly_singular = lambda p: 2.0 / (p * p + 1e-14)
-        for quad_rtol in (1e-10, 1e-12, 1e-14):
-            with pytest.raises(ToleranceNotReached, match="60 subdivisions"):
-                integrate_real_line(nearly_singular, quad_rtol)
+        with pytest.raises(ToleranceNotReached, match=f"within {numerics.MAX_PANELS} panels"):
+            numerics._trapezoid(nearly_singular, -1.0, 1.0, 16, 1e-10)
 
 
 class TestIntegrateBand:
-    def test_semicircle(self):
-        value, _ = integrate_band(lambda z: math.sqrt(max(z * (1 - z), 0.0)), 0.0, 1.0)
-        assert value == pytest.approx(PI / 8, rel=1e-12)
+    """The l >= 1 route: the raw integrand over the band, in z = e^s."""
 
     def test_newtonian_radial_integrand(self):
-        params = validate_params(1, 1, 0)
-        tp = turning_points(params, 0.125, 1)
-        c = 0.25
+        # at beta = 0 the radial loop integral is 2 pi (n' - l) with
+        # n' = sqrt(m e2^2 / (2E)) = 5 here
+        res = phase_integral_numeric(validate_params(1, 1, 0), 0.02, 3)
+        assert res.value == pytest.approx(4 * PI, rel=1e-13)
 
-        def integrand(z):
-            return math.sqrt(max((z - tp.z_minus) * (tp.z_plus - z), 0.0)) / (
-                z * (z + c)
-            )
+    def test_degenerate_band_is_zero(self):
+        params = validate_params(1, 1, 0.1)
+        top = energy_window(params, 2).e_max
+        res = phase_integral_numeric(params, top, 2)
+        assert (res.value, res.err_estimate) == (0.0, 0.0)
 
-        value, _ = integrate_band(integrand, tp.z_minus, tp.z_plus)
-        assert value == pytest.approx(2 * PI, abs=1e-10)
 
-    def test_constant(self):
-        value, _ = integrate_band(lambda z: 1.0, 2.0, 5.0)
-        assert value == pytest.approx(3.0, rel=1e-12)
+class TestTrapezoidRule:
+    BETAS = (0.0, 1e-3, 0.1, 0.5)
 
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            integrate_band(lambda z: 1.0, 1.0, 1.0)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_real_line_matches_closed_form(self, beta):
+        params = validate_params(1, 1, beta)
+        for energy in np.geomspace(1e-8, 0.49, 25):
+            numeric = phase_integral_numeric(params, float(energy), 0).value
+            closed = phase_integral_1d_closed(params, float(energy)).value
+            assert numeric == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("l", [1, 3, 20, 50])
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_band_matches_closed_form(self, beta, l):
+        params = validate_params(1, 1, beta)
+        e_max = energy_window(params, l).e_max
+        for frac in np.geomspace(1e-8, 0.9, 25):
+            energy = float(frac * e_max)
+            numeric = phase_integral_numeric(params, energy, l).value
+            closed = radial_phase_integral_closed(params, energy, l).value
+            assert numeric == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("quad_rtol", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("l,energy", [(0, 1e-6), (0, 0.3), (1, 1e-6), (1, 0.1), (3, 0.05)])
+    def test_error_estimate_within_tolerance(self, l, energy, quad_rtol):
+        res = phase_integral_numeric(validate_params(1, 1, 0.1), energy, l, quad_rtol)
+        assert type(res.value) is float and type(res.err_estimate) is float
+        assert 0.0 <= res.err_estimate <= quad_rtol * abs(res.value)
+
+    def test_lowered_panel_cap_raises(self, monkeypatch):
+        # the l = 0 rule starts at 450 panels, whose estimate is ~8e-11
+        monkeypatch.setattr(numerics, "MAX_PANELS", 450)
+        params = validate_params(1, 1, 0.1)
+        assert phase_integral_numeric(params, 0.3, 0, 1e-10).err_estimate > 0.0
+        with pytest.raises(ToleranceNotReached, match="within 450 panels"):
+            phase_integral_numeric(params, 0.3, 0, 1e-12)
+
+    @pytest.mark.parametrize("l,energy", [(0, 0.3), (1, 0.1), (3, 0.01)])
+    def test_rtol_below_roundoff_is_clamped(self, l, energy):
+        params = validate_params(1, 1, 0.1)
+        tiny = phase_integral_numeric(params, energy, l, 1e-300)
+        floor = phase_integral_numeric(params, energy, l, numerics.RTOL_FLOOR)
+        assert tiny == floor
+        assert tiny.err_estimate <= numerics.RTOL_FLOOR * tiny.value
 
 
 class TestPhaseIntegralNumeric:
