@@ -17,7 +17,9 @@ J = x1 p2 - x2 p1 are conserved by the deformed flow (rotational
 invariance), so conservation drift is a pure integrator diagnostic.
 Motion stays in the plane; the orbit is no longer a closed ellipse for
 beta > 0 and the perihelion advance per radial period measures the
-deformation (it grows as beta^2).
+deformation (it grows as beta^2).  Since x.dx/dt = (x.p)(1 + beta^2 p^2)/m
+exactly, r has a minimum where x.p rises through zero, and the
+integrator locates the perihelia there as events.
 
 Integration uses an adaptive embedded explicit Runge-Kutta pair (DOP853
 via scipy), which does not preserve the bracket, so drift is monitored
@@ -48,7 +50,6 @@ __all__ = [
     "OrbitState",
     "Trajectory",
     "PrecessionResult",
-    "DEFAULT_COLLISION_FLOOR",
     "equations_of_motion",
     "invariants",
     "poisson_bracket",
@@ -57,9 +58,7 @@ __all__ = [
     "precession_per_orbit",
 ]
 
-DEFAULT_COLLISION_FLOOR = 1e-8
-
-TWO_PI = 2.0 * math.pi
+_COLLISION_FLOOR = 1e-8
 
 _module = sys.modules[__name__]
 
@@ -98,21 +97,19 @@ class OrbitState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit with worst-case relative drift of H and J.
+    """Sampled orbit, its perihelia and worst-case relative drift of H and J.
 
     ``samples`` is a read-only ``np.recarray`` with one record per sample
     and the fields ``t, x1, x2, p1, p2``: ``samples[k].x1`` reads one
-    sample and ``samples.x1`` the whole column.
+    sample and ``samples.x1`` the whole column.  ``perihelia`` holds the
+    states at the located perihelia (x.p rising through 0), with the same
+    fields, also read-only.
     """
 
     samples: np.recarray
+    perihelia: np.recarray
     h_drift: float
     j_drift: float
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return the columns (t, x1, x2, p1, p2) as read-only views."""
-        s = self.samples
-        return s.t, s.x1, s.x2, s.p1, s.p2
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,8 @@ def invariants(
     """Conserved pair (H, J) at ``state``.
 
     ``state`` is an OrbitState, or ``Trajectory.samples`` (anything with
-    the attributes x1, x2, p1, p2), for which H and J are arrays with one
-    entry per sample.
+    the attributes x1, x2, p1, p2), for which H and J hold one entry per
+    sample.
     """
     r = np.hypot(state.x1, state.x2)
     h = (state.p1**2 + state.p2**2) / (2.0 * params.m) - params.e2 / r
@@ -210,19 +207,19 @@ def integrate_orbit(
     t_end: float,
     local_tol: float = 1e-10,
     n_samples: int | None = None,
-    r_floor: float = DEFAULT_COLLISION_FLOOR,
 ) -> Trajectory:
     """Integrate the deformed flow from ``state0`` for ``t_end`` time units.
 
     Adaptive DOP853 with rtol = atol = ``local_tol``.  The trajectory is
-    sampled on a uniform grid (default about 60 samples per unit time,
-    enough for sub-sample perihelion interpolation) and carries the
-    worst-case relative drift of H and J as integrator diagnostics.
+    sampled on a uniform grid (default about 60 samples per unit time), on
+    which the H and J drift and the circular-orbit check are read; the
+    perihelia are root-found on the solver's dense output, independent of
+    that grid, a perihelion at the start included.
 
     Raises ValueError if the flow is not finite at ``state0`` (momenta
     so large that p^2 overflows), CollisionSingularity if the orbit reaches
-    ``r_floor`` and StepUnderflow if the controller's step collapses
-    before ``t_end``.
+    r = 1e-8 and StepUnderflow if the controller's step collapses before
+    ``t_end``.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be > 0, got {t_end!r}")
@@ -239,29 +236,33 @@ def integrate_orbit(
         raise ValueError(f"the flow is not finite at the initial state {state0!r}")
 
     def collision(t: float, y: np.ndarray) -> float:
-        return y[0] * y[0] + y[1] * y[1] - r_floor * r_floor
+        return y[0] * y[0] + y[1] * y[1] - _COLLISION_FLOOR * _COLLISION_FLOOR
 
     collision.terminal = True
     collision.direction = -1.0
 
-    t_eval = np.linspace(0.0, t_end, n_samples)
+    # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r
+    def perihelion(t: float, y: np.ndarray) -> float:
+        return y[0] * y[2] + y[1] * y[3]
+
+    perihelion.direction = 1.0
+
     sol = _module.solve_ivp(
         # Python floats give the IEEE results of np.float64 at less cost
         lambda t, y: equations_of_motion(y.tolist(), params),
         (0.0, t_end),
         np.array(y0, dtype=float),
         method="DOP853",
-        t_eval=t_eval,
+        t_eval=np.linspace(0.0, t_end, n_samples),
         rtol=local_tol,
         atol=local_tol,
-        events=collision,
-        dense_output=False,
+        events=(collision, perihelion),
     )
     if sol.status == 1:
         t_hit = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
         t_last = float(sol.t[-1]) if len(sol.t) else 0.0
         raise CollisionSingularity(
-            f"orbit reached the collision floor r = {r_floor!r} at t = {t_hit!r}",
+            f"orbit reached the collision floor r = {_COLLISION_FLOOR!r} at t = {t_hit!r}",
             t_last=t_last,
         )
     if sol.status != 0:
@@ -272,49 +273,44 @@ def integrate_orbit(
 
     if not np.isfinite(sol.y).all():
         raise ValueError("orbit state components must be finite")
-    samples = np.rec.fromarrays([state0.t + sol.t, *sol.y], names="t,x1,x2,p1,p2")
-    samples.flags.writeable = False
+    samples = _records(state0.t + sol.t, sol.y)
+    perihelia = _records(state0.t + sol.t_events[1], sol.y_events[1].reshape(-1, 4).T)
 
     h, j = invariants(samples, params)
     h_drift = float(np.max(np.abs(h - h[0])) / max(abs(h[0]), 1e-300))
     j_drift = float(np.max(np.abs(j - j[0])) / max(abs(j[0]), 1e-300))
-    return Trajectory(samples=samples, h_drift=h_drift, j_drift=j_drift)
+    return Trajectory(samples=samples, perihelia=perihelia, h_drift=h_drift, j_drift=j_drift)
+
+
+def _records(t: np.ndarray, y: np.ndarray) -> np.recarray:
+    """Read-only records ``t, x1, x2, p1, p2`` from times and 4-row states."""
+    records = np.rec.fromarrays([t, *y], names="t,x1,x2,p1,p2")
+    records.flags.writeable = False
+    return records
 
 
 def precession_per_orbit(traj: Trajectory) -> PrecessionResult:
     """Mean azimuthal advance between successive perihelia, minus 2 pi.
 
-    Perihelion times are located by a three-point quadratic fit around the
-    discrete minima of r(t); the unwrapped azimuth is interpolated to the
-    fitted times with the quadratic through the same three samples.
-    Requires at least three detected perihelia (about three radial
-    periods), else raises InsufficientPeriods.  A trajectory with no radial
-    oscillation is flagged circular and reports 0 by convention.
+    Reads ``traj.perihelia``.  The advance per radial period lies in
+    (pi, 2 pi], so the azimuth unwrapped over the perihelia alone steps by
+    the advance minus 2 pi, taken in the sense of J: a mirrored
+    (retrograde) orbit gives the same value.  Requires at least three
+    perihelia (about three radial periods), else raises
+    InsufficientPeriods.  If the samples show no radial oscillation, x.p is
+    roundoff noise: the orbit is flagged circular and reports 0.
     """
-    t, x1, x2, _, _ = traj.arrays()
-    r = np.hypot(x1, x2)
-    r_span = float(r.max() - r.min())
-    if r_span < 1e-8 * float(r.mean()):
+    s = traj.samples
+    r = np.hypot(s.x1, s.x2)
+    if float(r.max() - r.min()) < 1e-8 * float(r.mean()):
         return PrecessionResult(angle_per_orbit=0.0, n_orbits=0, circular=True)
 
-    phi = np.unwrap(np.arctan2(x2, x1))
-    interior = np.arange(1, r.size - 1)
-    is_min = (r[interior] < r[interior - 1]) & (r[interior] < r[interior + 1])
-    minima = interior[is_min]
-    if minima.size < 3:
-        raise InsufficientPeriods(
-            f"found {minima.size} perihelia; need >= 3 (about 3 radial periods)"
-        )
-
-    phi_peri = []
-    for i in minima:
-        ts, rs, ps = t[i - 1 : i + 2], r[i - 1 : i + 2], phi[i - 1 : i + 2]
-        ca, cb, _ = np.polyfit(ts - ts[1], rs, 2)
-        t_star = -cb / (2.0 * ca)
-        qa, qb, qc = np.polyfit(ts - ts[1], ps, 2)
-        phi_peri.append(qa * t_star * t_star + qb * t_star + qc)
-
-    phi_peri = np.asarray(phi_peri)
-    n_orbits = phi_peri.size - 1
-    advance = float((phi_peri[-1] - phi_peri[0]) / n_orbits)
-    return PrecessionResult(angle_per_orbit=advance - TWO_PI, n_orbits=n_orbits)
+    peri = traj.perihelia
+    if peri.size < 3:
+        raise InsufficientPeriods(f"found {peri.size} perihelia; need >= 3 (about 3 periods)")
+    phi = np.unwrap(np.arctan2(peri.x2, peri.x1))
+    n_orbits = peri.size - 1
+    sign_j = math.copysign(1.0, s.x1[0] * s.p2[0] - s.x2[0] * s.p1[0])
+    return PrecessionResult(
+        angle_per_orbit=sign_j * float(phi[-1] - phi[0]) / n_orbits, n_orbits=n_orbits
+    )

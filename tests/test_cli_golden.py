@@ -105,6 +105,7 @@ RUNS = {
                             "--t-end", "20", "--local-tol", "1e-11", "--format", "json"],
     "orbit-dump-csv": DUMP,
     "orbit-dump-json": DUMP + ["--format", "json"],
+    "orbit-retrograde": ["orbit", "--beta", "0.05", "--p2", "-0.5", "--t-end", "60"],
     "orbit-too-short": ["orbit", "--t-end", "3"],
     "orbit-collision": ["orbit", "--x1", "0.3", "--p2", "0", "--t-end", "1",
                         "--local-tol", "1e-10"],

@@ -227,7 +227,7 @@ class TestIntegrateOrbit:
         traj = integrate_orbit(
             ECCENTRIC, validate_params(1, 1, 0), t_end, local_tol=1e-12, n_samples=500
         )
-        t, x1, x2, p1, p2 = traj.arrays()
+        s = traj.samples
 
         def kepler_rhs(t, y):
             r3 = (y[0] ** 2 + y[1] ** 2) ** 1.5
@@ -235,12 +235,12 @@ class TestIntegrateOrbit:
 
         sol = solve_ivp(
             kepler_rhs, (0.0, t_end), [2.0, 0.0, 0.0, 0.5], method="DOP853",
-            t_eval=t, rtol=1e-12, atol=1e-12,
+            t_eval=s.t, rtol=1e-12, atol=1e-12,
         )
-        assert np.allclose(sol.y[0], x1, atol=1e-9)
-        assert np.allclose(sol.y[1], x2, atol=1e-9)
-        assert np.allclose(sol.y[2], p1, atol=1e-9)
-        assert np.allclose(sol.y[3], p2, atol=1e-9)
+        assert np.allclose(sol.y[0], s.x1, atol=1e-9)
+        assert np.allclose(sol.y[1], s.x2, atol=1e-9)
+        assert np.allclose(sol.y[2], s.p1, atol=1e-9)
+        assert np.allclose(sol.y[3], s.p2, atol=1e-9)
 
     def test_time_reversal(self):
         params = validate_params(1, 1, 0.05)
@@ -261,14 +261,13 @@ class TestIntegrateOrbit:
         assert recovered == pytest.approx(start, abs=1e-9)
 
     def test_collision_raises_with_last_good_time(self):
-        # radial free fall straight into the center
+        # radial free fall straight into the center, which it reaches at
+        # t = pi (0.3/2)^1.5 = 0.1825
         state = OrbitState(0.3, 0.0, 0.0, 0.0)
         with pytest.raises(CollisionSingularity) as excinfo:
-            integrate_orbit(
-                state, validate_params(1, 1, 0), 1.0, local_tol=1e-10, r_floor=1e-6
-            )
+            integrate_orbit(state, validate_params(1, 1, 0), 1.0, local_tol=1e-10)
         assert excinfo.value.t_last is not None
-        assert 0.0 <= excinfo.value.t_last <= 1.0
+        assert 0.0 <= excinfo.value.t_last <= 0.1826
 
     def test_rejects_nonpositive_t_end(self):
         with pytest.raises(ValueError):
@@ -338,14 +337,34 @@ class TestIntegrateOrbit:
                             n_samples=3)
 
     def test_samples_are_read_only(self):
-        traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
-        with pytest.raises(ValueError, match="read-only"):
-            traj.samples.x1[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            traj.samples[1] = (0.0, 1.0, 1.0, 1.0, 1.0)
-        t, *_ = traj.arrays()
-        with pytest.raises(ValueError, match="read-only"):
-            t[0] = 1.0
+        traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 2 * T_ECC, n_samples=5)
+        for records in (traj.samples, traj.perihelia):
+            assert records.size >= 2
+            with pytest.raises(ValueError, match="read-only"):
+                records.x1[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                records.t[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                records[1] = (0.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def kepler_period(state: OrbitState) -> float:
+    """Undeformed radial period of ``state`` at m = e2 = 1."""
+    h, _ = invariants(state, validate_params(1, 1, 0))
+    return TWO_PI * (1.0 / (2.0 * abs(h))) ** 1.5
+
+
+def closed_precession(state: OrbitState, params) -> float:
+    """Advance per radial period minus 2 pi, from the deformed action-angle form.
+
+    -pi [1 - 1/sqrt(1 + 4 beta^2 m^2 e2^2 / (J^2 W^2))], W = 1 - 2 beta^2 m E,
+    E = -H.  Kept in the tests as an oracle independent of the integrator.
+    """
+    h, j = invariants(state, params)
+    b2 = params.beta**2
+    w = 1.0 + 2.0 * b2 * params.m * h
+    k = 4.0 * b2 * params.m**2 * params.e2**2 / (j * j * w * w)
+    return -math.pi * (1.0 - 1.0 / math.sqrt(1.0 + k))
 
 
 class TestPrecession:
@@ -386,3 +405,31 @@ class TestPrecession:
         )
         with pytest.raises(InsufficientPeriods):
             precession_per_orbit(traj)
+
+    @pytest.mark.parametrize(
+        "beta,p0,periods,n_orbits",
+        [(beta, p0, 10, 9) for beta in (0.0, 0.05, 0.2) for p0 in (0.2, 0.45, 0.6)]
+        # starts at perihelion: the t = 0 perihelion counts
+        + [(0.05, 0.9, 3.5, 3)],
+    )
+    def test_matches_closed_form(self, beta, p0, periods, n_orbits):
+        state = OrbitState(2.0, 0.0, 0.0, p0)
+        params = validate_params(1, 1, beta)
+        traj = integrate_orbit(state, params, periods * kepler_period(state), local_tol=1e-12)
+        result = precession_per_orbit(traj)
+        assert result.n_orbits == n_orbits
+        assert abs(result.angle_per_orbit - closed_precession(state, params)) <= 1e-10
+
+    def test_retrograde_orbit_matches_its_mirror_image(self):
+        # (x2, p2) -> (-x2, -p2) maps the flow onto itself exactly, so the
+        # mirrored orbit's precession is the same number
+        params = validate_params(1, 1, 0.05)
+        mirror = OrbitState(1.5, -0.7, 0.1, -0.55)
+        prograde = OrbitState(mirror.x1, -mirror.x2, mirror.p1, -mirror.p2)
+        results = [
+            precession_per_orbit(integrate_orbit(s, params, 5 * T_ECC, local_tol=1e-12))
+            for s in (prograde, mirror)
+        ]
+        assert invariants(mirror, params)[1] < 0
+        assert results[0].n_orbits >= 3
+        assert results[1] == results[0]
