@@ -25,8 +25,8 @@ Integration uses an adaptive embedded explicit Runge-Kutta pair (DOP853
 via scipy), which does not preserve the bracket, so drift is monitored
 instead.  A structure-preserving scheme does exist: the canonical
 realization x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P)
-onto this bracket.  ``solve_ivp`` is imported from scipy on first use, as
-in the numerics module.
+onto this bracket.  ``solve_ivp`` is imported from scipy on first use, so
+no other part of the package loads scipy.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class InsufficientPeriods(SnyderCoulombError, ValueError):
 
 
 class ToleranceNotReached(SnyderCoulombError, RuntimeError):
-    """The trapezoid rule missed its tolerance within its panel cap."""
+    """The trapezoid rule or the root search missed its tolerance within its cap."""
 
 
 class NoRootInWindow(SnyderCoulombError, RuntimeError):

@@ -117,14 +117,16 @@ def dimensionless_deformation(params: PhysicalParams) -> float:
 def energy_window(params: PhysicalParams, l: int) -> EnergyWindow:
     """Binding-energy window for angular momentum ``l``.
 
-    Increasing ``l`` or ``beta`` can only shrink the window.
+    Increasing ``l`` or ``beta`` can only shrink the window.  A beta so
+    small that 2 beta^2 m underflows to 0 puts the pole at infinity: no cap.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     caps = []
     if l >= 1:
         caps.append(params.m * params.e2**2 / (2.0 * l * l))
-    if params.beta > 0:
-        caps.append(1.0 / (2.0 * params.beta**2 * params.m))
+    pole = 2.0 * params.beta**2 * params.m
+    if pole > 0:
+        caps.append(1.0 / pole)
     e_max = min(caps) if caps else math.inf
     return EnergyWindow(e_min=0.0, e_max=e_max)

@@ -6,33 +6,37 @@ two independent routes to every phase integral.  Agreement between them is
 the core cross-check of the package (see ``verify-integrals`` in the CLI
 and the acceptance tests).
 
-Quadrature strategy: a trapezoid rule in log variables, evaluated as one
-numpy array per Phi.  The integrands are analytic, so the rule converges
-exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
+Quadrature strategy: a trapezoid rule in log variables.  One array core,
+``_phase_rows``, evaluates the raw integrands for many (E, l) rows at once,
+as a rows x nodes array per order.  The integrands are analytic, so the
+rule converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
 
 * the real-line integrand is even; p = e^s maps (0, inf) to the line, and
-  s spans ln sqrt(2mE) +- 45 starting at 450 panels (h = 0.2);
+  s spans ln sqrt(2mE) +- 45 starting at 450 panels (h = 0.2), shared by
+  all l = 0 rows;
 * band integrands use z = e^s, s = ln z- + ln(z+/z-) sin^2(phi): the log
   sends the 1/z pole to s -> -inf, and sin^2 absorbs the square-root
   vanishing at both band edges, so the integrand in phi is smooth and
-  vanishes at both ends.  The rule starts at 16 (2 + floor(L/8)) panels,
-  L = ln(z+/z-).
+  vanishes at both ends.  The l >= 1 rows share one phi grid, starting at
+  16 (2 + floor(L/8)) panels for the widest row's L = ln(z+/z-).
 
 The error estimate is |T_n - T_{n/2}|: the half-order sum is taken over
-every other node of the same array, so it costs no evaluations.  While it
-exceeds ``quad_rtol`` (default 1e-10, never below the roundoff floor
-``RTOL_FLOOR``) relative, the panel count doubles, up to ``MAX_PANELS``.
+every other node of the same array, so it costs no evaluations.  While any
+row's estimate exceeds ``quad_rtol`` (default 1e-10, never below the
+roundoff floor ``RTOL_FLOOR``) relative, the panel count of the whole array
+doubles, up to ``MAX_PANELS``; each row keeps its first sum that met the
+tolerance, and a row that never meets it fails alone.
 
 The energy solver has two routes.  The closed-form route is algebraic
 (``energy_1d_closed`` and ``energy_3d_closed``): no root search.  The
-quadrature route brackets the root of Phi(E) = 2 pi n starting from the
-undeformed level m e2^2 / (2 n'^2), expanding geometrically inside the
-energy window, then polishes with Brent's method.
-
-scipy is imported on first use: ``brentq`` (and ``dynamics.solve_ivp``)
-are module attributes resolved by a module ``__getattr__`` (PEP 562) and
-called through the module, so a replacement assigned to them is the one
-called.  Only the quadrature route's root solve loads scipy.
+quadrature route solves Phi(E) = 2 pi n for a whole table at once: each
+level's bracket starts around its undeformed level m e2^2 / (2 n'^2) and
+widens geometrically inside the energy window, then Illinois regula falsi
+runs in u = E^(-1/2), where Phi is exactly linear at beta = 0, with one
+array evaluation per round over the levels still open.  A level that
+fails records its error in its own row.  ``phase_integral_numeric`` and
+the numeric ``solve_bs_energy`` are one-row calls of the same code, so
+this module loads no scipy.
 
 All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.
@@ -40,9 +44,7 @@ All operations are pure; tables are evaluated sequentially and ordered by
 
 from __future__ import annotations
 
-import importlib
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,18 +84,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
 RTOL_FLOOR = 1e-14  # the trapezoid rule's smallest relative tolerance
-
-_SCIPY = {"brentq": "scipy.optimize"}
-_module = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    """Import ``brentq`` from scipy on first access (PEP 562)."""
-    if name not in _SCIPY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_SCIPY[name]), name)
-    globals()[name] = value
-    return value
 
 
 @dataclass(frozen=True)
@@ -139,33 +129,110 @@ class LLimitRow:
 
 
 def _trapezoid(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int, rtol: float
-) -> tuple[float, float]:
-    """n-panel trapezoid sum of the array function ``f`` over [a, b].
+    f: Callable[[np.ndarray], np.ndarray], a, b, n: int, rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """n-panel trapezoid sums over [a, b] of the rows of the array function ``f``.
 
-    The error estimate |T_n - T_{n/2}| reuses every other node of the same
-    evaluation.  While it exceeds ``rtol * |T_n|``, n doubles; a doubling
-    past ``MAX_PANELS`` raises ToleranceNotReached instead.  ``rtol`` is
-    clamped to ``RTOL_FLOOR``, the roundoff of the two sums.  Returns
-    (value, error estimate) as Python floats.
+    ``f`` maps the nodes a + h k, k = 0..n (one row of nodes per row of
+    ``a`` and ``b`` when they are arrays), to a rows x nodes array.  The
+    error estimate |T_n - T_{n/2}| reuses every other node of the same
+    evaluation.  While any row's estimate exceeds ``rtol * |T_n|``, n
+    doubles for the whole array; each row keeps the sum of the first order
+    that met ``rtol``, so its value does not depend on the rows beside it.
+    A row still missing after a doubling past ``MAX_PANELS`` comes back NaN,
+    with its last estimate.  ``rtol`` is clamped to ``RTOL_FLOOR``, the
+    roundoff of the two sums.  Returns (values, error estimates).
     """
     if not rtol > 0:
         raise ValueError("quadrature tolerances must be > 0")
     rtol = max(rtol, RTOL_FLOOR)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    value, err, missing = np.nan, np.nan, True
     while True:
         h = (b - a) / n
-        y = f(a + h * np.arange(n + 1))
-        ends = 0.5 * (y[0] + y[-1])
-        value = h * (y.sum() - ends)
-        err = abs(value - 2.0 * h * (y[::2].sum() - ends))
-        if err <= rtol * abs(value):
-            return float(value), float(err)
-        if 2 * n > MAX_PANELS:
-            raise ToleranceNotReached(
-                f"trapezoid rule did not reach rtol={rtol!r} within "
-                f"{MAX_PANELS} panels (estimate {err:.3g})"
-            )
+        y = f(a[..., None] + h[..., None] * np.arange(n + 1))
+        ends = 0.5 * (y[..., 0] + y[..., -1])
+        total = h * (y.sum(axis=-1) - ends)
+        estimate = np.abs(total - 2.0 * h * (y[..., ::2].sum(axis=-1) - ends))
+        err = np.where(missing, estimate, err)
+        met = missing & (estimate <= rtol * np.abs(total))
+        value = np.where(met, total, value)
+        missing = missing & ~met
+        if not np.any(missing) or 2 * n > MAX_PANELS:
+            return value, err
         n *= 2
+
+
+def _missed(quad_rtol: float, estimate: float) -> ToleranceNotReached:
+    """The error of a row the trapezoid rule left NaN."""
+    return ToleranceNotReached(
+        f"trapezoid rule did not reach rtol={max(quad_rtol, RTOL_FLOOR)!r} within "
+        f"{MAX_PANELS} panels (estimate {estimate:.3g})"
+    )
+
+
+def _phase_rows(
+    params: PhysicalParams, energy: np.ndarray, l: np.ndarray, quad_rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands.
+
+    The rows must lie inside their windows.  The l = 0 rows integrate
+    2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) over the real line, as twice the
+    integral over p = e^s, s in ln sqrt(2mE) +- 45, on one array starting
+    at 450 panels.  The l >= 1 rows integrate
+    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band,
+    with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
+    grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
+    widest row's L; a degenerate band is 0.  Returns (values, error
+    estimates) as arrays; a row that missed ``quad_rtol`` is NaN.
+    """
+    m, e2, beta = params.m, params.e2, params.beta
+    b2 = beta * beta
+    two_m_e = 2.0 * m * energy
+    value, err = np.zeros(energy.shape), np.zeros(energy.shape)
+    # Per-row constants come from math.log and turning_points (x**2), not
+    # numpy: np.log and x*x differ from them in the last bit on some inputs,
+    # and the verify-integrals goldens pin phase_integral_numeric's digits.
+
+    line = np.flatnonzero(l == 0)
+    if line.size:
+        line_two_m_e = two_m_e[line, None]
+
+        def line_integrand(s: np.ndarray) -> np.ndarray:
+            p = np.exp(s)
+            p2 = p * p
+            raw = 2.0 * m * e2 / ((p2 + line_two_m_e) * (1.0 + b2 * p2))
+            return 2.0 * raw * p  # even: twice the half line; dp = p ds
+
+        centre = 0.5 * np.array([math.log(x) for x in two_m_e[line].tolist()])
+        value[line], err[line] = _trapezoid(
+            line_integrand, centre - 45.0, centre + 45.0, 450, quad_rtol
+        )
+
+    band = np.flatnonzero(l != 0)
+    points = [turning_points(params, e, k) for e, k in zip(energy[band].tolist(), l[band].tolist())]
+    live = [(i, tp) for i, tp in zip(band.tolist(), points) if not tp.degenerate]
+    if live:
+        rows = np.array([i for i, _ in live])
+        z_minus, z_plus, log_z_minus, width = np.array(
+            [
+                (tp.z_minus, tp.z_plus, math.log(tp.z_minus), math.log(tp.z_plus / tp.z_minus))
+                for _, tp in live
+            ]
+        ).T[..., None]
+        band_l, band_two_m_e = l[rows, None], two_m_e[rows, None]
+
+        def band_integrand(phi: np.ndarray) -> np.ndarray:
+            z = np.exp(log_z_minus + width * np.sin(phi) ** 2)
+            radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
+            raw = band_l * np.sqrt(radicand) / (z * (z + band_two_m_e) * (1.0 + b2 * z))
+            return raw * z * width * np.sin(2.0 * phi)  # dz = z ds
+
+        panels = 16 * (2 + int(width.max() // 8.0))
+        value[rows], err[rows] = _trapezoid(
+            band_integrand, 0.0, math.pi / 2.0, panels, quad_rtol
+        )
+    return value, err
 
 
 def phase_integral_numeric(
@@ -174,49 +241,119 @@ def phase_integral_numeric(
     l: int,
     quad_rtol: float = 1e-10,
 ) -> PhaseIntegralResult:
-    """Loop phase integral evaluated from the raw integrand.
+    """Loop phase integral at one (E, l), evaluated from the raw integrand.
 
-    l = 0: integrates 2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) over the real
-    line, as twice the integral over p = e^s, s in ln sqrt(2mE) +- 45.
-    l >= 1: integrates
-    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band,
-    with z = e^s and s = ln z- + ln(z+/z-) sin^2(phi), phi in [0, pi/2].
-    Must agree with the closed-form counterpart within quadrature tolerance.
+    A one-row call of :func:`_phase_rows`, which describes both rules.
+    Must agree with the closed-form counterpart within quadrature
+    tolerance.  Raises OutOfWindow outside the window and
+    ToleranceNotReached when the rule misses ``quad_rtol``.
     """
-    m, e2, beta = params.m, params.e2, params.beta
     window = energy_window(params, l if l >= 1 else 0)
     if not window.contains(energy) and not (l >= 1 and energy == window.e_max):
         raise OutOfWindow(f"E={energy!r} outside window {window} at l={l}")
-    two_m_e = 2.0 * m * energy
-    b2 = beta * beta
+    value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]), quad_rtol)
+    if math.isnan(value[0]):
+        raise _missed(quad_rtol, err[0])
+    return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
-    if l == 0:
 
-        def line_integrand(s: np.ndarray) -> np.ndarray:
-            p = np.exp(s)
-            p2 = p * p
-            raw = 2.0 * m * e2 / ((p2 + two_m_e) * (1.0 + b2 * p2))
-            return 2.0 * raw * p  # even: twice the half line; dp = p ds
+def _check_tolerances(quad_rtol: float, root_rtol: float) -> None:
+    if not root_rtol > 0:
+        raise ValueError(f"root_rtol must be > 0, got {root_rtol!r}")
+    if not quad_rtol > 0:
+        raise ValueError("quadrature tolerances must be > 0")
 
-        centre = 0.5 * math.log(two_m_e)
-        value, err = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450, quad_rtol)
-        return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
 
-    tp = turning_points(params, energy, l)
-    if tp.degenerate:
-        return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
-    z_minus, z_plus = tp.z_minus, tp.z_plus
-    log_z_minus, width = math.log(z_minus), math.log(z_plus / z_minus)
+def _solve_levels(
+    params: PhysicalParams,
+    levels: Sequence[QuantumNumbers],
+    quad_rtol: float,
+    root_rtol: float,
+) -> list:
+    """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together.
 
-    def band_integrand(phi: np.ndarray) -> np.ndarray:
-        z = np.exp(log_z_minus + width * np.sin(phi) ** 2)
-        radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
-        raw = l * np.sqrt(radicand) / (z * (z + two_m_e) * (1.0 + b2 * z))
-        return raw * z * width * np.sin(2.0 * phi)  # dz = z ds
+    Each bracket starts at [E0/4, min(4 E0, top)] around the undeformed
+    level E0 = m e2^2/(2 n'^2), top = e_max (1 - 1e-9), and widens by
+    factors of 4 until the residual changes sign.  Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) then shrinks it in u = E^(-1/2), where
+    Phi is exactly linear at beta = 0, until its relative width in E is at
+    most ``root_rtol`` (at least 9e-16); the iterate of smallest residual is
+    the root.  Every round evaluates all levels still open in one
+    :func:`_phase_rows` call.  Returns, per level, its energy or the
+    SnyderCoulombError that stopped it; a failure stays in its own row.
+    """
+    m, e2, beta = params.m, params.e2, params.beta
+    result: list = [None] * len(levels)
+    active = np.ones(len(levels), dtype=bool)
+    l = np.array([qn.l for qn in levels], dtype=int)
+    target = TWO_PI * np.array([qn.n for qn in levels], dtype=float)
+    e0 = m * e2**2 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
+    e_max = np.array([energy_window(params, qn.l).e_max for qn in levels])
+    top = e_max * (1.0 - 1e-9)
 
-    panels = 16 * (2 + int(width // 8.0))
-    value, err = _trapezoid(band_integrand, 0.0, math.pi / 2.0, panels, quad_rtol)
-    return PhaseIntegralResult(value=value, kind="numeric", err_estimate=err)
+    def fail(i: int, exc: SnyderCoulombError) -> None:
+        result[i], active[i] = exc, False
+
+    def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
+        phi, err = _phase_rows(params, energy, l[rows], quad_rtol)
+        for k in np.flatnonzero(np.isnan(phi)):
+            fail(rows[k], _missed(quad_rtol, err[k]))
+        return phi - target[rows]
+
+    lo, hi = np.minimum(e0, top) / 4.0, np.minimum(4.0 * e0, top)
+    f_lo, f_hi = np.zeros(len(levels)), np.zeros(len(levels))
+    widen_lo, widen_hi = active.copy(), active.copy()
+    for _ in range(100):
+        at_lo, at_hi = np.flatnonzero(widen_lo & active), np.flatnonzero(widen_hi & active)
+        if not at_lo.size + at_hi.size:
+            break
+        f = residual(np.concatenate([at_lo, at_hi]), np.concatenate([lo[at_lo], hi[at_hi]]))
+        f_lo[at_lo], f_hi[at_hi] = f[: at_lo.size], f[at_lo.size :]
+        widen_lo, widen_hi = f_lo <= 0.0, f_hi >= 0.0
+        for i in np.flatnonzero(widen_hi & active & (hi >= top)):
+            fail(i, NoRootInWindow(
+                f"Phi(E) - 2 pi n = {float(f_hi[i])!r} does not change sign inside "
+                f"(0, {float(e_max[i])!r}) for {levels[i]}: level infeasible at beta={beta!r}"
+            ))
+        lo = np.where(widen_lo, lo / 4.0, lo)
+        hi = np.where(widen_hi, np.minimum(4.0 * hi, top), hi)
+    else:
+        for i in np.flatnonzero(active & (widen_lo | widen_hi)):
+            fail(i, NoRootInWindow(f"no sign change of Phi(E) - 2 pi n found for {levels[i]}"))
+
+    # u = E^(-1/2) rises as E falls, and so does Phi: f_a > 0 > f_b.
+    u_a, u_b, f_a, f_b = lo**-0.5, hi**-0.5, f_lo, f_hi
+    best_u = np.where(np.abs(f_a) < np.abs(f_b), u_a, u_b)
+    best_f = np.minimum(np.abs(f_a), np.abs(f_b))
+    tol = max(root_rtol, 9e-16) / 2.0  # relative width in u; E = u^-2 doubles it
+    for _ in range(100):
+        active &= ~(np.abs(u_b - u_a) <= tol * u_b)
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        a, b, fa, fb = u_a[rows], u_b[rows], f_a[rows], f_b[rows]
+        c = b - fb * (b - a) / (fb - fa)
+        least = 0.5 * tol * b  # a step below tolerance moves no bracket end
+        c = np.where(np.abs(c - b) < least, b + np.copysign(least, a - b), c)
+        c = np.where((np.minimum(a, b) < c) & (c < np.maximum(a, b)), c, 0.5 * (a + b))
+        fc = residual(rows, 1.0 / (c * c))
+        better = np.abs(fc) < best_f[rows]
+        best_u[rows] = np.where(better, c, best_u[rows])
+        best_f[rows] = np.where(better, np.abs(fc), best_f[rows])
+        kept = fc * fb > 0.0  # same side as b: a stays, with its residual halved
+        u_a[rows] = np.where(fc == 0.0, c, np.where(kept, a, b))
+        f_a[rows] = np.where(kept, 0.5 * fa, fb)
+        u_b[rows], f_b[rows] = c, fc
+    else:
+        for i in np.flatnonzero(active):
+            fail(i, ToleranceNotReached(
+                f"regula falsi did not reach root_rtol={max(root_rtol, 9e-16)!r} "
+                f"in 100 steps for {levels[i]}"
+            ))
+    return [
+        float(1.0 / (u * u)) if found is None else found
+        for u, found in zip(best_u.tolist(), result)
+    ]
 
 
 def solve_bs_energy(
@@ -230,20 +367,17 @@ def solve_bs_energy(
 
     ``method="closed_form"`` solves it algebraically: ``energy_1d_closed``
     (checked against the window) for l = 0, ``energy_3d_closed`` for
-    l >= 1; ``quad_rtol`` and ``root_rtol`` do not enter.  ``method="numeric"``
-    finds the root of the quadrature Phi: the bracket starts at
-    [E0/4, min(4 E0, window top)] around the undeformed level
-    E0 = m e2^2/(2 n'^2) and expands geometrically until the residual
-    changes sign; Brent's method then refines to relative width
-    ``root_rtol`` (at least 9e-16).  Raises NoRootInWindow when the level
-    is infeasible at this deformation (no root inside the window).
+    l >= 1; ``quad_rtol`` and ``root_rtol`` do not enter.
+    ``method="numeric"`` finds the root of the quadrature Phi as a one-level
+    call of the table solver: a bracket around the undeformed level
+    E0 = m e2^2/(2 n'^2), widened geometrically inside the energy window,
+    then Illinois regula falsi in u = E^(-1/2) to relative width
+    ``root_rtol`` in E (at least 9e-16).  Raises NoRootInWindow when the
+    level is infeasible at this deformation (no root inside the window).
     """
     if method not in ("closed_form", "numeric"):
         raise ValueError(f"method must be 'closed_form' or 'numeric', got {method!r}")
-    if not root_rtol > 0:
-        raise ValueError(f"root_rtol must be > 0, got {root_rtol!r}")
-    if not quad_rtol > 0:
-        raise ValueError("quadrature tolerances must be > 0")
+    _check_tolerances(quad_rtol, root_rtol)
     n, l = qn.n, qn.l
     window = energy_window(params, l)
     if method == "closed_form":
@@ -254,42 +388,10 @@ def solve_bs_energy(
             raise _infeasible(params, qn)
         return energy
 
-    target = TWO_PI * n
-    e0 = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
-
-    def residual(energy: float) -> float:
-        return phase_integral_numeric(params, energy, l, quad_rtol).value - target
-
-    top = window.e_max * (1.0 - 1e-9)
-    lo = min(e0, top) / 4.0
-    hi = min(4.0 * e0, top)
-
-    f_lo = residual(lo)
-    for _ in range(100):
-        if f_lo > 0.0:
-            break
-        lo /= 4.0
-        f_lo = residual(lo)
-    else:
-        raise NoRootInWindow(f"Phi never exceeds 2 pi n near E -> 0 for {qn}")
-
-    f_hi = residual(hi)
-    for _ in range(100):
-        if f_hi < 0.0:
-            break
-        if hi >= top:
-            raise NoRootInWindow(
-                f"Phi(E) - 2 pi n = {f_hi!r} does not change sign inside "
-                f"(0, {window.e_max!r}) for {qn}: level infeasible at beta={params.beta!r}"
-            )
-        hi = min(4.0 * hi, top)
-        f_hi = residual(hi)
-    else:
-        raise NoRootInWindow(f"no sign change found up to E={hi!r} for {qn}")
-
-    return float(
-        _module.brentq(residual, lo, hi, xtol=e0 * 1e-15, rtol=max(root_rtol, 9e-16))
-    )
+    (energy,) = _solve_levels(params, [qn], quad_rtol, root_rtol)
+    if isinstance(energy, SnyderCoulombError):
+        raise energy
+    return energy
 
 
 def spectrum_table(
@@ -300,38 +402,42 @@ def spectrum_table(
 ) -> list[SpectrumEntry]:
     """All levels with 1 <= n' <= n_prime_max, 0 <= l <= n' - 1.
 
-    Entries are ordered by (n', l).  Solver failures are recorded in-row
-    and do not abort the table.
+    Entries are ordered by (n', l).  The closed route solves one level at
+    a time; the quadrature route solves every closed-feasible level in one
+    table-wide Illinois search (see :func:`solve_bs_energy`), one array
+    evaluation of Phi per round.  Solver failures are recorded in-row and
+    do not abort the table or move the other rows.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")
+    _check_tolerances(quad_rtol, root_rtol)
+    levels = [
+        QuantumNumbers(n=n_prime - l, l=l)
+        for n_prime in range(1, n_prime_max + 1)
+        for l in range(n_prime)
+    ]
+    closed: list[float | SnyderCoulombError] = []
+    for qn in levels:
+        try:
+            closed.append(solve_bs_energy(params, qn, "closed_form"))
+        except SnyderCoulombError as exc:  # per-entry isolation
+            closed.append(exc)
+    feasible = [qn for qn, e in zip(levels, closed) if not isinstance(e, SnyderCoulombError)]
+    numeric = iter(_solve_levels(params, feasible, quad_rtol, root_rtol))
     entries: list[SpectrumEntry] = []
-    for n_prime in range(1, n_prime_max + 1):
-        e_newton = params.m * params.e2**2 / (2.0 * n_prime**2)
-        for l in range(0, n_prime):
-            qn = QuantumNumbers(n=n_prime - l, l=l)
-            e_series = (
-                energy_1d_series(params, n_prime)
-                if l == 0
-                else energy_3d_series(params, qn)
-            )
-            try:
-                e_closed = solve_bs_energy(params, qn, "closed_form", quad_rtol, root_rtol)
-                e_numeric = solve_bs_energy(params, qn, "numeric", quad_rtol, root_rtol)
-                entries.append(
-                    SpectrumEntry(qn, e_newton, e_closed, e_numeric, e_series)
-                )
-            except SnyderCoulombError as exc:  # per-entry isolation
-                entries.append(
-                    SpectrumEntry(
-                        qn,
-                        e_newton,
-                        math.nan,
-                        math.nan,
-                        e_series,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+    for qn, e_closed in zip(levels, closed):
+        e_newton = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
+        e_series = (
+            energy_1d_series(params, qn.n_prime) if qn.l == 0 else energy_3d_series(params, qn)
+        )
+        e_numeric = e_closed if isinstance(e_closed, SnyderCoulombError) else next(numeric)
+        if isinstance(e_numeric, SnyderCoulombError):  # the closed failure, else the numeric one
+            entries.append(SpectrumEntry(
+                qn, e_newton, math.nan, math.nan, e_series,
+                error=f"{type(e_numeric).__name__}: {e_numeric}",
+            ))
+        else:
+            entries.append(SpectrumEntry(qn, e_newton, e_closed, e_numeric, e_series))
     return entries
 
 

@@ -80,6 +80,26 @@ class TestSpectrum:
         assert "NoRootInWindow" in rows[0]["error"]
 
 
+    def test_underflowing_beta_matches_the_undeformed_table(self, capsys):
+        # 2 beta^2 m underflows to 0: every column but beta is the beta = 0 one
+        code, out, _ = run_cli(capsys, "spectrum", "--beta", "1e-200")
+        assert code == 0
+        _, rows = parse_csv(out)
+        _, undeformed = run_cli(capsys, "spectrum", "--beta", "0")[:2]
+        _, reference = parse_csv(undeformed)
+        assert {float(r["beta"]) for r in rows} == {1e-200}
+        for row in rows + reference:
+            del row["beta"]
+        assert rows == reference
+
+    @pytest.mark.parametrize("command", [
+        ["verify-integrals", "--beta-grid", "1e-200"],
+        ["l-limit", "--beta-grid", "1e-200"],
+    ])
+    def test_underflowing_beta_exits_zero(self, capsys, command):
+        assert run_cli(capsys, *command)[0] == 0
+
+
 class TestVerifyIntegrals:
     def test_default_grid_passes(self, capsys):
         code, out, err = run_cli(

@@ -11,16 +11,21 @@ numpy/scipy build they were recorded with (Python 3.11, numpy 2.4,
 scipy 1.17).  To re-record after a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+That first prints, for every run whose record moved, the change of exit
+status, each changed non-numeric cell (error strings) and the largest
+relative change per numeric column, then rewrites ``tests/golden/cli.json``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -181,6 +186,62 @@ def _run(name: str, tmp: Path) -> dict:
     return record
 
 
+def _rows(record: dict) -> list[dict] | None:
+    """The table a run printed (``--out`` file first), or None if it printed none."""
+    text = record.get("out") or record.get("stdout") or ""
+    if text.startswith("{"):
+        return json.loads(text).get("rows")
+    lines = text.splitlines()
+    return list(csv.DictReader(lines)) if lines and "," in lines[0] else None
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def column_diff(old: dict, new: dict) -> list[str]:
+    """Lines describing how the record of one run moved from ``old`` to ``new``."""
+    if old == new:
+        return []
+    lines = [f"exit {old['exit']} -> {new['exit']}"] if old["exit"] != new["exit"] else []
+    old_rows, new_rows = _rows(old), _rows(new)
+    if old_rows is None or new_rows is None or len(old_rows) != len(new_rows):
+        return lines + ["output changed (not a table of the same length)"]
+    worst: dict[str, float] = {}
+    for index, (before, after) in enumerate(zip(old_rows, new_rows)):
+        for column in sorted(set(before) | set(after)):
+            a, b = before.get(column), after.get(column)
+            x, y = _number(a), _number(b)
+            if x is None or y is None or isinstance(a, bool) or isinstance(b, bool):
+                if a != b:
+                    lines.append(f"row {index} {column}: {a!r} -> {b!r}")
+            elif x != y and not (math.isnan(x) and math.isnan(y)):
+                change = abs(y - x) / abs(x) if x else math.inf
+                worst[column] = max(worst.get(column, 0.0), change)
+    lines += [f"{column}: max relative change {worst[column]:.3g}" for column in sorted(worst)]
+    return lines or ["output changed outside the table"]
+
+
+def test_column_diff_names_what_moved():
+    old = {"exit": 1, "stdout": "E,error\n0.5,\n0.25,bad\n"}
+    new = {"exit": 0, "stdout": "E,error\n0.5000000001,\n0.25,worse\n"}
+    assert column_diff(old, old) == []
+    assert column_diff(old, new) == [
+        "exit 1 -> 0", "row 1 error: 'bad' -> 'worse'", "E: max relative change 2e-10",
+    ]
+    rows = '{"meta": {}, "rows": [{"E": 0.5, "ok": true}]}'
+    moved = rows.replace("0.5", "0.75").replace("true", "false")
+    assert column_diff({"exit": 0, "stdout": rows}, {"exit": 0, "stdout": moved}) == [
+        "row 0 ok: True -> False", "E: max relative change 0.5",
+    ]
+    assert column_diff({"exit": 0, "sha256": "a"}, {"exit": 0, "sha256": "b"}) == [
+        "output changed (not a table of the same length)",
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -198,10 +259,14 @@ def test_golden_run(name, golden, tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     records = {}
     for run_name in RUNS:
         with tempfile.TemporaryDirectory() as scratch:
             records[run_name] = _run(run_name, Path(scratch))
-        print(run_name, records[run_name]["exit"], file=sys.stderr)
+        old_record = recorded.get(run_name)
+        changes = ["new run"] if old_record is None else column_diff(old_record, records[run_name])
+        for change in changes:
+            print(f"{run_name}: {change}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")

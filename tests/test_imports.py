@@ -1,4 +1,4 @@
-"""scipy is imported on first use, through module attributes that stay patchable."""
+"""Only the orbit route loads scipy, on first use, through a patchable attribute."""
 
 import os
 import subprocess
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from snyder_coulomb import QuantumNumbers, dynamics, numerics, validate_params
+from snyder_coulomb import dynamics, numerics, validate_params
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,16 +41,15 @@ def test_closed_form_paths_do_not_load_scipy(argv):
     assert _scipy_loaded_by(argv) == "[]"
 
 
-def test_spectrum_loads_only_the_root_solver():
-    argv = ["spectrum", "--n-prime-max", "2"]
-    assert _scipy_loaded_by(argv) == "['scipy.optimize']"
+def test_spectrum_loads_no_scipy():
+    assert _scipy_loaded_by(["spectrum", "--n-prime-max", "2"]) == "[]"
 
 
 def test_lazy_names_are_scipy_functions():
-    for function in (numerics.brentq, dynamics.solve_ivp):
-        assert function.__module__.startswith("scipy")
-    with pytest.raises(AttributeError, match="quad"):
-        numerics.quad  # noqa: B018
+    assert dynamics.solve_ivp.__module__.startswith("scipy")
+    for name in ("brentq", "quad"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(numerics, name)
 
 
 def test_unknown_attribute_still_raises():
@@ -58,16 +57,17 @@ def test_unknown_attribute_still_raises():
         numerics.no_such_name  # noqa: B018
 
 
-def test_patched_brentq_is_the_one_called(monkeypatch):
-    calls, original = [], numerics.brentq
+@pytest.mark.parametrize("beta", [0.0, 1e-3, 0.15])
+def test_spectrum_table_makes_few_array_calls(monkeypatch, beta):
+    # one array evaluation of Phi per round, over all 36 levels together
+    calls, core = [], numerics._phase_rows
 
-    def counting_brentq(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
+    def counting_core(*args):
+        calls.append(len(args[1]))
+        return core(*args)
 
-    monkeypatch.setattr(numerics, "brentq", counting_brentq)
-    params = validate_params(1, 1, 0.1)
-    numerics.solve_bs_energy(params, QuantumNumbers(1, 0), "closed_form")
-    assert calls == []
-    numerics.solve_bs_energy(params, QuantumNumbers(1, 0), "numeric")
-    assert len(calls) == 1
+    monkeypatch.setattr(numerics, "_phase_rows", counting_core)
+    entries = numerics.spectrum_table(validate_params(1, 1, beta), 8)
+    assert all(entry.error is None for entry in entries)
+    assert 1 <= len(calls) <= 12
+    assert calls[0] == 2 * len(entries)  # both bracket ends of every level

@@ -105,6 +105,12 @@ class TestEnergyWindow:
         window = energy_window(validate_params(1, 1, 0), 0)
         assert math.isinf(window.e_max)
 
+    def test_underflowed_pole_is_no_cap(self):
+        # 2 beta^2 m underflows to 0 at beta = 1e-200: the pole is at infinity
+        params = validate_params(1, 1, 1e-200)
+        assert energy_window(params, 0).e_max == math.inf
+        assert energy_window(params, 2).e_max == energy_window(validate_params(1, 1, 0), 2).e_max
+
     def test_contains_is_open(self):
         window = energy_window(validate_params(1, 1, 0), 1)
         assert window.contains(0.3)

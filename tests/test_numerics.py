@@ -57,11 +57,16 @@ class TestIntegrateRealLine:
         with pytest.raises(ValueError, match="quadrature tolerances"):
             solve_bs_energy(params, QuantumNumbers(1, 1), quad_rtol=quad_rtol)
 
-    def test_exhausted_subdivisions_raise(self):
-        # the spike of height 2e14 at p = 0 needs h << 1e-7 to resolve
-        nearly_singular = lambda p: 2.0 / (p * p + 1e-14)
-        with pytest.raises(ToleranceNotReached, match=f"within {numerics.MAX_PANELS} panels"):
-            numerics._trapezoid(nearly_singular, -1.0, 1.0, 16, 1e-10)
+    def test_exhausted_panels_fail_only_their_row(self):
+        # the spike of height 2e14 at p = 0 needs h << 1e-7 to resolve; the
+        # periodic row beside it keeps the sum of its own first passing order
+        periodic = lambda p: np.exp(np.cos(PI * p))
+        rows = lambda p: np.stack([2.0 / (p * p + 1e-14), periodic(p)])
+        value, err = numerics._trapezoid(rows, -1.0, 1.0, 16, 1e-10)
+        assert math.isnan(value[0]) and err[0] > 1e-10
+        alone = numerics._trapezoid(periodic, -1.0, 1.0, 16, 1e-10)
+        assert (value[1], err[1]) == alone
+        assert value[1] == pytest.approx(2 * 1.2660658777520084, rel=1e-14)  # 2 I0(1)
 
 
 class TestIntegrateBand:
@@ -322,6 +327,52 @@ class TestSpectrumTable:
         assert "NoRootInWindow" in entries[0].error
         assert math.isnan(entries[0].e_closed)
         assert entries[0].e_newton == pytest.approx(0.5)
+
+
+class TestTableSolver:
+    """The quadrature route solves a table's levels together, row by row."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 0.9, 3.0])
+    def test_table_matches_one_level_solves_and_closed_levels(self, beta):
+        params = validate_params(1, 1, beta)
+        for entry in spectrum_table(params, 8):
+            if entry.error is not None:
+                with pytest.raises(NoRootInWindow):
+                    solve_bs_energy(params, entry.qn, "closed_form")
+                continue
+            alone = solve_bs_energy(params, entry.qn, "numeric")
+            assert abs(entry.e_numeric / alone - 1.0) <= 2 * 1e-12
+            assert abs(entry.e_numeric / entry.e_closed - 1.0) <= 1e-11
+
+    def test_missed_quadrature_fails_only_its_row(self, monkeypatch):
+        # A row of the first array call misses its tolerance: the l = 0
+        # level (n', l) = (3, 0), whose rows share the fixed 450-panel line.
+        params = validate_params(1, 1, 0.1)
+        unforced = spectrum_table(params, 8)
+        index = [(e.qn.n_prime, e.qn.l) for e in unforced].index((3, 0))
+        calls, core = [], numerics._phase_rows
+
+        def forced(*args):
+            value, err = core(*args)
+            calls.append(len(value))
+            if len(calls) == 1:
+                value[index] = math.nan
+            return value, err
+
+        monkeypatch.setattr(numerics, "_phase_rows", forced)
+        table = spectrum_table(params, 8)
+        assert table[index].error.startswith(
+            "ToleranceNotReached: trapezoid rule did not reach rtol=1e-10 within 16384 panels"
+        )
+        assert math.isnan(table[index].e_numeric) and math.isnan(table[index].e_closed)
+        assert table[:index] + table[index + 1 :] == unforced[:index] + unforced[index + 1 :]
+
+    def test_underflowing_beta_raises_no_zero_division(self):
+        params = validate_params(1, 1, 1e-200)
+        undeformed = validate_params(1, 1, 0)
+        assert phase_integral_1d_closed(params, 0.1) == phase_integral_1d_closed(undeformed, 0.1)
+        with pytest.raises(DegenerateFit):
+            correction_order(undeformed, QuantumNumbers(1, 0), [1e-200, 1e-199, 1e-198, 1e-197])
 
 
 class TestCorrectionOrder:
