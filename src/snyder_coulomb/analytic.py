@@ -230,18 +230,31 @@ def energy_3d_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
     return u * u / (2.0 * m)
 
 
-def _infeasible(params: PhysicalParams, qn: QuantumNumbers) -> NoRootInWindow:
-    """The error for a level with no root, quoting Phi - 2 pi n below the window top."""
-    e_max = energy_window(params, qn.l).e_max
-    top = e_max * (1.0 - 1e-9)
-    phi = (
-        phase_integral_1d_closed(params, top)
-        if qn.l == 0
-        else radial_phase_integral_closed(params, top, qn.l)
-    )
+def _window_top(params: PhysicalParams, l: int) -> float:
+    """The highest energy a level's root search evaluates: just below e_max."""
+    return energy_window(params, l).e_max * (1.0 - 1e-9)
+
+
+def _infeasible(
+    params: PhysicalParams, qn: QuantumNumbers, residual: float | None = None
+) -> NoRootInWindow:
+    """The error for a level with no root, quoting Phi - 2 pi n at the window top.
+
+    ``residual`` is that value from the caller's own Phi; by default the
+    closed forms give it.
+    """
+    if residual is None:
+        top = _window_top(params, qn.l)
+        phi = (
+            phase_integral_1d_closed(params, top)
+            if qn.l == 0
+            else radial_phase_integral_closed(params, top, qn.l)
+        )
+        residual = phi.value - 2.0 * PI * qn.n
     return NoRootInWindow(
-        f"Phi(E) - 2 pi n = {phi.value - 2.0 * PI * qn.n!r} does not change sign inside "
-        f"(0, {e_max!r}) for {qn}: level infeasible at beta={params.beta!r}"
+        f"Phi(E) - 2 pi n = {residual!r} does not change sign inside "
+        f"(0, {energy_window(params, qn.l).e_max!r}) for {qn}: level infeasible at "
+        f"beta={params.beta!r}"
     )
 
 

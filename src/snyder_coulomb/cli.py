@@ -110,12 +110,6 @@ def _apply_config(path: str, command: argparse.ArgumentParser, actions: dict) ->
         command.set_defaults(**{action.dest: value})
 
 
-def _tolerances(cfg: dict[str, Any]) -> dict[str, float]:
-    """Library keyword arguments of the tolerance flags that were given."""
-    names = {"tol_quad": "quad_rtol", "tol_root": "root_rtol"}
-    return {arg: cfg[key] for key, arg in names.items() if cfg.get(key) is not None}
-
-
 # --------------------------------------------------------------------------
 # deterministic serialization
 # --------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def _emit(
 
 def _cmd_spectrum(cfg: dict[str, Any]) -> int:
     params = validate_params(cfg["m"], cfg["e2"], cfg["beta"])
-    entries = spectrum_table(params, cfg["n_prime_max"], **_tolerances(cfg))
+    entries = spectrum_table(params, cfg["n_prime_max"])
     header = ["n_prime", "l", "beta", "E_newton", "E_closed", "E_numeric",
               "E_series", "rel_gap_closed_numeric", "error"]
     rows = []
@@ -253,7 +247,6 @@ def _cell_energies(params, l: int, count: int) -> list[float]:
 def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     if cfg["energies_per_cell"] < 1:
         raise ValueError("energies-per-cell must be >= 1")
-    tolerances = _tolerances(cfg)
     header = ["beta", "l", "E", "phi_closed", "phi_numeric", "rel_dev"]
     rows = []
     skipped = 0
@@ -271,7 +264,7 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
                     phi_c = phase_integral_1d_closed(params, energy).value
                 else:
                     phi_c = radial_phase_integral_closed(params, energy, l).value
-                phi_n = phase_integral_numeric(params, energy, l, **tolerances).value
+                phi_n = phase_integral_numeric(params, energy, l).value
                 dev = abs(phi_c - phi_n) / abs(phi_c)
                 max_dev = max(max_dev, dev)
                 rows.append([beta, l, energy, phi_c, phi_n, dev])
@@ -317,8 +310,6 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
     t_end = cfg["t_end"]
     if t_end is None:
         t_end = 100.0 * _undeformed_period(params, state0)
-    elif t_end <= 0:
-        raise ValueError("t-end must be > 0")
 
     try:
         traj = integrate_orbit(state0, params, t_end, local_tol=cfg["local_tol"])
@@ -409,8 +400,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     add = add_command("spectrum")
     add("beta", type=float, default=0.0, help="deformation parameter")
     add("n-prime-max", type=int, default=3, help="largest principal number n'")
-    add("tol-quad", type=float, help="relative quadrature tolerance override")
-    add("tol-root", type=float, help="relative root tolerance override")
 
     add = add_command("verify-integrals")
     add("beta-grid", type=floats, default=[0.0, 0.05, 0.1], metavar="LIST",
@@ -421,7 +410,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         help="energies generated per (l, beta) cell")
     add("e-grid", type=floats, metavar="LIST",
         help="explicit energies (overrides generation)")
-    add("tol-quad", type=float, help="relative quadrature tolerance override")
 
     add = add_command("scan-order")
     add("l-list", type=ints, default=[0, 1, 2], metavar="LIST",

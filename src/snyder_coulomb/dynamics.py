@@ -216,15 +216,17 @@ def integrate_orbit(
     perihelia are root-found on the solver's dense output, independent of
     that grid, a perihelion at the start included.
 
-    Raises ValueError if the flow is not finite at ``state0`` (momenta
-    so large that p^2 overflows), CollisionSingularity if the orbit reaches
+    Raises ValueError unless 0 < ``t_end`` < inf and 0 < ``local_tol`` <
+    inf, or if the flow is not finite at ``state0`` (momenta so large that
+    p^2 overflows), CollisionSingularity if the orbit reaches
     r = 1e-8 and StepUnderflow if the controller's step collapses before
     ``t_end``.
     """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be > 0, got {t_end!r}")
-    if not local_tol > 0:
-        raise ValueError(f"local_tol must be > 0, got {local_tol!r}")
+    # solve_ivp does not return for an infinite span or tolerance
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+    if not 0 < local_tol < math.inf:
+        raise ValueError(f"local_tol must be finite and > 0, got {local_tol!r}")
     if n_samples is None:
         n_samples = int(min(400_000, max(2000, 60.0 * t_end)))
     elif n_samples < 1:

@@ -22,10 +22,12 @@ rule converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
 
 The error estimate is |T_n - T_{n/2}|: the half-order sum is taken over
 every other node of the same array, so it costs no evaluations.  While any
-row's estimate exceeds ``quad_rtol`` (default 1e-10, never below the
-roundoff floor ``RTOL_FLOOR``) relative, the panel count of the whole array
-doubles, up to ``MAX_PANELS``; each row keeps its first sum that met the
-tolerance, and a row that never meets it fails alone.
+row's estimate exceeds ``QUAD_RTOL`` relative, the panel count of the whole
+array doubles, up to ``MAX_PANELS``; each row keeps its first sum that met
+the tolerance, and a row that never meets it fails alone.  The tolerance is
+fixed: the rule converges so fast that once the estimate meets any
+tolerance, the sum itself is at roundoff, so a tighter one would change no
+output, only the number of nodes.
 
 The energy solver has two routes.  The closed-form route is algebraic
 (``energy_1d_closed`` and ``energy_3d_closed``): no root search.  The
@@ -33,10 +35,11 @@ quadrature route solves Phi(E) = 2 pi n for a whole table at once: each
 level's bracket starts around its undeformed level m e2^2 / (2 n'^2) and
 widens geometrically inside the energy window, then Illinois regula falsi
 runs in u = E^(-1/2), where Phi is exactly linear at beta = 0, with one
-array evaluation per round over the levels still open.  A level that
-fails records its error in its own row.  ``phase_integral_numeric`` and
-the numeric ``solve_bs_energy`` are one-row calls of the same code, so
-this module loads no scipy.
+array evaluation per round over the levels still open, until each bracket
+is ``ROOT_RTOL`` wide relative.  A level that fails records its error in
+its own row.  ``phase_integral_numeric`` and the numeric
+``solve_bs_energy`` are one-row calls of the same code, so this module
+loads no scipy.
 
 All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.
@@ -52,6 +55,7 @@ import numpy as np
 
 from .analytic import (
     _infeasible,
+    _window_top,
     energy_1d_closed,
     energy_1d_series,
     energy_3d_closed,
@@ -83,7 +87,9 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
-RTOL_FLOOR = 1e-14  # the trapezoid rule's smallest relative tolerance
+QUAD_RTOL = 1e-10  # relative error estimate the trapezoid rule must meet
+ROOT_RTOL = 1e-12  # relative bracket width of a quadrature-route level
+NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
 
 
 @dataclass(frozen=True)
@@ -129,23 +135,19 @@ class LLimitRow:
 
 
 def _trapezoid(
-    f: Callable[[np.ndarray], np.ndarray], a, b, n: int, rtol: float
+    f: Callable[[np.ndarray], np.ndarray], a, b, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """n-panel trapezoid sums over [a, b] of the rows of the array function ``f``.
 
     ``f`` maps the nodes a + h k, k = 0..n (one row of nodes per row of
     ``a`` and ``b`` when they are arrays), to a rows x nodes array.  The
     error estimate |T_n - T_{n/2}| reuses every other node of the same
-    evaluation.  While any row's estimate exceeds ``rtol * |T_n|``, n
+    evaluation.  While any row's estimate exceeds ``QUAD_RTOL * |T_n|``, n
     doubles for the whole array; each row keeps the sum of the first order
-    that met ``rtol``, so its value does not depend on the rows beside it.
-    A row still missing after a doubling past ``MAX_PANELS`` comes back NaN,
-    with its last estimate.  ``rtol`` is clamped to ``RTOL_FLOOR``, the
-    roundoff of the two sums.  Returns (values, error estimates).
+    that met ``QUAD_RTOL``, so its value does not depend on the rows beside
+    it.  A row still missing after a doubling past ``MAX_PANELS`` comes back
+    NaN, with its last estimate.  Returns (values, error estimates).
     """
-    if not rtol > 0:
-        raise ValueError("quadrature tolerances must be > 0")
-    rtol = max(rtol, RTOL_FLOOR)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     value, err, missing = np.nan, np.nan, True
     while True:
@@ -155,7 +157,7 @@ def _trapezoid(
         total = h * (y.sum(axis=-1) - ends)
         estimate = np.abs(total - 2.0 * h * (y[..., ::2].sum(axis=-1) - ends))
         err = np.where(missing, estimate, err)
-        met = missing & (estimate <= rtol * np.abs(total))
+        met = missing & (estimate <= QUAD_RTOL * np.abs(total))
         value = np.where(met, total, value)
         missing = missing & ~met
         if not np.any(missing) or 2 * n > MAX_PANELS:
@@ -163,16 +165,16 @@ def _trapezoid(
         n *= 2
 
 
-def _missed(quad_rtol: float, estimate: float) -> ToleranceNotReached:
+def _missed(estimate: float) -> ToleranceNotReached:
     """The error of a row the trapezoid rule left NaN."""
     return ToleranceNotReached(
-        f"trapezoid rule did not reach rtol={max(quad_rtol, RTOL_FLOOR)!r} within "
+        f"trapezoid rule did not reach rtol={QUAD_RTOL!r} within "
         f"{MAX_PANELS} panels (estimate {estimate:.3g})"
     )
 
 
 def _phase_rows(
-    params: PhysicalParams, energy: np.ndarray, l: np.ndarray, quad_rtol: float
+    params: PhysicalParams, energy: np.ndarray, l: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands.
 
@@ -184,7 +186,7 @@ def _phase_rows(
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
     grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
     widest row's L; a degenerate band is 0.  Returns (values, error
-    estimates) as arrays; a row that missed ``quad_rtol`` is NaN.
+    estimates) as arrays; a row that missed ``QUAD_RTOL`` is NaN.
     """
     m, e2, beta = params.m, params.e2, params.beta
     b2 = beta * beta
@@ -205,9 +207,7 @@ def _phase_rows(
             return 2.0 * raw * p  # even: twice the half line; dp = p ds
 
         centre = 0.5 * np.array([math.log(x) for x in two_m_e[line].tolist()])
-        value[line], err[line] = _trapezoid(
-            line_integrand, centre - 45.0, centre + 45.0, 450, quad_rtol
-        )
+        value[line], err[line] = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450)
 
     band = np.flatnonzero(l != 0)
     points = [turning_points(params, e, k) for e, k in zip(energy[band].tolist(), l[band].tolist())]
@@ -229,75 +229,57 @@ def _phase_rows(
             return raw * z * width * np.sin(2.0 * phi)  # dz = z ds
 
         panels = 16 * (2 + int(width.max() // 8.0))
-        value[rows], err[rows] = _trapezoid(
-            band_integrand, 0.0, math.pi / 2.0, panels, quad_rtol
-        )
+        value[rows], err[rows] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, panels)
     return value, err
 
 
-def phase_integral_numeric(
-    params: PhysicalParams,
-    energy: float,
-    l: int,
-    quad_rtol: float = 1e-10,
-) -> PhaseIntegralResult:
+def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> PhaseIntegralResult:
     """Loop phase integral at one (E, l), evaluated from the raw integrand.
 
     A one-row call of :func:`_phase_rows`, which describes both rules.
     Must agree with the closed-form counterpart within quadrature
     tolerance.  Raises OutOfWindow outside the window and
-    ToleranceNotReached when the rule misses ``quad_rtol``.
+    ToleranceNotReached when the rule misses ``QUAD_RTOL``.
     """
     window = energy_window(params, l if l >= 1 else 0)
     if not window.contains(energy) and not (l >= 1 and energy == window.e_max):
         raise OutOfWindow(f"E={energy!r} outside window {window} at l={l}")
-    value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]), quad_rtol)
+    value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]))
     if math.isnan(value[0]):
-        raise _missed(quad_rtol, err[0])
+        raise _missed(err[0])
     return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
 
-def _check_tolerances(quad_rtol: float, root_rtol: float) -> None:
-    if not root_rtol > 0:
-        raise ValueError(f"root_rtol must be > 0, got {root_rtol!r}")
-    if not quad_rtol > 0:
-        raise ValueError("quadrature tolerances must be > 0")
-
-
-def _solve_levels(
-    params: PhysicalParams,
-    levels: Sequence[QuantumNumbers],
-    quad_rtol: float,
-    root_rtol: float,
-) -> list:
+def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together.
 
     Each bracket starts at [E0/4, min(4 E0, top)] around the undeformed
-    level E0 = m e2^2/(2 n'^2), top = e_max (1 - 1e-9), and widens by
-    factors of 4 until the residual changes sign.  Illinois regula falsi
+    level E0 = m e2^2/(2 n'^2), top = e_max (1 - 1e-9) (``_window_top``),
+    and widens by factors of 4 until the residual changes sign.  An upper
+    end that reaches top without a sign change makes the level infeasible
+    (``_infeasible``, quoting this route's residual).  Illinois regula falsi
     (Dowell & Jarratt, BIT 11, 1971) then shrinks it in u = E^(-1/2), where
     Phi is exactly linear at beta = 0, until its relative width in E is at
-    most ``root_rtol`` (at least 9e-16); the iterate of smallest residual is
-    the root.  Every round evaluates all levels still open in one
-    :func:`_phase_rows` call.  Returns, per level, its energy or the
-    SnyderCoulombError that stopped it; a failure stays in its own row.
+    most ``ROOT_RTOL``; the iterate of smallest residual is the root.  Every
+    round evaluates all levels still open in one :func:`_phase_rows` call.
+    Returns, per level, its energy or the SnyderCoulombError that stopped
+    it; a failure stays in its own row.
     """
-    m, e2, beta = params.m, params.e2, params.beta
+    m, e2 = params.m, params.e2
     result: list = [None] * len(levels)
     active = np.ones(len(levels), dtype=bool)
     l = np.array([qn.l for qn in levels], dtype=int)
     target = TWO_PI * np.array([qn.n for qn in levels], dtype=float)
     e0 = m * e2**2 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
-    e_max = np.array([energy_window(params, qn.l).e_max for qn in levels])
-    top = e_max * (1.0 - 1e-9)
+    top = np.array([_window_top(params, qn.l) for qn in levels])
 
     def fail(i: int, exc: SnyderCoulombError) -> None:
         result[i], active[i] = exc, False
 
     def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
-        phi, err = _phase_rows(params, energy, l[rows], quad_rtol)
+        phi, err = _phase_rows(params, energy, l[rows])
         for k in np.flatnonzero(np.isnan(phi)):
-            fail(rows[k], _missed(quad_rtol, err[k]))
+            fail(rows[k], _missed(err[k]))
         return phi - target[rows]
 
     lo, hi = np.minimum(e0, top) / 4.0, np.minimum(4.0 * e0, top)
@@ -311,10 +293,7 @@ def _solve_levels(
         f_lo[at_lo], f_hi[at_hi] = f[: at_lo.size], f[at_lo.size :]
         widen_lo, widen_hi = f_lo <= 0.0, f_hi >= 0.0
         for i in np.flatnonzero(widen_hi & active & (hi >= top)):
-            fail(i, NoRootInWindow(
-                f"Phi(E) - 2 pi n = {float(f_hi[i])!r} does not change sign inside "
-                f"(0, {float(e_max[i])!r}) for {levels[i]}: level infeasible at beta={beta!r}"
-            ))
+            fail(i, _infeasible(params, levels[i], float(f_hi[i])))
         lo = np.where(widen_lo, lo / 4.0, lo)
         hi = np.where(widen_hi, np.minimum(4.0 * hi, top), hi)
     else:
@@ -325,7 +304,7 @@ def _solve_levels(
     u_a, u_b, f_a, f_b = lo**-0.5, hi**-0.5, f_lo, f_hi
     best_u = np.where(np.abs(f_a) < np.abs(f_b), u_a, u_b)
     best_f = np.minimum(np.abs(f_a), np.abs(f_b))
-    tol = max(root_rtol, 9e-16) / 2.0  # relative width in u; E = u^-2 doubles it
+    tol = ROOT_RTOL / 2.0  # relative width in u; E = u^-2 doubles it
     for _ in range(100):
         active &= ~(np.abs(u_b - u_a) <= tol * u_b)
         rows = np.flatnonzero(active)
@@ -347,7 +326,7 @@ def _solve_levels(
     else:
         for i in np.flatnonzero(active):
             fail(i, ToleranceNotReached(
-                f"regula falsi did not reach root_rtol={max(root_rtol, 9e-16)!r} "
+                f"regula falsi did not reach rtol={ROOT_RTOL!r} "
                 f"in 100 steps for {levels[i]}"
             ))
     return [
@@ -357,27 +336,22 @@ def _solve_levels(
 
 
 def solve_bs_energy(
-    params: PhysicalParams,
-    qn: QuantumNumbers,
-    method: str = "closed_form",
-    quad_rtol: float = 1e-10,
-    root_rtol: float = 1e-12,
+    params: PhysicalParams, qn: QuantumNumbers, method: str = "closed_form"
 ) -> float:
     """Solve the quantization condition Phi(E) = 2 pi n for the level ``qn``.
 
     ``method="closed_form"`` solves it algebraically: ``energy_1d_closed``
     (checked against the window) for l = 0, ``energy_3d_closed`` for
-    l >= 1; ``quad_rtol`` and ``root_rtol`` do not enter.
-    ``method="numeric"`` finds the root of the quadrature Phi as a one-level
-    call of the table solver: a bracket around the undeformed level
-    E0 = m e2^2/(2 n'^2), widened geometrically inside the energy window,
-    then Illinois regula falsi in u = E^(-1/2) to relative width
-    ``root_rtol`` in E (at least 9e-16).  Raises NoRootInWindow when the
-    level is infeasible at this deformation (no root inside the window).
+    l >= 1.  ``method="numeric"`` finds the root of the quadrature Phi as a
+    one-level call of the table solver: a bracket around the undeformed
+    level E0 = m e2^2/(2 n'^2), widened geometrically inside the energy
+    window, then Illinois regula falsi in u = E^(-1/2) to relative width
+    ``ROOT_RTOL`` in E, on a quadrature Phi held to ``QUAD_RTOL``.  Raises
+    NoRootInWindow when the level is infeasible at this deformation (no
+    root inside the window).
     """
     if method not in ("closed_form", "numeric"):
         raise ValueError(f"method must be 'closed_form' or 'numeric', got {method!r}")
-    _check_tolerances(quad_rtol, root_rtol)
     n, l = qn.n, qn.l
     window = energy_window(params, l)
     if method == "closed_form":
@@ -388,18 +362,13 @@ def solve_bs_energy(
             raise _infeasible(params, qn)
         return energy
 
-    (energy,) = _solve_levels(params, [qn], quad_rtol, root_rtol)
+    (energy,) = _solve_levels(params, [qn])
     if isinstance(energy, SnyderCoulombError):
         raise energy
     return energy
 
 
-def spectrum_table(
-    params: PhysicalParams,
-    n_prime_max: int,
-    quad_rtol: float = 1e-10,
-    root_rtol: float = 1e-12,
-) -> list[SpectrumEntry]:
+def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEntry]:
     """All levels with 1 <= n' <= n_prime_max, 0 <= l <= n' - 1.
 
     Entries are ordered by (n', l).  The closed route solves one level at
@@ -410,7 +379,6 @@ def spectrum_table(
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")
-    _check_tolerances(quad_rtol, root_rtol)
     levels = [
         QuantumNumbers(n=n_prime - l, l=l)
         for n_prime in range(1, n_prime_max + 1)
@@ -423,7 +391,7 @@ def spectrum_table(
         except SnyderCoulombError as exc:  # per-entry isolation
             closed.append(exc)
     feasible = [qn for qn, e in zip(levels, closed) if not isinstance(e, SnyderCoulombError)]
-    numeric = iter(_solve_levels(params, feasible, quad_rtol, root_rtol))
+    numeric = iter(_solve_levels(params, feasible))
     entries: list[SpectrumEntry] = []
     for qn, e_closed in zip(levels, closed):
         e_newton = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
@@ -445,14 +413,13 @@ def correction_order(
     params_base: PhysicalParams,
     qn: QuantumNumbers,
     beta_grid: Sequence[float],
-    noise_floor: float = 1e-13,
 ) -> CorrectionFit:
     """Fitted power of beta of the relative energy correction for ``qn``.
 
     Solves the closed-form quantization at each beta in ``beta_grid`` and
     fits log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
     channel has slope 1, the l >= 1 channels slope 2.  Grid points with a
-    correction below ``noise_floor`` are excluded; fewer than two usable
+    correction below ``NOISE_FLOOR`` are excluded; fewer than two usable
     points raise DegenerateFit.
     """
     betas = [float(b) for b in beta_grid]
@@ -469,13 +436,13 @@ def correction_order(
         deformed = PhysicalParams(params_base.m, params_base.e2, beta)
         energy = solve_bs_energy(deformed, qn, "closed_form")
         corr = abs(energy / e_ref - 1.0)
-        if corr < noise_floor:
+        if corr < NOISE_FLOOR:
             continue
         log_b.append(math.log(beta))
         log_c.append(math.log(corr))
     if len(log_b) < 2:
         raise DegenerateFit(
-            f"only {len(log_b)} correction(s) above the {noise_floor!r} noise floor for {qn}"
+            f"only {len(log_b)} correction(s) above the {NOISE_FLOOR!r} noise floor for {qn}"
         )
     slope, intercept = np.polyfit(log_b, log_c, 1)
     fitted = slope * np.asarray(log_b) + intercept

@@ -135,7 +135,7 @@ def test_criterion_4_series_validation():
         ratios = []
         for beta in betas:
             params = validate_params(1, 1, float(beta))
-            energy = solve_bs_energy(params, qn, "closed_form", root_rtol=9e-16)
+            energy = solve_bs_energy(params, qn, "closed_form")
             corr = energy / e_ref - 1.0
             ratios.append(corr / beta**order)
         coeff_fitted = float(np.exp(np.mean(np.log(np.abs(ratios))))) * math.copysign(
@@ -146,7 +146,7 @@ def test_criterion_4_series_validation():
         )
         # solved level against the truncated series at beta = 1e-3
         params = validate_params(1, 1, 1e-3)
-        solved = solve_bs_energy(params, qn, "closed_form", root_rtol=9e-16)
+        solved = solve_bs_energy(params, qn, "closed_form")
         series = (
             energy_1d_series(params, qn.n)
             if qn.l == 0

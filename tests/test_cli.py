@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,13 +67,6 @@ class TestSpectrum:
         assert payload["meta"]["n-prime-max"] == 1
         assert len(payload["rows"]) == 1
         assert payload["rows"][0]["E_closed"] == pytest.approx(0.5, rel=1e-10)
-
-    @pytest.mark.parametrize("command", ["spectrum"])
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-    def test_nonpositive_tol_root_is_config_error(self, capsys, command, tol):
-        code, out, err = run_cli(capsys, command, "--tol-root", tol)
-        assert (code, out) == (2, "")
-        assert "root_rtol must be > 0" in err
 
     def test_infeasible_levels_flagged_in_row(self, capsys):
         code, out, _ = run_cli(
@@ -194,7 +191,19 @@ class TestOrbit:
     def test_zero_t_end_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "orbit", "--t-end", "0")
         assert code == 2
-        assert "t-end" in err
+        assert "t_end" in err
+
+    @pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--local-tol", "inf", "--t-end", "20"]])
+    def test_infinite_span_or_tolerance_is_config_error(self, argv):
+        # in a child process under a timeout, so that a hang fails the test
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run([sys.executable, "-m", "snyder_coulomb", "orbit", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "must be finite and > 0" in proc.stderr
 
     def test_collision_reports_last_good_time(self, capsys):
         code, _, err = run_cli(
@@ -304,6 +313,17 @@ class TestInfrastructure:
         code, _, err = run_cli(capsys, "spectrum", "--config", str(config))
         assert code == 2
         assert "betta" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--tol-quad", "1e-8"],
+        ["spectrum", "--tol-root", "1e-10"],
+        ["verify-integrals", "--tol-quad", "1e-8"],
+    ])
+    def test_tolerance_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol-" in capsys.readouterr().err
 
     def test_unknown_format_is_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -43,6 +43,7 @@ CONFIGS = {
                    "format = json\n",
     "scan.conf": "n = 2\nl-list = 1\nbeta-grid = 1e-4,1e-3,1e-2,3e-2\n",
     "scan-tol.conf": "l-list = 1\ntol-quad = 1e-8\n",
+    "spectrum-tol.conf": "beta = 0.05\ntol-root = 1e-10\n",
     "orbit.conf": "beta = 0.05\nt-end = 12\nlocal-tol = 1e-10\ndump-samples = false\n",
     "l-limit.conf": "\nbeta-grid = 0,0.2\nenergy = 0.1\nl-grid = 0.02\n",
     "unknown.conf": "betta = 0.1\n",
@@ -82,7 +83,7 @@ RUNS = {
                              "--l-grid", "0,2,5", "--energies-per-cell", "5",
                              "--format", "json"],
     "verify-e-grid": ["verify-integrals", "--beta-grid", "0,0.1", "--l-grid", "1,2",
-                      "--e-grid", "0.01,0.05,0.125,0.9", "--tol-quad", "1e-9"],
+                      "--e-grid", "0.01,0.05,0.125,0.9"],
     "verify-energies-per-cell-zero": ["verify-integrals", "--energies-per-cell", "0"],
     "verify-negative-l": ["verify-integrals", "--l-grid", "1,-1"],
     # scan-order
@@ -144,6 +145,7 @@ RUNS = {
                                 "--l-grid", "1", "--format", "csv"],
     "config-scan": ["scan-order", "--config", "{tmp}/scan.conf", "--format", "json"],
     "config-scan-tol-key": ["scan-order", "--config", "{tmp}/scan-tol.conf"],
+    "config-spectrum-tol-key": ["spectrum", "--config", "{tmp}/spectrum-tol.conf"],
     "config-orbit": ["orbit", "--config", "{tmp}/orbit.conf", "--format", "json"],
     "config-orbit-flag-wins": ["orbit", "--config", "{tmp}/orbit.conf", "--beta", "0"],
     "config-l-limit": ["l-limit", "--config", "{tmp}/l-limit.conf"],
