@@ -10,7 +10,7 @@ phase integral is exactly linear in u, so the root search lands in a few
 steps.
 """
 
-from snyder_coulomb import QuantumNumbers, solve_bs_energy, validate_params
+from snyder_coulomb import QuantumNumbers, energy_closed, energy_numeric, validate_params
 
 params = validate_params(m=1, e2=1, beta=0)
 
@@ -20,8 +20,8 @@ for n_prime in range(1, 7):
     exact = 1.0 / (2.0 * n_prime**2)
     for l in range(n_prime):
         qn = QuantumNumbers(n=n_prime - l, l=l)
-        e_closed = solve_bs_energy(params, qn, "closed_form")
-        e_numeric = solve_bs_energy(params, qn, "numeric")
+        e_closed = energy_closed(params, qn)
+        e_numeric = energy_numeric(params, qn)
         print(
             f"{n_prime:>7} {l:>3} {exact:>12.8f} {e_closed:>22.16f} "
             f"{e_numeric:>22.16f}"
@@ -34,12 +34,7 @@ for n_prime in range(1, 11):
     exact = 1.0 / (2.0 * n_prime**2)
     for l in range(n_prime):
         qn = QuantumNumbers(n=n_prime - l, l=l)
-        worst_closed = max(
-            worst_closed, abs(solve_bs_energy(params, qn) / exact - 1.0)
-        )
-        worst_numeric = max(
-            worst_numeric,
-            abs(solve_bs_energy(params, qn, "numeric") / exact - 1.0),
-        )
+        worst_closed = max(worst_closed, abs(energy_closed(params, qn) / exact - 1.0))
+        worst_numeric = max(worst_numeric, abs(energy_numeric(params, qn) / exact - 1.0))
 print(f"  closed-form route: {worst_closed:.3e}")
 print(f"  quadrature route:  {worst_numeric:.3e}")

@@ -14,9 +14,11 @@ Conventions (hbar = 1):
 * ``radial_phase_integral_closed`` -- full radial loop of the planar
   problem in polar momentum coordinates, expressed in z = p_rho^2 between
   the turning points z- <= z <= z+.
-* ``energy_1d_closed``, ``energy_3d_closed`` -- the levels themselves:
-  Phi(E) = 2 pi n solved algebraically (a quadratic for the 1D problem, a
-  quartic for l >= 1), with no root search.
+* ``energy_closed`` -- the level of any (n, l) itself: Phi(E) = 2 pi n
+  solved algebraically (a quadratic for l = 0, the 1D problem, and a
+  quartic for l >= 1), with no root search; an infeasible level raises.
+* ``energy_series`` -- its leading-order expansion in the deformation
+  (first order for l = 0, second order for l >= 1).
 
 The radial closed form implemented here is the exact value of
 
@@ -43,10 +45,8 @@ __all__ = [
     "turning_points",
     "phase_integral_1d_closed",
     "radial_phase_integral_closed",
-    "energy_1d_closed",
-    "energy_3d_closed",
-    "energy_1d_series",
-    "energy_3d_series",
+    "energy_closed",
+    "energy_series",
     "energy_3d_perturbative_ref",
 ]
 
@@ -168,25 +168,17 @@ def radial_phase_integral_closed(
     return PhaseIntegralResult(value=value, kind="closed_form")
 
 
-def energy_1d_closed(params: PhysicalParams, n: int) -> float:
-    """Exact 1D binding energy of level n >= 1.
+def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
+    """Exact binding energy of the level ``qn``: Phi(E) = 2 pi n solved algebraically.
 
-    Solves beta*n*u^2 + n*u - m*e2 = 0 for u = sqrt(2mE) > 0, written in
-    the cancellation-free form u = 2 m e2 / (n + sqrt(n^2 + 4 beta n m e2)),
-    and returns E = u^2/(2m).  At beta = 0 this is m e2^2 / (2 n^2).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    m, e2, beta = params.m, params.e2, params.beta
-    u = 2.0 * m * e2 / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
-    return u * u / (2.0 * m)
+    For l = 0 (the 1D problem) the condition is beta n u^2 + n u - m e2 = 0
+    in u = sqrt(2mE) > 0, solved in the cancellation-free form
+    u = 2 m e2 / (n + sqrt(n^2 + 4 beta n m e2)); the level is feasible when
+    E lies below the pole, that is when beta m e2 < 2n.  At beta = 0 this is
+    m e2^2 / (2 n^2).
 
-
-def energy_3d_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
-    """Exact binding energy of the level ``qn`` with l >= 1.
-
-    With u = sqrt(2mE), A = 2 m e2, N = 2n + l and K = N^2 - l^2 = 4n(n + l),
-    squaring Phi(E) = 2 pi n gives the quartic
+    For l >= 1, with A = 2 m e2, N = 2n + l and K = N^2 - l^2 = 4n(n + l),
+    squaring the condition gives the quartic
 
         g(u) = ((N - l) u - A)((N + l) u - A) - K beta^2 u^4 = 0,
 
@@ -204,10 +196,15 @@ def energy_3d_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
     Raises NoRootInWindow for an infeasible level.
     """
-    if qn.l == 0:
-        raise RequiresNonzeroL("the l = 0 channel is energy_1d_closed")
-    n, l, m, beta = qn.n, qn.l, params.m, params.beta
-    a, big_n, k = 2.0 * m * params.e2, 2 * n + l, 4 * n * (n + l)
+    n, l, m, e2, beta = qn.n, qn.l, params.m, params.e2, params.beta
+    a = 2.0 * m * e2
+    if l == 0:
+        u = a / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
+        energy = u * u / (2.0 * m)
+        if not energy_window(params, 0).contains(energy):
+            raise _infeasible(params, qn)
+        return energy
+    big_n, k = 2 * n + l, 4 * n * (n + l)
     if not beta * a < 2 * big_n:
         raise _infeasible(params, qn)
     kb2 = k * beta * beta
@@ -258,37 +255,28 @@ def _infeasible(
     )
 
 
-def energy_1d_series(params: PhysicalParams, n: int) -> float:
-    """First-order expansion of the 1D spectrum in the deformation.
+def energy_series(params: PhysicalParams, qn: QuantumNumbers) -> float:
+    """Leading-order expansion of the level ``qn`` in the deformation.
 
-    E_n = (m e2^2 / 2n^2) (1 - 2 beta m e2 / n).  Accurate when
-    beta*m*e2/n is small; the precondition is documented, not enforced.
+    For l = 0, first order in beta: E_n = (m e2^2 / 2n^2) (1 - 2 beta m e2 / n).
+    For l >= 1, second order:
+    E_{n'l} = (m e2^2 / 2 n'^2) [1 + (2 beta^2 m^2 e2^2 / n') (1/n' - 1/l)],
+    whose correction is negative for l < n' and singular at l = 0, which is
+    why that channel has its own series.  Accurate when beta*m*e2/n' is
+    small; the precondition is documented, not enforced.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    m, e2, beta = params.m, params.e2, params.beta
-    return m * e2**2 / (2.0 * n * n) * (1.0 - 2.0 * beta * m * e2 / n)
-
-
-def energy_3d_series(params: PhysicalParams, qn: QuantumNumbers) -> float:
-    """Leading-order deformed spectrum for l >= 1.
-
-    E_{n'l} = (m e2^2 / 2 n'^2) [1 + (2 beta^2 m^2 e2^2 / n') (1/n' - 1/l)].
-    The correction is second order in beta and negative for l < n'.  The
-    formula is singular at l = 0; that channel is the 1D series.
-    """
-    if qn.l == 0:
-        raise RequiresNonzeroL("the l = 0 channel follows the 1D series")
     m, e2, beta = params.m, params.e2, params.beta
     np_ = qn.n_prime
-    coeff = 2.0 * beta**2 * m**2 * e2**2 / np_ * (1.0 / np_ - 1.0 / qn.l)
-    return m * e2**2 / (2.0 * np_ * np_) * (1.0 + coeff)
+    newton = m * e2**2 / (2.0 * np_ * np_)
+    if qn.l == 0:
+        return newton * (1.0 - 2.0 * beta * m * e2 / np_)
+    return newton * (1.0 + 2.0 * beta**2 * m**2 * e2**2 / np_ * (1.0 / np_ - 1.0 / qn.l))
 
 
 def energy_3d_perturbative_ref(params: PhysicalParams, qn: QuantumNumbers) -> float:
     """External perturbative comparator for the l >= 1 spectrum.
 
-    Same prefactor as :func:`energy_3d_series` with bracket
+    Same prefactor as the l >= 1 :func:`energy_series` with bracket
     1/n' - 1/(l + 1/2) + 1/(2 l (l + 1/2)(l + 1)); the bracket vanishes
     identically at (n', l) = (2, 1).  Breaks down at l = 0.
     """

@@ -267,11 +267,8 @@ def integrate_orbit(
             f"orbit reached the collision floor r = {_COLLISION_FLOOR!r} at t = {t_hit!r}",
             t_last=t_last,
         )
-    if sol.status != 0:
-        message = sol.message or "integration failed"
-        if "step size" in message.lower():
-            raise StepUnderflow(message)
-        raise StepUnderflow(f"integrator stopped early: {message}")
+    if sol.status != 0:  # -1: the step size collapsed
+        raise StepUnderflow(sol.message)
 
     if not np.isfinite(sol.y).all():
         raise ValueError("orbit state components must be finite")

@@ -29,7 +29,6 @@ __all__ = [
     "QuantumNumbers",
     "EnergyWindow",
     "validate_params",
-    "dimensionless_deformation",
     "energy_window",
 ]
 
@@ -107,11 +106,6 @@ def validate_params(m: float, e2: float, beta: float) -> PhysicalParams:
     :class:`~snyder_coulomb.errors.NonFinite`, naming the offending field.
     """
     return PhysicalParams(float(m), float(e2), float(beta))
-
-
-def dimensionless_deformation(params: PhysicalParams) -> float:
-    """Natural expansion variable eps = beta * m * e2 of the deformed spectra."""
-    return params.beta * params.m * params.e2
 
 
 def energy_window(params: PhysicalParams, l: int) -> EnergyWindow:

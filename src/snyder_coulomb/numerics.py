@@ -29,17 +29,17 @@ fixed: the rule converges so fast that once the estimate meets any
 tolerance, the sum itself is at roundoff, so a tighter one would change no
 output, only the number of nodes.
 
-The energy solver has two routes.  The closed-form route is algebraic
-(``energy_1d_closed`` and ``energy_3d_closed``): no root search.  The
-quadrature route solves Phi(E) = 2 pi n for a whole table at once: each
-level's bracket starts around its undeformed level m e2^2 / (2 n'^2) and
-widens geometrically inside the energy window, then Illinois regula falsi
-runs in u = E^(-1/2), where Phi is exactly linear at beta = 0, with one
-array evaluation per round over the levels still open, until each bracket
-is ``ROOT_RTOL`` wide relative.  A level that fails records its error in
-its own row.  ``phase_integral_numeric`` and the numeric
-``solve_bs_energy`` are one-row calls of the same code, so this module
-loads no scipy.
+Every level has two routes.  The closed-form route is algebraic
+(``analytic.energy_closed``, which also decides whether a level is
+feasible): no root search.  The quadrature route solves Phi(E) = 2 pi n
+for a whole table at once: each level's bracket starts around its
+undeformed level m e2^2 / (2 n'^2) and widens geometrically inside the
+energy window, then Illinois regula falsi runs in u = E^(-1/2), where Phi
+is exactly linear at beta = 0, with one array evaluation per round over the
+levels still open, until each bracket is ``ROOT_RTOL`` wide relative.  A
+level that fails records its error in its own row.
+``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
+same code, so this module loads no scipy.
 
 All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.
@@ -56,10 +56,8 @@ import numpy as np
 from .analytic import (
     _infeasible,
     _window_top,
-    energy_1d_closed,
-    energy_1d_series,
-    energy_3d_closed,
-    energy_3d_series,
+    energy_closed,
+    energy_series,
     phase_integral_1d_closed,
     PhaseIntegralResult,
     radial_phase_integral_closed,
@@ -79,7 +77,7 @@ __all__ = [
     "CorrectionFit",
     "LLimitRow",
     "phase_integral_numeric",
-    "solve_bs_energy",
+    "energy_numeric",
     "spectrum_table",
     "correction_order",
     "l_limit_study",
@@ -238,11 +236,16 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> Pha
 
     A one-row call of :func:`_phase_rows`, which describes both rules.
     Must agree with the closed-form counterpart within quadrature
-    tolerance.  Raises OutOfWindow outside the window and
+    tolerance.  Raises OutOfWindow outside the window (at e_max, only
+    the circular-orbit endpoint is inside, with value 0) and
     ToleranceNotReached when the rule misses ``QUAD_RTOL``.
     """
-    window = energy_window(params, l if l >= 1 else 0)
-    if not window.contains(energy) and not (l >= 1 and energy == window.e_max):
+    window = energy_window(params, l)
+    # e_max itself is admitted where it is the circular-orbit bound (a band
+    # of zero width), not where it is the deformation pole
+    at_pole = 2.0 * params.beta**2 * params.m * energy >= 1.0
+    circular = l >= 1 and energy == window.e_max and not at_pole
+    if not (window.contains(energy) or circular):
         raise OutOfWindow(f"E={energy!r} outside window {window} at l={l}")
     value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]))
     if math.isnan(value[0]):
@@ -335,33 +338,17 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     ]
 
 
-def solve_bs_energy(
-    params: PhysicalParams, qn: QuantumNumbers, method: str = "closed_form"
-) -> float:
-    """Solve the quantization condition Phi(E) = 2 pi n for the level ``qn``.
+def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
+    """Root of the quadrature Phi(E) = 2 pi n for the level ``qn``.
 
-    ``method="closed_form"`` solves it algebraically: ``energy_1d_closed``
-    (checked against the window) for l = 0, ``energy_3d_closed`` for
-    l >= 1.  ``method="numeric"`` finds the root of the quadrature Phi as a
-    one-level call of the table solver: a bracket around the undeformed
+    A one-level call of the table solver: a bracket around the undeformed
     level E0 = m e2^2/(2 n'^2), widened geometrically inside the energy
     window, then Illinois regula falsi in u = E^(-1/2) to relative width
     ``ROOT_RTOL`` in E, on a quadrature Phi held to ``QUAD_RTOL``.  Raises
     NoRootInWindow when the level is infeasible at this deformation (no
-    root inside the window).
+    root inside the window) and ToleranceNotReached when the quadrature or
+    the root search misses its tolerance.
     """
-    if method not in ("closed_form", "numeric"):
-        raise ValueError(f"method must be 'closed_form' or 'numeric', got {method!r}")
-    n, l = qn.n, qn.l
-    window = energy_window(params, l)
-    if method == "closed_form":
-        if l >= 1:
-            return energy_3d_closed(params, qn)
-        energy = energy_1d_closed(params, n)
-        if not window.contains(energy):
-            raise _infeasible(params, qn)
-        return energy
-
     (energy,) = _solve_levels(params, [qn])
     if isinstance(energy, SnyderCoulombError):
         raise energy
@@ -373,7 +360,7 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
 
     Entries are ordered by (n', l).  The closed route solves one level at
     a time; the quadrature route solves every closed-feasible level in one
-    table-wide Illinois search (see :func:`solve_bs_energy`), one array
+    table-wide Illinois search (see :func:`_solve_levels`), one array
     evaluation of Phi per round.  Solver failures are recorded in-row and
     do not abort the table or move the other rows.
     """
@@ -387,7 +374,7 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     closed: list[float | SnyderCoulombError] = []
     for qn in levels:
         try:
-            closed.append(solve_bs_energy(params, qn, "closed_form"))
+            closed.append(energy_closed(params, qn))
         except SnyderCoulombError as exc:  # per-entry isolation
             closed.append(exc)
     feasible = [qn for qn, e in zip(levels, closed) if not isinstance(e, SnyderCoulombError)]
@@ -395,9 +382,7 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     entries: list[SpectrumEntry] = []
     for qn, e_closed in zip(levels, closed):
         e_newton = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
-        e_series = (
-            energy_1d_series(params, qn.n_prime) if qn.l == 0 else energy_3d_series(params, qn)
-        )
+        e_series = energy_series(params, qn)
         e_numeric = e_closed if isinstance(e_closed, SnyderCoulombError) else next(numeric)
         if isinstance(e_numeric, SnyderCoulombError):  # the closed failure, else the numeric one
             entries.append(SpectrumEntry(
@@ -434,7 +419,7 @@ def correction_order(
     log_b, log_c = [], []
     for beta in betas:
         deformed = PhysicalParams(params_base.m, params_base.e2, beta)
-        energy = solve_bs_energy(deformed, qn, "closed_form")
+        energy = energy_closed(deformed, qn)
         corr = abs(energy / e_ref - 1.0)
         if corr < NOISE_FLOOR:
             continue

@@ -17,17 +17,16 @@ from snyder_coulomb import (
     OrbitState,
     QuantumNumbers,
     correction_order,
-    energy_1d_closed,
-    energy_1d_series,
+    energy_closed,
     energy_3d_perturbative_ref,
-    energy_3d_series,
+    energy_numeric,
+    energy_series,
     integrate_orbit,
     phase_integral_1d_closed,
     phase_integral_numeric,
     poisson_bracket,
     precession_per_orbit,
     radial_phase_integral_closed,
-    solve_bs_energy,
     spectrum_table,
     validate_params,
 )
@@ -57,8 +56,8 @@ def test_criterion_1_undeformed_spectrum():
         expected = 1.0 / (2.0 * n_prime**2)
         for l in range(0, n_prime):
             qn = QuantumNumbers(n=n_prime - l, l=l)
-            closed = solve_bs_energy(params, qn, "closed_form")
-            numeric = solve_bs_energy(params, qn, "numeric")
+            closed = energy_closed(params, qn)
+            numeric = energy_numeric(params, qn)
             worst_closed = max(worst_closed, abs(closed / expected - 1.0))
             worst_numeric = max(worst_numeric, abs(numeric / expected - 1.0))
     report(
@@ -100,7 +99,7 @@ def test_criterion_3_1d_exact_channel():
     for beta in (0.0, 0.01, 0.1):
         params = validate_params(1, 1, beta)
         for n in range(1, 21):
-            energy = energy_1d_closed(params, n)
+            energy = energy_closed(params, QuantumNumbers(n))
             value = phase_integral_1d_closed(params, energy).value
             worst = max(worst, abs(value - TWO_PI * n) / (TWO_PI * n))
     # independent recomputation of the beta = 0.1, n = 1 root from the
@@ -108,7 +107,7 @@ def test_criterion_3_1d_exact_channel():
     roots = np.roots([0.1, 1.0, -1.0])
     u = float(roots[roots > 0][0])
     reference = u * u / 2.0
-    got = energy_1d_closed(validate_params(1, 1, 0.1), 1)
+    got = energy_closed(validate_params(1, 1, 0.1), QuantumNumbers(1))
     root_ok = abs(got - 0.4196011) <= 1e-6 and abs(got - reference) <= 1e-12
     report(
         3,
@@ -135,7 +134,7 @@ def test_criterion_4_series_validation():
         ratios = []
         for beta in betas:
             params = validate_params(1, 1, float(beta))
-            energy = solve_bs_energy(params, qn, "closed_form")
+            energy = energy_closed(params, qn)
             corr = energy / e_ref - 1.0
             ratios.append(corr / beta**order)
         coeff_fitted = float(np.exp(np.mean(np.log(np.abs(ratios))))) * math.copysign(
@@ -146,12 +145,8 @@ def test_criterion_4_series_validation():
         )
         # solved level against the truncated series at beta = 1e-3
         params = validate_params(1, 1, 1e-3)
-        solved = solve_bs_energy(params, qn, "closed_form")
-        series = (
-            energy_1d_series(params, qn.n)
-            if qn.l == 0
-            else energy_3d_series(params, qn)
-        )
+        solved = energy_closed(params, qn)
+        series = energy_series(params, qn)
         gap = abs(solved / series - 1.0)
         budget = 1e-5 if qn.l == 0 else 1e-8
         worst_match = max(worst_match, gap / budget)
@@ -213,8 +208,8 @@ def test_criterion_6_sign_claim():
 
 def test_criterion_7_degeneracy_breaking():
     params = validate_params(1, 1, 0.1)
-    e31 = solve_bs_energy(params, QuantumNumbers(2, 1))
-    e32 = solve_bs_energy(params, QuantumNumbers(1, 2))
+    e31 = energy_closed(params, QuantumNumbers(2, 1))
+    e32 = energy_closed(params, QuantumNumbers(1, 2))
     solver_tol = 1e-12 * abs(e31)
     split = abs(e31 - e32)
     report(

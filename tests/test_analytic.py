@@ -16,11 +16,9 @@ from snyder_coulomb import (
     OutOfWindow,
     QuantumNumbers,
     RequiresNonzeroL,
-    energy_1d_closed,
-    energy_1d_series,
-    energy_3d_closed,
+    energy_closed,
     energy_3d_perturbative_ref,
-    energy_3d_series,
+    energy_series,
     phase_integral_1d_closed,
     radial_phase_integral_closed,
     energy_window,
@@ -220,10 +218,12 @@ class TestRadialPhaseIntegral:
 
 class TestEnergy1D:
     def test_newtonian_ground_state(self):
-        assert energy_1d_closed(validate_params(1, 1, 0), 1) == pytest.approx(0.5, rel=1e-15)
+        assert energy_closed(validate_params(1, 1, 0), QuantumNumbers(1)) == pytest.approx(
+            0.5, rel=1e-15
+        )
 
     def test_deformed_ground_state(self):
-        got = energy_1d_closed(validate_params(1, 1, 0.1), 1)
+        got = energy_closed(validate_params(1, 1, 0.1), QuantumNumbers(1))
         assert got == pytest.approx(E_1D_BETA01_N1, rel=1e-14)
         # quadratic-root oracle, same equation solved by numpy
         roots = np.roots([0.1 * 1, 1, -1.0])
@@ -231,15 +231,42 @@ class TestEnergy1D:
         assert got == pytest.approx(float(u * u / 2.0), rel=1e-12)
 
     def test_newtonian_n3(self):
-        assert energy_1d_closed(validate_params(1, 1, 0), 3) == pytest.approx(1 / 18, rel=1e-15)
+        assert energy_closed(validate_params(1, 1, 0), QuantumNumbers(3)) == pytest.approx(
+            1 / 18, rel=1e-15
+        )
 
     def test_self_consistency_with_phase_integral(self):
         for beta in (0.0, 0.01, 0.1):
             params = validate_params(1, 1, beta)
             for n in range(1, 21):
-                energy = energy_1d_closed(params, n)
+                energy = energy_closed(params, QuantumNumbers(n))
                 value = phase_integral_1d_closed(params, energy).value
                 assert abs(value - 2 * PI * n) <= 1e-12 * 2 * PI * n
+
+    def test_closed_and_series_are_the_1d_formulas_bitwise(self):
+        # the quadratic root and the first-order series, written out; the
+        # level is feasible exactly when beta m e2 < 2n
+        for m, e2 in ((1.0, 1.0), (2.0, 0.7)):
+            for beta in (0.0, 1e-300, 1e-3, 0.05, 0.15, 0.9, 1.9):
+                params = validate_params(m, e2, beta)
+                for n in range(1, 21):
+                    if beta * m * e2 < 2 * n:
+                        u = 2.0 * m * e2 / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
+                        assert energy_closed(params, QuantumNumbers(n)) == u * u / (2.0 * m)
+                    else:
+                        with pytest.raises(NoRootInWindow):
+                            energy_closed(params, QuantumNumbers(n))
+                    series = m * e2**2 / (2.0 * n * n) * (1.0 - 2.0 * beta * m * e2 / n)
+                    assert energy_series(params, QuantumNumbers(n)) == series
+
+    @pytest.mark.parametrize("beta", [2.0, 5.0])
+    def test_level_at_or_past_the_pole_is_infeasible(self, beta):
+        # beta m e2 >= 2n: the quadratic root lies at or past the pole
+        params = validate_params(1, 1, beta)
+        u = 2.0 / (1 + math.sqrt(1 + 4.0 * beta))
+        assert u * u / 2.0 >= energy_window(params, 0).e_max
+        with pytest.raises(NoRootInWindow, match="level infeasible"):
+            energy_closed(params, QuantumNumbers(1))
 
 
 def level_reference(beta, qn):
@@ -288,24 +315,18 @@ class TestEnergy3D:
         params = validate_params(1, 1, 0)
         for n_prime in range(2, 12):
             for l in range(1, n_prime):
-                energy = energy_3d_closed(params, QuantumNumbers(n_prime - l, l))
+                energy = energy_closed(params, QuantumNumbers(n_prime - l, l))
                 assert energy == pytest.approx(0.5 / n_prime**2, rel=4.5e-16)
 
-    def test_requires_nonzero_l(self):
-        with pytest.raises(RequiresNonzeroL):
-            energy_3d_closed(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=0))
-
     def test_closed_levels_match_50_digit_references(self):
-        # <= 4 ulp over the grid, the 1D channel through energy_1d_closed
+        # <= 4 ulp over the grid, both channels
         worst = 0.0
         for beta in (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.9):
             params = validate_params(1, 1, beta)
             for n_prime in (1, 2, 3, 5, 8, 13, 21, 34, 50):
                 for l in sorted({0, 1, 2, n_prime // 2, n_prime - 1} & set(range(n_prime))):
                     qn = QuantumNumbers(n_prime - l, l)
-                    energy = (
-                        energy_1d_closed(params, qn.n) if l == 0 else energy_3d_closed(params, qn)
-                    )
+                    energy = energy_closed(params, qn)
                     ref = level_reference(beta, qn)
                     worst = max(worst, float(abs(energy - ref) / ref))
         assert worst <= 9e-16
@@ -317,7 +338,7 @@ class TestEnergy3D:
         assert np.polyval([4 * n * (n + l) * beta**2, 0, -4 * n * (n + l),
                            4 * (2 * n + l), -4], 1 / beta) == pytest.approx(0, abs=1e-12)
         with pytest.raises(NoRootInWindow, match="level infeasible"):
-            energy_3d_closed(validate_params(1, 1, beta), qn)
+            energy_closed(validate_params(1, 1, beta), qn)
 
     def test_one_admissible_quartic_root_exactly_when_feasible(self):
         for beta in [*np.linspace(0.01, 5, 120), 0.9, 3.0]:
@@ -327,7 +348,7 @@ class TestEnergy3D:
                     qn = QuantumNumbers(n_prime - l, l)
                     roots = admissible_quartic_roots(beta, qn)
                     try:
-                        energy = energy_3d_closed(params, qn)
+                        energy = energy_closed(params, qn)
                     except NoRootInWindow:
                         assert roots == [], (beta, qn)
                         continue
@@ -338,15 +359,15 @@ class TestEnergy3D:
 
 class TestEnergySeries:
     def test_1d_series_values(self):
-        assert energy_1d_series(validate_params(1, 1, 0.1), 1) == pytest.approx(0.4, rel=1e-15)
-        assert energy_1d_series(validate_params(1, 1, 0), 2) == pytest.approx(0.125, rel=1e-15)
-        assert energy_1d_series(validate_params(1, 1, 0.01), 1) == pytest.approx(0.49, rel=1e-15)
+        for beta, n, expected in ((0.1, 1, 0.4), (0, 2, 0.125), (0.01, 1, 0.49)):
+            got = energy_series(validate_params(1, 1, beta), QuantumNumbers(n))
+            assert got == pytest.approx(expected, rel=1e-15)
 
     def test_3d_series_values(self):
-        assert energy_3d_series(
+        assert energy_series(
             validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=1)
         ) == pytest.approx(0.1243750, rel=1e-15)
-        assert energy_3d_series(
+        assert energy_series(
             validate_params(1, 1, 0), QuantumNumbers(n=1, l=2)
         ) == pytest.approx(1 / 18, rel=1e-15)
 
@@ -356,19 +377,15 @@ class TestEnergySeries:
         params = validate_params(1, 1, 0.1)
         n_prime = 5
         deficits = [
-            abs(energy_3d_series(params, QuantumNumbers(n=n_prime - l, l=l)) - 0.02)
+            abs(energy_series(params, QuantumNumbers(n=n_prime - l, l=l)) - 0.02)
             for l in range(1, n_prime)
         ]
         assert all(a > b for a, b in zip(deficits, deficits[1:]))
 
-    def test_3d_series_requires_nonzero_l(self):
-        with pytest.raises(RequiresNonzeroL):
-            energy_3d_series(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=0))
-
     def test_3d_degeneracy_breaking(self):
         params = validate_params(1, 1, 0.1)
-        e31 = energy_3d_series(params, QuantumNumbers(n=2, l=1))
-        e32 = energy_3d_series(params, QuantumNumbers(n=1, l=2))
+        e31 = energy_series(params, QuantumNumbers(n=2, l=1))
+        e32 = energy_series(params, QuantumNumbers(n=1, l=2))
         assert e31 != pytest.approx(e32, rel=1e-12)
         # both are lowered relative to the undeformed level
         assert e31 < 1 / 18 and e32 < 1 / 18

@@ -16,6 +16,7 @@ from snyder_coulomb import (
     CollisionSingularity,
     InsufficientPeriods,
     OrbitState,
+    StepUnderflow,
     equations_of_motion,
     hamiltonian_gradients,
     integrate_orbit,
@@ -326,6 +327,19 @@ class TestIntegrateOrbit:
 
         monkeypatch.setattr(dynamics, "solve_ivp", poisoned)
         with pytest.raises(ValueError, match="must be finite"):
+            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
+
+    def test_collapsed_step_raises_step_underflow(self, monkeypatch):
+        solve = dynamics.solve_ivp
+        message = "Required step size is less than spacing between numbers."
+
+        def collapsed(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            sol.status, sol.message = -1, message
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", collapsed)
+        with pytest.raises(StepUnderflow, match="Required step size"):
             integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
 
     @pytest.mark.parametrize("beta,p2", [(0.0, 1e200), (1.0, 1e155)])

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from snyder_coulomb import (
@@ -13,7 +12,6 @@ from snyder_coulomb import (
     NonPositiveMass,
     PhysicalParams,
     QuantumNumbers,
-    dimensionless_deformation,
     energy_window,
     validate_params,
 )
@@ -62,29 +60,6 @@ class TestQuantumNumbers:
     def test_integrality_guard(self):
         with pytest.raises(ValueError):
             QuantumNumbers(n=1.5, l=0)
-
-
-class TestDimensionlessDeformation:
-    def test_unit_scale(self):
-        assert dimensionless_deformation(validate_params(1, 1, 0.1)) == pytest.approx(0.1)
-
-    def test_generic_product(self):
-        assert dimensionless_deformation(validate_params(2, 3, 0.5)) == pytest.approx(3.0)
-
-    def test_undeformed(self):
-        assert dimensionless_deformation(validate_params(1, 1, 0)) == 0.0
-
-    def test_linearity_in_each_argument(self):
-        rng = np.random.default_rng(20240817)
-        for _ in range(50):
-            m, e2, beta = rng.uniform(0.1, 5.0, size=3)
-            base = dimensionless_deformation(validate_params(m, e2, beta))
-            for scaled in (
-                dimensionless_deformation(validate_params(2 * m, e2, beta)),
-                dimensionless_deformation(validate_params(m, 2 * e2, beta)),
-                dimensionless_deformation(validate_params(m, e2, 2 * beta)),
-            ):
-                assert scaled == pytest.approx(2 * base, rel=1e-14)
 
 
 class TestEnergyWindow:

@@ -13,13 +13,13 @@ from snyder_coulomb import (
     QuantumNumbers,
     ToleranceNotReached,
     correction_order,
-    energy_1d_closed,
-    energy_3d_series,
+    energy_closed,
+    energy_numeric,
+    energy_series,
     l_limit_study,
     phase_integral_1d_closed,
     phase_integral_numeric,
     radial_phase_integral_closed,
-    solve_bs_energy,
     spectrum_table,
     energy_window,
     validate_params,
@@ -139,6 +139,30 @@ class TestPhaseIntegralNumeric:
         with pytest.raises(OutOfWindow):
             phase_integral_numeric(validate_params(1, 1, 0), 0.6, 1)
 
+    @pytest.mark.parametrize("beta,l", [(2.0, 1), (2.0, 2), (1.0, 1), (3.0, 3)])
+    def test_both_routes_reject_the_pole(self, beta, l):
+        # e_max is the pole 1/(2 beta^2 m) here, not the circular-orbit bound
+        # (at beta = 1, l = 1 the two coincide)
+        params = validate_params(1, 1, beta)
+        pole = energy_window(params, l).e_max
+        assert pole == 1.0 / (2.0 * beta**2)
+        with pytest.raises(OutOfWindow):
+            radial_phase_integral_closed(params, pole, l)
+        with pytest.raises(OutOfWindow):
+            phase_integral_numeric(params, pole, l)
+
+    @pytest.mark.parametrize("beta,l", [(0.0, 1), (0.1, 2), (0.9, 1), (2.0, 5)])
+    def test_both_routes_vanish_at_the_circular_endpoint(self, beta, l):
+        params = validate_params(1, 1, beta)
+        top = energy_window(params, l).e_max
+        assert top == 1.0 / (2.0 * l * l)
+        assert radial_phase_integral_closed(params, top, l).value == 0.0
+        assert phase_integral_numeric(params, top, l).value == 0.0
+
+    def test_negative_l_fails_the_window_check(self):
+        with pytest.raises(ValueError, match="l must be >= 0"):
+            phase_integral_numeric(validate_params(1, 1, 0), 0.1, -1)
+
     def test_oracle_equivalence_grid(self):
         # matches the closed form over >= 100 tuples spanning l in 0..3 and
         # beta in {0, 0.01, 0.05, 0.1}
@@ -163,12 +187,14 @@ class TestPhaseIntegralNumeric:
 
 
 class TestSolveBsEnergy:
+    """The two routes to a level: energy_closed and energy_numeric."""
+
     def test_newtonian_p_level(self):
-        energy = solve_bs_energy(validate_params(1, 1, 0), QuantumNumbers(n=1, l=1))
+        energy = energy_closed(validate_params(1, 1, 0), QuantumNumbers(n=1, l=1))
         assert energy == pytest.approx(0.125, rel=1e-10)
 
     def test_deformed_p_level_against_series(self):
-        energy = solve_bs_energy(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=1))
+        energy = energy_closed(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=1))
         assert energy == pytest.approx(0.1243834369668, rel=1e-10)
         # the first-order series 0.1243750 is off only at order beta^4
         assert energy == pytest.approx(0.1243750, abs=2e-5)
@@ -179,29 +205,29 @@ class TestSolveBsEnergy:
         residuals = []
         for beta in betas:
             params = validate_params(1, 1, beta)
-            energy = solve_bs_energy(params, qn)
-            residuals.append(abs(energy / energy_3d_series(params, qn) - 1.0))
+            energy = energy_closed(params, qn)
+            residuals.append(abs(energy / energy_series(params, qn) - 1.0))
         slope = np.polyfit(np.log(betas), np.log(residuals), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.15)
 
     def test_deformed_s_channel_numeric_matches_exact(self):
         params = validate_params(1, 1, 0.1)
-        energy = solve_bs_energy(params, QuantumNumbers(n=1, l=0), "numeric")
-        assert energy == pytest.approx(energy_1d_closed(params, 1), rel=1e-8)
+        energy = energy_numeric(params, QuantumNumbers(n=1, l=0))
+        assert energy == pytest.approx(energy_closed(params, QuantumNumbers(1)), rel=1e-8)
         assert energy == pytest.approx(0.4196011, abs=1e-6)
 
     def test_methods_agree(self):
         params = validate_params(1, 1, 0.05)
         for qn in (QuantumNumbers(2, 0), QuantumNumbers(1, 1), QuantumNumbers(2, 1)):
-            closed = solve_bs_energy(params, qn, "closed_form")
-            numeric = solve_bs_energy(params, qn, "numeric")
+            closed = energy_closed(params, qn)
+            numeric = energy_numeric(params, qn)
             assert numeric == pytest.approx(closed, rel=1e-8)
 
     def test_residual_of_quantization_condition(self):
         for beta in (0.0, 0.01, 0.1):
             params = validate_params(1, 1, beta)
             for qn in (QuantumNumbers(1, 0), QuantumNumbers(1, 1), QuantumNumbers(3, 2)):
-                energy = solve_bs_energy(params, qn)
+                energy = energy_closed(params, qn)
                 phi = (
                     phase_integral_1d_closed(params, energy).value
                     if qn.l == 0
@@ -212,11 +238,7 @@ class TestSolveBsEnergy:
     def test_no_root_at_strong_deformation(self):
         # the 1D loop at the window top is pi*beta*m*e2 = 3 pi > 2 pi n
         with pytest.raises(NoRootInWindow):
-            solve_bs_energy(validate_params(1, 1, 3.0), QuantumNumbers(n=1, l=0))
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            solve_bs_energy(validate_params(1, 1, 0), QuantumNumbers(1, 0), "magic")
+            energy_closed(validate_params(1, 1, 3.0), QuantumNumbers(n=1, l=0))
 
     def test_infeasible_levels_are_those_without_a_sign_change(self):
         # The closed route decides feasibility algebraically.  The oracle is
@@ -238,7 +260,7 @@ class TestSolveBsEnergy:
                     if phi.value >= 2 * PI * qn.n:
                         expected.add((beta, qn))
                     try:
-                        solve_bs_energy(params, qn)
+                        energy_closed(params, qn)
                     except NoRootInWindow:
                         infeasible.add((beta, qn))
         assert infeasible == expected
@@ -306,9 +328,9 @@ class TestTableSolver:
         for entry in spectrum_table(params, 8):
             if entry.error is not None:
                 with pytest.raises(NoRootInWindow):
-                    solve_bs_energy(params, entry.qn, "closed_form")
+                    energy_closed(params, entry.qn)
                 continue
-            alone = solve_bs_energy(params, entry.qn, "numeric")
+            alone = energy_numeric(params, entry.qn)
             assert abs(entry.e_numeric / alone - 1.0) <= 2 * 1e-12
             assert abs(entry.e_numeric / entry.e_closed - 1.0) <= 1e-11
 
