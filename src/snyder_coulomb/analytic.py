@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoRootInWindow, OutOfWindow, RequiresNonzeroL
-from .model import PhysicalParams, QuantumNumbers, energy_window
+from .errors import NoRootInWindow, RequiresNonzeroL
+from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window
 
 __all__ = [
     "TurningPoints",
@@ -51,10 +51,6 @@ __all__ = [
 ]
 
 PI = math.pi
-
-# Relative slack for the turning-point discriminant: energies computed as
-# exactly the circular-orbit bound may land a few ulp past it.
-_DISC_SLACK = 4e-15
 
 # Newton on the level quartic stops once a step is below this fraction of
 # the root: at most eight evaluations of the quartic on n' <= 50,
@@ -88,39 +84,21 @@ class PhaseIntegralResult:
     err_estimate: float | None = None
 
 
-def _check_pole(params: PhysicalParams, energy: float) -> float:
-    """Return W = 1 - 2 beta^2 m E, raising when at or past the pole."""
-    w = 1.0 - 2.0 * params.beta**2 * params.m * energy
-    if w <= 0.0:
-        raise OutOfWindow(
-            f"E={energy!r} at or beyond the deformation pole 1/(2 beta^2 m)"
-            f" = {1.0 / (2.0 * params.beta**2 * params.m)!r}"
-        )
-    return w
-
-
 def turning_points(params: PhysicalParams, energy: float, l: float) -> TurningPoints:
     """Turning points of the radial-momentum band for angular momentum l.
 
     ``l`` may be any positive real; quantized callers pass integers >= 1.
+    Raises OutOfWindow where ``check_energy`` does; the bound it admits is
+    exactly q/2 (q = m e2^2/l^2), so the discriminant m (q - 2E) is >= 0.
     z_plus is evaluated directly, z_minus through the exact product
     z_minus z_plus = (2mE)^2 to avoid cancellation at small E.
     """
     if not l > 0:
         raise ValueError(f"l must be > 0, got {l!r}")
-    if not energy > 0:
-        raise OutOfWindow(f"binding energy must be > 0, got {energy!r}")
+    check_energy(params, energy, l)
     m, e2 = params.m, params.e2
     q = m * e2**2 / (l * l)
-    disc = m * (q - 2.0 * energy)
-    if disc < 0.0:
-        if disc >= -_DISC_SLACK * m * q:
-            disc = 0.0
-        else:
-            raise OutOfWindow(
-                f"E={energy!r} exceeds the circular-orbit bound {q / 2.0!r} at l={l!r}"
-            )
-    s = math.sqrt(disc)
+    s = math.sqrt(m * (q - 2.0 * energy))
     z_plus = 2.0 * m * (q - energy + (e2 / l) * s)
     z_minus = (2.0 * m * energy) ** 2 / z_plus
     return TurningPoints(z_minus=z_minus, z_plus=z_plus, degenerate=(s == 0.0))
@@ -130,11 +108,9 @@ def phase_integral_1d_closed(params: PhysicalParams, energy: float) -> PhaseInte
     """Closed form of the 1D loop integral over the deformed one-form.
 
     Equals pi*sqrt(2 m e2^2/E) at beta = 0 and is strictly decreasing in E
-    on the energy window.
+    on the energy window.  Raises OutOfWindow outside it (``check_energy``).
     """
-    window = energy_window(params, 0)
-    if not window.contains(energy):
-        raise OutOfWindow(f"E={energy!r} outside 1D window {window}")
+    check_energy(params, energy, 0)
     m, e2, beta = params.m, params.e2, params.beta
     value = PI * math.sqrt(2.0 * m * e2**2 / energy) / (1.0 + beta * math.sqrt(2.0 * m * energy))
     return PhaseIntegralResult(value=value, kind="closed_form")
@@ -153,14 +129,14 @@ def radial_phase_integral_closed(
     At beta = 0 this reduces to pi*(sqrt(2 m e2^2/E) - 2 l) along the same
     code path.  At the circular-orbit endpoint (degenerate turning points)
     the band has zero width and the integral is exactly zero; 0 is returned
-    rather than raised.  ``l`` may be fractional, which is used by the
+    rather than raised.  Raises OutOfWindow outside the window, through
+    :func:`turning_points`.  ``l`` may be fractional, which is used by the
     small-l limit study.
     """
-    tp = turning_points(params, energy, l)
-    w = _check_pole(params, energy)
-    if tp.degenerate:
+    if turning_points(params, energy, l).degenerate:
         return PhaseIntegralResult(value=0.0, kind="closed_form")
     m, e2, beta = params.m, params.e2, params.beta
+    w = 1.0 - 2.0 * beta**2 * m * energy
     value = PI * (
         math.sqrt(2.0 * m * e2**2 / energy) / w
         - l * (1.0 + math.sqrt(1.0 + 4.0 * beta**2 * m**2 * e2**2 / (l * l * w * w)))
@@ -201,7 +177,7 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
     if l == 0:
         u = a / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
         energy = u * u / (2.0 * m)
-        if not energy_window(params, 0).contains(energy):
+        if not 0.0 < energy < energy_window(params, 0):
             raise _infeasible(params, qn)
         return energy
     big_n, k = 2 * n + l, 4 * n * (n + l)
@@ -229,7 +205,7 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
 def _window_top(params: PhysicalParams, l: int) -> float:
     """The highest energy a level's root search evaluates: just below e_max."""
-    return energy_window(params, l).e_max * (1.0 - 1e-9)
+    return energy_window(params, l) * (1.0 - 1e-9)
 
 
 def _infeasible(
@@ -250,7 +226,7 @@ def _infeasible(
         residual = phi.value - 2.0 * PI * qn.n
     return NoRootInWindow(
         f"Phi(E) - 2 pi n = {residual!r} does not change sign inside "
-        f"(0, {energy_window(params, qn.l).e_max!r}) for {qn}: level infeasible at "
+        f"(0, {energy_window(params, qn.l)!r}) for {qn}: level infeasible at "
         f"beta={params.beta!r}"
     )
 

@@ -24,6 +24,8 @@ mirroring the long flag names (for example ``n-prime-max = 4``).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -125,17 +127,12 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _csv_quote(text: str) -> str:
-    if any(ch in text for ch in (",", '"', "\n")):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_quote(_fmt(cell)) for cell in row))
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    return buffer.getvalue()
 
 
 def _json_value(value: Any, indent: int) -> str:
@@ -239,8 +236,7 @@ def _cell_energies(params, l: int, count: int) -> list[float]:
     # Cap the generated energies at the Coulomb scale m e2^2 so the l = 0
     # cells stay in the physically interesting range even when the window
     # itself only closes at the (much higher) deformation pole.
-    window = energy_window(params, l)
-    scale = min(window.e_max, params.m * params.e2**2)
+    scale = min(energy_window(params, l), params.m * params.e2**2)
     return [float(f) * scale for f in np.linspace(0.05, 0.95, count)]
 
 
@@ -254,10 +250,11 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     for beta in cfg["beta_grid"]:
         params = validate_params(cfg["m"], cfg["e2"], beta)
         for l in cfg["l_grid"]:
-            window = energy_window(params, l)
+            # the open window: at a circular endpoint Phi = 0 and rel_dev is undefined
+            e_max = energy_window(params, l)
             energies = cfg["e_grid"] or _cell_energies(params, l, cfg["energies_per_cell"])
             for energy in energies:
-                if not window.contains(energy):
+                if not 0.0 < energy < e_max:
                     skipped += 1
                     continue
                 if l == 0:

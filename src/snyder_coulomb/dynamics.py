@@ -74,18 +74,15 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class OrbitState:
-    """Planar cartesian phase-space point (x1, x2, p1, p2) at time t."""
+    """Planar cartesian phase-space point (x1, x2, p1, p2)."""
 
     x1: float
     x2: float
     p1: float
     p2: float
-    t: float = 0.0
 
     def __post_init__(self):
-        if not all(
-            math.isfinite(v) for v in (self.x1, self.x2, self.p1, self.p2, self.t)
-        ):
+        if not all(math.isfinite(v) for v in (self.x1, self.x2, self.p1, self.p2)):
             raise ValueError("orbit state components must be finite")
         if self.x1 == 0.0 and self.x2 == 0.0:
             raise ValueError("collision state r = 0 rejected")
@@ -208,7 +205,7 @@ def integrate_orbit(
     local_tol: float = 1e-10,
     n_samples: int | None = None,
 ) -> Trajectory:
-    """Integrate the deformed flow from ``state0`` for ``t_end`` time units.
+    """Integrate the deformed flow from ``state0`` at t = 0 to t = ``t_end``.
 
     Adaptive DOP853 with rtol = atol = ``local_tol``.  The trajectory is
     sampled on a uniform grid (default about 60 samples per unit time), on
@@ -272,8 +269,8 @@ def integrate_orbit(
 
     if not np.isfinite(sol.y).all():
         raise ValueError("orbit state components must be finite")
-    samples = _records(state0.t + sol.t, sol.y)
-    perihelia = _records(state0.t + sol.t_events[1], sol.y_events[1].reshape(-1, 4).T)
+    samples = _records(sol.t, sol.y)
+    perihelia = _records(sol.t_events[1], sol.y_events[1].reshape(-1, 4).T)
 
     h, j = invariants(samples, params)
     h_drift = float(np.max(np.abs(h - h[0])) / max(abs(h[0]), 1e-300))

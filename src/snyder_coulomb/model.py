@@ -7,9 +7,9 @@ Snyder deformation parameter ``beta`` has dimension of inverse momentum;
 ``beta = 0`` recovers ordinary mechanics.
 
 Every downstream formula assumes a positive binding energy ``E`` (total
-energy ``-E``) restricted to the window returned by :func:`energy_window`:
+energy ``-E``) in the window that :func:`check_energy` alone decides:
 
-* ``l >= 1`` orbits require real turning points, ``E <= m*e2**2/(2*l**2)``;
+* ``l > 0`` orbits require real turning points, ``E <= m*e2**2/(2*l**2)``;
 * ``beta > 0`` additionally requires ``1 - 2*beta**2*m*E > 0``, the pole of
   the deformed radial closed form.
 
@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NegativeBeta, NonFinite, NonPositiveCoupling, NonPositiveMass
+from .errors import NegativeBeta, NonFinite, NonPositiveCoupling, NonPositiveMass, OutOfWindow
 
 __all__ = [
     "PhysicalParams",
     "QuantumNumbers",
-    "EnergyWindow",
     "validate_params",
     "energy_window",
+    "check_energy",
 ]
 
 
@@ -82,21 +82,6 @@ class QuantumNumbers:
         return self.n + self.l
 
 
-@dataclass(frozen=True)
-class EnergyWindow:
-    """Open interval (e_min, e_max) of admissible binding energies.
-
-    ``e_min`` is always 0 (exclusive).  ``e_max`` is ``math.inf`` when no
-    bound applies (l = 0, beta = 0).
-    """
-
-    e_min: float
-    e_max: float
-
-    def contains(self, energy: float) -> bool:
-        return self.e_min < energy < self.e_max
-
-
 def validate_params(m: float, e2: float, beta: float) -> PhysicalParams:
     """Build :class:`PhysicalParams` from raw numbers, guarding the domain.
 
@@ -108,19 +93,32 @@ def validate_params(m: float, e2: float, beta: float) -> PhysicalParams:
     return PhysicalParams(float(m), float(e2), float(beta))
 
 
-def energy_window(params: PhysicalParams, l: int) -> EnergyWindow:
-    """Binding-energy window for angular momentum ``l``.
+def energy_window(params: PhysicalParams, l: float) -> float:
+    """Top e_max of the binding-energy window 0 < E < e_max for angular momentum ``l``.
 
-    Increasing ``l`` or ``beta`` can only shrink the window.  A beta so
-    small that 2 beta^2 m underflows to 0 puts the pole at infinity: no cap.
+    The lower of the circular-orbit bound m e2^2/(2 l^2) (``l > 0``) and the
+    pole 1/(2 beta^2 m), or ``math.inf``; it can only fall as ``l`` or
+    ``beta`` grows.  A 2 beta^2 m that underflows to 0 puts the pole at inf.
     """
-    if l < 0:
+    if not l >= 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    caps = []
-    if l >= 1:
-        caps.append(params.m * params.e2**2 / (2.0 * l * l))
+    e_max = params.m * params.e2**2 / (2.0 * l * l) if l > 0 else math.inf
     pole = 2.0 * params.beta**2 * params.m
-    if pole > 0:
-        caps.append(1.0 / pole)
-    e_max = min(caps) if caps else math.inf
-    return EnergyWindow(e_min=0.0, e_max=e_max)
+    # the lower cap, without min(): this runs on every turning_points call
+    return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
+
+
+def check_energy(params: PhysicalParams, energy: float, l: float) -> None:
+    """Raise OutOfWindow unless ``energy`` is an admissible binding energy for ``l``.
+
+    Admissible are 0 < E < e_max (:func:`energy_window`) and E = e_max where
+    e_max is the circular-orbit bound of an ``l > 0`` channel lying below
+    the pole: there the band has zero width and every phase integral is 0.
+    Where the bound coincides with the pole, e_max is the pole and raises.
+    """
+    e_max = energy_window(params, l)
+    if 0.0 < energy < e_max:
+        return
+    pole = 2.0 * params.beta**2 * params.m
+    if not (l > 0 and energy == e_max and (pole == 0.0 or energy < 1.0 / pole)):
+        raise OutOfWindow(f"E={energy!r} outside the window (0, {e_max!r}) at l={l!r}")

@@ -70,7 +70,7 @@ from .errors import (
     SnyderCoulombError,
     ToleranceNotReached,
 )
-from .model import PhysicalParams, QuantumNumbers, energy_window
+from .model import PhysicalParams, QuantumNumbers, check_energy
 
 __all__ = [
     "SpectrumEntry",
@@ -236,17 +236,11 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> Pha
 
     A one-row call of :func:`_phase_rows`, which describes both rules.
     Must agree with the closed-form counterpart within quadrature
-    tolerance.  Raises OutOfWindow outside the window (at e_max, only
-    the circular-orbit endpoint is inside, with value 0) and
-    ToleranceNotReached when the rule misses ``QUAD_RTOL``.
+    tolerance.  Raises OutOfWindow at the points where the closed forms do
+    (``check_energy``; the circular-orbit endpoint is inside, with value 0)
+    and ToleranceNotReached when the rule misses ``QUAD_RTOL``.
     """
-    window = energy_window(params, l)
-    # e_max itself is admitted where it is the circular-orbit bound (a band
-    # of zero width), not where it is the deformation pole
-    at_pole = 2.0 * params.beta**2 * params.m * energy >= 1.0
-    circular = l >= 1 and energy == window.e_max and not at_pole
-    if not (window.contains(energy) or circular):
-        raise OutOfWindow(f"E={energy!r} outside window {window} at l={l}")
+    check_energy(params, energy, l)
     value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]))
     if math.isnan(value[0]):
         raise _missed(err[0])
@@ -405,8 +399,10 @@ def correction_order(
     fits log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
     channel has slope 1, the l >= 1 channels slope 2.  Grid points with a
     correction below ``NOISE_FLOOR`` are excluded; fewer than two usable
-    points raise DegenerateFit.
+    points raise DegenerateFit.  ``params_base.beta`` must be 0.
     """
+    if params_base.beta != 0.0:
+        raise ValueError(f"params_base.beta must be 0, got {params_base.beta!r}")
     betas = [float(b) for b in beta_grid]
     if len(betas) < 4:
         raise ValueError("beta_grid needs at least 4 points")

@@ -264,7 +264,7 @@ class TestEnergy1D:
         # beta m e2 >= 2n: the quadratic root lies at or past the pole
         params = validate_params(1, 1, beta)
         u = 2.0 / (1 + math.sqrt(1 + 4.0 * beta))
-        assert u * u / 2.0 >= energy_window(params, 0).e_max
+        assert u * u / 2.0 >= energy_window(params, 0)
         with pytest.raises(NoRootInWindow, match="level infeasible"):
             energy_closed(params, QuantumNumbers(1))
 
@@ -354,7 +354,7 @@ class TestEnergy3D:
                         continue
                     assert len(roots) == 1, (beta, qn, roots)
                     assert math.sqrt(2 * energy) == pytest.approx(roots[0], rel=1e-9)
-                    assert 0 < energy < energy_window(params, l).e_max
+                    assert 0 < energy < energy_window(params, l)
 
 
 class TestEnergySeries:

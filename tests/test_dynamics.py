@@ -284,18 +284,12 @@ class TestIntegrateOrbit:
         assert traj.samples.tolist() == [(0.0, 2.0, 0.0, 0.0, 0.5)]
         assert (traj.h_drift, traj.j_drift) == (0.0, 0.0)
 
-    def test_start_time_shifts_sample_times(self):
-        start = OrbitState(2.0, 0.0, 0.0, 0.5, t=5.0)
-        traj = integrate_orbit(start, validate_params(1, 1, 0.05), 3.0, n_samples=7)
-        assert traj.samples.t[0] == 5.0
-        assert traj.samples.t[-1] == 5.0 + 3.0
-
     def test_sample_invariants_match_per_state_formula(self):
         params = validate_params(1, 1, 0.05)
         traj = integrate_orbit(ECCENTRIC, params, 2 * T_ECC, n_samples=200)
         h, j = invariants(traj.samples, params)
         per_state = [
-            invariants(OrbitState(s.x1, s.x2, s.p1, s.p2, s.t), params)
+            invariants(OrbitState(s.x1, s.x2, s.p1, s.p2), params)
             for s in traj.samples
         ]
         assert h.shape == j.shape == (200,)

@@ -5,13 +5,14 @@ import math
 import pytest
 
 from snyder_coulomb import (
-    EnergyWindow,
     NegativeBeta,
     NonFinite,
     NonPositiveCoupling,
     NonPositiveMass,
+    OutOfWindow,
     PhysicalParams,
     QuantumNumbers,
+    check_energy,
     energy_window,
     validate_params,
 )
@@ -64,43 +65,55 @@ class TestQuantumNumbers:
 
 class TestEnergyWindow:
     def test_circular_orbit_bound(self):
-        window = energy_window(validate_params(1, 1, 0), 1)
-        assert window == EnergyWindow(0.0, 0.5)
+        # m e2^2 / (2 l^2) caps every l > 0 channel, a fractional l included
+        assert energy_window(validate_params(1, 1, 0), 1) == 0.5
+        assert energy_window(validate_params(1, 1, 0), 0.5) == 2.0
 
     def test_angular_cap_wins_over_weak_deformation(self):
         # 1/(2 beta^2 m) = 50 is far above the circular bound 0.5.
-        window = energy_window(validate_params(1, 1, 0.1), 1)
-        assert window.e_max == pytest.approx(0.5, rel=1e-15)
+        e_max = energy_window(validate_params(1, 1, 0.1), 1)
+        assert e_max == pytest.approx(0.5, rel=1e-15)
 
     def test_deformation_pole_caps_the_s_channel(self):
-        window = energy_window(validate_params(1, 1, 2.0), 0)
-        assert window.e_max == pytest.approx(0.125, rel=1e-15)
+        e_max = energy_window(validate_params(1, 1, 2.0), 0)
+        assert e_max == pytest.approx(0.125, rel=1e-15)
 
     def test_unbounded_newtonian_s_channel(self):
-        window = energy_window(validate_params(1, 1, 0), 0)
-        assert math.isinf(window.e_max)
+        assert math.isinf(energy_window(validate_params(1, 1, 0), 0))
 
     def test_underflowed_pole_is_no_cap(self):
         # 2 beta^2 m underflows to 0 at beta = 1e-200: the pole is at infinity
         params = validate_params(1, 1, 1e-200)
-        assert energy_window(params, 0).e_max == math.inf
-        assert energy_window(params, 2).e_max == energy_window(validate_params(1, 1, 0), 2).e_max
+        assert energy_window(params, 0) == math.inf
+        assert energy_window(params, 2) == energy_window(validate_params(1, 1, 0), 2)
 
-    def test_contains_is_open(self):
-        window = energy_window(validate_params(1, 1, 0), 1)
-        assert window.contains(0.3)
-        assert not window.contains(0.0)
-        assert not window.contains(0.5)
+    def test_check_is_open_but_for_the_circular_endpoint(self):
+        params = validate_params(1, 1, 0)
+        check_energy(params, 0.3, 1)
+        check_energy(params, 0.5, 1)  # the circular orbit: a band of zero width
+        for energy in (0.0, -1.0, math.nan, math.nextafter(0.5, 1.0)):
+            with pytest.raises(OutOfWindow):
+                check_energy(params, energy, 1)
+        # the pole is never admitted: not where it equals the circular bound,
+        # not at l = 0, and not where 49 * fl(1/49) rounds below 1
+        for params, energy, l in [
+            (validate_params(1, 1, 1.0), 0.5, 1),
+            (validate_params(1, 1, 2.0), 0.125, 0),
+            (validate_params(24.5, 1, 1.0), 1.0 / 49.0, 1),
+        ]:
+            assert energy == energy_window(params, l)
+            with pytest.raises(OutOfWindow):
+                check_energy(params, energy, l)
 
     def test_monotone_in_l_and_beta(self):
         for m, e2 in [(1.0, 1.0), (2.0, 0.7)]:
             for beta in [0.0, 0.05, 0.3, 1.0]:
                 params = validate_params(m, e2, beta)
-                caps = [energy_window(params, l).e_max for l in range(0, 6)]
+                caps = [energy_window(params, l) for l in range(0, 6)]
                 assert all(a >= b for a, b in zip(caps, caps[1:]))
         for l in range(0, 4):
             caps = [
-                energy_window(validate_params(1, 1, beta), l).e_max
+                energy_window(validate_params(1, 1, beta), l)
                 for beta in [0.0, 0.01, 0.1, 1.0, 3.0]
             ]
             assert all(a >= b for a, b in zip(caps, caps[1:]))

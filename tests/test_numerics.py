@@ -71,7 +71,7 @@ class TestIntegrateBand:
 
     def test_degenerate_band_is_zero(self):
         params = validate_params(1, 1, 0.1)
-        top = energy_window(params, 2).e_max
+        top = energy_window(params, 2)
         res = phase_integral_numeric(params, top, 2)
         assert (res.value, res.err_estimate) == (0.0, 0.0)
 
@@ -91,7 +91,7 @@ class TestTrapezoidRule:
     @pytest.mark.parametrize("beta", BETAS)
     def test_band_matches_closed_form(self, beta, l):
         params = validate_params(1, 1, beta)
-        e_max = energy_window(params, l).e_max
+        e_max = energy_window(params, l)
         for frac in np.geomspace(1e-8, 0.9, 25):
             energy = float(frac * e_max)
             numeric = phase_integral_numeric(params, energy, l).value
@@ -144,7 +144,7 @@ class TestPhaseIntegralNumeric:
         # e_max is the pole 1/(2 beta^2 m) here, not the circular-orbit bound
         # (at beta = 1, l = 1 the two coincide)
         params = validate_params(1, 1, beta)
-        pole = energy_window(params, l).e_max
+        pole = energy_window(params, l)
         assert pole == 1.0 / (2.0 * beta**2)
         with pytest.raises(OutOfWindow):
             radial_phase_integral_closed(params, pole, l)
@@ -154,10 +154,48 @@ class TestPhaseIntegralNumeric:
     @pytest.mark.parametrize("beta,l", [(0.0, 1), (0.1, 2), (0.9, 1), (2.0, 5)])
     def test_both_routes_vanish_at_the_circular_endpoint(self, beta, l):
         params = validate_params(1, 1, beta)
-        top = energy_window(params, l).e_max
+        top = energy_window(params, l)
         assert top == 1.0 / (2.0 * l * l)
         assert radial_phase_integral_closed(params, top, l).value == 0.0
         assert phase_integral_numeric(params, top, l).value == 0.0
+
+    @pytest.mark.parametrize("point", ["negative", "zero", "nan", "below-top", "top", "past-top"])
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, 2.0])
+    def test_both_routes_raise_at_the_same_points(self, beta, l, point):
+        # the 1D closed form is the l = 0 closed route
+        params = validate_params(1, 1, beta)
+        e_max = energy_window(params, l)
+        energy = {
+            "negative": -1.0,
+            "zero": 0.0,
+            "nan": math.nan,
+            "below-top": e_max * (1 - 1e-9),
+            "top": e_max,
+            "past-top": math.nextafter(e_max, math.inf),
+        }[point]
+
+        def outcome(route):
+            try:
+                return route().value
+            except OutOfWindow:
+                return OutOfWindow
+
+        closed = outcome(
+            lambda: phase_integral_1d_closed(params, energy)
+            if l == 0
+            else radial_phase_integral_closed(params, energy, l)
+        )
+        numeric = outcome(lambda: phase_integral_numeric(params, energy, l))
+        assert (closed is OutOfWindow) == (numeric is OutOfWindow)
+        if point in ("negative", "zero", "nan", "past-top") or math.isinf(e_max):
+            assert closed is OutOfWindow
+        elif point == "below-top":
+            assert closed > 0.0 and numeric > 0.0
+        elif l > beta:  # top is the circular bound 1/(2 l^2), below the pole 1/(2 beta^2)
+            assert closed == numeric == 0.0
+        else:  # top is the pole
+            assert closed is OutOfWindow
 
     def test_negative_l_fails_the_window_check(self):
         with pytest.raises(ValueError, match="l must be >= 0"):
@@ -251,7 +289,7 @@ class TestSolveBsEnergy:
             for n_prime in range(1, 11):
                 for l in range(n_prime):
                     qn = QuantumNumbers(n_prime - l, l)
-                    top = energy_window(params, l).e_max * (1 - 1e-9)
+                    top = energy_window(params, l) * (1 - 1e-9)
                     phi = (
                         phase_integral_1d_closed(params, top)
                         if l == 0
@@ -396,6 +434,11 @@ class TestCorrectionOrder:
             correction_order(params, qn, [1e-3, 2e-3, 3e-3, 4e-3])  # < 1.5 decades
         with pytest.raises(ValueError):
             correction_order(params, qn, [0.0, 1e-3, 1e-2, 1e-1])
+
+    def test_nonzero_base_beta_is_rejected(self):
+        # the grid sets the deformation; a base beta would be silently ignored
+        with pytest.raises(ValueError, match="params_base.beta must be 0"):
+            correction_order(validate_params(1, 1, 0.7), QuantumNumbers(n=1, l=1), self.BETAS)
 
     def test_degenerate_fit_below_noise_floor(self):
         # corrections ~ beta^2 ~ 1e-16 vanish beneath the 1e-13 noise floor
