@@ -16,7 +16,8 @@ Conventions (hbar = 1):
   the turning points z- <= z <= z+.
 * ``energy_closed`` -- the level of any (n, l) itself: Phi(E) = 2 pi n
   solved algebraically (a quadratic for l = 0, the 1D problem, and a
-  quartic for l >= 1), with no root search; an infeasible level raises.
+  quartic for l >= 1), with no root search; a level raises unless
+  beta m e2 < 2n + l.
 * ``energy_series`` -- its leading-order expansion in the deformation
   (first order for l = 0, second order for l >= 1).
 
@@ -26,7 +27,8 @@ The radial closed form implemented here is the exact value of
 
 obtained by partial fractions; it vanishes at the circular-orbit endpoint
 and matches a trapezoid rule on the raw integrand to machine precision
-(see the numerics module and the test suite for the cross-checks).
+(see the numerics module and the test suite for the cross-checks).  No
+closed form calls ``turning_points``, the quadrature's band edges.
 
 All functions are pure and all result types immutable.
 """
@@ -37,10 +39,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoRootInWindow, RequiresNonzeroL
-from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window
+from .model import PhysicalParams, QuantumNumbers, check_energy
 
 __all__ = [
-    "TurningPoints",
     "PhaseIntegralResult",
     "turning_points",
     "phase_integral_1d_closed",
@@ -59,19 +60,6 @@ _NEWTON_RTOL = 2.3e-16
 
 
 @dataclass(frozen=True)
-class TurningPoints:
-    """Roots z-+ of the radial band in the squared-momentum variable z.
-
-    Satisfy z_minus * z_plus = (2mE)^2 and
-    z_minus + z_plus = 4m(m e2^2/l^2 - E).
-    """
-
-    z_minus: float
-    z_plus: float
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class PhaseIntegralResult:
     """Value of a loop phase integral, tagged with its provenance.
 
@@ -84,8 +72,8 @@ class PhaseIntegralResult:
     err_estimate: float | None = None
 
 
-def turning_points(params: PhysicalParams, energy: float, l: float) -> TurningPoints:
-    """Turning points of the radial-momentum band for angular momentum l.
+def turning_points(params: PhysicalParams, energy: float, l: float) -> tuple[float, float]:
+    """Roots (z_minus, z_plus) of the radial band in z = p_rho^2 for angular momentum l.
 
     ``l`` may be any positive real; quantized callers pass integers >= 1.
     Raises OutOfWindow where ``check_energy`` does; the bound it admits is
@@ -100,8 +88,7 @@ def turning_points(params: PhysicalParams, energy: float, l: float) -> TurningPo
     q = m * e2**2 / (l * l)
     s = math.sqrt(m * (q - 2.0 * energy))
     z_plus = 2.0 * m * (q - energy + (e2 / l) * s)
-    z_minus = (2.0 * m * energy) ** 2 / z_plus
-    return TurningPoints(z_minus=z_minus, z_plus=z_plus, degenerate=(s == 0.0))
+    return (2.0 * m * energy) ** 2 / z_plus, z_plus
 
 
 def phase_integral_1d_closed(params: PhysicalParams, energy: float) -> PhaseIntegralResult:
@@ -127,13 +114,15 @@ def radial_phase_integral_closed(
                - l * (1 + sqrt(1 + 4 beta^2 m^2 e2^2 / (l^2 W^2))) ].
 
     At beta = 0 this reduces to pi*(sqrt(2 m e2^2/E) - 2 l) along the same
-    code path.  At the circular-orbit endpoint (degenerate turning points)
-    the band has zero width and the integral is exactly zero; 0 is returned
-    rather than raised.  Raises OutOfWindow outside the window, through
-    :func:`turning_points`.  ``l`` may be fractional, which is used by the
-    small-l limit study.
+    code path.  At the circular-orbit endpoint, where ``check_energy``
+    returns True, the band has zero width and the integral is exactly zero;
+    0 is returned rather than raised.  Raises ValueError unless l > 0 and
+    OutOfWindow outside the window (``check_energy``).  ``l`` may be
+    fractional, which is used by the small-l limit study.
     """
-    if turning_points(params, energy, l).degenerate:
+    if not l > 0:
+        raise ValueError(f"l must be > 0, got {l!r}")
+    if check_energy(params, energy, l):
         return PhaseIntegralResult(value=0.0, kind="closed_form")
     m, e2, beta = params.m, params.e2, params.beta
     w = 1.0 - 2.0 * beta**2 * m * energy
@@ -149,9 +138,8 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
     For l = 0 (the 1D problem) the condition is beta n u^2 + n u - m e2 = 0
     in u = sqrt(2mE) > 0, solved in the cancellation-free form
-    u = 2 m e2 / (n + sqrt(n^2 + 4 beta n m e2)); the level is feasible when
-    E lies below the pole, that is when beta m e2 < 2n.  At beta = 0 this is
-    m e2^2 / (2 n^2).
+    u = 2 m e2 / (n + sqrt(n^2 + 4 beta n m e2)); E lies below the pole
+    exactly when beta m e2 < 2n.  At beta = 0 this is m e2^2 / (2 n^2).
 
     For l >= 1, with A = 2 m e2, N = 2n + l and K = N^2 - l^2 = 4n(n + l),
     squaring the condition gives the quartic
@@ -165,24 +153,25 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
     to about one ulp.  u* lies below the circular-orbit bound A/(2l), and
     A/(u* W) > N + l (W = 1 - beta^2 u*^2) gives it the sign of the
     unsquared condition.  As g(1/beta) = A (A - 2N/beta), u* lies below the
-    pole, and the level is feasible, exactly when beta m e2 < 2n + l; a
-    root on the pole is infeasible.  No other root is admissible: for
-    u >= A/(N - l) the unsquared residual Phi/pi - 2n is at most
-    A/(u (1 + beta u)) - N <= -l.
+    pole exactly when beta m e2 < 2n + l; a root on the pole is infeasible.
+    No other root is admissible: for u >= A/(N - l) the unsquared residual
+    Phi/pi - 2n is at most A/(u (1 + beta u)) - N <= -l.
 
-    Raises NoRootInWindow for an infeasible level.
+    Both channels are thus feasible exactly when beta m e2 < 2n + l, tested
+    first as beta A < 2N; an infeasible level raises NoRootInWindow quoting
+    that rule, and no Phi is evaluated.
     """
     n, l, m, e2, beta = qn.n, qn.l, params.m, params.e2, params.beta
-    a = 2.0 * m * e2
+    a, big_n = 2.0 * m * e2, 2 * n + l
+    if not beta * a < 2 * big_n:
+        raise NoRootInWindow(
+            f"level infeasible at beta={beta!r} for {qn}: beta m e2 = "
+            f"{beta * a / 2.0!r} is not below 2n + l = {big_n}"
+        )
     if l == 0:
         u = a / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
-        energy = u * u / (2.0 * m)
-        if not 0.0 < energy < energy_window(params, 0):
-            raise _infeasible(params, qn)
-        return energy
-    big_n, k = 2 * n + l, 4 * n * (n + l)
-    if not beta * a < 2 * big_n:
-        raise _infeasible(params, qn)
+        return u * u / (2.0 * m)
+    k = 4 * n * (n + l)
     kb2 = k * beta * beta
     lo, hi = 0.0, a / (big_n + l)
     u = hi
@@ -201,34 +190,6 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
         if step <= _NEWTON_RTOL * u:
             break
     return u * u / (2.0 * m)
-
-
-def _window_top(params: PhysicalParams, l: int) -> float:
-    """The highest energy a level's root search evaluates: just below e_max."""
-    return energy_window(params, l) * (1.0 - 1e-9)
-
-
-def _infeasible(
-    params: PhysicalParams, qn: QuantumNumbers, residual: float | None = None
-) -> NoRootInWindow:
-    """The error for a level with no root, quoting Phi - 2 pi n at the window top.
-
-    ``residual`` is that value from the caller's own Phi; by default the
-    closed forms give it.
-    """
-    if residual is None:
-        top = _window_top(params, qn.l)
-        phi = (
-            phase_integral_1d_closed(params, top)
-            if qn.l == 0
-            else radial_phase_integral_closed(params, top, qn.l)
-        )
-        residual = phi.value - 2.0 * PI * qn.n
-    return NoRootInWindow(
-        f"Phi(E) - 2 pi n = {residual!r} does not change sign inside "
-        f"(0, {energy_window(params, qn.l)!r}) for {qn}: level infeasible at "
-        f"beta={params.beta!r}"
-    )
 
 
 def energy_series(params: PhysicalParams, qn: QuantumNumbers) -> float:

@@ -20,6 +20,7 @@ everything here is safe to use from concurrent code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NegativeBeta, NonFinite, NonPositiveCoupling, NonPositiveMass, OutOfWindow
@@ -45,7 +46,7 @@ class PhysicalParams:
         for name, value in (("m", self.m), ("e2", self.e2), ("beta", self.beta)):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise NonFinite(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # nan, inf or an int past float range
                 raise NonFinite(f"{name} must be finite, got {value!r}")
         if self.m <= 0:
             raise NonPositiveMass(f"m must be > 0, got {self.m!r}")
@@ -90,7 +91,8 @@ def validate_params(m: float, e2: float, beta: float) -> PhysicalParams:
     :class:`~snyder_coulomb.errors.NegativeBeta` or
     :class:`~snyder_coulomb.errors.NonFinite`, naming the offending field.
     """
-    return PhysicalParams(float(m), float(e2), float(beta))
+    raw = PhysicalParams(m, e2, beta)  # typed checks before float() takes a bool or a string
+    return PhysicalParams(float(raw.m), float(raw.e2), float(raw.beta))
 
 
 def energy_window(params: PhysicalParams, l: float) -> float:
@@ -108,17 +110,19 @@ def energy_window(params: PhysicalParams, l: float) -> float:
     return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
 
 
-def check_energy(params: PhysicalParams, energy: float, l: float) -> None:
+def check_energy(params: PhysicalParams, energy: float, l: float) -> bool:
     """Raise OutOfWindow unless ``energy`` is an admissible binding energy for ``l``.
 
-    Admissible are 0 < E < e_max (:func:`energy_window`) and E = e_max where
-    e_max is the circular-orbit bound of an ``l > 0`` channel lying below
-    the pole: there the band has zero width and every phase integral is 0.
-    Where the bound coincides with the pole, e_max is the pole and raises.
+    Admissible are 0 < E < e_max (:func:`energy_window`), where it returns
+    False, and E = e_max where e_max is the circular-orbit bound of an
+    ``l > 0`` channel lying below the pole, where it returns True: there
+    the band has zero width and every phase integral is 0.  Where the bound
+    coincides with the pole, e_max is the pole and raises.
     """
     e_max = energy_window(params, l)
     if 0.0 < energy < e_max:
-        return
+        return False
     pole = 2.0 * params.beta**2 * params.m
     if not (l > 0 and energy == e_max and (pole == 0.0 or energy < 1.0 / pole)):
         raise OutOfWindow(f"E={energy!r} outside the window (0, {e_max!r}) at l={l!r}")
+    return True

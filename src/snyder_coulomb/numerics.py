@@ -54,8 +54,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import (
-    _infeasible,
-    _window_top,
     energy_closed,
     energy_series,
     phase_integral_1d_closed,
@@ -70,7 +68,7 @@ from .errors import (
     SnyderCoulombError,
     ToleranceNotReached,
 )
-from .model import PhysicalParams, QuantumNumbers, check_energy
+from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window
 
 __all__ = [
     "SpectrumEntry",
@@ -171,20 +169,35 @@ def _missed(estimate: float) -> ToleranceNotReached:
     )
 
 
+def _window_top(params: PhysicalParams, l: int) -> float:
+    """The highest energy a level's root search evaluates: just below e_max."""
+    return energy_window(params, l) * (1.0 - 1e-9)
+
+
+def _infeasible(params: PhysicalParams, qn: QuantumNumbers, residual: float) -> NoRootInWindow:
+    """The error for a level with no root, quoting Phi - 2 pi n at the window top."""
+    return NoRootInWindow(
+        f"Phi(E) - 2 pi n = {residual!r} does not change sign inside "
+        f"(0, {energy_window(params, qn.l)!r}) for {qn}: level infeasible at "
+        f"beta={params.beta!r}"
+    )
+
+
 def _phase_rows(
     params: PhysicalParams, energy: np.ndarray, l: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands.
 
-    The rows must lie inside their windows.  The l = 0 rows integrate
+    The rows must lie strictly inside their windows, where every band has
+    positive width.  The l = 0 rows integrate
     2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) over the real line, as twice the
     integral over p = e^s, s in ln sqrt(2mE) +- 45, on one array starting
     at 450 panels.  The l >= 1 rows integrate
     l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band,
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
     grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
-    widest row's L; a degenerate band is 0.  Returns (values, error
-    estimates) as arrays; a row that missed ``QUAD_RTOL`` is NaN.
+    widest row's L.  Returns (values, error estimates) as arrays; a row
+    that missed ``QUAD_RTOL`` is NaN.
     """
     m, e2, beta = params.m, params.e2, params.beta
     b2 = beta * beta
@@ -208,17 +221,13 @@ def _phase_rows(
         value[line], err[line] = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450)
 
     band = np.flatnonzero(l != 0)
-    points = [turning_points(params, e, k) for e, k in zip(energy[band].tolist(), l[band].tolist())]
-    live = [(i, tp) for i, tp in zip(band.tolist(), points) if not tp.degenerate]
-    if live:
-        rows = np.array([i for i, _ in live])
+    if band.size:
+        rows = zip(energy[band].tolist(), l[band].tolist())
+        points = [turning_points(params, e, k) for e, k in rows]
         z_minus, z_plus, log_z_minus, width = np.array(
-            [
-                (tp.z_minus, tp.z_plus, math.log(tp.z_minus), math.log(tp.z_plus / tp.z_minus))
-                for _, tp in live
-            ]
+            [(lo, hi, math.log(lo), math.log(hi / lo)) for lo, hi in points]
         ).T[..., None]
-        band_l, band_two_m_e = l[rows, None], two_m_e[rows, None]
+        band_l, band_two_m_e = l[band, None], two_m_e[band, None]
 
         def band_integrand(phi: np.ndarray) -> np.ndarray:
             z = np.exp(log_z_minus + width * np.sin(phi) ** 2)
@@ -227,7 +236,7 @@ def _phase_rows(
             return raw * z * width * np.sin(2.0 * phi)  # dz = z ds
 
         panels = 16 * (2 + int(width.max() // 8.0))
-        value[rows], err[rows] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, panels)
+        value[band], err[band] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, panels)
     return value, err
 
 
@@ -237,10 +246,13 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> Pha
     A one-row call of :func:`_phase_rows`, which describes both rules.
     Must agree with the closed-form counterpart within quadrature
     tolerance.  Raises OutOfWindow at the points where the closed forms do
-    (``check_energy``; the circular-orbit endpoint is inside, with value 0)
-    and ToleranceNotReached when the rule misses ``QUAD_RTOL``.
+    (``check_energy``) and ToleranceNotReached when the rule misses
+    ``QUAD_RTOL``.  At the circular-orbit endpoint, where ``check_energy``
+    returns True, the band has zero width: the value is 0 with error 0,
+    and no rule runs.
     """
-    check_energy(params, energy, l)
+    if check_energy(params, energy, l):
+        return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
     value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]))
     if math.isnan(value[0]):
         raise _missed(err[0])

@@ -16,6 +16,7 @@ from snyder_coulomb import (
     OutOfWindow,
     QuantumNumbers,
     RequiresNonzeroL,
+    analytic,
     energy_closed,
     energy_3d_perturbative_ref,
     energy_series,
@@ -27,6 +28,7 @@ from snyder_coulomb import (
 )
 
 PI = math.pi
+INFEASIBLE = r"beta m e2 = .* is not below 2n \+ l"
 
 # Independently derived reference values (frozen):
 # root of beta n u^2 + n u - m e2 = 0 at m = e2 = 1, beta = 0.1, n = 1
@@ -42,8 +44,7 @@ def band_integral_reference(params, energy, l):
     Independent of the production formula: decomposes the integrand over
     simple poles and sums three elementary band integrals.
     """
-    tp = turning_points(params, energy, l)
-    a, b = tp.z_minus, tp.z_plus
+    a, b = turning_points(params, energy, l)
     s = a + b
     c = 2.0 * params.m * energy
 
@@ -62,20 +63,28 @@ def band_integral_reference(params, energy, l):
     )
 
 
+def forbidden(*args):
+    raise AssertionError("the closed route called a function it must not use")
+
+
+def forbid_closed_phi(monkeypatch):
+    """Make both closed Phi functions raise: energy_closed must be algebraic."""
+    monkeypatch.setattr(analytic, "phase_integral_1d_closed", forbidden)
+    monkeypatch.setattr(analytic, "radial_phase_integral_closed", forbidden)
+
+
 class TestTurningPoints:
     def test_degenerate_circular_orbit(self):
-        tp = turning_points(validate_params(1, 1, 0), 0.5, 1)
-        assert tp.degenerate
-        assert tp.z_minus == pytest.approx(1.0, rel=1e-12)
-        assert tp.z_plus == pytest.approx(1.0, rel=1e-12)
+        z_minus, z_plus = turning_points(validate_params(1, 1, 0), 0.5, 1)
+        assert z_minus == z_plus == pytest.approx(1.0, rel=1e-12)
 
     def test_generic_band(self):
-        tp = turning_points(validate_params(1, 1, 0), 0.125, 1)
-        assert tp.z_minus == pytest.approx(0.0179491924311227, rel=1e-12)
-        assert tp.z_plus == pytest.approx(3.4820508075688772, rel=1e-12)
-        assert tp.z_minus * tp.z_plus == pytest.approx(0.0625, rel=1e-12)
-        assert tp.z_minus + tp.z_plus == pytest.approx(3.5, rel=1e-12)
-        assert not tp.degenerate
+        z_minus, z_plus = turning_points(validate_params(1, 1, 0), 0.125, 1)
+        assert z_minus == pytest.approx(0.0179491924311227, rel=1e-12)
+        assert z_plus == pytest.approx(3.4820508075688772, rel=1e-12)
+        assert z_minus * z_plus == pytest.approx(0.0625, rel=1e-12)
+        assert z_minus + z_plus == pytest.approx(3.5, rel=1e-12)
+        assert z_minus < z_plus
 
     def test_above_circular_bound(self):
         with pytest.raises(OutOfWindow):
@@ -101,19 +110,17 @@ class TestTurningPoints:
             l = int(rng.integers(1, 5))
             cap = m * e2**2 / (2 * l * l)
             energy = rng.uniform(0.01, 0.999) * cap
-            tp = turning_points(validate_params(m, e2, 0), energy, l)
-            assert tp.z_minus * tp.z_plus == pytest.approx(
-                (2 * m * energy) ** 2, rel=1e-12
-            )
-            assert tp.z_minus + tp.z_plus == pytest.approx(
+            z_minus, z_plus = turning_points(validate_params(m, e2, 0), energy, l)
+            assert z_minus * z_plus == pytest.approx((2 * m * energy) ** 2, rel=1e-12)
+            assert z_minus + z_plus == pytest.approx(
                 4 * m * (m * e2**2 / l**2 - energy), rel=1e-12
             )
-            assert 0 < tp.z_minus < tp.z_plus
+            assert 0 < z_minus < z_plus
 
     def test_turning_points_are_beta_independent(self):
         for beta in (0.0, 0.05, 0.2):
-            tp = turning_points(validate_params(1, 1, beta), 0.125, 1)
-            assert tp.z_plus == pytest.approx(3.4820508075688772, rel=1e-14)
+            _, z_plus = turning_points(validate_params(1, 1, beta), 0.125, 1)
+            assert z_plus == pytest.approx(3.4820508075688772, rel=1e-14)
 
 
 class TestPhaseIntegral1D:
@@ -154,7 +161,11 @@ class TestRadialPhaseIntegral:
         res = radial_phase_integral_closed(validate_params(1, 1, 0.1), 0.125, 1)
         assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13)
 
-    def test_degenerate_endpoint_is_zero(self):
+    def test_degenerate_endpoint_is_zero(self, monkeypatch):
+        # the closed form uses no band code: the endpoint is check_energy's
+        monkeypatch.setattr(analytic, "turning_points", forbidden)
+        newtonian = radial_phase_integral_closed(validate_params(1, 1, 0), 0.125, 1).value
+        assert newtonian == pytest.approx(2 * PI, rel=1e-14)
         assert radial_phase_integral_closed(validate_params(1, 1, 0), 0.5, 1).value == 0.0
         # the circular-orbit band has zero width for beta > 0 as well
         assert radial_phase_integral_closed(validate_params(1, 1, 0.1), 0.5, 1).value == 0.0
@@ -260,12 +271,13 @@ class TestEnergy1D:
                     assert energy_series(params, QuantumNumbers(n)) == series
 
     @pytest.mark.parametrize("beta", [2.0, 5.0])
-    def test_level_at_or_past_the_pole_is_infeasible(self, beta):
+    def test_level_at_or_past_the_pole_is_infeasible(self, monkeypatch, beta):
         # beta m e2 >= 2n: the quadratic root lies at or past the pole
         params = validate_params(1, 1, beta)
         u = 2.0 / (1 + math.sqrt(1 + 4.0 * beta))
         assert u * u / 2.0 >= energy_window(params, 0)
-        with pytest.raises(NoRootInWindow, match="level infeasible"):
+        forbid_closed_phi(monkeypatch)
+        with pytest.raises(NoRootInWindow, match=INFEASIBLE):
             energy_closed(params, QuantumNumbers(1))
 
 
@@ -332,12 +344,13 @@ class TestEnergy3D:
         assert worst <= 9e-16
 
     @pytest.mark.parametrize("beta,n,l", [(3.0, 1, 1), (5.0, 1, 3), (5.0, 2, 1)])
-    def test_root_on_the_pole_is_infeasible(self, beta, n, l):
+    def test_root_on_the_pole_is_infeasible(self, monkeypatch, beta, n, l):
         # beta m e2 = 2n + l puts the root of the quartic exactly at u = 1/beta
         qn = QuantumNumbers(n, l)
         assert np.polyval([4 * n * (n + l) * beta**2, 0, -4 * n * (n + l),
                            4 * (2 * n + l), -4], 1 / beta) == pytest.approx(0, abs=1e-12)
-        with pytest.raises(NoRootInWindow, match="level infeasible"):
+        forbid_closed_phi(monkeypatch)
+        with pytest.raises(NoRootInWindow, match=INFEASIBLE):
             energy_closed(validate_params(1, 1, beta), qn)
 
     def test_one_admissible_quartic_root_exactly_when_feasible(self):

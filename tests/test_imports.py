@@ -1,5 +1,9 @@
-"""Only the orbit route loads scipy, on first use, through a patchable attribute."""
+"""Only the orbit route loads scipy, on first use, through a patchable attribute.
 
+Package modules also import no private (``_``-prefixed) name from each other.
+"""
+
+import ast
 import os
 import subprocess
 import sys
@@ -50,6 +54,23 @@ def test_lazy_names_are_scipy_functions():
     for name in ("brentq", "quad"):
         with pytest.raises(AttributeError, match=name):
             getattr(numerics, name)
+
+
+MODULES = sorted((SRC / "snyder_coulomb").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_names_cross_module_boundaries(path):
+    # dunder names such as __version__ are public
+    crossings = [
+        f"{'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("snyder_coulomb"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert crossings == []
 
 
 def test_unknown_attribute_still_raises():

@@ -39,10 +39,21 @@ class TestValidateParams:
         with pytest.raises(NegativeBeta, match="beta"):
             validate_params(1, 1, -0.5)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite(self, bad):
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param((1, math.nan, 0), id="nan"),
+            pytest.param((1, math.inf, 0), id="inf"),
+            pytest.param((1, -math.inf, 0), id="-inf"),
+            # float() would take these, or overflow on the int
+            pytest.param((True, 1, 0), id="bool"),
+            pytest.param(("2", 1, 0), id="str"),
+            pytest.param((10**400, 1, 0), id="huge-int"),
+        ],
+    )
+    def test_non_finite(self, args):
         with pytest.raises(NonFinite):
-            validate_params(1, bad, 0)
+            validate_params(*args)
 
     def test_direct_construction_is_guarded_too(self):
         with pytest.raises(NonPositiveMass):
@@ -89,8 +100,9 @@ class TestEnergyWindow:
 
     def test_check_is_open_but_for_the_circular_endpoint(self):
         params = validate_params(1, 1, 0)
-        check_energy(params, 0.3, 1)
-        check_energy(params, 0.5, 1)  # the circular orbit: a band of zero width
+        assert check_energy(params, 0.3, 1) is False
+        assert check_energy(params, 0.5, 1) is True  # the circular orbit: a band of zero width
+        assert check_energy(params, 0.5, 0) is False
         for energy in (0.0, -1.0, math.nan, math.nextafter(0.5, 1.0)):
             with pytest.raises(OutOfWindow):
                 check_energy(params, energy, 1)
