@@ -16,14 +16,14 @@ Three effects of a nonzero deformation on the bound levels:
 import numpy as np
 
 from snyder_coulomb import (
+    PhysicalParams,
     QuantumNumbers,
     correction_order,
     energy_3d_perturbative_ref,
     spectrum_table,
-    validate_params,
 )
 
-params = validate_params(m=1, e2=1, beta=0.1)
+params = PhysicalParams(m=1, e2=1, beta=0.1)
 
 print("deformed spectrum at beta = 0.1 (m = e2 = 1)")
 print(
@@ -47,7 +47,7 @@ print("(n', l) = (2, 1), where it returns the undeformed 0.125 exactly.")
 print()
 print("fitted power of beta of |E(beta)/E(0) - 1| (grid 1e-4 .. 1e-2):")
 betas = np.logspace(-4, -2, 7)
-base = validate_params(1, 1, 0)
+base = PhysicalParams(1, 1, 0)
 for l in (0, 1, 2):
     fit = correction_order(base, QuantumNumbers(n=1, l=l), betas)
     print(f"  l = {l}: slope = {fit.slope:.4f}  (rms residual {fit.rms_residual:.1e})")

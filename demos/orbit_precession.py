@@ -14,21 +14,21 @@ import math
 
 from snyder_coulomb import (
     OrbitState,
+    PhysicalParams,
     integrate_orbit,
     invariants,
     precession_per_orbit,
-    validate_params,
 )
 
 state0 = OrbitState(2.0, 0.0, 0.0, 0.5)
 period = 2.0 * math.pi * (4.0 / 3.0) ** 1.5  # undeformed radial period
 
-h0, j0 = invariants(state0, validate_params(1, 1, 0))
+h0, j0 = invariants(state0, PhysicalParams(1, 1, 0))
 print(f"eccentric initial state: H = {h0}, J = {j0}, eccentricity 0.5")
 print()
 
 print("conservation and closure at beta = 0 (30 radial periods):")
-traj = integrate_orbit(state0, validate_params(1, 1, 0), 30 * period, local_tol=1e-12)
+traj = integrate_orbit(state0, PhysicalParams(1, 1, 0), 30 * period, local_tol=1e-12)
 result = precession_per_orbit(traj)
 print(f"  max relative drift: H {traj.h_drift:.2e}, J {traj.j_drift:.2e}")
 print(f"  perihelion advance per orbit: {result.angle_per_orbit:+.2e} rad")
@@ -38,7 +38,7 @@ print("deformation sweep (16 radial periods each):")
 print(f"{'beta':>6} {'h_drift':>10} {'precession/orbit':>18} {'per beta^2':>12}")
 rows = []
 for beta in (0.02, 0.04, 0.08):
-    params = validate_params(1, 1, beta)
+    params = PhysicalParams(1, 1, beta)
     traj = integrate_orbit(state0, params, 16 * period, local_tol=1e-12)
     result = precession_per_orbit(traj)
     rows.append((beta, abs(result.angle_per_orbit)))

@@ -12,10 +12,10 @@ is the package's central correctness check.
 import numpy as np
 
 from snyder_coulomb import (
+    PhysicalParams,
     phase_integral_1d_closed,
     phase_integral_numeric,
     radial_phase_integral_closed,
-    validate_params,
 )
 
 print("closed form vs trapezoid quadrature, m = e2 = 1")
@@ -25,7 +25,7 @@ worst = 0.0
 count = 0
 fracs = np.linspace(0.06, 0.94, 8)
 for beta in (0.0, 0.01, 0.05, 0.1):
-    params = validate_params(1, 1, beta)
+    params = PhysicalParams(1, 1, beta)
     for l in (0, 1, 2, 3):
         cap = 1.0 if l == 0 else 0.5 / l**2
         for k, frac in enumerate(fracs):

@@ -18,16 +18,16 @@ first-order-in-beta 1D spectrum.
 import math
 
 from snyder_coulomb import (
+    PhysicalParams,
     l_limit_study,
     phase_integral_1d_closed,
-    validate_params,
 )
 
 energy = 0.125
 l_grid = [1e-1, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9]
 
 for beta in (0.0, 0.01, 0.1):
-    params = validate_params(1, 1, beta)
+    params = PhysicalParams(1, 1, beta)
     phi_1d = phase_integral_1d_closed(params, energy).value
     print(f"beta = {beta}, E = {energy}: phi_1D = {phi_1d:.15f}")
     print(f"{'l':>8} {'phi_radial':>20} {'gap':>14} {'gap + 2*pi*l':>14}")

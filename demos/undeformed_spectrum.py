@@ -10,9 +10,9 @@ phase integral is exactly linear in u, so the root search lands in a few
 steps.
 """
 
-from snyder_coulomb import QuantumNumbers, energy_closed, energy_numeric, validate_params
+from snyder_coulomb import PhysicalParams, QuantumNumbers, energy_closed, energy_numeric
 
-params = validate_params(m=1, e2=1, beta=0)
+params = PhysicalParams(m=1, e2=1, beta=0)
 
 print("undeformed spectrum, m = e2 = 1, beta = 0")
 print(f"{'n_prime':>7} {'l':>3} {'exact':>12} {'closed-form':>22} {'quadrature':>22}")

@@ -17,7 +17,7 @@ Conventions (hbar = 1):
 * ``energy_closed`` -- the level of any (n, l) itself: Phi(E) = 2 pi n
   solved algebraically (a quadratic for l = 0, the 1D problem, and a
   quartic for l >= 1), with no root search; a level raises unless
-  beta m e2 < 2n + l.
+  beta m e2 < 2n + l and its float energy lies strictly inside the window.
 * ``energy_series`` -- its leading-order expansion in the deformation
   (first order for l = 0, second order for l >= 1).
 
@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoRootInWindow, RequiresNonzeroL
-from .model import PhysicalParams, QuantumNumbers, check_energy
+from .errors import NoRootInWindow, OutOfWindow, RequiresNonzeroL
+from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window
 
 __all__ = [
     "PhaseIntegralResult",
@@ -159,7 +159,8 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
     Both channels are thus feasible exactly when beta m e2 < 2n + l, tested
     first as beta A < 2N; an infeasible level raises NoRootInWindow quoting
-    that rule, and no Phi is evaluated.
+    that rule, and no Phi is evaluated.  So does a float E = u^2/(2m) not
+    strictly inside the window (``check_energy``): rounded onto the pole, or 0.
     """
     n, l, m, e2, beta = qn.n, qn.l, params.m, params.e2, params.beta
     a, big_n = 2.0 * m * e2, 2 * n + l
@@ -170,26 +171,33 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
         )
     if l == 0:
         u = a / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
-        return u * u / (2.0 * m)
-    k = 4 * n * (n + l)
-    kb2 = k * beta * beta
-    lo, hi = 0.0, a / (big_n + l)
-    u = hi
-    for _ in range(100):
-        g = ((big_n - l) * u - a) * ((big_n + l) * u - a) - kb2 * u**4
-        if g == 0.0:
-            break
-        if g > 0.0:
-            lo = u
-        else:
-            hi = u
-        new = u - g / (2.0 * k * u - 2.0 * big_n * a - 4.0 * kb2 * u**3)
-        if not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        step, u = abs(new - u), new
-        if step <= _NEWTON_RTOL * u:
-            break
-    return u * u / (2.0 * m)
+    else:
+        k = 4 * n * (n + l)
+        kb2 = k * beta * beta
+        lo, hi = 0.0, a / (big_n + l)
+        u = hi
+        for _ in range(100):
+            g = ((big_n - l) * u - a) * ((big_n + l) * u - a) - kb2 * u**4
+            if g == 0.0:
+                break
+            if g > 0.0:
+                lo = u
+            else:
+                hi = u
+            new = u - g / (2.0 * k * u - 2.0 * big_n * a - 4.0 * kb2 * u**3)
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            step, u = abs(new - u), new
+            if step <= _NEWTON_RTOL * u:
+                break
+    energy = u * u / (2.0 * m)
+    try:
+        if not check_energy(params, energy, l):  # strictly inside the window
+            return energy
+    except OutOfWindow:
+        pass
+    raise NoRootInWindow(f"level infeasible at beta={beta!r} for {qn}: E = {energy!r} is not "
+                         f"inside the open window (0, {energy_window(params, l)!r})")
 
 
 def energy_series(params: PhysicalParams, qn: QuantumNumbers) -> float:

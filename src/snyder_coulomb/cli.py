@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .analytic import phase_integral_1d_closed, radial_phase_integral_closed
 from .errors import CollisionSingularity, InsufficientPeriods, SnyderCoulombError
-from .model import PhysicalParams, QuantumNumbers, energy_window, validate_params
+from .model import PhysicalParams, QuantumNumbers, energy_window
 from .numerics import (
     correction_order,
     l_limit_study,
@@ -211,7 +211,7 @@ def _emit(
 
 
 def _cmd_spectrum(cfg: dict[str, Any]) -> int:
-    params = validate_params(cfg["m"], cfg["e2"], cfg["beta"])
+    params = PhysicalParams(cfg["m"], cfg["e2"], cfg["beta"])
     entries = spectrum_table(params, cfg["n_prime_max"])
     header = ["n_prime", "l", "beta", "E_newton", "E_closed", "E_numeric",
               "E_series", "rel_gap_closed_numeric", "error"]
@@ -248,7 +248,7 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     skipped = 0
     max_dev = 0.0
     for beta in cfg["beta_grid"]:
-        params = validate_params(cfg["m"], cfg["e2"], beta)
+        params = PhysicalParams(cfg["m"], cfg["e2"], beta)
         for l in cfg["l_grid"]:
             # the open window: at a circular endpoint Phi = 0 and rel_dev is undefined
             e_max = energy_window(params, l)
@@ -278,7 +278,7 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_scan_order(cfg: dict[str, Any]) -> int:
-    params_base = validate_params(cfg["m"], cfg["e2"], 0.0)
+    params_base = PhysicalParams(cfg["m"], cfg["e2"], 0.0)
     header = ["l", "slope", "rms_residual", "n_used", "pass"]
     rows = []
     all_pass = True
@@ -302,7 +302,7 @@ def _undeformed_period(params: PhysicalParams, state: OrbitState) -> float:
 
 
 def _cmd_orbit(cfg: dict[str, Any]) -> int:
-    params = validate_params(cfg["m"], cfg["e2"], cfg["beta"])
+    params = PhysicalParams(cfg["m"], cfg["e2"], cfg["beta"])
     state0 = OrbitState(cfg["x1"], cfg["x2"], cfg["p1"], cfg["p2"])
     t_end = cfg["t_end"]
     if t_end is None:
@@ -348,7 +348,7 @@ def _cmd_l_limit(cfg: dict[str, Any]) -> int:
     header = ["beta", "l", "phi_radial", "phi_one_dim", "gap", "error"]
     rows = []
     for beta in cfg["beta_grid"]:
-        params = validate_params(cfg["m"], cfg["e2"], beta)
+        params = PhysicalParams(cfg["m"], cfg["e2"], beta)
         for row in l_limit_study(params, cfg["energy"], cfg["l_grid"]):
             rows.append([beta, row.l, row.phi_radial, row.phi_one_dim, row.gap,
                          row.error or ""])

@@ -26,7 +26,7 @@ via scipy), which does not preserve the bracket, so drift is monitored
 instead.  A structure-preserving scheme does exist: the canonical
 realization x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P)
 onto this bracket.  ``solve_ivp`` is imported from scipy on first use, so
-no other part of the package loads scipy.
+no other part of the package loads scipy.  Inputs pass ``model.finite_float``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     InsufficientPeriods,
     StepUnderflow,
 )
-from .model import PhysicalParams
+from .model import PhysicalParams, finite_float
 
 __all__ = [
     "OrbitState",
@@ -74,7 +74,7 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class OrbitState:
-    """Planar cartesian phase-space point (x1, x2, p1, p2)."""
+    """Planar cartesian phase-space point (x1, x2, p1, p2), stored as floats."""
 
     x1: float
     x2: float
@@ -82,8 +82,9 @@ class OrbitState:
     p2: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x1, self.x2, self.p1, self.p2)):
-            raise ValueError("orbit state components must be finite")
+        for name, value in (("x1", self.x1), ("x2", self.x2), ("p1", self.p1), ("p2", self.p2)):
+            if finite_float(name, value) is not value:  # a float comes back as itself
+                object.__setattr__(self, name, float(value))
         if self.x1 == 0.0 and self.x2 == 0.0:
             raise ValueError("collision state r = 0 rejected")
 
@@ -152,10 +153,10 @@ def invariants(
 
     ``state`` is an OrbitState, or ``Trajectory.samples`` (anything with
     the attributes x1, x2, p1, p2), for which H and J hold one entry per
-    sample.
+    sample.  Squares are products, as float ``**2`` and numpy's may differ.
     """
     r = np.hypot(state.x1, state.x2)
-    h = (state.p1**2 + state.p2**2) / (2.0 * params.m) - params.e2 / r
+    h = (state.p1 * state.p1 + state.p2 * state.p2) / (2.0 * params.m) - params.e2 / r
     j = state.x1 * state.p2 - state.x2 * state.p1
     return h, j
 
@@ -203,31 +204,26 @@ def integrate_orbit(
     params: PhysicalParams,
     t_end: float,
     local_tol: float = 1e-10,
-    n_samples: int | None = None,
 ) -> Trajectory:
     """Integrate the deformed flow from ``state0`` at t = 0 to t = ``t_end``.
 
     Adaptive DOP853 with rtol = atol = ``local_tol``.  The trajectory is
-    sampled on a uniform grid (default about 60 samples per unit time), on
-    which the H and J drift and the circular-orbit check are read; the
-    perihelia are root-found on the solver's dense output, independent of
-    that grid, a perihelion at the start included.
+    sampled on a uniform grid of about 60 samples per unit time (2,000 to
+    400,000 samples), on which the H and J drift and the circular-orbit
+    check are read; the perihelia are root-found on the solver's dense
+    output, independent of that grid, a perihelion at the start included.
 
-    Raises ValueError unless 0 < ``t_end`` < inf and 0 < ``local_tol`` <
-    inf, or if the flow is not finite at ``state0`` (momenta so large that
-    p^2 overflows), CollisionSingularity if the orbit reaches
+    Raises ValueError unless ``t_end`` and ``local_tol`` are finite
+    numbers > 0 or if the flow is not finite at ``state0`` (momenta so
+    large that p^2 overflows), CollisionSingularity if the orbit reaches
     r = 1e-8 and StepUnderflow if the controller's step collapses before
     ``t_end``.
     """
     # solve_ivp does not return for an infinite span or tolerance
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
-    if not 0 < local_tol < math.inf:
-        raise ValueError(f"local_tol must be finite and > 0, got {local_tol!r}")
-    if n_samples is None:
-        n_samples = int(min(400_000, max(2000, 60.0 * t_end)))
-    elif n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    for name, value in (("t_end", t_end), ("local_tol", local_tol)):
+        if not finite_float(name, value, "finite and > 0") > 0:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    n_samples = int(min(400_000, max(2000, 60.0 * t_end)))
 
     y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
     # solve_ivp does not return when the flow at the start is not finite

@@ -1,4 +1,4 @@
-"""Physical parameters, quantum numbers, and validity windows.
+"""Physical parameters, quantum numbers, validity windows, and the input check.
 
 Units: natural units with hbar = 1 throughout.  The mass ``m`` and the
 Coulomb coupling ``e2`` (e squared, dimension energy*length) default to 1
@@ -28,15 +28,31 @@ from .errors import NegativeBeta, NonFinite, NonPositiveCoupling, NonPositiveMas
 __all__ = [
     "PhysicalParams",
     "QuantumNumbers",
-    "validate_params",
+    "finite_float",
     "energy_window",
     "check_energy",
 ]
 
 
+def finite_float(name: str, value: object, rule: str = "finite") -> float:
+    """The one check of numeric inputs: ``value`` as a float, else NonFinite.
+
+    Rejects bools, non-numbers, nan, +-inf and ints past the float range,
+    which float() would take or overflow on; the message says ``name`` must be ``rule``.
+    """
+    if type(value) is not float:  # a float, the common case, needs only the range test
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise NonFinite(f"{name} must be a real number, got {value!r}")
+        if abs(value) <= sys.float_info.max:
+            value = float(value)
+    if not abs(value) <= sys.float_info.max:  # nan, inf or an int past float range
+        raise NonFinite(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Constants of the deformed Coulomb problem: mass, coupling, deformation."""
+    """Mass, coupling and deformation, each checked by :func:`finite_float`, as floats."""
 
     m: float
     e2: float
@@ -44,10 +60,8 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name, value in (("m", self.m), ("e2", self.e2), ("beta", self.beta)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise NonFinite(f"{name} must be a real number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # nan, inf or an int past float range
-                raise NonFinite(f"{name} must be finite, got {value!r}")
+            if finite_float(name, value) is not value:  # a float comes back as itself
+                object.__setattr__(self, name, float(value))
         if self.m <= 0:
             raise NonPositiveMass(f"m must be > 0, got {self.m!r}")
         if self.e2 <= 0:
@@ -69,30 +83,15 @@ class QuantumNumbers:
     l: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if not isinstance(self.l, int) or isinstance(self.l, bool):
-            raise ValueError(f"l must be an integer, got {self.l!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
+        for name, value, low in (("n", self.n, 1), ("l", self.l, 0)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     @property
     def n_prime(self) -> int:
         return self.n + self.l
-
-
-def validate_params(m: float, e2: float, beta: float) -> PhysicalParams:
-    """Build :class:`PhysicalParams` from raw numbers, guarding the domain.
-
-    Raises :class:`~snyder_coulomb.errors.NonPositiveMass`,
-    :class:`~snyder_coulomb.errors.NonPositiveCoupling`,
-    :class:`~snyder_coulomb.errors.NegativeBeta` or
-    :class:`~snyder_coulomb.errors.NonFinite`, naming the offending field.
-    """
-    raw = PhysicalParams(m, e2, beta)  # typed checks before float() takes a bool or a string
-    return PhysicalParams(float(raw.m), float(raw.e2), float(raw.beta))
 
 
 def energy_window(params: PhysicalParams, l: float) -> float:

@@ -68,7 +68,7 @@ from .errors import (
     SnyderCoulombError,
     ToleranceNotReached,
 )
-from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window
+from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window, finite_float
 
 __all__ = [
     "SpectrumEntry",
@@ -169,11 +169,6 @@ def _missed(estimate: float) -> ToleranceNotReached:
     )
 
 
-def _window_top(params: PhysicalParams, l: int) -> float:
-    """The highest energy a level's root search evaluates: just below e_max."""
-    return energy_window(params, l) * (1.0 - 1e-9)
-
-
 def _infeasible(params: PhysicalParams, qn: QuantumNumbers, residual: float) -> NoRootInWindow:
     """The error for a level with no root, quoting Phi - 2 pi n at the window top."""
     return NoRootInWindow(
@@ -263,9 +258,9 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together.
 
     Each bracket starts at [E0/4, min(4 E0, top)] around the undeformed
-    level E0 = m e2^2/(2 n'^2), top = e_max (1 - 1e-9) (``_window_top``),
-    and widens by factors of 4 until the residual changes sign.  An upper
-    end that reaches top without a sign change makes the level infeasible
+    level E0 = m e2^2/(2 n'^2), top = e_max (1 - 1e-9), and widens by
+    factors of 4 until the residual changes sign.  An upper end that
+    reaches top without a sign change makes the level infeasible
     (``_infeasible``, quoting this route's residual).  Illinois regula falsi
     (Dowell & Jarratt, BIT 11, 1971) then shrinks it in u = E^(-1/2), where
     Phi is exactly linear at beta = 0, until its relative width in E is at
@@ -280,7 +275,7 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     l = np.array([qn.l for qn in levels], dtype=int)
     target = TWO_PI * np.array([qn.n for qn in levels], dtype=float)
     e0 = m * e2**2 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
-    top = np.array([_window_top(params, qn.l) for qn in levels])
+    top = np.array([energy_window(params, qn.l) * (1.0 - 1e-9) for qn in levels])
 
     def fail(i: int, exc: SnyderCoulombError) -> None:
         result[i], active[i] = exc, False
@@ -415,7 +410,7 @@ def correction_order(
     """
     if params_base.beta != 0.0:
         raise ValueError(f"params_base.beta must be 0, got {params_base.beta!r}")
-    betas = [float(b) for b in beta_grid]
+    betas = [finite_float("beta", b) for b in beta_grid]
     if len(betas) < 4:
         raise ValueError("beta_grid needs at least 4 points")
     if any(b <= 0 for b in betas):

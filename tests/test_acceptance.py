@@ -15,6 +15,7 @@ import pytest
 
 from snyder_coulomb import (
     OrbitState,
+    PhysicalParams,
     QuantumNumbers,
     correction_order,
     energy_closed,
@@ -28,7 +29,6 @@ from snyder_coulomb import (
     precession_per_orbit,
     radial_phase_integral_closed,
     spectrum_table,
-    validate_params,
 )
 
 PI = math.pi
@@ -49,7 +49,7 @@ def loglog_slope(xs, ys) -> float:
 
 
 def test_criterion_1_undeformed_spectrum():
-    params = validate_params(1, 1, 0)
+    params = PhysicalParams(1, 1, 0)
     worst_closed = 0.0
     worst_numeric = 0.0
     for n_prime in range(1, 11):
@@ -73,7 +73,7 @@ def test_criterion_2_integral_oracle():
     worst = 0.0
     count = 0
     for beta in (0.0, 0.01, 0.05, 0.1):
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         for l in (0, 1, 2, 3):
             cap = 1.0 if l == 0 else 0.5 / l**2
             for frac in np.linspace(0.06, 0.94, 8):
@@ -97,7 +97,7 @@ def test_criterion_2_integral_oracle():
 def test_criterion_3_1d_exact_channel():
     worst = 0.0
     for beta in (0.0, 0.01, 0.1):
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         for n in range(1, 21):
             energy = energy_closed(params, QuantumNumbers(n))
             value = phase_integral_1d_closed(params, energy).value
@@ -107,7 +107,7 @@ def test_criterion_3_1d_exact_channel():
     roots = np.roots([0.1, 1.0, -1.0])
     u = float(roots[roots > 0][0])
     reference = u * u / 2.0
-    got = energy_closed(validate_params(1, 1, 0.1), QuantumNumbers(1))
+    got = energy_closed(PhysicalParams(1, 1, 0.1), QuantumNumbers(1))
     root_ok = abs(got - 0.4196011) <= 1e-6 and abs(got - reference) <= 1e-12
     report(
         3,
@@ -133,7 +133,7 @@ def test_criterion_4_series_validation():
         e_ref = 1.0 / (2.0 * qn.n_prime**2)
         ratios = []
         for beta in betas:
-            params = validate_params(1, 1, float(beta))
+            params = PhysicalParams(1, 1, float(beta))
             energy = energy_closed(params, qn)
             corr = energy / e_ref - 1.0
             ratios.append(corr / beta**order)
@@ -144,7 +144,7 @@ def test_criterion_4_series_validation():
             worst_coeff, abs(coeff_fitted / coeff_expected - 1.0)
         )
         # solved level against the truncated series at beta = 1e-3
-        params = validate_params(1, 1, 1e-3)
+        params = PhysicalParams(1, 1, 1e-3)
         solved = energy_closed(params, qn)
         series = energy_series(params, qn)
         gap = abs(solved / series - 1.0)
@@ -161,7 +161,7 @@ def test_criterion_4_series_validation():
 
 def test_criterion_5_order_of_correction():
     betas = np.logspace(-4, -2, 7)
-    params = validate_params(1, 1, 0)
+    params = PhysicalParams(1, 1, 0)
     slopes = {}
     for l in (0, 1, 2):
         fit = correction_order(params, QuantumNumbers(n=1, l=l), betas)
@@ -181,7 +181,7 @@ def test_criterion_5_order_of_correction():
 
 
 def test_criterion_6_sign_claim():
-    params = validate_params(1, 1, 0.1)
+    params = PhysicalParams(1, 1, 0.1)
     entries = spectrum_table(params, 4)
     all_lowered = all(
         entry.error is None and entry.e_closed < entry.e_newton for entry in entries
@@ -207,7 +207,7 @@ def test_criterion_6_sign_claim():
 
 
 def test_criterion_7_degeneracy_breaking():
-    params = validate_params(1, 1, 0.1)
+    params = PhysicalParams(1, 1, 0.1)
     e31 = energy_closed(params, QuantumNumbers(2, 1))
     e32 = energy_closed(params, QuantumNumbers(1, 2))
     solver_tol = 1e-12 * abs(e31)
@@ -226,7 +226,7 @@ def test_criterion_8_small_l_gap_scaling():
     energy = 0.125
     gaps = []
     for beta in betas:
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         phi_radial = radial_phase_integral_closed(params, energy, 1e-3).value
         phi_1d = phase_integral_1d_closed(params, energy).value
         gaps.append(abs(phi_radial - phi_1d))
@@ -243,7 +243,7 @@ def test_criterion_8_small_l_gap_scaling():
 
 def test_criterion_9_dynamics():
     # closed Kepler ellipse: conservation and closure over 100 periods
-    params0 = validate_params(1, 1, 0)
+    params0 = PhysicalParams(1, 1, 0)
     traj = integrate_orbit(ECCENTRIC, params0, 100 * T_ECC, local_tol=1e-12)
     prec0 = precession_per_orbit(traj)
     kepler_ok = (
@@ -257,7 +257,7 @@ def test_criterion_9_dynamics():
     magnitudes = []
     for beta in betas:
         traj_b = integrate_orbit(
-            ECCENTRIC, validate_params(1, 1, beta), 16 * T_ECC, local_tol=1e-12
+            ECCENTRIC, PhysicalParams(1, 1, beta), 16 * T_ECC, local_tol=1e-12
         )
         result = precession_per_orbit(traj_b)
         magnitudes.append(abs(result.angle_per_orbit))

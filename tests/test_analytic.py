@@ -7,6 +7,7 @@ cross-check lives in test_numerics.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from snyder_coulomb import (
     NoRootInWindow,
     OutOfWindow,
+    PhysicalParams,
     QuantumNumbers,
     RequiresNonzeroL,
     analytic,
+    check_energy,
     energy_closed,
     energy_3d_perturbative_ref,
     energy_series,
@@ -24,7 +27,6 @@ from snyder_coulomb import (
     radial_phase_integral_closed,
     energy_window,
     turning_points,
-    validate_params,
 )
 
 PI = math.pi
@@ -75,11 +77,11 @@ def forbid_closed_phi(monkeypatch):
 
 class TestTurningPoints:
     def test_degenerate_circular_orbit(self):
-        z_minus, z_plus = turning_points(validate_params(1, 1, 0), 0.5, 1)
+        z_minus, z_plus = turning_points(PhysicalParams(1, 1, 0), 0.5, 1)
         assert z_minus == z_plus == pytest.approx(1.0, rel=1e-12)
 
     def test_generic_band(self):
-        z_minus, z_plus = turning_points(validate_params(1, 1, 0), 0.125, 1)
+        z_minus, z_plus = turning_points(PhysicalParams(1, 1, 0), 0.125, 1)
         assert z_minus == pytest.approx(0.0179491924311227, rel=1e-12)
         assert z_plus == pytest.approx(3.4820508075688772, rel=1e-12)
         assert z_minus * z_plus == pytest.approx(0.0625, rel=1e-12)
@@ -88,7 +90,7 @@ class TestTurningPoints:
 
     def test_above_circular_bound(self):
         with pytest.raises(OutOfWindow):
-            turning_points(validate_params(1, 1, 0), 0.6, 1)
+            turning_points(PhysicalParams(1, 1, 0), 0.6, 1)
 
     @pytest.mark.parametrize(
         "call, error",
@@ -100,7 +102,7 @@ class TestTurningPoints:
     )
     def test_nan_is_rejected(self, call, error):
         with pytest.raises(error):
-            call(validate_params(1, 1, 0))
+            call(PhysicalParams(1, 1, 0))
 
     def test_product_and_sum_identities_on_grid(self):
         rng = np.random.default_rng(7)
@@ -110,7 +112,7 @@ class TestTurningPoints:
             l = int(rng.integers(1, 5))
             cap = m * e2**2 / (2 * l * l)
             energy = rng.uniform(0.01, 0.999) * cap
-            z_minus, z_plus = turning_points(validate_params(m, e2, 0), energy, l)
+            z_minus, z_plus = turning_points(PhysicalParams(m, e2, 0), energy, l)
             assert z_minus * z_plus == pytest.approx((2 * m * energy) ** 2, rel=1e-12)
             assert z_minus + z_plus == pytest.approx(
                 4 * m * (m * e2**2 / l**2 - energy), rel=1e-12
@@ -119,32 +121,32 @@ class TestTurningPoints:
 
     def test_turning_points_are_beta_independent(self):
         for beta in (0.0, 0.05, 0.2):
-            _, z_plus = turning_points(validate_params(1, 1, beta), 0.125, 1)
+            _, z_plus = turning_points(PhysicalParams(1, 1, beta), 0.125, 1)
             assert z_plus == pytest.approx(3.4820508075688772, rel=1e-14)
 
 
 class TestPhaseIntegral1D:
     def test_ground_state_newtonian(self):
-        res = phase_integral_1d_closed(validate_params(1, 1, 0), 0.5)
+        res = phase_integral_1d_closed(PhysicalParams(1, 1, 0), 0.5)
         assert res.value == pytest.approx(2 * PI, rel=1e-14)
         assert res.kind == "closed_form"
         assert res.err_estimate is None
 
     def test_deformed_root_gives_full_loop(self):
-        res = phase_integral_1d_closed(validate_params(1, 1, 0.1), E_1D_BETA01_N1)
+        res = phase_integral_1d_closed(PhysicalParams(1, 1, 0.1), E_1D_BETA01_N1)
         assert res.value == pytest.approx(2 * PI, rel=1e-13)
 
     def test_second_level_newtonian(self):
-        res = phase_integral_1d_closed(validate_params(1, 1, 0), 0.125)
+        res = phase_integral_1d_closed(PhysicalParams(1, 1, 0), 0.125)
         assert res.value == pytest.approx(4 * PI, rel=1e-14)
 
     def test_rejects_energy_at_pole(self):
         with pytest.raises(OutOfWindow):
-            phase_integral_1d_closed(validate_params(1, 1, 2.0), 0.125)
+            phase_integral_1d_closed(PhysicalParams(1, 1, 2.0), 0.125)
 
     def test_strictly_decreasing_in_energy(self):
         for beta in (0.0, 0.01, 0.1):
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             values = [
                 phase_integral_1d_closed(params, e).value
                 for e in np.linspace(0.01, 2.0, 400)
@@ -154,38 +156,38 @@ class TestPhaseIntegral1D:
 
 class TestRadialPhaseIntegral:
     def test_newtonian_level(self):
-        res = radial_phase_integral_closed(validate_params(1, 1, 0), 0.125, 1)
+        res = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1)
         assert res.value == pytest.approx(2 * PI, rel=1e-14)
 
     def test_deformed_frozen_value(self):
-        res = radial_phase_integral_closed(validate_params(1, 1, 0.1), 0.125, 1)
+        res = radial_phase_integral_closed(PhysicalParams(1, 1, 0.1), 0.125, 1)
         assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13)
 
     def test_degenerate_endpoint_is_zero(self, monkeypatch):
         # the closed form uses no band code: the endpoint is check_energy's
         monkeypatch.setattr(analytic, "turning_points", forbidden)
-        newtonian = radial_phase_integral_closed(validate_params(1, 1, 0), 0.125, 1).value
+        newtonian = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1).value
         assert newtonian == pytest.approx(2 * PI, rel=1e-14)
-        assert radial_phase_integral_closed(validate_params(1, 1, 0), 0.5, 1).value == 0.0
+        assert radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.5, 1).value == 0.0
         # the circular-orbit band has zero width for beta > 0 as well
-        assert radial_phase_integral_closed(validate_params(1, 1, 0.1), 0.5, 1).value == 0.0
+        assert radial_phase_integral_closed(PhysicalParams(1, 1, 0.1), 0.5, 1).value == 0.0
 
     def test_out_of_window(self):
         with pytest.raises(OutOfWindow):
-            radial_phase_integral_closed(validate_params(1, 1, 0), 0.6, 1)
+            radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.6, 1)
         # deformation pole bound: E = 0.2 > 1/(2 beta^2 m) = 0.125 at l = 1, beta = 2
         with pytest.raises(OutOfWindow):
-            radial_phase_integral_closed(validate_params(1, 1, 2.0), 0.2, 1)
+            radial_phase_integral_closed(PhysicalParams(1, 1, 2.0), 0.2, 1)
 
     def test_beta_zero_reduces_to_newtonian_bitwise(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         for energy, l in [(0.125, 1), (0.05, 1), (0.04, 2), (0.3, 1)]:
             value = radial_phase_integral_closed(params, energy, l).value
             newtonian = PI * (math.sqrt(2 * 1 * 1**2 / energy) - 2 * l)
             assert value == newtonian
 
     def test_newtonian_levels_give_integer_loops(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         for n_prime in range(1, 8):
             energy = 1.0 / (2.0 * n_prime**2)
             for l in range(1, n_prime):
@@ -200,7 +202,7 @@ class TestRadialPhaseIntegral:
             e2 = rng.uniform(0.3, 3.0)
             beta = rng.choice([0.0, 0.01, 0.05, 0.1, 0.3])
             l = int(rng.integers(1, 5))
-            params = validate_params(m, e2, beta)
+            params = PhysicalParams(m, e2, beta)
             cap = min(
                 m * e2**2 / (2 * l * l),
                 math.inf if beta == 0 else 1 / (2 * beta**2 * m),
@@ -213,7 +215,7 @@ class TestRadialPhaseIntegral:
 
     def test_strictly_decreasing_in_energy(self):
         for beta, l in [(0.0, 1), (0.1, 1), (0.05, 2)]:
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             cap = 0.5 / l**2
             values = [
                 radial_phase_integral_closed(params, e, l).value
@@ -222,19 +224,19 @@ class TestRadialPhaseIntegral:
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_positive_on_open_window(self):
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         for energy in np.linspace(0.001, 0.499, 200):
             assert radial_phase_integral_closed(params, energy, 1).value > 0
 
 
 class TestEnergy1D:
     def test_newtonian_ground_state(self):
-        assert energy_closed(validate_params(1, 1, 0), QuantumNumbers(1)) == pytest.approx(
+        assert energy_closed(PhysicalParams(1, 1, 0), QuantumNumbers(1)) == pytest.approx(
             0.5, rel=1e-15
         )
 
     def test_deformed_ground_state(self):
-        got = energy_closed(validate_params(1, 1, 0.1), QuantumNumbers(1))
+        got = energy_closed(PhysicalParams(1, 1, 0.1), QuantumNumbers(1))
         assert got == pytest.approx(E_1D_BETA01_N1, rel=1e-14)
         # quadratic-root oracle, same equation solved by numpy
         roots = np.roots([0.1 * 1, 1, -1.0])
@@ -242,13 +244,13 @@ class TestEnergy1D:
         assert got == pytest.approx(float(u * u / 2.0), rel=1e-12)
 
     def test_newtonian_n3(self):
-        assert energy_closed(validate_params(1, 1, 0), QuantumNumbers(3)) == pytest.approx(
+        assert energy_closed(PhysicalParams(1, 1, 0), QuantumNumbers(3)) == pytest.approx(
             1 / 18, rel=1e-15
         )
 
     def test_self_consistency_with_phase_integral(self):
         for beta in (0.0, 0.01, 0.1):
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             for n in range(1, 21):
                 energy = energy_closed(params, QuantumNumbers(n))
                 value = phase_integral_1d_closed(params, energy).value
@@ -259,7 +261,7 @@ class TestEnergy1D:
         # level is feasible exactly when beta m e2 < 2n
         for m, e2 in ((1.0, 1.0), (2.0, 0.7)):
             for beta in (0.0, 1e-300, 1e-3, 0.05, 0.15, 0.9, 1.9):
-                params = validate_params(m, e2, beta)
+                params = PhysicalParams(m, e2, beta)
                 for n in range(1, 21):
                     if beta * m * e2 < 2 * n:
                         u = 2.0 * m * e2 / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
@@ -273,7 +275,7 @@ class TestEnergy1D:
     @pytest.mark.parametrize("beta", [2.0, 5.0])
     def test_level_at_or_past_the_pole_is_infeasible(self, monkeypatch, beta):
         # beta m e2 >= 2n: the quadratic root lies at or past the pole
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         u = 2.0 / (1 + math.sqrt(1 + 4.0 * beta))
         assert u * u / 2.0 >= energy_window(params, 0)
         forbid_closed_phi(monkeypatch)
@@ -324,7 +326,7 @@ def admissible_quartic_roots(beta, qn):
 
 class TestEnergy3D:
     def test_newtonian_levels(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         for n_prime in range(2, 12):
             for l in range(1, n_prime):
                 energy = energy_closed(params, QuantumNumbers(n_prime - l, l))
@@ -334,7 +336,7 @@ class TestEnergy3D:
         # <= 4 ulp over the grid, both channels
         worst = 0.0
         for beta in (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.9):
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             for n_prime in (1, 2, 3, 5, 8, 13, 21, 34, 50):
                 for l in sorted({0, 1, 2, n_prime // 2, n_prime - 1} & set(range(n_prime))):
                     qn = QuantumNumbers(n_prime - l, l)
@@ -351,11 +353,11 @@ class TestEnergy3D:
                            4 * (2 * n + l), -4], 1 / beta) == pytest.approx(0, abs=1e-12)
         forbid_closed_phi(monkeypatch)
         with pytest.raises(NoRootInWindow, match=INFEASIBLE):
-            energy_closed(validate_params(1, 1, beta), qn)
+            energy_closed(PhysicalParams(1, 1, beta), qn)
 
     def test_one_admissible_quartic_root_exactly_when_feasible(self):
         for beta in [*np.linspace(0.01, 5, 120), 0.9, 3.0]:
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             for n_prime in range(2, 11):
                 for l in range(1, n_prime):
                     qn = QuantumNumbers(n_prime - l, l)
@@ -370,24 +372,51 @@ class TestEnergy3D:
                     assert 0 < energy < energy_window(params, l)
 
 
+class TestLevelInsideTheWindow:
+    """A level energy_closed returns lies strictly inside its window."""
+
+    def test_levels_next_to_the_feasibility_rule(self):
+        # beta within a few ulps of (2n + l)/(m e2): the rule beta m e2 < 2n + l
+        # can pass while E = u^2/(2m) rounds onto or past the pole
+        rng = random.Random(1)
+        feasible = 0
+        for _ in range(20_000):
+            m, e2 = 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2)
+            n, l, k = rng.randint(1, 10), rng.randint(0, 10), rng.randint(-4, 4)
+            params = PhysicalParams(m, e2, (2 * n + l) / (m * e2) * (1 + k * 2.2e-16))
+            try:
+                energy = energy_closed(params, QuantumNumbers(n, l))
+            except NoRootInWindow:
+                continue
+            feasible += 1
+            assert check_energy(params, energy, l) is False, (m, e2, n, l, k)
+        assert feasible > 8000
+
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_underflowing_energy_is_infeasible(self, l):
+        # at m = 1e-163, u^2/(2m) underflows to E = 0
+        with pytest.raises(NoRootInWindow, match=r"E = 0\.0 is not inside the open window"):
+            energy_closed(PhysicalParams(1e-163, 1, 0.1), QuantumNumbers(1, l))
+
+
 class TestEnergySeries:
     def test_1d_series_values(self):
         for beta, n, expected in ((0.1, 1, 0.4), (0, 2, 0.125), (0.01, 1, 0.49)):
-            got = energy_series(validate_params(1, 1, beta), QuantumNumbers(n))
+            got = energy_series(PhysicalParams(1, 1, beta), QuantumNumbers(n))
             assert got == pytest.approx(expected, rel=1e-15)
 
     def test_3d_series_values(self):
         assert energy_series(
-            validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=1)
+            PhysicalParams(1, 1, 0.1), QuantumNumbers(n=1, l=1)
         ) == pytest.approx(0.1243750, rel=1e-15)
         assert energy_series(
-            validate_params(1, 1, 0), QuantumNumbers(n=1, l=2)
+            PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=2)
         ) == pytest.approx(1 / 18, rel=1e-15)
 
     def test_3d_series_correction_shrinks_as_l_approaches_n_prime(self):
         # the corrective coefficient is proportional to 1/n' - 1/l, so it
         # weakens monotonically as l grows toward n' at fixed n'
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         n_prime = 5
         deficits = [
             abs(energy_series(params, QuantumNumbers(n=n_prime - l, l=l)) - 0.02)
@@ -396,7 +425,7 @@ class TestEnergySeries:
         assert all(a > b for a, b in zip(deficits, deficits[1:]))
 
     def test_3d_degeneracy_breaking(self):
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         e31 = energy_series(params, QuantumNumbers(n=2, l=1))
         e32 = energy_series(params, QuantumNumbers(n=1, l=2))
         assert e31 != pytest.approx(e32, rel=1e-12)
@@ -404,13 +433,13 @@ class TestEnergySeries:
         assert e31 < 1 / 18 and e32 < 1 / 18
 
     def test_perturbative_comparator_values(self):
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         # bracket 1/2 - 2/3 + 1/6 vanishes identically at (n', l) = (2, 1)
         assert energy_3d_perturbative_ref(params, QuantumNumbers(n=1, l=1)) == pytest.approx(
             0.125, rel=1e-15
         )
         assert energy_3d_perturbative_ref(
-            validate_params(1, 1, 0), QuantumNumbers(n=1, l=1)
+            PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=1)
         ) == pytest.approx(0.125, rel=1e-15)
         assert energy_3d_perturbative_ref(params, QuantumNumbers(n=2, l=1)) == pytest.approx(
             (1 / 18) * (1 - 0.02 / 18), rel=1e-14
@@ -418,4 +447,4 @@ class TestEnergySeries:
 
     def test_perturbative_comparator_requires_nonzero_l(self):
         with pytest.raises(RequiresNonzeroL):
-            energy_3d_perturbative_ref(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=0))
+            energy_3d_perturbative_ref(PhysicalParams(1, 1, 0.1), QuantumNumbers(n=1, l=0))

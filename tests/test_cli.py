@@ -188,6 +188,21 @@ class TestOrbit:
         _, rows = parse_csv(out)
         assert abs(float(rows[0]["precession_per_orbit"])) > 1e-4
 
+    def test_unbound_state_without_t_end_is_config_error(self, capsys):
+        # the default span is in undeformed periods, which an unbound state lacks
+        code, out, err = run_cli(capsys, "orbit", "--p2", "1.5")
+        assert (code, out) == (2, "")
+        assert "unbound" in err
+
+    def test_default_span_is_100_undeformed_periods(self, capsys):
+        code, out, _ = run_cli(capsys, "orbit", "--x1", "0.5", "--p2", "1.2",
+                               "--local-tol", "1e-8")
+        assert code == 0
+        _, rows = parse_csv(out)
+        # H = 1.2^2/2 - 1/0.5 = -1.28, so a = 1/2.56 and T = 2 pi a^1.5 at m = e2 = 1
+        period = 2.0 * math.pi * (1.0 / 2.56) ** 1.5
+        assert float(rows[0]["t_end"]) == pytest.approx(100.0 * period, rel=1e-14)
+
     def test_zero_t_end_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "orbit", "--t-end", "0")
         assert code == 2

@@ -8,6 +8,7 @@ triples with exact gradient algebra.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ import pytest
 from snyder_coulomb import (
     CollisionSingularity,
     InsufficientPeriods,
+    NonFinite,
     OrbitState,
+    PhysicalParams,
     StepUnderflow,
     equations_of_motion,
     hamiltonian_gradients,
@@ -23,7 +26,6 @@ from snyder_coulomb import (
     invariants,
     poisson_bracket,
     precession_per_orbit,
-    validate_params,
 )
 from snyder_coulomb import dynamics
 
@@ -65,14 +67,36 @@ def bracket_xx(i, j, x, p, beta):
     return value, gx, gp
 
 
+NOT_FINITE = [
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+    # float() would take these, or overflow on the int
+    pytest.param(True, id="bool"),
+    pytest.param("2", id="str"),
+    pytest.param(10**400, id="huge-int"),
+]
+
+
+class TestOrbitState:
+    def test_components_are_stored_as_floats(self):
+        state = OrbitState(2, 0, np.float64(0.0), 0.5)
+        assert astuple(state) == (2.0, 0.0, 0.0, 0.5)
+        assert [type(v) for v in astuple(state)] == [float] * 4
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_non_finite(self, value):
+        with pytest.raises(NonFinite, match="x1"):
+            OrbitState(value, 0, 0, 1)
+
+
 class TestEquationsOfMotion:
     def test_kepler_circular(self):
-        derivs = equations_of_motion((1.0, 0.0, 0.0, 1.0), validate_params(1, 1, 0))
+        derivs = equations_of_motion((1.0, 0.0, 0.0, 1.0), PhysicalParams(1, 1, 0))
         assert derivs == pytest.approx((0.0, 1.0, -1.0, 0.0), abs=1e-15)
 
     def test_deformed_terms_cancel_on_circular_state(self):
         # p.x = 0 and beta^2 p^2 balances the rotation-generator term
-        derivs = equations_of_motion((1.0, 0.0, 0.0, 1.0), validate_params(1, 1, 0.1))
+        derivs = equations_of_motion((1.0, 0.0, 0.0, 1.0), PhysicalParams(1, 1, 0.1))
         assert derivs == pytest.approx((0.0, 1.0, -1.0, 0.0), abs=1e-15)
 
     def test_matches_bracket_with_analytic_gradients(self):
@@ -84,7 +108,7 @@ class TestEquationsOfMotion:
                 continue
             beta = rng.choice([0.0, 0.05, 0.1, 0.4])
             m, e2 = rng.uniform(0.5, 2.0, size=2)
-            params = validate_params(m, e2, beta)
+            params = PhysicalParams(m, e2, beta)
             state = OrbitState(*x, *p)
             derivs = equations_of_motion((*x, *p), params)
             dh_dx, dh_dp = hamiltonian_gradients(state, params)
@@ -99,7 +123,7 @@ class TestEquationsOfMotion:
     def test_matches_bracket_with_finite_difference_gradients(self):
         # fully independent route: Hamiltonian gradients by central
         # differences, bracket assembled from the table
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         state = OrbitState(2.0, 0.0, 0.3, 0.4)
         x = np.array([state.x1, state.x2])
         p = np.array([state.p1, state.p2])
@@ -127,7 +151,7 @@ class TestEquationsOfMotion:
     def test_kepler_reduction_is_exact(self):
         state = OrbitState(1.7, -0.4, 0.2, 0.6)
         dx1, dx2, dp1, dp2 = equations_of_motion(
-            (state.x1, state.x2, state.p1, state.p2), validate_params(1, 1, 0)
+            (state.x1, state.x2, state.p1, state.p2), PhysicalParams(1, 1, 0)
         )
         r3 = state.r**3
         assert (dx1, dx2) == (state.p1, state.p2)
@@ -137,17 +161,17 @@ class TestEquationsOfMotion:
 
 class TestInvariants:
     def test_circular_values(self):
-        h, j = invariants(OrbitState(1.0, 0.0, 0.0, 1.0), validate_params(1, 1, 0))
+        h, j = invariants(OrbitState(1.0, 0.0, 0.0, 1.0), PhysicalParams(1, 1, 0))
         assert h == pytest.approx(-0.5, rel=1e-15)
         assert j == pytest.approx(1.0, rel=1e-15)
 
     def test_eccentric_values(self):
-        h, j = invariants(ECCENTRIC, validate_params(1, 1, 0))
+        h, j = invariants(ECCENTRIC, PhysicalParams(1, 1, 0))
         assert h == pytest.approx(-0.375, rel=1e-15)
         assert j == pytest.approx(1.0, rel=1e-15)
 
     def test_radial_motion_has_zero_j(self):
-        _, j = invariants(OrbitState(1.0, 1.0, 1.0, 1.0), validate_params(1, 1, 0))
+        _, j = invariants(OrbitState(1.0, 1.0, 1.0, 1.0), PhysicalParams(1, 1, 0))
         assert j == 0.0
 
 
@@ -160,7 +184,7 @@ class TestBracketAlgebra:
             if np.hypot(*x) < 0.2:
                 continue
             beta = rng.choice([0.0, 0.1, 0.5])
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             state = OrbitState(*x, *p)
             dh_dx, dh_dp = hamiltonian_gradients(state, params)
             dj_dx = np.array([p[1], -p[0]])
@@ -202,21 +226,21 @@ class TestIntegrateOrbit:
     def test_circular_period_closure(self):
         # r = 1 circular Kepler orbit has period 2 pi in these units
         state = OrbitState(1.0, 0.0, 0.0, 1.0)
-        traj = integrate_orbit(state, validate_params(1, 1, 0), TWO_PI, local_tol=1e-12)
+        traj = integrate_orbit(state, PhysicalParams(1, 1, 0), TWO_PI, local_tol=1e-12)
         last = traj.samples[-1]
         assert abs(last.x1 - 1.0) <= 1e-8
         assert abs(last.x2) <= 1e-8
 
     def test_kepler_conservation(self):
         traj = integrate_orbit(
-            ECCENTRIC, validate_params(1, 1, 0), 20 * T_ECC, local_tol=1e-12
+            ECCENTRIC, PhysicalParams(1, 1, 0), 20 * T_ECC, local_tol=1e-12
         )
         assert traj.h_drift <= 1e-9
         assert traj.j_drift <= 1e-9
 
     def test_deformed_flow_conserves_h_and_j(self):
         traj = integrate_orbit(
-            ECCENTRIC, validate_params(1, 1, 0.05), 20 * T_ECC, local_tol=1e-12
+            ECCENTRIC, PhysicalParams(1, 1, 0.05), 20 * T_ECC, local_tol=1e-12
         )
         assert traj.h_drift <= 1e-9
         assert traj.j_drift <= 1e-9
@@ -226,7 +250,7 @@ class TestIntegrateOrbit:
 
         t_end = 3 * T_ECC
         traj = integrate_orbit(
-            ECCENTRIC, validate_params(1, 1, 0), t_end, local_tol=1e-12, n_samples=500
+            ECCENTRIC, PhysicalParams(1, 1, 0), t_end, local_tol=1e-12
         )
         s = traj.samples
 
@@ -244,7 +268,7 @@ class TestIntegrateOrbit:
         assert np.allclose(sol.y[3], s.p2, atol=1e-9)
 
     def test_time_reversal(self):
-        params = validate_params(1, 1, 0.05)
+        params = PhysicalParams(1, 1, 0.05)
         t_end = 2 * T_ECC
         forward = integrate_orbit(ECCENTRIC, params, t_end, local_tol=1e-12)
         turn = forward.samples[-1]
@@ -266,33 +290,30 @@ class TestIntegrateOrbit:
         # t = pi (0.3/2)^1.5 = 0.1825
         state = OrbitState(0.3, 0.0, 0.0, 0.0)
         with pytest.raises(CollisionSingularity) as excinfo:
-            integrate_orbit(state, validate_params(1, 1, 0), 1.0, local_tol=1e-10)
+            integrate_orbit(state, PhysicalParams(1, 1, 0), 1.0, local_tol=1e-10)
         assert excinfo.value.t_last is not None
         assert 0.0 <= excinfo.value.t_last <= 0.1826
 
     def test_rejects_nonpositive_t_end(self):
         with pytest.raises(ValueError):
-            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 0.0)
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 0.0)
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
-    def test_rejects_nonpositive_n_samples(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
-            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=n_samples)
-
-    def test_single_sample_is_the_start_state(self):
-        traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=1)
-        assert traj.samples.tolist() == [(0.0, 2.0, 0.0, 0.0, 0.5)]
-        assert (traj.h_drift, traj.j_drift) == (0.0, 0.0)
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    @pytest.mark.parametrize("name", ["t_end", "local_tol"])
+    def test_rejects_non_finite_span_and_tolerance(self, name, value):
+        kwargs = {"t_end": 1.0, "local_tol": 1e-10, name: value}
+        with pytest.raises(NonFinite, match=name):
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), **kwargs)
 
     def test_sample_invariants_match_per_state_formula(self):
-        params = validate_params(1, 1, 0.05)
-        traj = integrate_orbit(ECCENTRIC, params, 2 * T_ECC, n_samples=200)
+        params = PhysicalParams(1, 1, 0.05)
+        traj = integrate_orbit(ECCENTRIC, params, 2 * T_ECC)
         h, j = invariants(traj.samples, params)
         per_state = [
             invariants(OrbitState(s.x1, s.x2, s.p1, s.p2), params)
             for s in traj.samples
         ]
-        assert h.shape == j.shape == (200,)
+        assert h.shape == j.shape == (2000,)  # the 2,000-sample floor of the default grid
         np.testing.assert_array_equal(h, [hs for hs, _ in per_state])
         np.testing.assert_array_equal(j, [js for _, js in per_state])
 
@@ -307,7 +328,7 @@ class TestIntegrateOrbit:
             return flow(y, params)
 
         monkeypatch.setattr(dynamics, "equations_of_motion", counted)
-        integrate_orbit(ECCENTRIC, validate_params(1, 1, 0.05), 1.0, n_samples=5)
+        integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0.05), 1.0)
         assert calls[0] == (ECCENTRIC.x1, ECCENTRIC.x2, ECCENTRIC.p1, ECCENTRIC.p2)
         assert len(calls) > 10
 
@@ -321,7 +342,7 @@ class TestIntegrateOrbit:
 
         monkeypatch.setattr(dynamics, "solve_ivp", poisoned)
         with pytest.raises(ValueError, match="must be finite"):
-            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
 
     def test_collapsed_step_raises_step_underflow(self, monkeypatch):
         solve = dynamics.solve_ivp
@@ -334,18 +355,17 @@ class TestIntegrateOrbit:
 
         monkeypatch.setattr(dynamics, "solve_ivp", collapsed)
         with pytest.raises(StepUnderflow, match="Required step size"):
-            integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 1.0, n_samples=5)
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
 
     @pytest.mark.parametrize("beta,p2", [(0.0, 1e200), (1.0, 1e155)])
     def test_non_finite_flow_at_start_is_rejected(self, beta, p2):
         # p^2 overflows: the flow at the start is NaN or inf, on which
         # solve_ivp would never return
         with pytest.raises(ValueError, match="not finite at the initial state"):
-            integrate_orbit(OrbitState(1.0, 0.0, 0.0, p2), validate_params(1, 1, beta), 1.0,
-                            n_samples=3)
+            integrate_orbit(OrbitState(1.0, 0.0, 0.0, p2), PhysicalParams(1, 1, beta), 1.0)
 
     def test_samples_are_read_only(self):
-        traj = integrate_orbit(ECCENTRIC, validate_params(1, 1, 0), 2 * T_ECC, n_samples=5)
+        traj = integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 2 * T_ECC)
         for records in (traj.samples, traj.perihelia):
             assert records.size >= 2
             with pytest.raises(ValueError, match="read-only"):
@@ -358,7 +378,7 @@ class TestIntegrateOrbit:
 
 def kepler_period(state: OrbitState) -> float:
     """Undeformed radial period of ``state`` at m = e2 = 1."""
-    h, _ = invariants(state, validate_params(1, 1, 0))
+    h, _ = invariants(state, PhysicalParams(1, 1, 0))
     return TWO_PI * (1.0 / (2.0 * abs(h))) ** 1.5
 
 
@@ -378,7 +398,7 @@ def closed_precession(state: OrbitState, params) -> float:
 class TestPrecession:
     def test_kepler_orbit_closes(self):
         traj = integrate_orbit(
-            ECCENTRIC, validate_params(1, 1, 0), 12 * T_ECC, local_tol=1e-12
+            ECCENTRIC, PhysicalParams(1, 1, 0), 12 * T_ECC, local_tol=1e-12
         )
         result = precession_per_orbit(traj)
         assert not result.circular
@@ -390,7 +410,7 @@ class TestPrecession:
         betas = (0.04, 0.08)
         for beta in betas:
             traj = integrate_orbit(
-                ECCENTRIC, validate_params(1, 1, beta), 8 * T_ECC, local_tol=1e-11
+                ECCENTRIC, PhysicalParams(1, 1, beta), 8 * T_ECC, local_tol=1e-11
             )
             result = precession_per_orbit(traj)
             assert abs(result.angle_per_orbit) > 1e-4
@@ -400,7 +420,7 @@ class TestPrecession:
 
     def test_circular_orbit_flagged(self):
         traj = integrate_orbit(
-            OrbitState(1.0, 0.0, 0.0, 1.0), validate_params(1, 1, 0), 30.0,
+            OrbitState(1.0, 0.0, 0.0, 1.0), PhysicalParams(1, 1, 0), 30.0,
             local_tol=1e-12,
         )
         result = precession_per_orbit(traj)
@@ -409,7 +429,7 @@ class TestPrecession:
 
     def test_insufficient_periods(self):
         traj = integrate_orbit(
-            ECCENTRIC, validate_params(1, 1, 0), 1.5 * T_ECC, local_tol=1e-10
+            ECCENTRIC, PhysicalParams(1, 1, 0), 1.5 * T_ECC, local_tol=1e-10
         )
         with pytest.raises(InsufficientPeriods):
             precession_per_orbit(traj)
@@ -422,7 +442,7 @@ class TestPrecession:
     )
     def test_matches_closed_form(self, beta, p0, periods, n_orbits):
         state = OrbitState(2.0, 0.0, 0.0, p0)
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         traj = integrate_orbit(state, params, periods * kepler_period(state), local_tol=1e-12)
         result = precession_per_orbit(traj)
         assert result.n_orbits == n_orbits
@@ -431,7 +451,7 @@ class TestPrecession:
     def test_retrograde_orbit_matches_its_mirror_image(self):
         # (x2, p2) -> (-x2, -p2) maps the flow onto itself exactly, so the
         # mirrored orbit's precession is the same number
-        params = validate_params(1, 1, 0.05)
+        params = PhysicalParams(1, 1, 0.05)
         mirror = OrbitState(1.5, -0.7, 0.1, -0.55)
         prograde = OrbitState(mirror.x1, -mirror.x2, mirror.p1, -mirror.p2)
         results = [

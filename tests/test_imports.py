@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from snyder_coulomb import dynamics, numerics, validate_params
+from snyder_coulomb import PhysicalParams, dynamics, numerics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,7 +88,7 @@ def test_spectrum_table_makes_few_array_calls(monkeypatch, beta):
         return core(*args)
 
     monkeypatch.setattr(numerics, "_phase_rows", counting_core)
-    entries = numerics.spectrum_table(validate_params(1, 1, beta), 8)
+    entries = numerics.spectrum_table(PhysicalParams(1, 1, beta), 8)
     assert all(entry.error is None for entry in entries)
     assert 1 <= len(calls) <= 12
     assert calls[0] == 2 * len(entries)  # both bracket ends of every level

@@ -1,7 +1,9 @@
 """Parameter validation, quantum numbers, and energy windows."""
 
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from snyder_coulomb import (
@@ -14,30 +16,33 @@ from snyder_coulomb import (
     QuantumNumbers,
     check_energy,
     energy_window,
-    validate_params,
 )
 
 
 class TestValidateParams:
+    """The checks PhysicalParams makes on construction."""
+
     def test_newtonian_limit_is_valid(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         assert params == PhysicalParams(1.0, 1.0, 0.0)
+        assert [type(v) for v in astuple(params)] == [float, float, float]
 
     def test_generic_positive_inputs(self):
-        params = validate_params(1, 1, 0.1)
-        assert (params.m, params.e2, params.beta) == (1.0, 1.0, 0.1)
+        params = PhysicalParams(np.float64(1.0), 1, 0.1)
+        assert astuple(params) == (1.0, 1.0, 0.1)
+        assert [type(v) for v in astuple(params)] == [float, float, float]
 
     def test_negative_mass_names_field(self):
         with pytest.raises(NonPositiveMass, match="m"):
-            validate_params(-1, 1, 0.1)
+            PhysicalParams(-1, 1, 0.1)
 
     def test_zero_coupling(self):
         with pytest.raises(NonPositiveCoupling, match="e2"):
-            validate_params(1, 0, 0.1)
+            PhysicalParams(1, 0, 0.1)
 
     def test_negative_beta(self):
         with pytest.raises(NegativeBeta, match="beta"):
-            validate_params(1, 1, -0.5)
+            PhysicalParams(1, 1, -0.5)
 
     @pytest.mark.parametrize(
         "args",
@@ -53,7 +58,7 @@ class TestValidateParams:
     )
     def test_non_finite(self, args):
         with pytest.raises(NonFinite):
-            validate_params(*args)
+            PhysicalParams(*args)
 
     def test_direct_construction_is_guarded_too(self):
         with pytest.raises(NonPositiveMass):
@@ -77,29 +82,29 @@ class TestQuantumNumbers:
 class TestEnergyWindow:
     def test_circular_orbit_bound(self):
         # m e2^2 / (2 l^2) caps every l > 0 channel, a fractional l included
-        assert energy_window(validate_params(1, 1, 0), 1) == 0.5
-        assert energy_window(validate_params(1, 1, 0), 0.5) == 2.0
+        assert energy_window(PhysicalParams(1, 1, 0), 1) == 0.5
+        assert energy_window(PhysicalParams(1, 1, 0), 0.5) == 2.0
 
     def test_angular_cap_wins_over_weak_deformation(self):
         # 1/(2 beta^2 m) = 50 is far above the circular bound 0.5.
-        e_max = energy_window(validate_params(1, 1, 0.1), 1)
+        e_max = energy_window(PhysicalParams(1, 1, 0.1), 1)
         assert e_max == pytest.approx(0.5, rel=1e-15)
 
     def test_deformation_pole_caps_the_s_channel(self):
-        e_max = energy_window(validate_params(1, 1, 2.0), 0)
+        e_max = energy_window(PhysicalParams(1, 1, 2.0), 0)
         assert e_max == pytest.approx(0.125, rel=1e-15)
 
     def test_unbounded_newtonian_s_channel(self):
-        assert math.isinf(energy_window(validate_params(1, 1, 0), 0))
+        assert math.isinf(energy_window(PhysicalParams(1, 1, 0), 0))
 
     def test_underflowed_pole_is_no_cap(self):
         # 2 beta^2 m underflows to 0 at beta = 1e-200: the pole is at infinity
-        params = validate_params(1, 1, 1e-200)
+        params = PhysicalParams(1, 1, 1e-200)
         assert energy_window(params, 0) == math.inf
-        assert energy_window(params, 2) == energy_window(validate_params(1, 1, 0), 2)
+        assert energy_window(params, 2) == energy_window(PhysicalParams(1, 1, 0), 2)
 
     def test_check_is_open_but_for_the_circular_endpoint(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         assert check_energy(params, 0.3, 1) is False
         assert check_energy(params, 0.5, 1) is True  # the circular orbit: a band of zero width
         assert check_energy(params, 0.5, 0) is False
@@ -109,9 +114,9 @@ class TestEnergyWindow:
         # the pole is never admitted: not where it equals the circular bound,
         # not at l = 0, and not where 49 * fl(1/49) rounds below 1
         for params, energy, l in [
-            (validate_params(1, 1, 1.0), 0.5, 1),
-            (validate_params(1, 1, 2.0), 0.125, 0),
-            (validate_params(24.5, 1, 1.0), 1.0 / 49.0, 1),
+            (PhysicalParams(1, 1, 1.0), 0.5, 1),
+            (PhysicalParams(1, 1, 2.0), 0.125, 0),
+            (PhysicalParams(24.5, 1, 1.0), 1.0 / 49.0, 1),
         ]:
             assert energy == energy_window(params, l)
             with pytest.raises(OutOfWindow):
@@ -120,12 +125,12 @@ class TestEnergyWindow:
     def test_monotone_in_l_and_beta(self):
         for m, e2 in [(1.0, 1.0), (2.0, 0.7)]:
             for beta in [0.0, 0.05, 0.3, 1.0]:
-                params = validate_params(m, e2, beta)
+                params = PhysicalParams(m, e2, beta)
                 caps = [energy_window(params, l) for l in range(0, 6)]
                 assert all(a >= b for a, b in zip(caps, caps[1:]))
         for l in range(0, 4):
             caps = [
-                energy_window(validate_params(1, 1, beta), l)
+                energy_window(PhysicalParams(1, 1, beta), l)
                 for beta in [0.0, 0.01, 0.1, 1.0, 3.0]
             ]
             assert all(a >= b for a, b in zip(caps, caps[1:]))

@@ -10,6 +10,7 @@ from snyder_coulomb import (
     DegenerateFit,
     NoRootInWindow,
     OutOfWindow,
+    PhysicalParams,
     QuantumNumbers,
     ToleranceNotReached,
     correction_order,
@@ -22,19 +23,18 @@ from snyder_coulomb import (
     radial_phase_integral_closed,
     spectrum_table,
     energy_window,
-    validate_params,
 )
 
 PI = math.pi
 E_1D_BETA01_N1 = 0.4196010845019197
 
 
-class TestIntegrateRealLine:
+class TestRealLineRule:
     """The l = 0 route: the raw integrand over the real line, in p = e^s."""
 
     def test_arctangent_integral(self):
         # at beta = 0, 2mE = 1 the integrand is 2 / (p^2 + 1)
-        res = phase_integral_numeric(validate_params(1, 1, 0), 0.5, 0)
+        res = phase_integral_numeric(PhysicalParams(1, 1, 0), 0.5, 0)
         assert res.value == pytest.approx(2 * PI, rel=1e-13)
         assert res.err_estimate <= 1e-10 * res.value
 
@@ -44,7 +44,7 @@ class TestIntegrateRealLine:
         m = e2 = 1.0
         energy, beta = 0.5, 0.1
         a = math.sqrt(2 * m * energy)
-        value = phase_integral_numeric(validate_params(m, e2, beta), energy, 0).value
+        value = phase_integral_numeric(PhysicalParams(m, e2, beta), energy, 0).value
         assert value == pytest.approx(2 * m * e2 * PI / (a * (1 + beta * a)), rel=1e-13)
         assert value == pytest.approx(2 * PI / 1.1, rel=1e-13)
 
@@ -60,19 +60,19 @@ class TestIntegrateRealLine:
         assert value[1] == pytest.approx(2 * 1.2660658777520084, rel=1e-14)  # 2 I0(1)
 
 
-class TestIntegrateBand:
+class TestBandRule:
     """The l >= 1 route: the raw integrand over the band, in z = e^s."""
 
     def test_newtonian_radial_integrand(self):
         # at beta = 0 the radial loop integral is 2 pi (n' - l) with
         # n' = sqrt(m e2^2 / (2E)) = 5 here
-        res = phase_integral_numeric(validate_params(1, 1, 0), 0.02, 3)
+        res = phase_integral_numeric(PhysicalParams(1, 1, 0), 0.02, 3)
         assert res.value == pytest.approx(4 * PI, rel=1e-13)
 
     def test_degenerate_band_is_zero(self, monkeypatch):
         # check_energy flags the circular endpoint before any rule runs
         monkeypatch.setattr(numerics, "_phase_rows", None)
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         top = energy_window(params, 2)
         res = phase_integral_numeric(params, top, 2)
         assert (res.value, res.err_estimate) == (0.0, 0.0)
@@ -83,7 +83,7 @@ class TestTrapezoidRule:
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_real_line_matches_closed_form(self, beta):
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         for energy in np.geomspace(1e-8, 0.49, 25):
             numeric = phase_integral_numeric(params, float(energy), 0).value
             closed = phase_integral_1d_closed(params, float(energy)).value
@@ -92,7 +92,7 @@ class TestTrapezoidRule:
     @pytest.mark.parametrize("l", [1, 3, 20, 50])
     @pytest.mark.parametrize("beta", BETAS)
     def test_band_matches_closed_form(self, beta, l):
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         e_max = energy_window(params, l)
         for frac in np.geomspace(1e-8, 0.9, 25):
             energy = float(frac * e_max)
@@ -105,13 +105,13 @@ class TestTrapezoidRule:
     def test_error_estimate_within_tolerance(self, l, energy, quad_rtol, monkeypatch):
         # the doubling meets the module tolerance, whatever it is set to
         monkeypatch.setattr(numerics, "QUAD_RTOL", quad_rtol)
-        res = phase_integral_numeric(validate_params(1, 1, 0.1), energy, l)
+        res = phase_integral_numeric(PhysicalParams(1, 1, 0.1), energy, l)
         assert type(res.value) is float and type(res.err_estimate) is float
         assert 0.0 <= res.err_estimate <= quad_rtol * abs(res.value)
 
     def test_lowered_panel_cap_raises(self, monkeypatch):
         # this band row starts at 48 panels, whose estimate misses QUAD_RTOL
-        params = validate_params(1, 1, 0.0)
+        params = PhysicalParams(1, 1, 0.0)
         assert phase_integral_numeric(params, 0.005, 1).err_estimate > 0.0
         monkeypatch.setattr(numerics, "MAX_PANELS", 48)
         with pytest.raises(ToleranceNotReached, match="within 48 panels"):
@@ -120,32 +120,32 @@ class TestTrapezoidRule:
 
 class TestPhaseIntegralNumeric:
     def test_newtonian_radial(self):
-        res = phase_integral_numeric(validate_params(1, 1, 0), 0.125, 1)
+        res = phase_integral_numeric(PhysicalParams(1, 1, 0), 0.125, 1)
         assert res.value == pytest.approx(2 * PI, abs=1e-10)
         assert res.kind == "numeric"
         assert res.err_estimate is not None and res.err_estimate < 1e-8
 
     def test_deformed_radial_matches_closed_form(self):
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         numeric = phase_integral_numeric(params, 0.125, 1).value
         closed = radial_phase_integral_closed(params, 0.125, 1).value
         assert numeric == pytest.approx(closed, rel=1e-8)
         assert numeric == pytest.approx(1.9901227376726 * PI, rel=1e-10)
 
     def test_deformed_s_channel_at_exact_root(self):
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         res = phase_integral_numeric(params, E_1D_BETA01_N1, 0)
         assert res.value == pytest.approx(2 * PI, abs=1e-10)
 
     def test_out_of_window(self):
         with pytest.raises(OutOfWindow):
-            phase_integral_numeric(validate_params(1, 1, 0), 0.6, 1)
+            phase_integral_numeric(PhysicalParams(1, 1, 0), 0.6, 1)
 
     @pytest.mark.parametrize("beta,l", [(2.0, 1), (2.0, 2), (1.0, 1), (3.0, 3)])
     def test_both_routes_reject_the_pole(self, beta, l):
         # e_max is the pole 1/(2 beta^2 m) here, not the circular-orbit bound
         # (at beta = 1, l = 1 the two coincide)
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         pole = energy_window(params, l)
         assert pole == 1.0 / (2.0 * beta**2)
         with pytest.raises(OutOfWindow):
@@ -155,7 +155,7 @@ class TestPhaseIntegralNumeric:
 
     @pytest.mark.parametrize("beta,l", [(0.0, 1), (0.1, 2), (0.9, 1), (2.0, 5)])
     def test_both_routes_vanish_at_the_circular_endpoint(self, beta, l):
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         top = energy_window(params, l)
         assert top == 1.0 / (2.0 * l * l)
         assert radial_phase_integral_closed(params, top, l).value == 0.0
@@ -166,7 +166,7 @@ class TestPhaseIntegralNumeric:
     @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, 2.0])
     def test_both_routes_raise_at_the_same_points(self, beta, l, point):
         # the 1D closed form is the l = 0 closed route
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         e_max = energy_window(params, l)
         energy = {
             "negative": -1.0,
@@ -201,7 +201,7 @@ class TestPhaseIntegralNumeric:
 
     def test_negative_l_fails_the_window_check(self):
         with pytest.raises(ValueError, match="l must be >= 0"):
-            phase_integral_numeric(validate_params(1, 1, 0), 0.1, -1)
+            phase_integral_numeric(PhysicalParams(1, 1, 0), 0.1, -1)
 
     def test_oracle_equivalence_grid(self):
         # matches the closed form over >= 100 tuples spanning l in 0..3 and
@@ -209,7 +209,7 @@ class TestPhaseIntegralNumeric:
         worst = 0.0
         count = 0
         for beta in (0.0, 0.01, 0.05, 0.1):
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             for l in (0, 1, 2, 3):
                 cap = 1.0 if l == 0 else 0.5 / l**2
                 for frac in np.linspace(0.06, 0.94, 8):
@@ -226,15 +226,15 @@ class TestPhaseIntegralNumeric:
         assert worst <= 1e-8
 
 
-class TestSolveBsEnergy:
+class TestLevelRoutes:
     """The two routes to a level: energy_closed and energy_numeric."""
 
     def test_newtonian_p_level(self):
-        energy = energy_closed(validate_params(1, 1, 0), QuantumNumbers(n=1, l=1))
+        energy = energy_closed(PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=1))
         assert energy == pytest.approx(0.125, rel=1e-10)
 
     def test_deformed_p_level_against_series(self):
-        energy = energy_closed(validate_params(1, 1, 0.1), QuantumNumbers(n=1, l=1))
+        energy = energy_closed(PhysicalParams(1, 1, 0.1), QuantumNumbers(n=1, l=1))
         assert energy == pytest.approx(0.1243834369668, rel=1e-10)
         # the first-order series 0.1243750 is off only at order beta^4
         assert energy == pytest.approx(0.1243750, abs=2e-5)
@@ -244,20 +244,20 @@ class TestSolveBsEnergy:
         betas = (0.02, 0.04, 0.08)
         residuals = []
         for beta in betas:
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             energy = energy_closed(params, qn)
             residuals.append(abs(energy / energy_series(params, qn) - 1.0))
         slope = np.polyfit(np.log(betas), np.log(residuals), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.15)
 
     def test_deformed_s_channel_numeric_matches_exact(self):
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         energy = energy_numeric(params, QuantumNumbers(n=1, l=0))
         assert energy == pytest.approx(energy_closed(params, QuantumNumbers(1)), rel=1e-8)
         assert energy == pytest.approx(0.4196011, abs=1e-6)
 
     def test_methods_agree(self):
-        params = validate_params(1, 1, 0.05)
+        params = PhysicalParams(1, 1, 0.05)
         for qn in (QuantumNumbers(2, 0), QuantumNumbers(1, 1), QuantumNumbers(2, 1)):
             closed = energy_closed(params, qn)
             numeric = energy_numeric(params, qn)
@@ -265,7 +265,7 @@ class TestSolveBsEnergy:
 
     def test_residual_of_quantization_condition(self):
         for beta in (0.0, 0.01, 0.1):
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             for qn in (QuantumNumbers(1, 0), QuantumNumbers(1, 1), QuantumNumbers(3, 2)):
                 energy = energy_closed(params, qn)
                 phi = (
@@ -278,7 +278,7 @@ class TestSolveBsEnergy:
     def test_no_root_at_strong_deformation(self):
         # the 1D loop at the window top is pi*beta*m*e2 = 3 pi > 2 pi n
         with pytest.raises(NoRootInWindow):
-            energy_closed(validate_params(1, 1, 3.0), QuantumNumbers(n=1, l=0))
+            energy_closed(PhysicalParams(1, 1, 3.0), QuantumNumbers(n=1, l=0))
 
     def test_infeasible_levels_are_those_without_a_sign_change(self):
         # The closed route decides feasibility algebraically.  The oracle is
@@ -287,7 +287,7 @@ class TestSolveBsEnergy:
         # grid it found 172 infeasible levels.
         infeasible, expected = set(), set()
         for beta in [*np.linspace(0.01, 5, 120), 0.9, 3.0]:
-            params = validate_params(1, 1, beta)
+            params = PhysicalParams(1, 1, beta)
             for n_prime in range(1, 11):
                 for l in range(n_prime):
                     qn = QuantumNumbers(n_prime - l, l)
@@ -308,10 +308,37 @@ class TestSolveBsEnergy:
         # beta m e2 = 2n + l: the root sits on the pole
         assert {(3.0, QuantumNumbers(1, 1)), (5.0, QuantumNumbers(1, 3))} <= infeasible
 
+    def test_quadrature_route_finds_the_same_infeasible_levels(self):
+        # The quadrature route's own verdict: no sign change of its Phi - 2 pi n
+        # below the window top.  Every level of a beta goes through one table
+        # solve (energy_numeric is its one-level call), and energy_numeric
+        # itself runs on every infeasible level.
+        closed, numeric = set(), set()
+        for beta in [*np.linspace(0.01, 5, 60), 0.9, 3.0]:
+            params = PhysicalParams(1, 1, beta)
+            levels = [QuantumNumbers(n_prime - l, l) for n_prime in range(1, 7)
+                      for l in range(n_prime)]
+            for qn, energy in zip(levels, numerics._solve_levels(params, levels)):
+                if isinstance(energy, NoRootInWindow):
+                    numeric.add((beta, qn))
+                try:
+                    energy_closed(params, qn)
+                except NoRootInWindow:
+                    closed.add((beta, qn))
+        assert numeric == closed
+        assert len(closed) == 88
+        # beta m e2 = 2n + l: the root sits on the pole
+        assert {(3.0, QuantumNumbers(1, 1)), (5.0, QuantumNumbers(1, 3)),
+                (5.0, QuantumNumbers(2, 1))} <= closed
+        no_sign_change = r"Phi\(E\) - 2 pi n = .* does not change sign"
+        for beta, qn in closed:
+            with pytest.raises(NoRootInWindow, match=no_sign_change):
+                energy_numeric(PhysicalParams(1, 1, beta), qn)
+
 
 class TestSpectrumTable:
     def test_newtonian_degeneracy(self):
-        entries = spectrum_table(validate_params(1, 1, 0), 3)
+        entries = spectrum_table(PhysicalParams(1, 1, 0), 3)
         assert len(entries) == 6
         assert [(e.qn.n_prime, e.qn.l) for e in entries] == [
             (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
@@ -330,28 +357,28 @@ class TestSpectrumTable:
                 assert v == pytest.approx(values[0], rel=1e-10)
 
     def test_deformed_table(self):
-        entries = spectrum_table(validate_params(1, 1, 0.1), 2)
+        entries = spectrum_table(PhysicalParams(1, 1, 0.1), 2)
         index = {(e.qn.n_prime, e.qn.l): e for e in entries}
         assert index[(1, 0)].e_closed == pytest.approx(0.4196011, abs=1e-6)
         assert index[(2, 1)].e_closed < 0.125
         assert index[(2, 1)].e_series == pytest.approx(0.1243750, rel=1e-12)
 
     def test_single_entry(self):
-        entries = spectrum_table(validate_params(1, 1, 0), 1)
+        entries = spectrum_table(PhysicalParams(1, 1, 0), 1)
         assert len(entries) == 1
         entry = entries[0]
         for value in (entry.e_newton, entry.e_closed, entry.e_numeric, entry.e_series):
             assert value == pytest.approx(0.5, rel=1e-8)
 
     def test_corrections_lower_energies(self):
-        entries = spectrum_table(validate_params(1, 1, 0.1), 4)
+        entries = spectrum_table(PhysicalParams(1, 1, 0.1), 4)
         for entry in entries:
             assert entry.error is None
             assert entry.e_closed < entry.e_newton
 
     def test_solver_errors_recorded_per_entry(self):
         # beta m e2 = 3 makes every 1D level with 2n < 3 infeasible
-        entries = spectrum_table(validate_params(1, 1, 3.0), 1)
+        entries = spectrum_table(PhysicalParams(1, 1, 3.0), 1)
         assert len(entries) == 1
         assert entries[0].error is not None
         assert "NoRootInWindow" in entries[0].error
@@ -364,7 +391,7 @@ class TestTableSolver:
 
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 0.9, 3.0])
     def test_table_matches_one_level_solves_and_closed_levels(self, beta):
-        params = validate_params(1, 1, beta)
+        params = PhysicalParams(1, 1, beta)
         for entry in spectrum_table(params, 8):
             if entry.error is not None:
                 with pytest.raises(NoRootInWindow):
@@ -377,7 +404,7 @@ class TestTableSolver:
     def test_missed_quadrature_fails_only_its_row(self, monkeypatch):
         # A row of the first array call misses its tolerance: the l = 0
         # level (n', l) = (3, 0), whose rows share the fixed 450-panel line.
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         unforced = spectrum_table(params, 8)
         index = [(e.qn.n_prime, e.qn.l) for e in unforced].index((3, 0))
         calls, core = [], numerics._phase_rows
@@ -398,8 +425,8 @@ class TestTableSolver:
         assert table[:index] + table[index + 1 :] == unforced[:index] + unforced[index + 1 :]
 
     def test_underflowing_beta_raises_no_zero_division(self):
-        params = validate_params(1, 1, 1e-200)
-        undeformed = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 1e-200)
+        undeformed = PhysicalParams(1, 1, 0)
         assert phase_integral_1d_closed(params, 0.1) == phase_integral_1d_closed(undeformed, 0.1)
         with pytest.raises(DegenerateFit):
             correction_order(undeformed, QuantumNumbers(1, 0), [1e-200, 1e-199, 1e-198, 1e-197])
@@ -410,25 +437,25 @@ class TestCorrectionOrder:
 
     def test_s_channel_slope_one(self):
         fit = correction_order(
-            validate_params(1, 1, 0), QuantumNumbers(n=1, l=0), self.BETAS
+            PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=0), self.BETAS
         )
         assert fit.slope == pytest.approx(1.0, abs=0.02)
         assert fit.n_used == 7
 
     def test_p_channel_slope_two(self):
         fit = correction_order(
-            validate_params(1, 1, 0), QuantumNumbers(n=1, l=1), self.BETAS
+            PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=1), self.BETAS
         )
         assert fit.slope == pytest.approx(2.0, abs=0.02)
 
     def test_d_channel_slope_two(self):
         fit = correction_order(
-            validate_params(1, 1, 0), QuantumNumbers(n=1, l=2), self.BETAS
+            PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=2), self.BETAS
         )
         assert fit.slope == pytest.approx(2.0, abs=0.02)
 
     def test_grid_guards(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         qn = QuantumNumbers(n=1, l=0)
         with pytest.raises(ValueError):
             correction_order(params, qn, [1e-3])
@@ -440,13 +467,13 @@ class TestCorrectionOrder:
     def test_nonzero_base_beta_is_rejected(self):
         # the grid sets the deformation; a base beta would be silently ignored
         with pytest.raises(ValueError, match="params_base.beta must be 0"):
-            correction_order(validate_params(1, 1, 0.7), QuantumNumbers(n=1, l=1), self.BETAS)
+            correction_order(PhysicalParams(1, 1, 0.7), QuantumNumbers(n=1, l=1), self.BETAS)
 
     def test_degenerate_fit_below_noise_floor(self):
         # corrections ~ beta^2 ~ 1e-16 vanish beneath the 1e-13 noise floor
         with pytest.raises(DegenerateFit):
             correction_order(
-                validate_params(1, 1, 0),
+                PhysicalParams(1, 1, 0),
                 QuantumNumbers(n=1, l=1),
                 [1e-8, 3e-8, 1e-7, 1e-6],
             )
@@ -454,7 +481,7 @@ class TestCorrectionOrder:
 
 class TestLLimitStudy:
     def test_newtonian_limit_recovers_1d(self):
-        params = validate_params(1, 1, 0)
+        params = PhysicalParams(1, 1, 0)
         rows = l_limit_study(params, 0.125, [1e-2, 1e-4, 1e-6])
         # gap is exactly -2 pi l at beta = 0
         for row in rows:
@@ -464,7 +491,7 @@ class TestLLimitStudy:
     def test_deformed_limit_recovers_1d(self):
         # the l -> 0 limit of the radial closed form equals the 1D closed
         # form for every beta; at finite l the gap is dominated by -pi*l
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         rows = l_limit_study(params, 0.125, [1e-3, 1e-5, 1e-7, 1e-9])
         gaps = [abs(row.gap) for row in rows]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -475,7 +502,7 @@ class TestLLimitStudy:
     def test_gap_at_small_l_is_band_offset_dominated(self):
         # for g = 2 beta m e2 / W >> l the raw gap approaches
         # -pi*(l + l^2/(2 g))
-        params = validate_params(1, 1, 0.1)
+        params = PhysicalParams(1, 1, 0.1)
         (row,) = l_limit_study(params, 0.125, [1e-3])
         w = 1 - 2 * 0.1**2 * 0.125
         g = 2 * 0.1 / w
@@ -485,11 +512,11 @@ class TestLLimitStudy:
     def test_out_of_window_recorded_in_row(self):
         # E = 0.6 lies above the l = 1 circular-orbit bound but inside the
         # 1D window, so only the radial value fails
-        (row,) = l_limit_study(validate_params(1, 1, 0), 0.6, [1.0])
+        (row,) = l_limit_study(PhysicalParams(1, 1, 0), 0.6, [1.0])
         assert row.error.startswith("OutOfWindow")
         assert math.isnan(row.phi_radial) and math.isnan(row.gap)
         assert math.isfinite(row.phi_one_dim)
         # past the 1D pole at beta = 1.5 every value of every row fails
-        rows = l_limit_study(validate_params(1, 1, 1.5), 0.6, [1.0, 1e-3])
+        rows = l_limit_study(PhysicalParams(1, 1, 1.5), 0.6, [1.0, 1e-3])
         assert all(r.error.startswith("OutOfWindow") for r in rows)
         assert all(math.isnan(r.phi_one_dim) for r in rows)
