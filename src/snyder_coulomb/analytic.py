@@ -28,7 +28,7 @@ The radial closed form implemented here is the exact value of
 obtained by partial fractions; it vanishes at the circular-orbit endpoint
 and matches a trapezoid rule on the raw integrand to machine precision
 (see the numerics module and the test suite for the cross-checks).  No
-closed form calls ``turning_points``, the quadrature's band edges.
+closed form evaluates the band edges z-, z+: only the quadrature does.
 
 All functions are pure and all result types immutable.
 """
@@ -43,7 +43,6 @@ from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window
 
 __all__ = [
     "PhaseIntegralResult",
-    "turning_points",
     "phase_integral_1d_closed",
     "radial_phase_integral_closed",
     "energy_closed",
@@ -70,25 +69,6 @@ class PhaseIntegralResult:
     value: float
     kind: str
     err_estimate: float | None = None
-
-
-def turning_points(params: PhysicalParams, energy: float, l: float) -> tuple[float, float]:
-    """Roots (z_minus, z_plus) of the radial band in z = p_rho^2 for angular momentum l.
-
-    ``l`` may be any positive real; quantized callers pass integers >= 1.
-    Raises OutOfWindow where ``check_energy`` does; the bound it admits is
-    exactly q/2 (q = m e2^2/l^2), so the discriminant m (q - 2E) is >= 0.
-    z_plus is evaluated directly, z_minus through the exact product
-    z_minus z_plus = (2mE)^2 to avoid cancellation at small E.
-    """
-    if not l > 0:
-        raise ValueError(f"l must be > 0, got {l!r}")
-    check_energy(params, energy, l)
-    m, e2 = params.m, params.e2
-    q = m * e2**2 / (l * l)
-    s = math.sqrt(m * (q - 2.0 * energy))
-    z_plus = 2.0 * m * (q - energy + (e2 / l) * s)
-    return (2.0 * m * energy) ** 2 / z_plus, z_plus
 
 
 def phase_integral_1d_closed(params: PhysicalParams, energy: float) -> PhaseIntegralResult:

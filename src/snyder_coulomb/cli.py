@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .analytic import phase_integral_1d_closed, radial_phase_integral_closed
 from .errors import CollisionSingularity, InsufficientPeriods, SnyderCoulombError
-from .model import PhysicalParams, QuantumNumbers, energy_window
+from .model import PhysicalParams, QuantumNumbers, energy_window, finite_float
 from .numerics import (
     correction_order,
     l_limit_study,
@@ -343,7 +343,7 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_l_limit(cfg: dict[str, Any]) -> int:
-    if not cfg["energy"] > 0:
+    if not finite_float("energy", cfg["energy"], "> 0 and finite") > 0:
         raise ValueError("energy must be > 0")
     header = ["beta", "l", "phi_radial", "phi_one_dim", "gap", "error"]
     rows = []

@@ -215,9 +215,9 @@ def integrate_orbit(
 
     Raises ValueError unless ``t_end`` and ``local_tol`` are finite
     numbers > 0 or if the flow is not finite at ``state0`` (momenta so
-    large that p^2 overflows), CollisionSingularity if the orbit reaches
-    r = 1e-8 and StepUnderflow if the controller's step collapses before
-    ``t_end``.
+    large that p^2 overflows), CollisionSingularity if the orbit starts
+    inside or reaches r = 1e-8 and StepUnderflow if the controller's step
+    collapses before ``t_end``.
     """
     # solve_ivp does not return for an infinite span or tolerance
     for name, value in (("t_end", t_end), ("local_tol", local_tol)):
@@ -225,16 +225,19 @@ def integrate_orbit(
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     n_samples = int(min(400_000, max(2000, 60.0 * t_end)))
 
-    y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
-    # solve_ivp does not return when the flow at the start is not finite
-    if not all(math.isfinite(v) for v in equations_of_motion(y0, params)):
-        raise ValueError(f"the flow is not finite at the initial state {state0!r}")
-
     def collision(t: float, y: np.ndarray) -> float:
         return y[0] * y[0] + y[1] * y[1] - _COLLISION_FLOOR * _COLLISION_FLOOR
 
     collision.terminal = True
     collision.direction = -1.0
+
+    y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
+    if collision(0.0, y0) <= 0.0:  # no crossing to detect, and r^2 may underflow to 0
+        raise CollisionSingularity(f"orbit starts at r = {state0.r!r}, inside the collision "
+                                   f"floor r = {_COLLISION_FLOOR!r}", t_last=0.0)
+    # solve_ivp does not return when the flow at the start is not finite
+    if not all(math.isfinite(v) for v in equations_of_motion(y0, params)):
+        raise ValueError(f"the flow is not finite at the initial state {state0!r}")
 
     # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r
     def perihelion(t: float, y: np.ndarray) -> float:

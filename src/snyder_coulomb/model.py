@@ -105,7 +105,7 @@ def energy_window(params: PhysicalParams, l: float) -> float:
         raise ValueError(f"l must be >= 0, got {l}")
     e_max = params.m * params.e2**2 / (2.0 * l * l) if l > 0 else math.inf
     pole = 2.0 * params.beta**2 * params.m
-    # the lower cap, without min(): this runs on every turning_points call
+    # the lower cap, without min(): this runs on every check_energy call
     return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
 
 

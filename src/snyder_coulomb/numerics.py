@@ -59,7 +59,6 @@ from .analytic import (
     phase_integral_1d_closed,
     PhaseIntegralResult,
     radial_phase_integral_closed,
-    turning_points,
 )
 from .errors import (
     DegenerateFit,
@@ -178,6 +177,24 @@ def _infeasible(params: PhysicalParams, qn: QuantumNumbers, residual: float) -> 
     )
 
 
+def _band_edges(
+    params: PhysicalParams, energy: np.ndarray, l: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band edges (z_minus, z_plus) in z = p_rho^2 at the rows (energy[i], l[i]).
+
+    The roots of z^2 - 4m(q - E) z + (2mE)^2, q = m e2^2/l^2.  No validation:
+    every row must lie strictly inside its window (l > 0, 0 < E < e_max), so
+    that q - 2E > 0 and z_minus < z_plus.  z_plus is evaluated directly,
+    z_minus through the product z_minus z_plus = (2mE)^2, free of
+    cancellation at small E.
+    """
+    m, e2 = params.m, params.e2
+    q = m * e2**2 / (l * l)
+    z_plus = 2.0 * m * (q - energy + (e2 / l) * np.sqrt(m * (q - 2.0 * energy)))
+    two_m_e = 2.0 * m * energy
+    return two_m_e * two_m_e / z_plus, z_plus
+
+
 def _phase_rows(
     params: PhysicalParams, energy: np.ndarray, l: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +205,8 @@ def _phase_rows(
     2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) over the real line, as twice the
     integral over p = e^s, s in ln sqrt(2mE) +- 45, on one array starting
     at 450 panels.  The l >= 1 rows integrate
-    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band,
+    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band
+    between the edges z- < z+ (:func:`_band_edges`, one call for all rows),
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
     grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
     widest row's L.  Returns (values, error estimates) as arrays; a row
@@ -198,9 +216,6 @@ def _phase_rows(
     b2 = beta * beta
     two_m_e = 2.0 * m * energy
     value, err = np.zeros(energy.shape), np.zeros(energy.shape)
-    # Per-row constants come from math.log and turning_points (x**2), not
-    # numpy: np.log and x*x differ from them in the last bit on some inputs,
-    # and the verify-integrals goldens pin phase_integral_numeric's digits.
 
     line = np.flatnonzero(l == 0)
     if line.size:
@@ -212,17 +227,14 @@ def _phase_rows(
             raw = 2.0 * m * e2 / ((p2 + line_two_m_e) * (1.0 + b2 * p2))
             return 2.0 * raw * p  # even: twice the half line; dp = p ds
 
-        centre = 0.5 * np.array([math.log(x) for x in two_m_e[line].tolist()])
+        centre = 0.5 * np.log(two_m_e[line])
         value[line], err[line] = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450)
 
     band = np.flatnonzero(l != 0)
     if band.size:
-        rows = zip(energy[band].tolist(), l[band].tolist())
-        points = [turning_points(params, e, k) for e, k in rows]
-        z_minus, z_plus, log_z_minus, width = np.array(
-            [(lo, hi, math.log(lo), math.log(hi / lo)) for lo, hi in points]
-        ).T[..., None]
         band_l, band_two_m_e = l[band, None], two_m_e[band, None]
+        z_minus, z_plus = _band_edges(params, energy[band, None], band_l)
+        log_z_minus, width = np.log(z_minus), np.log(z_plus / z_minus)
 
         def band_integrand(phi: np.ndarray) -> np.ndarray:
             z = np.exp(log_z_minus + width * np.sin(phi) ** 2)

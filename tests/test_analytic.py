@@ -1,4 +1,4 @@
-"""Closed-form phase integrals, turning points, and spectra.
+"""Closed-form phase integrals, the quadrature's band edges, and spectra.
 
 The radial closed form is cross-checked here against an independent
 partial-fraction evaluation (band integrals of sqrt((z-a)(b-z))/(z+g) have
@@ -26,8 +26,8 @@ from snyder_coulomb import (
     phase_integral_1d_closed,
     radial_phase_integral_closed,
     energy_window,
-    turning_points,
 )
+from snyder_coulomb.numerics import _band_edges
 
 PI = math.pi
 INFEASIBLE = r"beta m e2 = .* is not below 2n \+ l"
@@ -43,15 +43,18 @@ PHI_RADIAL_BETA01 = 1.9901227376726076 * PI
 def band_integral_reference(params, energy, l):
     """Partial-fraction evaluation of the radial loop integral.
 
-    Independent of the production formula: decomposes the integrand over
-    simple poles and sums three elementary band integrals.
+    Independent of the production formula and of the quadrature: finds the
+    band edges a < b as the roots of z^2 - 4m(q - E) z + (2mE)^2 = 0
+    (q = m e2^2/l^2), decomposes the integrand over simple poles and sums
+    three elementary band integrals.
     """
-    a, b = turning_points(params, energy, l)
-    s = a + b
-    c = 2.0 * params.m * energy
+    m, c = params.m, 2.0 * params.m * energy
+    half_sum = 2.0 * m * (m * params.e2**2 / (l * l) - energy)
+    b = half_sum + math.sqrt(half_sum * half_sum - c * c)
+    a = c * c / b
 
     def elementary(g):
-        return PI * (s / 2.0 + g - math.sqrt((a + g) * (b + g)))
+        return PI * (half_sum + g - math.sqrt((a + g) * (b + g)))
 
     if params.beta == 0.0:
         # 1/(z(z+c)) = (1/c)(1/z - 1/(z+c))
@@ -76,53 +79,46 @@ def forbid_closed_phi(monkeypatch):
 
 
 class TestTurningPoints:
+    """The band edges z- <= z+ in z = p_rho^2, which only the quadrature reads."""
+
     def test_degenerate_circular_orbit(self):
-        z_minus, z_plus = turning_points(PhysicalParams(1, 1, 0), 0.5, 1)
-        assert z_minus == z_plus == pytest.approx(1.0, rel=1e-12)
+        # at the circular bound E = q/2 both edges are 2mE
+        l = np.array([1, 2, 3, 4])
+        for m, e2 in [(0.5, 2.0), (3.0, 0.7), (1.0, 1.0)]:
+            energy = m * e2**2 / (2.0 * l * l)
+            z_minus, z_plus = _band_edges(PhysicalParams(m, e2, 0.1), energy, l)
+            assert np.array_equal(z_plus, 2 * m * energy)
+            assert z_minus == pytest.approx(z_plus, rel=1e-15)
+        assert z_minus[0] == z_plus[0] == 1.0  # m = e2 = l = 1: E = 1/2
 
     def test_generic_band(self):
-        z_minus, z_plus = turning_points(PhysicalParams(1, 1, 0), 0.125, 1)
+        edges = _band_edges(PhysicalParams(1, 1, 0), np.array([0.125]), np.array([1]))
+        (z_minus,), (z_plus,) = edges
         assert z_minus == pytest.approx(0.0179491924311227, rel=1e-12)
         assert z_plus == pytest.approx(3.4820508075688772, rel=1e-12)
         assert z_minus * z_plus == pytest.approx(0.0625, rel=1e-12)
         assert z_minus + z_plus == pytest.approx(3.5, rel=1e-12)
         assert z_minus < z_plus
 
-    def test_above_circular_bound(self):
-        with pytest.raises(OutOfWindow):
-            turning_points(PhysicalParams(1, 1, 0), 0.6, 1)
-
-    @pytest.mark.parametrize(
-        "call, error",
-        [
-            (lambda p: turning_points(p, math.nan, 1), OutOfWindow),
-            (lambda p: radial_phase_integral_closed(p, 0.1, math.nan), ValueError),
-        ],
-        ids=["nan-energy", "nan-l"],
-    )
-    def test_nan_is_rejected(self, call, error):
-        with pytest.raises(error):
-            call(PhysicalParams(1, 1, 0))
-
     def test_product_and_sum_identities_on_grid(self):
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            m = rng.uniform(0.3, 3.0)
-            e2 = rng.uniform(0.3, 3.0)
-            l = int(rng.integers(1, 5))
-            cap = m * e2**2 / (2 * l * l)
-            energy = rng.uniform(0.01, 0.999) * cap
-            z_minus, z_plus = turning_points(PhysicalParams(m, e2, 0), energy, l)
+        for _ in range(6):
+            m, e2 = rng.uniform(0.3, 3.0, 2)
+            l = rng.integers(1, 5, 50)
+            q = m * e2**2 / l**2
+            energy = rng.uniform(0.01, 0.999, 50) * q / 2  # below the circular bound
+            z_minus, z_plus = _band_edges(PhysicalParams(m, e2, 0), energy, l)
             assert z_minus * z_plus == pytest.approx((2 * m * energy) ** 2, rel=1e-12)
-            assert z_minus + z_plus == pytest.approx(
-                4 * m * (m * e2**2 / l**2 - energy), rel=1e-12
-            )
-            assert 0 < z_minus < z_plus
+            assert z_minus + z_plus == pytest.approx(4 * m * (q - energy), rel=1e-12)
+            assert np.all((0 < z_minus) & (z_minus < z_plus))
 
     def test_turning_points_are_beta_independent(self):
-        for beta in (0.0, 0.05, 0.2):
-            _, z_plus = turning_points(PhysicalParams(1, 1, beta), 0.125, 1)
-            assert z_plus == pytest.approx(3.4820508075688772, rel=1e-14)
+        energy, l = np.array([0.125, 0.05, 0.02]), np.array([1, 1, 2])
+        edges = [_band_edges(PhysicalParams(1, 1, beta), energy, l) for beta in (0.0, 0.05, 0.2)]
+        assert edges[0][1][0] == pytest.approx(3.4820508075688772, rel=1e-14)
+        for z_minus, z_plus in edges[1:]:
+            assert np.array_equal(z_minus, edges[0][0])
+            assert np.array_equal(z_plus, edges[0][1])
 
 
 class TestPhaseIntegral1D:
@@ -163,9 +159,8 @@ class TestRadialPhaseIntegral:
         res = radial_phase_integral_closed(PhysicalParams(1, 1, 0.1), 0.125, 1)
         assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13)
 
-    def test_degenerate_endpoint_is_zero(self, monkeypatch):
+    def test_degenerate_endpoint_is_zero(self):
         # the closed form uses no band code: the endpoint is check_energy's
-        monkeypatch.setattr(analytic, "turning_points", forbidden)
         newtonian = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1).value
         assert newtonian == pytest.approx(2 * PI, rel=1e-14)
         assert radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.5, 1).value == 0.0
@@ -178,6 +173,10 @@ class TestRadialPhaseIntegral:
         # deformation pole bound: E = 0.2 > 1/(2 beta^2 m) = 0.125 at l = 1, beta = 2
         with pytest.raises(OutOfWindow):
             radial_phase_integral_closed(PhysicalParams(1, 1, 2.0), 0.2, 1)
+
+    def test_rejects_nan_l(self):
+        with pytest.raises(ValueError, match="l must be > 0"):
+            radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.1, math.nan)
 
     def test_beta_zero_reduces_to_newtonian_bitwise(self):
         params = PhysicalParams(1, 1, 0)

@@ -208,17 +208,28 @@ class TestOrbit:
         assert code == 2
         assert "t_end" in err
 
-    @pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--local-tol", "inf", "--t-end", "20"]])
-    def test_infinite_span_or_tolerance_is_config_error(self, argv):
+    @staticmethod
+    def run_child(*argv):
         # in a child process under a timeout, so that a hang fails the test
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         ))
-        proc = subprocess.run([sys.executable, "-m", "snyder_coulomb", "orbit", *argv],
+        return subprocess.run([sys.executable, "-m", "snyder_coulomb", "orbit", *argv],
                               env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("argv", [["--t-end", "inf"], ["--local-tol", "inf", "--t-end", "20"]])
+    def test_infinite_span_or_tolerance_is_config_error(self, argv):
+        proc = self.run_child(*argv)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "must be finite and > 0" in proc.stderr
+
+    def test_start_inside_collision_floor_is_check_failure(self):
+        # r^2 underflows to 0 here, which the flow divides by
+        proc = self.run_child("--x1", "1e-200", "--p2", "1", "--t-end", "1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("orbit: collision singularity, last good t = 0.0: ")
+        assert "Traceback" not in proc.stderr
 
     def test_collision_reports_last_good_time(self, capsys):
         code, _, err = run_cli(
@@ -275,6 +286,12 @@ class TestLLimit:
 
     def test_nan_energy_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "l-limit", "--energy", "nan")
+        assert (code, out) == (2, "")
+        assert "energy must be > 0" in err
+
+    @pytest.mark.parametrize("energy", ["inf", "-inf", "0"])
+    def test_infinite_or_zero_energy_is_config_error(self, capsys, energy):
+        code, out, err = run_cli(capsys, "l-limit", f"--energy={energy}")
         assert (code, out) == (2, "")
         assert "energy must be > 0" in err
 

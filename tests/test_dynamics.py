@@ -294,6 +294,13 @@ class TestIntegrateOrbit:
         assert excinfo.value.t_last is not None
         assert 0.0 <= excinfo.value.t_last <= 0.1826
 
+    @pytest.mark.parametrize("x1", [1e-200, 1e-9], ids=["r2-underflows", "inside-floor"])
+    def test_start_inside_collision_floor_raises_at_t0(self, x1):
+        # the first used to divide by r^2 = 0, the second to end in StepUnderflow
+        with pytest.raises(CollisionSingularity, match="inside the collision floor") as excinfo:
+            integrate_orbit(OrbitState(x1, 0, 0, 1), PhysicalParams(1, 1, 0.1), 1.0)
+        assert excinfo.value.t_last == 0.0
+
     def test_rejects_nonpositive_t_end(self):
         with pytest.raises(ValueError):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 0.0)

@@ -1,9 +1,11 @@
 """Only the orbit route loads scipy, on first use, through a patchable attribute.
 
-Package modules also import no private (``_``-prefixed) name from each other.
+Package modules also import no private (``_``-prefixed) name from each other,
+and the quadrature route calls no closed-form function.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from snyder_coulomb import PhysicalParams, dynamics, numerics
+from snyder_coulomb import PhysicalParams, analytic, dynamics, numerics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,6 +73,34 @@ def test_no_private_names_cross_module_boundaries(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert crossings == []
+
+
+QUADRATURE_CORE = ("_trapezoid", "_band_edges", "_phase_rows", "_solve_levels",
+                   "phase_integral_numeric", "energy_numeric")
+
+
+def test_quadrature_route_names_no_closed_form():
+    # the two routes never share a formula: their agreement is the cross-check;
+    # the core and every numerics function it names may share only result types
+    tree = ast.parse((SRC / "snyder_coulomb" / "numerics.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    closed = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "analytic"
+        for alias in node.names
+        if inspect.isfunction(getattr(analytic, alias.name))
+    }
+    assert "energy_closed" in closed
+    shared, seen, todo = [], set(), [name for name in QUADRATURE_CORE if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            used = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+            shared += [f"{name} -> {other}" for other in sorted(used & closed)]
+            todo += sorted(used & defs.keys())
+    assert (sorted(shared), sorted(set(QUADRATURE_CORE) - defs.keys())) == ([], [])
 
 
 def test_unknown_attribute_still_raises():
