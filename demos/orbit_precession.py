@@ -7,7 +7,9 @@ perihelion advances by a fixed angle per radial period.  The integrator
 locates each perihelion as an event (x.p rising through zero) on its
 dense output, so at beta = 0 the measured advance collapses to the
 integrator's own error (about 1e-12 rad here), and the advance grows as
-beta^2 across a deformation sweep.
+beta^2 across a deformation sweep.  The drift printed is the largest
+relative deviation of H and J from the start over the integrator's
+accepted steps.
 """
 
 import math

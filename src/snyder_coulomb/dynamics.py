@@ -23,10 +23,12 @@ integrator locates the perihelia there as events.
 
 Integration uses an adaptive embedded explicit Runge-Kutta pair (DOP853
 via scipy), which does not preserve the bracket, so drift is monitored
-instead.  A structure-preserving scheme does exist: the canonical
-realization x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P)
-onto this bracket.  ``solve_ivp`` is imported from scipy on first use, so
-no other part of the package loads scipy.  Inputs pass ``model.finite_float``.
+instead, at the integrator's own accepted steps; only the event location
+(perihelia, collision) evaluates the dense output.  A structure-preserving
+scheme does exist: the canonical realization x = X + beta^2 (X.P) P, p = P
+carries canonical pairs (X, P) onto this bracket.  ``solve_ivp`` is
+imported from scipy on first use, so no other part of the package loads
+scipy.  Inputs pass ``model.finite_float``.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ __all__ = [
     "PrecessionResult",
     "equations_of_motion",
     "invariants",
-    "poisson_bracket",
-    "hamiltonian_gradients",
     "integrate_orbit",
     "precession_per_orbit",
 ]
@@ -95,13 +95,15 @@ class OrbitState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit, its perihelia and worst-case relative drift of H and J.
+    """Integrated orbit, its perihelia and worst-case relative drift of H and J.
 
-    ``samples`` is a read-only ``np.recarray`` with one record per sample
-    and the fields ``t, x1, x2, p1, p2``: ``samples[k].x1`` reads one
-    sample and ``samples.x1`` the whole column.  ``perihelia`` holds the
-    states at the located perihelia (x.p rising through 0), with the same
-    fields, also read-only.
+    ``samples`` is a read-only ``np.recarray`` with one record per accepted
+    integrator step, t = 0 and t = t_end included, and the fields
+    ``t, x1, x2, p1, p2``: ``samples[k].x1`` reads one sample and
+    ``samples.x1`` the whole column.  ``h_drift`` and ``j_drift`` are the
+    largest relative deviations from the start over those samples.
+    ``perihelia`` holds the states at the located perihelia (x.p rising
+    through 0), with the same fields, also read-only.
     """
 
     samples: np.recarray
@@ -161,44 +163,6 @@ def invariants(
     return h, j
 
 
-def poisson_bracket(
-    df_dx: np.ndarray,
-    df_dp: np.ndarray,
-    dg_dx: np.ndarray,
-    dg_dp: np.ndarray,
-    x: np.ndarray,
-    p: np.ndarray,
-    beta: float,
-) -> float:
-    """Deformed bracket {f, g} from the gradients of f and g at (x, p).
-
-    Evaluates
-    beta^2 sum_ij J_ij (df/dx_i)(dg/dx_j)
-    + sum_ij (delta_ij + beta^2 p_i p_j)
-             ((df/dx_i)(dg/dp_j) - (dg/dx_i)(df/dp_j)).
-    """
-    b2 = beta * beta
-    a, b = np.asarray(df_dx, float), np.asarray(dg_dx, float)
-    ap, bp = np.asarray(df_dp, float), np.asarray(dg_dp, float)
-    xx_term = b2 * (np.dot(a, x) * np.dot(b, p) - np.dot(b, x) * np.dot(a, p))
-    xp_term = (
-        np.dot(a, bp)
-        - np.dot(b, ap)
-        + b2 * (np.dot(p, a) * np.dot(p, bp) - np.dot(p, b) * np.dot(p, ap))
-    )
-    return float(xx_term + xp_term)
-
-
-def hamiltonian_gradients(
-    state: OrbitState, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dH/dx, dH/dp) of the Coulomb Hamiltonian at ``state``."""
-    r3 = state.r**3
-    dh_dx = np.array([params.e2 * state.x1 / r3, params.e2 * state.x2 / r3])
-    dh_dp = np.array([state.p1 / params.m, state.p2 / params.m])
-    return dh_dx, dh_dp
-
-
 def integrate_orbit(
     state0: OrbitState,
     params: PhysicalParams,
@@ -207,24 +171,18 @@ def integrate_orbit(
 ) -> Trajectory:
     """Integrate the deformed flow from ``state0`` at t = 0 to t = ``t_end``.
 
-    Adaptive DOP853 with rtol = atol = ``local_tol``.  The trajectory is
-    sampled on a uniform grid of about 60 samples per unit time (2,000 to
-    400,000 samples), on which the H and J drift and the circular-orbit
-    check are read; the perihelia are root-found on the solver's dense
-    output, independent of that grid, a perihelion at the start included.
+    Adaptive DOP853 with rtol = atol = ``local_tol``.  The samples are the
+    solver's accepted steps, from t = 0 to exactly ``t_end``, and the H and
+    J drift and the circular-orbit check read those states; the perihelia
+    are root-found on the dense output of the steps where x.p changes sign,
+    a perihelion at the start included.
 
-    Raises ValueError unless ``t_end`` and ``local_tol`` are finite
-    numbers > 0 or if the flow is not finite at ``state0`` (momenta so
-    large that p^2 overflows), CollisionSingularity if the orbit starts
-    inside or reaches r = 1e-8 and StepUnderflow if the controller's step
-    collapses before ``t_end``.
+    Raises CollisionSingularity if the orbit starts inside or reaches
+    r = 1e-8, ValueError if the flow is not finite at ``state0`` (momenta
+    so large that p^2 overflows) or unless ``t_end`` and ``local_tol`` are
+    finite numbers > 0, checked in that order, and StepUnderflow if the
+    controller's step collapses before ``t_end``.
     """
-    # solve_ivp does not return for an infinite span or tolerance
-    for name, value in (("t_end", t_end), ("local_tol", local_tol)):
-        if not finite_float(name, value, "finite and > 0") > 0:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    n_samples = int(min(400_000, max(2000, 60.0 * t_end)))
-
     def collision(t: float, y: np.ndarray) -> float:
         return y[0] * y[0] + y[1] * y[1] - _COLLISION_FLOOR * _COLLISION_FLOOR
 
@@ -238,6 +196,10 @@ def integrate_orbit(
     # solve_ivp does not return when the flow at the start is not finite
     if not all(math.isfinite(v) for v in equations_of_motion(y0, params)):
         raise ValueError(f"the flow is not finite at the initial state {state0!r}")
+    # solve_ivp does not return for an infinite span or tolerance
+    for name, value in (("t_end", t_end), ("local_tol", local_tol)):
+        if not finite_float(name, value, "finite and > 0") > 0:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r
     def perihelion(t: float, y: np.ndarray) -> float:
@@ -251,17 +213,15 @@ def integrate_orbit(
         (0.0, t_end),
         np.array(y0, dtype=float),
         method="DOP853",
-        t_eval=np.linspace(0.0, t_end, n_samples),
         rtol=local_tol,
         atol=local_tol,
         events=(collision, perihelion),
     )
-    if sol.status == 1:
-        t_hit = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
-        t_last = float(sol.t[-1]) if len(sol.t) else 0.0
+    if sol.status == 1:  # the last step ends on the collision floor
+        t_hit = float(sol.t[-1])
         raise CollisionSingularity(
             f"orbit reached the collision floor r = {_COLLISION_FLOOR!r} at t = {t_hit!r}",
-            t_last=t_last,
+            t_last=t_hit,
         )
     if sol.status != 0:  # -1: the step size collapsed
         raise StepUnderflow(sol.message)

@@ -25,11 +25,12 @@ from snyder_coulomb import (
     integrate_orbit,
     phase_integral_1d_closed,
     phase_integral_numeric,
-    poisson_bracket,
     precession_per_orbit,
     radial_phase_integral_closed,
     spectrum_table,
 )
+
+from bracket_oracles import poisson_bracket
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from snyder_coulomb import OrbitState, PhysicalParams, integrate_orbit
 from snyder_coulomb.cli import main
 
 
@@ -23,6 +24,13 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+def dump_reference():
+    """Library samples of the dump tests' orbit (the CLI defaults at beta = 0)."""
+    traj = integrate_orbit(OrbitState(2.0, 0.0, 0.0, 0.5), PhysicalParams(1, 1, 0), 30.0,
+                           local_tol=1e-10)
+    return traj.samples.tolist()
 
 
 class TestSpectrum:
@@ -231,6 +239,14 @@ class TestOrbit:
         assert proc.stderr.startswith("orbit: collision singularity, last good t = 0.0: ")
         assert "Traceback" not in proc.stderr
 
+    def test_default_span_underflow_reports_the_collision(self):
+        # 100 undeformed periods underflow to t_end = 0 at r = 1e-200: the
+        # start state, not the span the user never gave, is at fault
+        proc = self.run_child("--x1", "1e-200", "--p2", "1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("orbit: collision singularity, last good t = 0.0: ")
+        assert "Traceback" not in proc.stderr
+
     def test_collision_reports_last_good_time(self, capsys):
         code, _, err = run_cli(
             capsys, "orbit", "--x1", "0.3", "--x2", "0", "--p1", "0", "--p2", "0",
@@ -248,9 +264,8 @@ class TestOrbit:
         assert code == 0
         payload = json.loads(out)
         assert "samples" in payload
-        assert len(payload["samples"]) >= 100
-        first = payload["samples"][0]
-        assert first["x1"] == pytest.approx(2.0)
+        dumped = [tuple(sample.values()) for sample in payload["samples"]]
+        assert dumped == dump_reference()
 
     def test_dump_samples_csv_moves_summary_to_stderr(self, capsys):
         code, out, err = run_cli(
@@ -260,7 +275,7 @@ class TestOrbit:
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["t", "x1", "x2", "p1", "p2"]
-        assert len(rows) >= 100
+        assert [tuple(float(v) for v in row.values()) for row in rows] == dump_reference()
         assert "h_drift=" in err
 
 

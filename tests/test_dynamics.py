@@ -21,13 +21,13 @@ from snyder_coulomb import (
     PhysicalParams,
     StepUnderflow,
     equations_of_motion,
-    hamiltonian_gradients,
     integrate_orbit,
     invariants,
-    poisson_bracket,
     precession_per_orbit,
 )
 from snyder_coulomb import dynamics
+
+from bracket_oracles import hamiltonian_gradients, poisson_bracket
 
 TWO_PI = 2.0 * math.pi
 ECCENTRIC = OrbitState(2.0, 0.0, 0.0, 0.5)
@@ -314,15 +314,31 @@ class TestIntegrateOrbit:
 
     def test_sample_invariants_match_per_state_formula(self):
         params = PhysicalParams(1, 1, 0.05)
-        traj = integrate_orbit(ECCENTRIC, params, 2 * T_ECC)
+        t_end = 2 * T_ECC
+        traj = integrate_orbit(ECCENTRIC, params, t_end)
         h, j = invariants(traj.samples, params)
         per_state = [
             invariants(OrbitState(s.x1, s.x2, s.p1, s.p2), params)
             for s in traj.samples
         ]
-        assert h.shape == j.shape == (2000,)  # the 2,000-sample floor of the default grid
+        # the samples are the accepted steps, from exactly 0 to exactly t_end
+        t = traj.samples.t
+        assert t[0] == 0.0
+        assert t[-1] == t_end
+        assert np.all(np.diff(t) > 0.0)
+        for name in traj.samples.dtype.names:
+            assert np.isfinite(traj.samples[name]).all(), name
         np.testing.assert_array_equal(h, [hs for hs, _ in per_state])
         np.testing.assert_array_equal(j, [js for _, js in per_state])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_drift_is_max_relative_deviation_over_samples(self, beta):
+        params = PhysicalParams(1, 1, beta)
+        traj = integrate_orbit(ECCENTRIC, params, 5 * T_ECC, local_tol=1e-10)
+        h, j = invariants(traj.samples, params)
+        assert traj.h_drift == float(np.max(np.abs(h - h[0])) / abs(h[0]))
+        assert traj.j_drift == float(np.max(np.abs(j - j[0])) / abs(j[0]))
+        assert 0.0 < traj.h_drift <= 1e-7 and 0.0 < traj.j_drift <= 1e-7
 
     def test_integrates_the_tested_flow(self, monkeypatch):
         # the bracket oracles above check equations_of_motion; the
