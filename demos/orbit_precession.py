@@ -4,6 +4,8 @@
 The deformed brackets change the flow at order beta^2 while still
 conserving H and J exactly, so a Kepler ellipse stops closing: its
 perihelion advances by a fixed angle per radial period.  The integrator
+steps in the Sundman time s, dt/ds = r, so its steps are short near
+perihelion, where the orbit turns fastest, and long near aphelion.  It
 locates each perihelion as an event (x.p rising through zero) on its
 dense output, so at beta = 0 the measured advance collapses to the
 integrator's own error (about 1e-12 rad here), and the advance grows as

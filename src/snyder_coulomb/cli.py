@@ -118,12 +118,12 @@ def _apply_config(path: str, command: argparse.ArgumentParser, actions: dict) ->
 
 
 def _fmt(value: Any) -> str:
+    # No cell is None: the rows hold numbers, bools and `error or ""`
+    # strings, and the summaries counts, floats and a bool.
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if value is None:
-        return ""
     return str(value)
 
 

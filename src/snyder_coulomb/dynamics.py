@@ -24,11 +24,16 @@ integrator locates the perihelia there as events.
 Integration uses an adaptive embedded explicit Runge-Kutta pair (DOP853
 via scipy), which does not preserve the bracket, so drift is monitored
 instead, at the integrator's own accepted steps; only the event location
-(perihelia, collision) evaluates the dense output.  A structure-preserving
-scheme does exist: the canonical realization x = X + beta^2 (X.P) P, p = P
-carries canonical pairs (X, P) onto this bracket.  ``solve_ivp`` is
-imported from scipy on first use, so no other part of the package loads
-scipy.  Inputs pass ``model.finite_float``.
+(perihelia, collision, end) evaluates the dense output.  The steps are
+taken in the Sundman time s, dt/ds = r (Hairer, Lubich & Wanner,
+Geometric Numerical Integration, ch. VIII), with the clock t as a fifth
+state component: the steps are short in t near perihelion and long near
+aphelion, so a tolerance costs about a third fewer steps than stepping in
+t.  Since r > 0, every event keeps its sign under the transform.  A
+structure-preserving scheme does exist: the canonical realization
+x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P) onto this
+bracket.  ``solve_ivp`` is imported from scipy on first use, so no other
+part of the package loads scipy.  Inputs pass ``model.finite_float``.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class Trajectory:
     """Integrated orbit, its perihelia and worst-case relative drift of H and J.
 
     ``samples`` is a read-only ``np.recarray`` with one record per accepted
-    integrator step, t = 0 and t = t_end included, and the fields
+    integrator step, t = 0 and the end event (within 4 ulp of t_end)
+    included, and the fields
     ``t, x1, x2, p1, p2``: ``samples[k].x1`` reads one sample and
     ``samples.x1`` the whole column.  ``h_drift`` and ``j_drift`` are the
     largest relative deviations from the start over those samples.
@@ -171,30 +177,38 @@ def integrate_orbit(
 ) -> Trajectory:
     """Integrate the deformed flow from ``state0`` at t = 0 to t = ``t_end``.
 
-    Adaptive DOP853 with rtol = atol = ``local_tol``.  The samples are the
-    solver's accepted steps, from t = 0 to exactly ``t_end``, and the H and
-    J drift and the circular-orbit check read those states; the perihelia
-    are root-found on the dense output of the steps where x.p changes sign,
-    a perihelion at the start included.
+    Adaptive DOP853 with rtol = atol = ``local_tol`` on (x1, x2, p1, p2, t)
+    in the Sundman time s, dt/ds = r: the right-hand side is r times the
+    flow, and a terminal event ends the run where the clock t reaches
+    ``t_end``.  The samples are the solver's accepted steps, each with its
+    own clock value, from t = 0 to the located end event; that event is
+    root-found in s, so its clock lies within 4 ulp of ``t_end`` rather
+    than on it.  The H and J drift and the circular-orbit check read those
+    states; the perihelia are root-found on the dense output of the steps
+    where x.p changes sign, a perihelion at the start included.
+
+    The s span (0, t_end / 1e-8) suffices: until the collision event fires,
+    r > 1e-8 and so t > 1e-8 s.  Only the clock's rounding on an orbit that
+    hugs the floor could leave it short of ``t_end`` at the end of the span.
 
     Raises CollisionSingularity if the orbit starts inside or reaches
     r = 1e-8, ValueError if the flow is not finite at ``state0`` (momenta
     so large that p^2 overflows) or unless ``t_end`` and ``local_tol`` are
     finite numbers > 0, checked in that order, and StepUnderflow if the
-    controller's step collapses before ``t_end``.
+    controller's step collapses, or the s span runs out, before ``t_end``.
     """
-    def collision(t: float, y: np.ndarray) -> float:
+    def collision(s: float, y: np.ndarray) -> float:
         return y[0] * y[0] + y[1] * y[1] - _COLLISION_FLOOR * _COLLISION_FLOOR
 
     collision.terminal = True
     collision.direction = -1.0
 
-    y0 = (state0.x1, state0.x2, state0.p1, state0.p2)
+    y0 = (state0.x1, state0.x2, state0.p1, state0.p2, 0.0)
     if collision(0.0, y0) <= 0.0:  # no crossing to detect, and r^2 may underflow to 0
         raise CollisionSingularity(f"orbit starts at r = {state0.r!r}, inside the collision "
                                    f"floor r = {_COLLISION_FLOOR!r}", t_last=0.0)
     # solve_ivp does not return when the flow at the start is not finite
-    if not all(math.isfinite(v) for v in equations_of_motion(y0, params)):
+    if not all(math.isfinite(v) for v in equations_of_motion(y0[:4], params)):
         raise ValueError(f"the flow is not finite at the initial state {state0!r}")
     # solve_ivp does not return for an infinite span or tolerance
     for name, value in (("t_end", t_end), ("local_tol", local_tol)):
@@ -202,34 +216,49 @@ def integrate_orbit(
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r
-    def perihelion(t: float, y: np.ndarray) -> float:
+    def perihelion(s: float, y: np.ndarray) -> float:
         return y[0] * y[2] + y[1] * y[3]
 
     perihelion.direction = 1.0
 
-    sol = _module.solve_ivp(
+    def end(s: float, y: np.ndarray) -> float:
+        return y[4] - t_end
+
+    end.terminal = True
+    end.direction = 1.0
+
+    def sundman(s: float, y: np.ndarray) -> tuple[float, ...]:
         # Python floats give the IEEE results of np.float64 at less cost
-        lambda t, y: equations_of_motion(y.tolist(), params),
-        (0.0, t_end),
+        x1, x2, p1, p2, _ = y.tolist()
+        r = math.hypot(x1, x2)
+        dx1, dx2, dp1, dp2 = equations_of_motion((x1, x2, p1, p2), params)
+        return r * dx1, r * dx2, r * dp1, r * dp2, r
+
+    sol = _module.solve_ivp(
+        sundman,
+        (0.0, t_end / _COLLISION_FLOOR),
         np.array(y0, dtype=float),
         method="DOP853",
         rtol=local_tol,
         atol=local_tol,
-        events=(collision, perihelion),
+        events=(collision, perihelion, end),
     )
-    if sol.status == 1:  # the last step ends on the collision floor
-        t_hit = float(sol.t[-1])
+    if sol.status == -1:  # the step size collapsed
+        raise StepUnderflow(sol.message)
+    if sol.t_events[0].size:  # the last step ends on the collision floor
+        t_hit = float(sol.y[4, -1])
         raise CollisionSingularity(
             f"orbit reached the collision floor r = {_COLLISION_FLOOR!r} at t = {t_hit!r}",
             t_last=t_hit,
         )
-    if sol.status != 0:  # -1: the step size collapsed
-        raise StepUnderflow(sol.message)
+    if not sol.t_events[2].size:  # status 0: the s span ran out (see the docstring)
+        raise StepUnderflow(f"the clock reached only t = {float(sol.y[4, -1])!r} of "
+                            f"t_end = {t_end!r} by the end of the s span")
 
     if not np.isfinite(sol.y).all():
         raise ValueError("orbit state components must be finite")
-    samples = _records(sol.t, sol.y)
-    perihelia = _records(sol.t_events[1], sol.y_events[1].reshape(-1, 4).T)
+    samples = _records(sol.y)
+    perihelia = _records(sol.y_events[1].reshape(-1, 5).T)
 
     h, j = invariants(samples, params)
     h_drift = float(np.max(np.abs(h - h[0])) / max(abs(h[0]), 1e-300))
@@ -237,9 +266,9 @@ def integrate_orbit(
     return Trajectory(samples=samples, perihelia=perihelia, h_drift=h_drift, j_drift=j_drift)
 
 
-def _records(t: np.ndarray, y: np.ndarray) -> np.recarray:
-    """Read-only records ``t, x1, x2, p1, p2`` from times and 4-row states."""
-    records = np.rec.fromarrays([t, *y], names="t,x1,x2,p1,p2")
+def _records(y: np.ndarray) -> np.recarray:
+    """Read-only records ``t, x1, x2, p1, p2`` from 5-row states (x1, x2, p1, p2, t)."""
+    records = np.rec.fromarrays([y[4], *y[:4]], names="t,x1,x2,p1,p2")
     records.flags.writeable = False
     return records
 

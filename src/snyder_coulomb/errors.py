@@ -85,4 +85,4 @@ class CollisionSingularity(SnyderCoulombError, RuntimeError):
 
 
 class StepUnderflow(SnyderCoulombError, RuntimeError):
-    """Adaptive integrator step size underflowed before reaching t_end."""
+    """The integrator stopped short of t_end: its step underflowed or its s span ran out."""

@@ -361,6 +361,22 @@ class TestInfrastructure:
         assert code == 2
         assert "betta" in err
 
+    def test_boolean_config_key(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("t-end = 30\nlocal-tol = 1e-10\ndump-samples = yes\n")
+        code, out, _ = run_cli(capsys, "orbit", "--beta", "0", "--config", str(config))
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["t", "x1", "x2", "p1", "p2"]
+        assert [tuple(float(v) for v in row.values()) for row in rows] == dump_reference()
+
+    def test_non_boolean_config_value(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("# orbit\ndump-samples = maybe\n")
+        code, out, err = run_cli(capsys, "orbit", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert f"{config}:2: config key dump-samples: not a boolean: 'maybe'" in err
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--tol-quad", "1e-8"],
         ["spectrum", "--tol-root", "1e-10"],

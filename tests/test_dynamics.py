@@ -222,6 +222,20 @@ class TestBracketAlgebra:
             assert abs(term2 + term3) <= 1e-12
 
 
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """The states at which the integrator evaluates ``equations_of_motion``."""
+    flow = dynamics.equations_of_motion
+    calls = []
+
+    def counted(y, params):
+        calls.append(tuple(y))
+        return flow(y, params)
+
+    monkeypatch.setattr(dynamics, "equations_of_motion", counted)
+    return calls
+
+
 class TestIntegrateOrbit:
     def test_circular_period_closure(self):
         # r = 1 circular Kepler orbit has period 2 pi in these units
@@ -258,8 +272,9 @@ class TestIntegrateOrbit:
             r3 = (y[0] ** 2 + y[1] ** 2) ** 1.5
             return [y[2], y[3], -y[0] / r3, -y[1] / r3]
 
+        # the last sample is the located end event, which may pass t_end by an ulp
         sol = solve_ivp(
-            kepler_rhs, (0.0, t_end), [2.0, 0.0, 0.0, 0.5], method="DOP853",
+            kepler_rhs, (0.0, s.t[-1]), [2.0, 0.0, 0.0, 0.5], method="DOP853",
             t_eval=s.t, rtol=1e-12, atol=1e-12,
         )
         assert np.allclose(sol.y[0], s.x1, atol=1e-9)
@@ -321,10 +336,12 @@ class TestIntegrateOrbit:
             invariants(OrbitState(s.x1, s.x2, s.p1, s.p2), params)
             for s in traj.samples
         ]
-        # the samples are the accepted steps, from exactly 0 to exactly t_end
+        # the samples are the accepted steps, from exactly 0 to the end
+        # event, which is located in the Sundman time and so lands within a
+        # few ulp of t_end
         t = traj.samples.t
         assert t[0] == 0.0
-        assert t[-1] == t_end
+        assert abs(t[-1] - t_end) <= 4 * math.ulp(t_end)
         assert np.all(np.diff(t) > 0.0)
         for name in traj.samples.dtype.names:
             assert np.isfinite(traj.samples[name]).all(), name
@@ -340,20 +357,31 @@ class TestIntegrateOrbit:
         assert traj.j_drift == float(np.max(np.abs(j - j[0])) / abs(j[0]))
         assert 0.0 < traj.h_drift <= 1e-7 and 0.0 < traj.j_drift <= 1e-7
 
-    def test_integrates_the_tested_flow(self, monkeypatch):
+    def test_integrates_the_tested_flow(self, flow_calls):
         # the bracket oracles above check equations_of_motion; the
         # integrator must evaluate that same function, start state included
-        flow = dynamics.equations_of_motion
-        calls = []
-
-        def counted(y, params):
-            calls.append(tuple(y))
-            return flow(y, params)
-
-        monkeypatch.setattr(dynamics, "equations_of_motion", counted)
         integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0.05), 1.0)
-        assert calls[0] == (ECCENTRIC.x1, ECCENTRIC.x2, ECCENTRIC.p1, ECCENTRIC.p2)
-        assert len(calls) > 10
+        assert flow_calls[0] == (ECCENTRIC.x1, ECCENTRIC.x2, ECCENTRIC.p1, ECCENTRIC.p2)
+        assert len(flow_calls) > 10
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    @pytest.mark.parametrize("tol,most", [(1e-10, 4500), (1e-12, 7000)])
+    def test_sundman_stepping_saves_evaluations(self, flow_calls, beta, tol, most):
+        # stepping in t took 5,757 (1e-10) and 8,241 (1e-12) evaluations
+        # at beta = 0; dt/ds = r takes about a third fewer
+        integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, beta), 10 * T_ECC, local_tol=tol)
+        assert len(flow_calls) <= most
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    @pytest.mark.parametrize("p0", [0.3, 0.45, 0.6])
+    def test_drift_stays_inside_the_tolerance_bound(self, p0, beta, tol):
+        # the bound the orbit benchmark checks: 1e3 * local_tol over 10 periods
+        state = OrbitState(2.0, 0.0, 0.0, p0)
+        traj = integrate_orbit(state, PhysicalParams(1, 1, beta), 10 * kepler_period(state),
+                               local_tol=tol)
+        assert traj.h_drift <= 1e3 * tol
+        assert traj.j_drift <= 1e3 * tol
 
     def test_non_finite_solution_is_rejected(self, monkeypatch):
         solve = dynamics.solve_ivp
@@ -378,6 +406,18 @@ class TestIntegrateOrbit:
 
         monkeypatch.setattr(dynamics, "solve_ivp", collapsed)
         with pytest.raises(StepUnderflow, match="Required step size"):
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
+
+    def test_span_that_ends_before_t_end_raises_step_underflow(self, monkeypatch):
+        # t_end / 1e-8 always suffices (t > 1e-8 s before a collision), so
+        # only a shortened span reaches this branch
+        solve = dynamics.solve_ivp
+
+        def shortened(fun, t_span, *args, **kwargs):
+            return solve(fun, (t_span[0], 0.1), *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", shortened)
+        with pytest.raises(StepUnderflow, match="by the end of the s span"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
 
     @pytest.mark.parametrize("beta,p2", [(0.0, 1e200), (1.0, 1e155)])
