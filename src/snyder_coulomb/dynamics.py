@@ -21,28 +21,33 @@ deformation (it grows as beta^2).  Since x.dx/dt = (x.p)(1 + beta^2 p^2)/m
 exactly, r has a minimum where x.p rises through zero, and the
 integrator locates the perihelia there as events.
 
-Integration uses an adaptive embedded explicit Runge-Kutta pair (DOP853
-via scipy), which does not preserve the bracket, so drift is monitored
-instead, at the integrator's own accepted steps; only the event location
-(perihelia, collision, end) evaluates the dense output.  The steps are
-taken in the Sundman time s, dt/ds = r (Hairer, Lubich & Wanner,
+Integration uses the Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett
+& Wanner, Solving ODEs I, sec. II.10), run by this module's own step loop
+on Python floats with scipy's tableau and scipy's step control.  It does
+not preserve the bracket, so drift is monitored instead, at the accepted
+steps; only a step on which an event function (perihelion, collision, end)
+changes sign builds the dense output and root-finds the event on it.  The
+steps are taken in the Sundman time s, dt/ds = r (Hairer, Lubich & Wanner,
 Geometric Numerical Integration, ch. VIII), with the clock t as a fifth
 state component: the steps are short in t near perihelion and long near
 aphelion, so a tolerance costs about a third fewer steps than stepping in
 t.  Since r > 0, every event keeps its sign under the transform.  A
 structure-preserving scheme does exist: the canonical realization
 x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P) onto this
-bracket.  ``solve_ivp`` is imported from scipy on first use, so no other
-part of the package loads scipy.  Inputs pass ``model.finite_float``.
+bracket.  The tableau (read from scipy's ``DOP853`` class) and ``brentq``
+are imported on first use, so no other part of the package loads scipy.
+Inputs pass ``model.finite_float``.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,15 +69,17 @@ __all__ = [
 ]
 
 _COLLISION_FLOOR = 1e-8
+_EPS = sys.float_info.epsilon
+_LAZY = {"DOP853": "scipy.integrate", "brentq": "scipy.optimize"}
 
 _module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """Import ``solve_ivp`` from scipy on first access (PEP 562)."""
-    if name != "solve_ivp":
+    """Import ``DOP853`` (read for its tableau) and ``brentq`` from scipy on first access (PEP 562)."""
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module("scipy.integrate").solve_ivp
+    value = getattr(importlib.import_module(_LAZY[name]), name)
     globals()[name] = value
     return value
 
@@ -177,15 +184,16 @@ def integrate_orbit(
 ) -> Trajectory:
     """Integrate the deformed flow from ``state0`` at t = 0 to t = ``t_end``.
 
-    Adaptive DOP853 with rtol = atol = ``local_tol`` on (x1, x2, p1, p2, t)
-    in the Sundman time s, dt/ds = r: the right-hand side is r times the
-    flow, and a terminal event ends the run where the clock t reaches
-    ``t_end``.  The samples are the solver's accepted steps, each with its
-    own clock value, from t = 0 to the located end event; that event is
-    root-found in s, so its clock lies within 4 ulp of ``t_end`` rather
-    than on it.  The H and J drift and the circular-orbit check read those
-    states; the perihelia are root-found on the dense output of the steps
-    where x.p changes sign, a perihelion at the start included.
+    Adaptive DOP853 (:func:`_dop853`) with rtol = atol = ``local_tol`` on
+    (x1, x2, p1, p2, t) in the Sundman time s, dt/ds = r: the right-hand
+    side is r times the flow, and a terminal event ends the run where the
+    clock t reaches ``t_end``.  The samples are the accepted steps, each
+    with its own clock value, from t = 0 to the located end event; that
+    event is root-found in s, so its clock lies within 4 ulp of ``t_end``
+    rather than on it.  The H and J drift and the circular-orbit check read
+    those states; the perihelia are root-found on the dense output of the
+    steps where x.p rises through 0, a perihelion at the start included.
+    A perihelion located after the end event in the same step is dropped.
 
     The s span (0, t_end / 1e-8) suffices: until the collision event fires,
     r > 1e-8 and so t > 1e-8 s.  Only the clock's rounding on an orbit that
@@ -197,73 +205,204 @@ def integrate_orbit(
     finite numbers > 0, checked in that order, and StepUnderflow if the
     controller's step collapses, or the s span runs out, before ``t_end``.
     """
-    def collision(s: float, y: np.ndarray) -> float:
-        return y[0] * y[0] + y[1] * y[1] - _COLLISION_FLOOR * _COLLISION_FLOOR
+    floor_sq = _COLLISION_FLOOR * _COLLISION_FLOOR
 
-    collision.terminal = True
-    collision.direction = -1.0
+    def collision(y: list[float]) -> float:  # rises through 0 where r falls through the floor
+        return floor_sq - (y[0] * y[0] + y[1] * y[1])
 
     y0 = (state0.x1, state0.x2, state0.p1, state0.p2, 0.0)
-    if collision(0.0, y0) <= 0.0:  # no crossing to detect, and r^2 may underflow to 0
+    if collision(y0) >= 0.0:  # no crossing to detect, and r^2 may underflow to 0
         raise CollisionSingularity(f"orbit starts at r = {state0.r!r}, inside the collision "
                                    f"floor r = {_COLLISION_FLOOR!r}", t_last=0.0)
-    # solve_ivp does not return when the flow at the start is not finite
+    # the loop would not return: a NaN first step never falls below the smallest step
     if not all(math.isfinite(v) for v in equations_of_motion(y0[:4], params)):
         raise ValueError(f"the flow is not finite at the initial state {state0!r}")
-    # solve_ivp does not return for an infinite span or tolerance
     for name, value in (("t_end", t_end), ("local_tol", local_tol)):
         if not finite_float(name, value, "finite and > 0") > 0:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r
-    def perihelion(s: float, y: np.ndarray) -> float:
+    def perihelion(y: list[float]) -> float:
         return y[0] * y[2] + y[1] * y[3]
 
-    perihelion.direction = 1.0
-
-    def end(s: float, y: np.ndarray) -> float:
+    def end(y: list[float]) -> float:
         return y[4] - t_end
 
-    end.terminal = True
-    end.direction = 1.0
-
-    def sundman(s: float, y: np.ndarray) -> tuple[float, ...]:
-        # Python floats give the IEEE results of np.float64 at less cost
-        x1, x2, p1, p2, _ = y.tolist()
-        r = math.hypot(x1, x2)
-        dx1, dx2, dp1, dp2 = equations_of_motion((x1, x2, p1, p2), params)
+    def sundman(y: list[float]) -> tuple[float, ...]:
+        r = math.hypot(y[0], y[1])
+        dx1, dx2, dp1, dp2 = equations_of_motion(y[:4], params)
         return r * dx1, r * dx2, r * dp1, r * dp2, r
 
-    sol = _module.solve_ivp(
-        sundman,
-        (0.0, t_end / _COLLISION_FLOOR),
-        np.array(y0, dtype=float),
-        method="DOP853",
-        rtol=local_tol,
-        atol=local_tol,
-        events=(collision, perihelion, end),
-    )
-    if sol.status == -1:  # the step size collapsed
-        raise StepUnderflow(sol.message)
-    if sol.t_events[0].size:  # the last step ends on the collision floor
-        t_hit = float(sol.y[4, -1])
+    states, found, stop = _dop853(sundman, y0, t_end / _COLLISION_FLOOR, local_tol,
+                                  ((collision, True), (perihelion, False), (end, True)))
+    if stop == 0:  # the last state is on the collision floor
+        t_hit = states[-1][4]
         raise CollisionSingularity(
             f"orbit reached the collision floor r = {_COLLISION_FLOOR!r} at t = {t_hit!r}",
             t_last=t_hit,
         )
-    if not sol.t_events[2].size:  # status 0: the s span ran out (see the docstring)
-        raise StepUnderflow(f"the clock reached only t = {float(sol.y[4, -1])!r} of "
+    if stop is None:  # the s span ran out (see the docstring)
+        raise StepUnderflow(f"the clock reached only t = {states[-1][4]!r} of "
                             f"t_end = {t_end!r} by the end of the s span")
 
-    if not np.isfinite(sol.y).all():
+    y = np.array(states).T
+    if not np.isfinite(y).all():
         raise ValueError("orbit state components must be finite")
-    samples = _records(sol.y)
-    perihelia = _records(sol.y_events[1].reshape(-1, 5).T)
+    samples = _records(y)
+    perihelia = _records(np.array(found[1]).reshape(-1, 5).T)
 
     h, j = invariants(samples, params)
     h_drift = float(np.max(np.abs(h - h[0])) / max(abs(h[0]), 1e-300))
     j_drift = float(np.max(np.abs(j - j[0])) / max(abs(j[0]), 1e-300))
     return Trajectory(samples=samples, perihelia=perihelia, h_drift=h_drift, j_drift=j_drift)
+
+
+@functools.cache
+def _tableau() -> tuple[tuple, ...]:
+    """scipy's DOP853 coefficients as float tuples, each stage row cut to the stages it combines.
+
+    Returns (A rows of stages 1-11, B, E5, E3, D, A rows of the three
+    dense-output stages).  The flow is autonomous, so the nodes C and
+    C_EXTRA are not needed.
+    """
+    method = _module.DOP853
+
+    def rows(matrix, first: int) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(row[:s].tolist()) for s, row in enumerate(matrix, first))
+
+    return (rows(method.A[1:], 1), tuple(method.B.tolist()), tuple(method.E5.tolist()),
+            tuple(method.E3.tolist()), tuple(map(tuple, method.D.tolist())),
+            rows(method.A_EXTRA, method.n_stages + 1))
+
+
+def _dop853(
+    rhs: Callable[[list[float]], Sequence[float]],
+    y0: Sequence[float],
+    s_end: float,
+    tol: float,
+    events: Sequence[tuple[Callable[[list[float]], float], bool]],
+) -> tuple[list[list[float]], list[list[list[float]]], int | None]:
+    """Integrate the autonomous system dy/ds = ``rhs(y)`` from s = 0 towards ``s_end``.
+
+    The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs
+    I, sec. II.10) on Python floats, with scipy's tableau and scipy's
+    ``DOP853`` step control as ``solve_ivp`` runs it at rtol = atol =
+    ``tol`` (rtol held at >= 100 eps): the same first step, error norm
+    (E5 weighted by E3), safety factor 0.9, step factors 0.2 to 10 with
+    exponent -1/8, no growth right after a rejection, and the last step cut
+    to ``s_end``.  Each stage is kept as one list per component, and every
+    combination of stages is a ``sum(map(mul, ...))``.
+
+    ``events`` are (g, terminal) pairs; g(y) has an event where it rises
+    through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
+    the dense output (three more stages), on which ``brentq`` finds each
+    root with xtol = rtol = 4 eps in s.  The roots are taken in order; the
+    first terminal one ends the run, its state replaces the step's end, and
+    later roots of that step are dropped.
+
+    Returns the accepted states (y0 first), the states at each event's
+    roots, and the index of the event that ended the run, or None if s
+    reached ``s_end`` first.  Raises StepUnderflow if the step falls below
+    10 times the spacing of floats at s.
+    """
+    a_rows, b, e5, e3, d, a_extra = _tableau()
+    mul = operator.mul
+    rtol = max(tol, 100.0 * _EPS)
+    y = list(y0)
+    f = rhs(y)
+
+    # the first step (ibid., sec. II.4), as scipy's select_initial_step, with RMS norms
+    scale, root_n = [tol + abs(v) * rtol for v in y], math.sqrt(len(y))
+    d0 = math.hypot(*[v / w for v, w in zip(y, scale)]) / root_n
+    d1 = math.hypot(*[u / w for u, w in zip(f, scale)]) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, s_end)
+    f1 = rhs([v + h0 * u for v, u in zip(y, f)])
+    d2 = math.hypot(*[(u1 - u) / w for u1, u, w in zip(f1, f, scale)]) / root_n / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h1, s_end)
+
+    s, g_old = 0.0, [g(y) for g, _ in events]
+    states, found = [y], [[] for _ in events]
+    while True:
+        min_step = 10.0 * (math.nextafter(s, math.inf) - s)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow("Required step size is less than spacing between numbers "
+                                    f"at s = {s!r}")
+            s_new = min(s + h_abs, s_end)
+            h = s_new - s
+            k = [[u] for u in f]
+            for a in a_rows:
+                stage = rhs([v + sum(map(mul, a, kv)) * h for v, kv in zip(y, k)])
+                for kv, u in zip(k, stage):
+                    kv.append(u)
+            y_new = [v + h * sum(map(mul, b, kv)) for v, kv in zip(y, k)]
+            f_new = rhs(y_new)
+            err5 = err3 = 0.0
+            for v, v_new, kv, u in zip(y, y_new, k, f_new):
+                kv.append(u)
+                w = tol + max(abs(v), abs(v_new)) * rtol
+                err5 += (sum(map(mul, e5, kv)) / w) ** 2
+                err3 += (sum(map(mul, e3, kv)) / w) ** 2
+            if err5 == 0.0 and err3 == 0.0:
+                norm = 0.0
+            else:
+                norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * len(y))
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.125)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs, rejected = h * max(0.2, 0.9 * norm**-0.125), True
+
+        g_new = [g(y_new) for g, _ in events]
+        stop = None
+        hits = [i for i, (lo, hi) in enumerate(zip(g_old, g_new)) if lo <= 0.0 <= hi]
+        if hits:
+            at = _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d)
+            roots = sorted(
+                (_module.brentq(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
+                                xtol=4.0 * _EPS, rtol=4.0 * _EPS), i)
+                for i in hits
+            )
+            for root, i in roots:
+                found[i].append(at((root - s) / h))
+                if events[i][1]:
+                    y_new, stop = found[i][-1], i
+                    break
+        states.append(y_new)
+        if stop is not None or s_new == s_end:
+            return states, found, stop
+        s, y, f, g_old = s_new, y_new, f_new, g_new
+
+
+def _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d) -> Callable[[float], list[float]]:
+    """DOP853's 7th-degree interpolant of the step from ``y`` to ``y_new``.
+
+    Adds the three extra stages to ``k`` and returns the function of the
+    step fraction x in [0, 1] that gives the state, as scipy's
+    ``Dop853DenseOutput`` (x = 0 gives ``y`` exactly).
+    """
+    mul = operator.mul
+    for a in a_extra:
+        stage = rhs([v + sum(map(mul, a, kv)) * h for v, kv in zip(y, k)])
+        for kv, u in zip(k, stage):
+            kv.append(u)
+    coeffs = []
+    for v, v_new, u, u_new, kv in zip(y, y_new, f, f_new, k):
+        dv = v_new - v
+        coeffs.append((v, dv, h * u - dv, 2.0 * dv - h * (u_new + u),
+                       *[h * sum(map(mul, row, kv)) for row in d]))
+
+    def at(x: float) -> list[float]:
+        z = 1.0 - x
+        return [v + x * (c0 + z * (c1 + x * (c2 + z * (c3 + x * (c4 + z * (c5 + x * c6))))))
+                for v, c0, c1, c2, c3, c4, c5, c6 in coeffs]
+
+    return at
 
 
 def _records(y: np.ndarray) -> np.recarray:

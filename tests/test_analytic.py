@@ -344,6 +344,15 @@ class TestEnergy3D:
                     worst = max(worst, float(abs(energy - ref) / ref))
         assert worst <= 9e-16
 
+    @pytest.mark.parametrize("beta", [0.0, 1e-12])
+    def test_newton_step_outside_the_bracket_is_bisected(self, beta):
+        # at n' = 49, l = 48 the factored g(u0) rounds to +4e-16 where it is
+        # 0 or just below: the bracket closes on [u0, u0], Newton's step
+        # leaves it upwards, and the bisection fallback keeps u = u0 (Newton
+        # alone would return a level 2 ulp above the Newtonian bound)
+        u0 = 2.0 / (2 * 1 + 2 * 48)
+        assert energy_closed(PhysicalParams(1, 1, beta), QuantumNumbers(1, 48)) == u0 * u0 / 2.0
+
     @pytest.mark.parametrize("beta,n,l", [(3.0, 1, 1), (5.0, 1, 3), (5.0, 2, 1)])
     def test_root_on_the_pole_is_infeasible(self, monkeypatch, beta, n, l):
         # beta m e2 = 2n + l puts the root of the quartic exactly at u = 1/beta

@@ -384,46 +384,47 @@ class TestIntegrateOrbit:
         assert traj.j_drift <= 1e3 * tol
 
     def test_non_finite_solution_is_rejected(self, monkeypatch):
-        solve = dynamics.solve_ivp
+        loop = dynamics._dop853
 
         def poisoned(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            sol.y[2, -1] = math.nan
-            return sol
+            states, found, stop = loop(*args, **kwargs)
+            states[-1][2] = math.nan
+            return states, found, stop
 
-        monkeypatch.setattr(dynamics, "solve_ivp", poisoned)
+        monkeypatch.setattr(dynamics, "_dop853", poisoned)
         with pytest.raises(ValueError, match="must be finite"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
 
     def test_collapsed_step_raises_step_underflow(self, monkeypatch):
-        solve = dynamics.solve_ivp
-        message = "Required step size is less than spacing between numbers."
+        # a flow that turns NaN mid-run fails every error test, and each
+        # rejection cuts the step by 5 until it is below 10 ulp of s
+        flow = dynamics.equations_of_motion
+        calls = []
 
-        def collapsed(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            sol.status, sol.message = -1, message
-            return sol
+        def failing(y, params):
+            calls.append(y)
+            return flow(y, params) if len(calls) <= 100 else (math.nan,) * 4
 
-        monkeypatch.setattr(dynamics, "solve_ivp", collapsed)
+        monkeypatch.setattr(dynamics, "equations_of_motion", failing)
         with pytest.raises(StepUnderflow, match="Required step size"):
-            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 10 * T_ECC)
 
     def test_span_that_ends_before_t_end_raises_step_underflow(self, monkeypatch):
         # t_end / 1e-8 always suffices (t > 1e-8 s before a collision), so
         # only a shortened span reaches this branch
-        solve = dynamics.solve_ivp
+        loop = dynamics._dop853
 
-        def shortened(fun, t_span, *args, **kwargs):
-            return solve(fun, (t_span[0], 0.1), *args, **kwargs)
+        def shortened(rhs, y0, s_end, *args, **kwargs):
+            return loop(rhs, y0, 0.1, *args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "solve_ivp", shortened)
+        monkeypatch.setattr(dynamics, "_dop853", shortened)
         with pytest.raises(StepUnderflow, match="by the end of the s span"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
 
     @pytest.mark.parametrize("beta,p2", [(0.0, 1e200), (1.0, 1e155)])
     def test_non_finite_flow_at_start_is_rejected(self, beta, p2):
         # p^2 overflows: the flow at the start is NaN or inf, on which
-        # solve_ivp would never return
+        # the step loop would never return
         with pytest.raises(ValueError, match="not finite at the initial state"):
             integrate_orbit(OrbitState(1.0, 0.0, 0.0, p2), PhysicalParams(1, 1, beta), 1.0)
 
@@ -437,6 +438,86 @@ class TestIntegrateOrbit:
                 records.t[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 records[1] = (0.0, 1.0, 1.0, 1.0, 1.0)
+
+
+class TestStepLoop:
+    """The DOP853 loop against scipy's ``solve_ivp``, and the order of events in one step."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    @pytest.mark.parametrize("p0", [0.3, 0.6])
+    def test_matches_solve_ivp(self, p0, beta, tol):
+        from scipy.integrate import solve_ivp
+
+        state, params = OrbitState(2.0, 0.0, 0.0, p0), PhysicalParams(1, 1, beta)
+        t_end = 3 * kepler_period(state)
+        traj = integrate_orbit(state, params, t_end, local_tol=tol)
+
+        def sundman(s, y):
+            r = math.hypot(y[0], y[1])
+            return [r * v for v in equations_of_motion(y[:4].tolist(), params)] + [r]
+
+        def collision(s, y):
+            return y[0] * y[0] + y[1] * y[1] - 1e-8 * 1e-8
+
+        def perihelion(s, y):
+            return y[0] * y[2] + y[1] * y[3]
+
+        def end(s, y):
+            return y[4] - t_end
+
+        collision.terminal, collision.direction = True, -1.0
+        perihelion.direction = 1.0
+        end.terminal, end.direction = True, 1.0
+        sol = solve_ivp(sundman, (0.0, t_end / 1e-8), [2.0, 0.0, 0.0, p0, 0.0],
+                        method="DOP853", rtol=tol, atol=tol,
+                        events=(collision, perihelion, end))
+        assert sol.status == 1 and sol.t_events[2].size == 1
+        # the same accepted steps; their s differ at roundoff, so the samples are not compared
+        assert traj.samples.size == sol.t.size
+        assert traj.perihelia.size == sol.t_events[1].size == 3
+        peri = np.array([traj.perihelia[name] for name in ("x1", "x2", "p1", "p2", "t")]).T
+        np.testing.assert_allclose(peri, sol.y_events[1], rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("shift,kept", [(1e-9, 2), (-1e-9, 1)], ids=["before", "after"])
+    def test_perihelion_in_the_end_step_is_kept_up_to_t_end(self, shift, kept):
+        params = PhysicalParams(1, 1, 0.05)
+        full = integrate_orbit(ECCENTRIC, params, 3 * T_ECC)
+        t_peri = full.perihelia.t[1]
+        k = np.searchsorted(full.samples.t, t_peri)  # the step (t[k-1], t[k]) holds it
+        t_end = t_peri * (1.0 + shift)
+        traj = integrate_orbit(ECCENTRIC, params, t_end)
+        t = traj.samples.t
+        # the end event lies in that same step, on the same steps before it
+        np.testing.assert_array_equal(t[:-1], full.samples.t[:k])
+        assert t_end < full.samples.t[k]
+        assert abs(t[-1] - t_end) <= 4 * math.ulp(t_end)
+        assert traj.perihelia.size == kept
+        assert (traj.perihelia.t <= t_end).all()
+        np.testing.assert_array_equal(traj.perihelia, full.perihelia[:kept])
+
+    def test_perihelion_at_the_start_counts(self):
+        # x.p = 0 and r rising at t = 0: the first step has g_old = 0 <= g_new
+        state = OrbitState(0.5, 0.0, 0.0, 1.6)  # faster than circular at r = 0.5
+        traj = integrate_orbit(state, PhysicalParams(1, 1, 0.05), 1.5 * kepler_period(state))
+        assert traj.perihelia.size == 2
+        assert traj.perihelia[0].tolist() == (0.0, 0.5, 0.0, 0.0, 1.6)
+
+    def test_collision_before_a_perihelion_in_the_same_step_ends_the_run(self, monkeypatch):
+        # events are seen only at step ends: take the first perihelion whose
+        # step ends nearer the centre than any state before it, and put the
+        # floor between, so the floor is crossed inside that step, before
+        # the perihelion, which the terminal collision then drops
+        state, params = OrbitState(2.0, 0.0, 0.0, 0.3), PhysicalParams(1, 1, 0)
+        t_end = 3 * kepler_period(state)
+        grazing = integrate_orbit(state, params, t_end)
+        t, r = grazing.samples.t, np.hypot(grazing.samples.x1, grazing.samples.x2)
+        steps = [np.searchsorted(t, t_peri) for t_peri in grazing.perihelia.t]
+        j, k = next((j, k) for j, k in enumerate(steps) if r[k] < r[:k].min())
+        monkeypatch.setattr(dynamics, "_COLLISION_FLOOR", float(r[k] + r[:k].min()) / 2.0)
+        with pytest.raises(CollisionSingularity, match="reached the collision floor") as excinfo:
+            integrate_orbit(state, params, t_end)
+        assert t[k - 1] < excinfo.value.t_last < grazing.perihelia.t[j] < t[k]
 
 
 def kepler_period(state: OrbitState) -> float:

@@ -52,10 +52,15 @@ def test_spectrum_loads_no_scipy():
 
 
 def test_lazy_names_are_scipy_functions():
-    assert dynamics.solve_ivp.__module__.startswith("scipy")
-    for name in ("brentq", "quad"):
-        with pytest.raises(AttributeError, match=name):
-            getattr(numerics, name)
+    from scipy.integrate import DOP853
+
+    for name in ("DOP853", "brentq"):
+        assert getattr(dynamics, name).__module__.startswith("scipy")
+    a_rows, b, e5, e3, d, a_extra = dynamics._tableau()  # the loop's tableau is scipy's
+    assert len(a_rows) == 11 and len(a_extra) == 3
+    assert a_rows[-1] == tuple(DOP853.A[11, :11]) and a_extra[-1] == tuple(DOP853.A_EXTRA[2, :15])
+    assert (b, e5, e3) == (tuple(DOP853.B), tuple(DOP853.E5), tuple(DOP853.E3))
+    assert d == tuple(map(tuple, DOP853.D))
 
 
 MODULES = sorted((SRC / "snyder_coulomb").glob("*.py"))

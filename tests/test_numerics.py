@@ -424,6 +424,19 @@ class TestTableSolver:
         assert math.isnan(table[index].e_numeric) and math.isnan(table[index].e_closed)
         assert table[:index] + table[index + 1 :] == unforced[:index] + unforced[index + 1 :]
 
+    def test_bracket_without_a_sign_change_gives_up_after_100_widenings(self, monkeypatch):
+        # a Phi below 2 pi n at every energy: the lower end widens forever
+        monkeypatch.setattr(numerics, "_phase_rows", lambda params, energy, l, *rest: (
+            np.zeros(len(energy)), np.zeros(len(energy))))
+        with pytest.raises(NoRootInWindow, match="no sign change of Phi"):
+            energy_numeric(PhysicalParams(1, 1, 0.1), QuantumNumbers(1, 1))
+
+    def test_unreachable_root_tolerance_gives_up_after_100_rounds(self, monkeypatch):
+        # no bracket of two distinct floats has relative width 0
+        monkeypatch.setattr(numerics, "ROOT_RTOL", 0.0)
+        with pytest.raises(ToleranceNotReached, match="did not reach rtol=0.0 in 100 steps"):
+            energy_numeric(PhysicalParams(1, 1, 0.1), QuantumNumbers(1, 1))
+
     def test_underflowing_beta_raises_no_zero_division(self):
         params = PhysicalParams(1, 1, 1e-200)
         undeformed = PhysicalParams(1, 1, 0)
