@@ -46,6 +46,7 @@ import importlib
 import math
 import operator
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -287,10 +288,10 @@ def _dop853(
     The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs
     I, sec. II.10) on Python floats, with scipy's tableau and scipy's
     ``DOP853`` step control as ``solve_ivp`` runs it at rtol = atol =
-    ``tol`` (rtol held at >= 100 eps): the same first step, error norm
-    (E5 weighted by E3), safety factor 0.9, step factors 0.2 to 10 with
-    exponent -1/8, no growth right after a rejection, and the last step cut
-    to ``s_end``.  Each stage is kept as one list per component, and every
+    ``tol`` (an rtol below 100 eps is raised to it, with a warning): the
+    same first step, error norm (E5 weighted by E3), safety factor 0.9,
+    step factors 0.2 to 10 with exponent -1/8, no growth right after a
+    rejection, and the last step cut to ``s_end``.  Each stage is kept as one list per component, and every
     combination of stages is a ``sum(map(mul, ...))``.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
@@ -308,6 +309,9 @@ def _dop853(
     a_rows, b, e5, e3, d, a_extra = _tableau()
     mul = operator.mul
     rtol = max(tol, 100.0 * _EPS)
+    if rtol > tol:  # as scipy's validate_tol, which warns too
+        warnings.warn(f"local_tol = {tol!r} is below 100 eps; the relative tolerance "
+                      f"is raised to {rtol!r}", stacklevel=3)
     y = list(y0)
     f = rhs(y)
 

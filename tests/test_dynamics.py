@@ -473,8 +473,10 @@ class TestStepLoop:
                         method="DOP853", rtol=tol, atol=tol,
                         events=(collision, perihelion, end))
         assert sol.status == 1 and sol.t_events[2].size == 1
-        # the same accepted steps; their s differ at roundoff, so the samples are not compared
+        # the same accepted steps: their sizes differ at roundoff, so the clocks agree
+        # to about 1e-7 relative, where one step more or less would shift them by percent
         assert traj.samples.size == sol.t.size
+        np.testing.assert_allclose(traj.samples.t, sol.y[4], rtol=1e-6)
         assert traj.perihelia.size == sol.t_events[1].size == 3
         peri = np.array([traj.perihelia[name] for name in ("x1", "x2", "p1", "p2", "t")]).T
         np.testing.assert_allclose(peri, sol.y_events[1], rtol=0.0, atol=1e-10)
@@ -502,6 +504,12 @@ class TestStepLoop:
         traj = integrate_orbit(state, PhysicalParams(1, 1, 0.05), 1.5 * kepler_period(state))
         assert traj.perihelia.size == 2
         assert traj.perihelia[0].tolist() == (0.0, 0.5, 0.0, 0.0, 1.6)
+
+    def test_tolerance_below_100_eps_warns_and_is_raised(self):
+        with pytest.warns(UserWarning, match="below 100 eps; the relative tolerance") as record:
+            traj = integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0.05), T_ECC, local_tol=1e-15)
+        assert len(record) == 1 and record[0].filename == __file__  # points at the caller
+        assert traj.h_drift < 1e-12
 
     def test_collision_before_a_perihelion_in_the_same_step_ends_the_run(self, monkeypatch):
         # events are seen only at step ends: take the first perihelion whose

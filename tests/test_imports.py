@@ -61,6 +61,9 @@ def test_lazy_names_are_scipy_functions():
     assert a_rows[-1] == tuple(DOP853.A[11, :11]) and a_extra[-1] == tuple(DOP853.A_EXTRA[2, :15])
     assert (b, e5, e3) == (tuple(DOP853.B), tuple(DOP853.E5), tuple(DOP853.E3))
     assert d == tuple(map(tuple, DOP853.D))
+    for name in ("brentq", "quad"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(numerics, name)
 
 
 MODULES = sorted((SRC / "snyder_coulomb").glob("*.py"))
