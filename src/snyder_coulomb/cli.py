@@ -8,12 +8,13 @@ scan-order        fitted power of beta of the spectrum corrections
 orbit             deformed-orbit drift and perihelion-precession diagnostics
 l-limit           radial closed form at small l next to the 1D closed form
 
-Output is byte-deterministic: row order is fixed, floats are printed with
-17 significant digits, CSV uses '.' decimals and ',' separators, JSON is a
-single object with ``meta`` (full config echo plus tool version) and
-``rows``.  Exit status is 0 only when every requested check passed its
-stated tolerance; invalid input (any ValueError, including the library's
-parameter errors) exits 2, failed checks or per-row errors exit 1.
+Output is byte-deterministic: row order is fixed, floats are printed as
+their shortest round-trip ``repr`` (NaN as ``nan`` in CSV and ``null`` in
+JSON), CSV uses '.' decimals and ',' separators, JSON is a single object
+with ``meta`` (full config echo plus tool version) and ``rows``.  Exit
+status is 0 only when every requested check passed its stated tolerance;
+invalid input (any ValueError, including the library's parameter errors)
+exits 2, failed checks or per-row errors exit 1.
 
 Option precedence: command-line flags override ``--config`` file entries,
 which override built-in defaults; the config entries become argparse
@@ -122,8 +123,8 @@ def _fmt(value: Any) -> str:
     # strings, and the summaries counts, floats and a bool.
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
+    if isinstance(value, float):  # repr(np.float64(x)) would spell out the type
+        return float.__repr__(value)
     return str(value)
 
 
@@ -135,38 +136,19 @@ def _render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buffer.getvalue()
 
 
-def _json_value(value: Any, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+def _finite_or_none(value: Any) -> Any:
+    """``value`` with each non-finite float, at any depth, replaced by None (JSON null)."""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return "null"
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_value(v, indent + 2)}'
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_value(v, indent + 2)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(item) for item in value]
+    return value
 
 
 def _render_json(payload: dict[str, Any]) -> str:
-    return _json_value(payload, 0) + "\n"
+    return json.dumps(_finite_or_none(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _emit(
@@ -243,6 +225,8 @@ def _cell_energies(params, l: int, count: int) -> list[float]:
 def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     if cfg["energies_per_cell"] < 1:
         raise ValueError("energies-per-cell must be >= 1")
+    for energy in cfg["e_grid"] or ():  # a finite energy outside a window is skipped
+        finite_float("e-grid entry", energy)
     header = ["beta", "l", "E", "phi_closed", "phi_numeric", "rel_dev"]
     rows = []
     skipped = 0
@@ -325,20 +309,17 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
               "precession_per_orbit", "n_orbits", "circular"]
     rows = [[params.beta, t_end, cfg["local_tol"], traj.h_drift, traj.j_drift,
              precession, n_orbits, circular]]
-    extra = None
+    summary = extra = None
     if cfg["dump_samples"]:
         names = list(traj.samples.dtype.names)
         records = traj.samples.tolist()
         if cfg["format"] == "json":
             extra = {"samples": [dict(zip(names, rec)) for rec in records]}
         else:
+            summary = {"h_drift": traj.h_drift, "j_drift": traj.j_drift,
+                       "precession_per_orbit": precession}
             header, rows = names, records
-            print(
-                f"h_drift={_fmt(traj.h_drift)} j_drift={_fmt(traj.j_drift)} "
-                f"precession_per_orbit={_fmt(precession)}",
-                file=sys.stderr,
-            )
-    _emit(cfg, "orbit", header, rows, extra=extra)
+    _emit(cfg, "orbit", header, rows, summary=summary, extra=extra)
     return EXIT_OK
 
 
@@ -425,7 +406,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         help="integration time (default: 100 undeformed periods)")
     add("local-tol", type=float, default=1e-12,
         help="local error tolerance of the integrator")
-    add("dump-samples", action="store_true", help="emit sampled trajectory")
+    add("dump-samples", action="store_true",
+        help="emit the orbit at the accepted integrator steps")
 
     add = add_command("l-limit")
     add("beta-grid", type=floats, default=[0.001, 0.01, 0.1], metavar="LIST",

@@ -200,6 +200,12 @@ def integrate_orbit(
     r > 1e-8 and so t > 1e-8 s.  Only the clock's rounding on an orbit that
     hugs the floor could leave it short of ``t_end`` at the end of the span.
 
+    The collision event, like every event, is seen only at step ends, so a
+    step can carry r below the floor and out again.  r is least at a
+    perihelion, so a kept perihelion at r <= 1e-8 counts as reaching the
+    floor: ``t_last`` is then the clock of the last accepted state outside
+    the floor at or before that perihelion.
+
     Raises CollisionSingularity if the orbit starts inside or reaches
     r = 1e-8, ValueError if the flow is not finite at ``state0`` (momenta
     so large that p^2 overflows) or unless ``t_end`` and ``local_tol`` are
@@ -236,6 +242,14 @@ def integrate_orbit(
 
     states, found, stop = _dop853(sundman, y0, t_end / _COLLISION_FLOOR, local_tol,
                                   ((collision, True), (perihelion, False), (end, True)))
+    dips = [y for y in found[1] if collision(y) >= 0.0]
+    if dips:  # a step passed over the floor: r is least at a perihelion
+        t_peri = dips[0][4]
+        t_last = max(y[4] for y in states if y[4] <= t_peri and collision(y) < 0.0)
+        raise CollisionSingularity(
+            f"orbit passed inside the collision floor r = {_COLLISION_FLOOR!r} at its "
+            f"perihelion at t = {t_peri!r}", t_last=t_last,
+        )
     if stop == 0:  # the last state is on the collision floor
         t_hit = states[-1][4]
         raise CollisionSingularity(
@@ -291,8 +305,9 @@ def _dop853(
     ``tol`` (an rtol below 100 eps is raised to it, with a warning): the
     same first step, error norm (E5 weighted by E3), safety factor 0.9,
     step factors 0.2 to 10 with exponent -1/8, no growth right after a
-    rejection, and the last step cut to ``s_end``.  Each stage is kept as one list per component, and every
-    combination of stages is a ``sum(map(mul, ...))``.
+    rejection, and the last step cut to ``s_end``.  Each stage is kept as
+    one list per component, and every combination of stages is a
+    ``sum(map(mul, ...))``.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds

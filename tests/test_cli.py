@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from snyder_coulomb import OrbitState, PhysicalParams, integrate_orbit
+from snyder_coulomb import (
+    OrbitState,
+    PhysicalParams,
+    QuantumNumbers,
+    energy_closed,
+    integrate_orbit,
+)
 from snyder_coulomb.cli import main
 
 
@@ -136,6 +142,15 @@ class TestVerifyIntegrals:
         _, rows = parse_csv(out)
         assert len(rows) == 1
         assert "skipped=1" in err
+
+    @pytest.mark.parametrize("entries", ["nan,0.05", "inf", "-inf"])
+    def test_non_finite_e_grid_entry_is_config_error(self, capsys, entries):
+        code, out, err = run_cli(
+            capsys, "verify-integrals", "--beta-grid", "0", "--l-grid", "1",
+            f"--e-grid={entries}",
+        )
+        assert (code, out) == (2, "")
+        assert "NonFinite: e-grid entry must be finite" in err
 
 
 class TestScanOrder:
@@ -398,13 +413,27 @@ class TestInfrastructure:
         assert (code, out) == (2, "")
         assert "format" in err
 
-    def test_seventeen_digit_floats(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "spectrum", "--beta", "0.1", "--n-prime-max", "1",
-        )
-        assert code == 0
-        _, rows = parse_csv(out)
-        # 0.4196010845019... printed to 17 significant digits round-trips
-        value = rows[0]["E_closed"]
-        assert len(value.replace("0.", "")) >= 16
-        assert float(value) == pytest.approx(0.4196010845019197, rel=1e-13)
+    def test_printed_floats_round_trip_exactly(self, capsys):
+        params = PhysicalParams(1.0, 1.0, 0.1)
+        argv = ["spectrum", "--beta", "0.1"]
+        _, rows = parse_csv(run_cli(capsys, *argv)[1])
+        payload = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        assert len(rows) == len(payload["rows"]) == 6
+        for row, record in zip(rows, payload["rows"]):
+            n_prime, l = record["n_prime"], record["l"]
+            exact = energy_closed(params, QuantumNumbers(n_prime - l, l))
+            assert row["E_closed"] == repr(exact)  # shortest round-trip spelling
+            assert float(row["E_closed"]) == record["E_closed"] == exact
+
+    def test_non_finite_cells_print_as_nan_and_null(self, capsys):
+        argv = ["spectrum", "--beta", "3", "--n-prime-max", "2"]
+        _, rows = parse_csv(run_cli(capsys, *argv)[1])
+        text = run_cli(capsys, *argv, "--format", "json")[1]
+        records = json.loads(text)["rows"]
+        failed = [k for k, record in enumerate(records) if record["error"]]
+        assert failed == [0, 2]  # n' = 1 and n' = 2, l = 1 are infeasible at beta = 3
+        columns = ["E_closed", "E_numeric", "rel_gap_closed_numeric"]
+        for k in failed:
+            assert [rows[k][c] for c in columns] == ["nan"] * 3
+            assert [records[k][c] for c in columns] == [None] * 3
+        assert "NaN" not in text

@@ -6,15 +6,18 @@ hundred kB each) are stored as sha256 digests; everything else verbatim.
 Argparse usage errors and ``--help`` exit through ``SystemExit``, whose
 code is recorded as the exit status.  Stderr is not compared.
 
-The goldens pin floats to 17 significant digits, so they hold for the
-numpy/scipy build they were recorded with (Python 3.11, numpy 2.4,
-scipy 1.17).  To re-record after a deliberate output change:
+The goldens pin floats to their shortest round-trip ``repr``, so they
+hold for the numpy/scipy build they were recorded with (Python 3.11,
+numpy 2.4, scipy 1.17).  To re-record after a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-That first prints, for every run whose record moved, the change of exit
-status, each changed non-numeric cell (error strings) and the largest
-relative change per numeric column, then rewrites ``tests/golden/cli.json``.
+That first prints, for every run whose record moved, what
+:func:`column_diff` finds: the change of exit status, each changed
+non-numeric value (error strings, help lines), each value added or
+removed, and the largest relative change per numeric column, over every
+JSON value by key path and every CSV cell by position, or that only the
+text moved; then it rewrites ``tests/golden/cli.json``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -188,15 +192,6 @@ def _run(name: str, tmp: Path) -> dict:
     return record
 
 
-def _rows(record: dict) -> list[dict] | None:
-    """The table a run printed (``--out`` file first), or None if it printed none."""
-    text = record.get("out") or record.get("stdout") or ""
-    if text.startswith("{"):
-        return json.loads(text).get("rows")
-    lines = text.splitlines()
-    return list(csv.DictReader(lines)) if lines and "," in lines[0] else None
-
-
 def _number(cell):
     try:
         return float(cell)
@@ -204,27 +199,79 @@ def _number(cell):
         return None
 
 
+def _leaves(value, path: str = ""):
+    """(key path, value) of each leaf of parsed JSON, e.g. ``rows[3].E_closed``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{index}]")
+    else:
+        yield path, value
+
+
+def _values(record: dict) -> dict[str, tuple[str, object]]:
+    """Every value a run printed, as place -> (column, value).
+
+    JSON output is read by key path (place ``rows[3].E_closed``, column
+    ``rows.E_closed``), any other text by CSV cell position (place
+    ``line 5 E_closed``, the column named by the header cell, else
+    ``col 2``).  Numbers become floats; other values stay as printed.
+    """
+    values = {}
+    for source in ("stdout", "out"):
+        text = record.get(source) or ""
+        prefix = "" if source == "stdout" else "out "
+        if text.startswith("{"):
+            for path, value in _leaves(json.loads(text)):
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                column = re.sub(r"\[\d+\]", "", path)
+                values[prefix + path] = (prefix + column, float(value) if number else value)
+            continue
+        lines = list(csv.reader(text.splitlines()))
+        header = lines[0] if lines and len(lines[0]) > 1 else []
+        for index, cells in enumerate(lines, 1):
+            for col, cell in enumerate(cells):
+                column = header[col] if col < len(header) else f"col {col + 1}"
+                number = _number(cell)
+                values[f"{prefix}line {index} {column}"] = (
+                    prefix + column, cell if number is None else number)
+    return values
+
+
 def column_diff(old: dict, new: dict) -> list[str]:
-    """Lines describing how the record of one run moved from ``old`` to ``new``."""
+    """Lines describing how the record of one run moved from ``old`` to ``new``.
+
+    The exit status, each changed non-numeric value, each value added or
+    removed, and the largest relative change per numeric column; a record
+    whose text moved but whose values did not gets one line saying so.
+    """
     if old == new:
         return []
     lines = [f"exit {old['exit']} -> {new['exit']}"] if old["exit"] != new["exit"] else []
-    old_rows, new_rows = _rows(old), _rows(new)
-    if old_rows is None or new_rows is None or len(old_rows) != len(new_rows):
-        return lines + ["output changed (not a table of the same length)"]
-    worst: dict[str, float] = {}
-    for index, (before, after) in enumerate(zip(old_rows, new_rows)):
-        for column in sorted(set(before) | set(after)):
-            a, b = before.get(column), after.get(column)
-            x, y = _number(a), _number(b)
-            if x is None or y is None or isinstance(a, bool) or isinstance(b, bool):
-                if a != b:
-                    lines.append(f"row {index} {column}: {a!r} -> {b!r}")
-            elif x != y and not (math.isnan(x) and math.isnan(y)):
-                change = abs(y - x) / abs(x) if x else math.inf
+    if old.get("sha256") != new.get("sha256"):
+        return lines + ["hashed output changed (its values are not stored)"]
+    before, after = _values(old), _values(new)
+    moved, worst = [], {}
+    for place in [*before, *(place for place in after if place not in before)]:
+        if place not in after:
+            moved.append(f"{place}: removed {before[place][1]!r}")
+            continue
+        if place not in before:
+            moved.append(f"{place}: added {after[place][1]!r}")
+            continue
+        (column, a), (_, b) = before[place], after[place]
+        if isinstance(a, float) and isinstance(b, float) and math.isfinite(a) and math.isfinite(b):
+            if a != b:
+                change = abs(b - a) / abs(a) if a else math.inf
                 worst[column] = max(worst.get(column, 0.0), change)
-    lines += [f"{column}: max relative change {worst[column]:.3g}" for column in sorted(worst)]
-    return lines or ["output changed outside the table"]
+        elif a != b and not (a != a and b != b):  # NaN stays NaN
+            moved.append(f"{place}: {a!r} -> {b!r}")
+    moved += [f"{column}: max relative change {worst[column]:.3g}" for column in sorted(worst)]
+    if not moved and any(old.get(key) != new.get(key) for key in ("stdout", "out")):
+        moved = ["text changed, every value equal"]
+    return lines + moved
 
 
 def test_column_diff_names_what_moved():
@@ -232,15 +279,27 @@ def test_column_diff_names_what_moved():
     new = {"exit": 0, "stdout": "E,error\n0.5000000001,\n0.25,worse\n"}
     assert column_diff(old, old) == []
     assert column_diff(old, new) == [
-        "exit 1 -> 0", "row 1 error: 'bad' -> 'worse'", "E: max relative change 2e-10",
+        "exit 1 -> 0", "line 3 error: 'bad' -> 'worse'", "E: max relative change 2e-10",
     ]
-    rows = '{"meta": {}, "rows": [{"E": 0.5, "ok": true}]}'
+    rows = '{"meta": {"beta": 0.10000000000000001}, "rows": [{"E": 0.5, "ok": true}]}'
     moved = rows.replace("0.5", "0.75").replace("true", "false")
     assert column_diff({"exit": 0, "stdout": rows}, {"exit": 0, "stdout": moved}) == [
-        "row 0 ok: True -> False", "E: max relative change 0.5",
+        "rows[0].ok: True -> False", "rows.E: max relative change 0.5",
     ]
+    meta_only = rows.replace('"beta": 0.10000000000000001', '"beta": 0.2, "n": 3')
+    assert column_diff({"exit": 0, "stdout": rows}, {"exit": 0, "stdout": meta_only}) == [
+        "meta.n: added 3.0", "meta.beta: max relative change 1",
+    ]
+    spelling = rows.replace("0.10000000000000001", "0.1").replace("0.5", "0.50")
+    assert column_diff({"exit": 0, "stdout": rows}, {"exit": 0, "stdout": spelling}) == [
+        "text changed, every value equal",
+    ]
+    table = {"exit": 1, "stdout": "", "out": "E,gap\n0.10000000000000001,nan\n"}
+    respelled = dict(table, out="E,gap\n0.1,nan\n")
+    assert column_diff(table, respelled) == ["text changed, every value equal"]
+    assert column_diff(table, dict(table, out="E,gap\n0.1,\n")) == ["out line 2 gap: nan -> ''"]
     assert column_diff({"exit": 0, "sha256": "a"}, {"exit": 0, "sha256": "b"}) == [
-        "output changed (not a table of the same length)",
+        "hashed output changed (its values are not stored)",
     ]
 
 

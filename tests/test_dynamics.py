@@ -512,20 +512,35 @@ class TestStepLoop:
         assert traj.h_drift < 1e-12
 
     def test_collision_before_a_perihelion_in_the_same_step_ends_the_run(self, monkeypatch):
-        # events are seen only at step ends: take the first perihelion whose
-        # step ends nearer the centre than any state before it, and put the
-        # floor between, so the floor is crossed inside that step, before
-        # the perihelion, which the terminal collision then drops
-        state, params = OrbitState(2.0, 0.0, 0.0, 0.3), PhysicalParams(1, 1, 0)
+        # events are seen only at step ends: on this orbit the step over the
+        # first perihelion ends nearer the centre than any state before it,
+        # so a floor put between is crossed inside that step, before the
+        # perihelion, which the terminal collision then drops
+        state, params = OrbitState(2.0, 0.0, 0.0, 0.31), PhysicalParams(1, 1, 0)
         t_end = 3 * kepler_period(state)
         grazing = integrate_orbit(state, params, t_end)
         t, r = grazing.samples.t, np.hypot(grazing.samples.x1, grazing.samples.x2)
-        steps = [np.searchsorted(t, t_peri) for t_peri in grazing.perihelia.t]
-        j, k = next((j, k) for j, k in enumerate(steps) if r[k] < r[:k].min())
+        t_peri = grazing.perihelia.t[0]
+        k = np.searchsorted(t, t_peri)
+        assert r[k] < r[:k].min()
         monkeypatch.setattr(dynamics, "_COLLISION_FLOOR", float(r[k] + r[:k].min()) / 2.0)
         with pytest.raises(CollisionSingularity, match="reached the collision floor") as excinfo:
             integrate_orbit(state, params, t_end)
-        assert t[k - 1] < excinfo.value.t_last < grazing.perihelia.t[j] < t[k]
+        assert t[k - 1] < excinfo.value.t_last < t_peri < t[k]
+
+    def test_floor_passed_within_one_step_is_caught_at_the_perihelion(self, monkeypatch):
+        # the floor sits 1e-6 above the perihelion r = 2/3 of ECCENTRIC, so
+        # r dips below it and rises again between two step ends
+        params, t_end = PhysicalParams(1, 1, 0), 3 * T_ECC
+        free = integrate_orbit(ECCENTRIC, params, t_end)
+        floor = (2.0 / 3.0) * (1.0 + 1e-6)
+        assert np.hypot(free.samples.x1, free.samples.x2).min() > floor
+        t, t_peri = free.samples.t, free.perihelia.t[0]
+        monkeypatch.setattr(dynamics, "_COLLISION_FLOOR", floor)
+        with pytest.raises(CollisionSingularity, match="passed inside the collision") as excinfo:
+            integrate_orbit(ECCENTRIC, params, t_end)
+        # the steps are those of the free run: t_last is the step start before the perihelion
+        assert excinfo.value.t_last == t[t <= t_peri][-1]
 
 
 def kepler_period(state: OrbitState) -> float:
