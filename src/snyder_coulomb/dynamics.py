@@ -34,15 +34,15 @@ aphelion, so a tolerance costs about a third fewer steps than stepping in
 t.  Since r > 0, every event keeps its sign under the transform.  A
 structure-preserving scheme does exist: the canonical realization
 x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P) onto this
-bracket.  The tableau (read from scipy's ``DOP853`` class) and ``brentq``
-are imported on first use, so no other part of the package loads scipy.
+bracket.  ``_tableau`` and ``_dop853`` import scipy's ``DOP853`` class (read
+for its tableau) and ``brentq`` on first use, so no other part of the
+package loads scipy.
 Inputs pass ``model.finite_float``.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 import operator
 import sys
@@ -71,18 +71,7 @@ __all__ = [
 
 _COLLISION_FLOOR = 1e-8
 _EPS = sys.float_info.epsilon
-_LAZY = {"DOP853": "scipy.integrate", "brentq": "scipy.optimize"}
-
-_module = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    """Import ``DOP853`` (read for its tableau) and ``brentq`` from scipy on first access (PEP 562)."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LAZY[name]), name)
-    globals()[name] = value
-    return value
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -196,10 +185,6 @@ def integrate_orbit(
     steps where x.p rises through 0, a perihelion at the start included.
     A perihelion located after the end event in the same step is dropped.
 
-    The s span (0, t_end / 1e-8) suffices: until the collision event fires,
-    r > 1e-8 and so t > 1e-8 s.  Only the clock's rounding on an orbit that
-    hugs the floor could leave it short of ``t_end`` at the end of the span.
-
     The collision event, like every event, is seen only at step ends, so a
     step can carry r below the floor and out again.  r is least at a
     perihelion, so a kept perihelion at r <= 1e-8 counts as reaching the
@@ -210,7 +195,8 @@ def integrate_orbit(
     r = 1e-8, ValueError if the flow is not finite at ``state0`` (momenta
     so large that p^2 overflows) or unless ``t_end`` and ``local_tol`` are
     finite numbers > 0, checked in that order, and StepUnderflow if the
-    controller's step collapses, or the s span runs out, before ``t_end``.
+    controller's step collapses, or the run takes more than 10**6 steps,
+    before ``t_end``.
     """
     floor_sq = _COLLISION_FLOOR * _COLLISION_FLOOR
 
@@ -240,7 +226,7 @@ def integrate_orbit(
         dx1, dx2, dp1, dp2 = equations_of_motion(y[:4], params)
         return r * dx1, r * dx2, r * dp1, r * dp2, r
 
-    states, found, stop = _dop853(sundman, y0, t_end / _COLLISION_FLOOR, local_tol,
+    states, found, stop = _dop853(sundman, y0, local_tol,
                                   ((collision, True), (perihelion, False), (end, True)))
     dips = [y for y in found[1] if collision(y) >= 0.0]
     if dips:  # a step passed over the floor: r is least at a perihelion
@@ -256,9 +242,9 @@ def integrate_orbit(
             f"orbit reached the collision floor r = {_COLLISION_FLOOR!r} at t = {t_hit!r}",
             t_last=t_hit,
         )
-    if stop is None:  # the s span ran out (see the docstring)
+    if stop is None:  # the step bound ran out
         raise StepUnderflow(f"the clock reached only t = {states[-1][4]!r} of "
-                            f"t_end = {t_end!r} by the end of the s span")
+                            f"t_end = {t_end!r} within {_MAX_STEPS} steps")
 
     y = np.array(states).T
     if not np.isfinite(y).all():
@@ -280,7 +266,7 @@ def _tableau() -> tuple[tuple, ...]:
     dense-output stages).  The flow is autonomous, so the nodes C and
     C_EXTRA are not needed.
     """
-    method = _module.DOP853
+    from scipy.integrate import DOP853 as method
 
     def rows(matrix, first: int) -> tuple[tuple[float, ...], ...]:
         return tuple(tuple(row[:s].tolist()) for s, row in enumerate(matrix, first))
@@ -293,21 +279,20 @@ def _tableau() -> tuple[tuple, ...]:
 def _dop853(
     rhs: Callable[[list[float]], Sequence[float]],
     y0: Sequence[float],
-    s_end: float,
     tol: float,
     events: Sequence[tuple[Callable[[list[float]], float], bool]],
 ) -> tuple[list[list[float]], list[list[list[float]]], int | None]:
-    """Integrate the autonomous system dy/ds = ``rhs(y)`` from s = 0 towards ``s_end``.
+    """Integrate the autonomous system dy/ds = ``rhs(y)`` from s = 0 to a terminal event.
 
     The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs
     I, sec. II.10) on Python floats, with scipy's tableau and scipy's
     ``DOP853`` step control as ``solve_ivp`` runs it at rtol = atol =
     ``tol`` (an rtol below 100 eps is raised to it, with a warning): the
     same first step, error norm (E5 weighted by E3), safety factor 0.9,
-    step factors 0.2 to 10 with exponent -1/8, no growth right after a
-    rejection, and the last step cut to ``s_end``.  Each stage is kept as
-    one list per component, and every combination of stages is a
-    ``sum(map(mul, ...))``.
+    step factors 0.2 to 10 with exponent -1/8 and no growth right after a
+    rejection.  Squares are products, so an error norm that overflows reads
+    inf and rejects the step.  Each stage is kept as one list per
+    component, and every combination of stages is a ``sum(map(mul, ...))``.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
@@ -317,10 +302,12 @@ def _dop853(
     later roots of that step are dropped.
 
     Returns the accepted states (y0 first), the states at each event's
-    roots, and the index of the event that ended the run, or None if s
-    reached ``s_end`` first.  Raises StepUnderflow if the step falls below
-    10 times the spacing of floats at s.
+    roots, and the index of the event that ended the run, or None once
+    more than ``_MAX_STEPS`` states are kept.  Raises StepUnderflow if the
+    step falls below 10 times the spacing of floats at s.
     """
+    from scipy.optimize import brentq
+
     a_rows, b, e5, e3, d, a_extra = _tableau()
     mul = operator.mul
     rtol = max(tol, 100.0 * _EPS)
@@ -334,14 +321,15 @@ def _dop853(
     scale, root_n = [tol + abs(v) * rtol for v in y], math.sqrt(len(y))
     d0 = math.hypot(*[v / w for v, w in zip(y, scale)]) / root_n
     d1 = math.hypot(*[u / w for u, w in zip(f, scale)]) / root_n
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, s_end)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     f1 = rhs([v + h0 * u for v, u in zip(y, f)])
-    d2 = math.hypot(*[(u1 - u) / w for u1, u, w in zip(f1, f, scale)]) / root_n / h0
+    d2 = math.hypot(*[(u1 - u) / w for u1, u, w in zip(f1, f, scale)]) / root_n
+    d2 = d2 / h0 if h0 > 0.0 else math.inf  # h0 can underflow to 0; numpy's x / 0 is inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125
-    h_abs = min(100.0 * h0, h1, s_end)
+    h_abs = min(100.0 * h0, h1)
 
     s, g_old = 0.0, [g(y) for g, _ in events]
     states, found = [y], [[] for _ in events]
@@ -352,7 +340,7 @@ def _dop853(
             if h_abs < min_step:
                 raise StepUnderflow("Required step size is less than spacing between numbers "
                                     f"at s = {s!r}")
-            s_new = min(s + h_abs, s_end)
+            s_new = s + h_abs
             h = s_new - s
             k = [[u] for u in f]
             for a in a_rows:
@@ -365,8 +353,9 @@ def _dop853(
             for v, v_new, kv, u in zip(y, y_new, k, f_new):
                 kv.append(u)
                 w = tol + max(abs(v), abs(v_new)) * rtol
-                err5 += (sum(map(mul, e5, kv)) / w) ** 2
-                err3 += (sum(map(mul, e3, kv)) / w) ** 2
+                u5, u3 = sum(map(mul, e5, kv)) / w, sum(map(mul, e3, kv)) / w
+                err5 += u5 * u5
+                err3 += u3 * u3
             if err5 == 0.0 and err3 == 0.0:
                 norm = 0.0
             else:
@@ -383,8 +372,8 @@ def _dop853(
         if hits:
             at = _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d)
             roots = sorted(
-                (_module.brentq(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
-                                xtol=4.0 * _EPS, rtol=4.0 * _EPS), i)
+                (brentq(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
+                        xtol=4.0 * _EPS, rtol=4.0 * _EPS), i)
                 for i in hits
             )
             for root, i in roots:
@@ -393,7 +382,7 @@ def _dop853(
                     y_new, stop = found[i][-1], i
                     break
         states.append(y_new)
-        if stop is not None or s_new == s_end:
+        if stop is not None or len(states) > _MAX_STEPS:
             return states, found, stop
         s, y, f, g_old = s_new, y_new, f_new, g_new
 

@@ -85,4 +85,4 @@ class CollisionSingularity(SnyderCoulombError, RuntimeError):
 
 
 class StepUnderflow(SnyderCoulombError, RuntimeError):
-    """The integrator stopped short of t_end: its step underflowed or its s span ran out."""
+    """The integrator stopped short of t_end: its step underflowed or it ran out of steps."""

@@ -13,6 +13,7 @@ from snyder_coulomb import (
     OrbitState,
     PhysicalParams,
     QuantumNumbers,
+    dynamics,
     energy_closed,
     integrate_orbit,
 )
@@ -270,6 +271,13 @@ class TestOrbit:
         assert code == 1
         assert "collision" in err
         assert "last good t" in err
+
+    def test_run_past_the_step_bound_is_check_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
+        code, out, err = run_cli(capsys, "orbit", "--t-end", "20")
+        assert (code, out) == (1, "")
+        assert err.startswith("snyder-coulomb: StepUnderflow: the clock reached only t = ")
+        assert err.endswith(" of t_end = 20.0 within 20 steps\n")
 
     def test_dump_samples_json(self, capsys):
         code, out, _ = run_cli(

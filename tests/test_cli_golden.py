@@ -122,6 +122,7 @@ RUNS = {
     "orbit-unbound-default-t-end": ["orbit", "--p2", "1.5"],
     "orbit-t-end-zero": ["orbit", "--t-end", "0"],
     "orbit-local-tol-zero": ["orbit", "--t-end", "5", "--local-tol", "0"],
+    "orbit-tiny-tol": ["orbit", "--t-end", "20", "--local-tol", "1e-300"],
     "orbit-origin": ["orbit", "--x1", "0", "--x2", "0", "--t-end", "5"],
     "orbit-nan-state": ["orbit", "--x1", "nan", "--t-end", "5"],
     "orbit-flag-value": ["orbit", "--dump-samples", "yes"],
@@ -312,6 +313,8 @@ def test_golden_covers_every_run(golden):
     assert sorted(golden) == sorted(RUNS)
 
 
+# the CLI prints this warning on stderr, which the goldens do not compare
+@pytest.mark.filterwarnings("ignore:local_tol = .* is below 100 eps:UserWarning")
 @pytest.mark.parametrize("name", list(RUNS))
 def test_golden_run(name, golden, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)

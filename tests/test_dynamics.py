@@ -409,17 +409,22 @@ class TestIntegrateOrbit:
         with pytest.raises(StepUnderflow, match="Required step size"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 10 * T_ECC)
 
-    def test_span_that_ends_before_t_end_raises_step_underflow(self, monkeypatch):
-        # t_end / 1e-8 always suffices (t > 1e-8 s before a collision), so
-        # only a shortened span reaches this branch
-        loop = dynamics._dop853
+    def test_run_past_the_step_bound_raises_step_underflow(self, monkeypatch):
+        # this span takes 54 steps at the default tolerance
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
+        with pytest.raises(StepUnderflow, match=r"of t_end = 20\.0 within 20 steps"):
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 20.0)
 
-        def shortened(rhs, y0, s_end, *args, **kwargs):
-            return loop(rhs, y0, 0.1, *args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "_dop853", shortened)
-        with pytest.raises(StepUnderflow, match="by the end of the s span"):
-            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
+    @pytest.mark.filterwarnings("ignore:local_tol")
+    @pytest.mark.parametrize("m,e2,local_tol", [
+        (1, 1, 1e-200), (1, 1, 1e-250), (1, 1, 1e-300), (1, 1, 5e-324),
+        (1e-300, 1, 1e-12), (1, 1e300, 1e-12),
+    ])
+    def test_unreachable_tolerance_raises_step_underflow(self, m, e2, local_tol):
+        # an error norm that overflows, or a first step that underflows to 0,
+        # rejects every step until it is below 10 ulp of s = 0
+        with pytest.raises(StepUnderflow, match="at s = 0.0$"):
+            integrate_orbit(ECCENTRIC, PhysicalParams(m, e2, 0), 20.0, local_tol=local_tol)
 
     @pytest.mark.parametrize("beta,p2", [(0.0, 1e200), (1.0, 1e155)])
     def test_non_finite_flow_at_start_is_rejected(self, beta, p2):
