@@ -23,10 +23,11 @@ integrator locates the perihelia there as events.
 
 Integration uses the Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett
 & Wanner, Solving ODEs I, sec. II.10), run by this module's own step loop
-on Python floats with scipy's tableau and scipy's step control.  It does
-not preserve the bracket, so drift is monitored instead, at the accepted
-steps; only a step on which an event function (perihelion, collision, end)
-changes sign builds the dense output and root-finds the event on it.  The
+on Python floats with the tableau and step control of scipy's ``DOP853``;
+no scipy is imported.  It does not preserve the bracket, so drift is
+monitored instead, at the accepted steps; only a step on which an event
+function (perihelion, collision, end) changes sign builds the dense output
+and root-finds the event on it, by a port of scipy's ``brentq``.  The
 steps are taken in the Sundman time s, dt/ds = r (Hairer, Lubich & Wanner,
 Geometric Numerical Integration, ch. VIII), with the clock t as a fifth
 state component: the steps are short in t near perihelion and long near
@@ -34,15 +35,11 @@ aphelion, so a tolerance costs about a third fewer steps than stepping in
 t.  Since r > 0, every event keeps its sign under the transform.  A
 structure-preserving scheme does exist: the canonical realization
 x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P) onto this
-bracket.  ``_tableau`` and ``_dop853`` import scipy's ``DOP853`` class (read
-for its tableau) and ``brentq`` on first use, so no other part of the
-package loads scipy.
-Inputs pass ``model.finite_float``.
+bracket.  Inputs pass ``model.finite_float``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -258,22 +255,71 @@ def integrate_orbit(
     return Trajectory(samples=samples, perihelia=perihelia, h_drift=h_drift, j_drift=j_drift)
 
 
-@functools.cache
-def _tableau() -> tuple[tuple, ...]:
-    """scipy's DOP853 coefficients as float tuples, each stage row cut to the stages it combines.
-
-    Returns (A rows of stages 1-11, B, E5, E3, D, A rows of the three
-    dense-output stages).  The flow is autonomous, so the nodes C and
-    C_EXTRA are not needed.
-    """
-    from scipy.integrate import DOP853 as method
-
-    def rows(matrix, first: int) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(row[:s].tolist()) for s, row in enumerate(matrix, first))
-
-    return (rows(method.A[1:], 1), tuple(method.B.tolist()), tuple(method.E5.tolist()),
-            tuple(method.E3.tolist()), tuple(map(tuple, method.D.tolist())),
-            rows(method.A_EXTRA, method.n_stages + 1))
+# The DOP853 coefficients of Hairer, Norsett & Wanner (Solving ODEs I, sec. II.10), as in
+# scipy's dop853_coefficients: each stage row is cut to the stages it combines.  The flow
+# is autonomous, so the nodes C are not needed.
+_TABLEAU = (
+    (  # A rows of stages 1-11
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+         20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+         -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+         27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+         0.6433927460157636),
+    ),
+    # B
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    # E5
+    (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294, 0.0),
+    # E3
+    (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082, 0.0),
+    (  # D
+        (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+         2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+         0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+         -4.436036387594894),
+        (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+         -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+         -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+         35.81684148639408),
+        (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+         527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+         0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+         11.99229113618279),
+        (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+         357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+         29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+         -149.72683625798564),
+    ),
+    (  # A rows of the dense-output stages 12-14
+        (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+         -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+         -0.008298),
+        (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+         -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+         -0.00034046500868740456, 0.1413124436746325),
+        (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+         4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+         2.9475147891527724, -9.15095847217987),
+    ),
+)
 
 
 def _dop853(
@@ -285,8 +331,8 @@ def _dop853(
     """Integrate the autonomous system dy/ds = ``rhs(y)`` from s = 0 to a terminal event.
 
     The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs
-    I, sec. II.10) on Python floats, with scipy's tableau and scipy's
-    ``DOP853`` step control as ``solve_ivp`` runs it at rtol = atol =
+    I, sec. II.10) on Python floats, with the tableau ``_TABLEAU`` and
+    scipy's ``DOP853`` step control as ``solve_ivp`` runs it at rtol = atol =
     ``tol`` (an rtol below 100 eps is raised to it, with a warning): the
     same first step, error norm (E5 weighted by E3), safety factor 0.9,
     step factors 0.2 to 10 with exponent -1/8 and no growth right after a
@@ -296,7 +342,7 @@ def _dop853(
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
-    the dense output (three more stages), on which ``brentq`` finds each
+    the dense output (three more stages), on which ``_brent`` finds each
     root with xtol = rtol = 4 eps in s.  The roots are taken in order; the
     first terminal one ends the run, its state replaces the step's end, and
     later roots of that step are dropped.
@@ -306,9 +352,7 @@ def _dop853(
     more than ``_MAX_STEPS`` states are kept.  Raises StepUnderflow if the
     step falls below 10 times the spacing of floats at s.
     """
-    from scipy.optimize import brentq
-
-    a_rows, b, e5, e3, d, a_extra = _tableau()
+    a_rows, b, e5, e3, d, a_extra = _TABLEAU
     mul = operator.mul
     rtol = max(tol, 100.0 * _EPS)
     if rtol > tol:  # as scipy's validate_tol, which warns too
@@ -372,8 +416,8 @@ def _dop853(
         if hits:
             at = _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d)
             roots = sorted(
-                (brentq(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
-                        xtol=4.0 * _EPS, rtol=4.0 * _EPS), i)
+                (_brent(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
+                        4.0 * _EPS, 4.0 * _EPS), i)
                 for i in hits
             )
             for root, i in roots:
@@ -411,6 +455,58 @@ def _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d) -> Callable[[float]
                 for v, c0, c1, c2, c3, c4, c5, c6 in coeffs]
 
     return at
+
+
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in [a, b] by Brent's method, as scipy's ``brentq`` finds it.
+
+    A line-for-line port of scipy's ``brentq.c``: the same states (xpre,
+    xcur, xblk, spre, scur), tolerance delta = (xtol + rtol |xcur|)/2,
+    bisection test and cap of 100 iterations, so it evaluates ``f`` at the
+    same points and returns the same float.  If f(a) or f(b) is 0, that end
+    is the root.  As ``brentq``, it raises ValueError if f(a) and f(b) have
+    the same sign, and RuntimeError if 100 iterations do not converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _records(y: np.ndarray) -> np.recarray:

@@ -7,8 +7,9 @@ Argparse usage errors and ``--help`` exit through ``SystemExit``, whose
 code is recorded as the exit status.  Stderr is not compared.
 
 The goldens pin floats to their shortest round-trip ``repr``, so they
-hold for the numpy/scipy build they were recorded with (Python 3.11,
-numpy 2.4, scipy 1.17).  To re-record after a deliberate output change:
+hold for the Python and numpy build they were recorded with (Python 3.11,
+numpy 2.4); scipy reaches no CLI output.  To re-record after a deliberate
+output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 

@@ -33,6 +33,8 @@ TWO_PI = 2.0 * math.pi
 ECCENTRIC = OrbitState(2.0, 0.0, 0.0, 0.5)
 # undeformed radial period of ECCENTRIC at m = e2 = 1 (a = 4/3)
 T_ECC = TWO_PI * (4.0 / 3.0) ** 1.5
+EPS = 2.0**-52
+BRENT = dynamics._brent  # the port, kept from tests that wrap it
 
 
 def coordinate_gradients(kind: str, idx: int):
@@ -446,7 +448,8 @@ class TestIntegrateOrbit:
 
 
 class TestStepLoop:
-    """The DOP853 loop against scipy's ``solve_ivp``, and the order of events in one step."""
+    """The DOP853 loop against scipy's ``solve_ivp``, its event roots against ``brentq``,
+    and the order of events in one step."""
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-12])
     @pytest.mark.parametrize("beta", [0.0, 0.05])
@@ -546,6 +549,109 @@ class TestStepLoop:
             integrate_orbit(ECCENTRIC, params, t_end)
         # the steps are those of the free run: t_last is the step start before the perihelion
         assert excinfo.value.t_last == t[t <= t_peri][-1]
+
+    @pytest.mark.parametrize("p0,beta,tol", [(0.3, 0.0, 1e-10), (0.45, 0.05, 1e-12),
+                                             (0.6, 0.2, 1e-8)])
+    def test_event_roots_are_brentqs(self, monkeypatch, p0, beta, tol):
+        roots = []
+
+        def checked(f, a, b, xtol, rtol):
+            assert xtol == rtol == 4 * EPS
+            ours, theirs = brent_and_brentq(f, a, b)
+            assert repr(ours) == repr(theirs)
+            roots.append(ours[0])
+            return ours[0]
+
+        monkeypatch.setattr(dynamics, "_brent", checked)
+        state = OrbitState(2.0, 0.0, 0.0, p0)
+        traj = integrate_orbit(state, PhysicalParams(1, 1, beta), 3 * kepler_period(state),
+                               local_tol=tol)
+        assert len(roots) == traj.perihelia.size + 1  # and the end event
+
+    def test_zero_flow_takes_the_first_step_floor_and_grows_tenfold(self, monkeypatch):
+        # f = 0 gives d1 = d2 = 0, so the first step is max(1e-6, h0 * 1e-3), and a zero
+        # error estimate, so every step is accepted and the next is 10 times as long;
+        # s shows only in the step floor, 10 times the spacing of floats at s
+        heads, nextafter = [], math.nextafter
+
+        def spy(s, towards):
+            heads.append(s)
+            return nextafter(s, towards)
+
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 5)
+        monkeypatch.setattr(dynamics.math, "nextafter", spy)
+        y0 = [1.0, 0.0, 0.0, 0.0, 0.0]
+        states, found, stop = dynamics._dop853(lambda y: [0.0] * 5, y0, 1e-10,
+                                               [(lambda y: -1.0, True)])
+        assert (states, found, stop) == ([y0] * 6, [[]], None)
+        assert heads[:2] == [0.0, 1e-6]
+        np.testing.assert_allclose(np.diff(heads)[1:] / np.diff(heads)[:-1], 10.0, rtol=1e-12)
+
+
+def brent_and_brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS):
+    """(outcome, points of f) of the port and of scipy's ``brentq``, as Python floats.
+
+    An error reads as its type.  ``brentq`` passes f only C doubles, while the
+    port keeps a numpy float that f returns, so both are read as floats.
+    """
+    from scipy.optimize import brentq
+
+    runs = []
+    for solve in (BRENT, lambda g, a, b, xtol, rtol: brentq(g, a, b, xtol=xtol, rtol=rtol)):
+        points = []
+
+        def g(x):
+            points.append(float(x))
+            return f(x)
+
+        try:
+            outcome = float(solve(g, a, b, xtol, rtol))
+        except (ValueError, RuntimeError) as exc:
+            outcome = type(exc)
+        runs.append((outcome, points))
+    return runs
+
+
+class TestBrent:
+    """``dynamics._brent`` returns ``brentq``'s root after the same evaluations, bit for bit."""
+
+    @pytest.mark.parametrize("f,a,b,root", [
+        (lambda x: x - 0.25, 0.25, 1.0, 0.25),
+        (lambda x: x - 1.0, 0.25, 1.0, 1.0),
+        (lambda x: -0.0 if x == 0.5 else 1.0, 0.5, 1.0, 0.5),
+    ], ids=["at-a", "at-b", "minus-zero-at-a"])
+    def test_root_at_an_end_is_that_end(self, f, a, b, root):
+        ours, theirs = brent_and_brentq(f, a, b)
+        assert ours == theirs == (root, [a, b])
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: x - 0.3, 0.0, 1.0),  # interpolates once, onto the root
+        (lambda x: (x * x - 2.0) * x - 5.0, 2.0, 3.0),  # extrapolates
+        (lambda x: math.exp(x) - 10.0, -50.0, 50.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) f(b) underflows
+        (lambda x: math.tanh(100.0 * (x - 1e-3)), -1.0, 1.0),
+    ], ids=["linear", "cubic", "exp", "cos", "tiny", "tanh"])
+    def test_same_root_after_the_same_points(self, f, a, b):
+        ours, theirs = brent_and_brentq(f, a, b)
+        assert ours[0] == theirs[0] and f(ours[0]) == pytest.approx(0.0, abs=1e-12)
+        assert ours[1] == theirs[1]  # every point, bit for bit
+
+    def test_bisection_test_keeps_its_delta_margin(self):
+        # the step to 0.8286 meets 2 |stry| < 3 |sbis| only without the margin
+        # delta = xtol/2, so the bisection test takes 0.7 instead
+        ours, theirs = brent_and_brentq(lambda x: x * x - 0.4, 0.0, 1.0, xtol=0.1)
+        assert ours == theirs == (0.6181818181818182, [0.0, 1.0, 0.4, 0.7, 0.6181818181818182])
+
+    def test_ends_of_one_sign_raise_value_error(self):
+        ours, theirs = brent_and_brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+        assert ours == theirs == (ValueError, [0.0, 1.0])
+
+    def test_exhausted_iteration_cap_raises_runtime_error(self):
+        # a step has no slope to follow: each secant is a bisection, and 100
+        # halvings of [-1e300, 1e300] stop far above the tolerance
+        ours, theirs = brent_and_brentq(lambda x: math.copysign(1.0, x - 0.3), -1e300, 1e300)
+        assert ours == theirs and ours[0] is RuntimeError and len(ours[1]) == 102
 
 
 def kepler_period(state: OrbitState) -> float:

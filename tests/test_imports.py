@@ -1,4 +1,4 @@
-"""Only the orbit route loads scipy, on first use, by imports inside its functions.
+"""No module of the package imports scipy: no CLI command loads any ``scipy`` module.
 
 Package modules also import no private (``_``-prefixed) name from each other,
 and the quadrature route calls no closed-form function.
@@ -25,7 +25,7 @@ argv = sys.argv[1:]
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-print(sorted(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
@@ -51,14 +51,23 @@ def test_spectrum_loads_no_scipy():
     assert _scipy_loaded_by(["spectrum", "--n-prime-max", "2"]) == "[]"
 
 
+def test_orbit_loads_no_scipy():
+    assert _scipy_loaded_by(["orbit", "--t-end", "30"]) == "[]"
+
+
 def test_step_loop_tableau_is_scipys():
     from scipy.integrate import DOP853
 
-    a_rows, b, e5, e3, d, a_extra = dynamics._tableau()  # the loop's tableau is scipy's
-    assert len(a_rows) == 11 and len(a_extra) == 3
-    assert a_rows[-1] == tuple(DOP853.A[11, :11]) and a_extra[-1] == tuple(DOP853.A_EXTRA[2, :15])
-    assert (b, e5, e3) == (tuple(DOP853.B), tuple(DOP853.E5), tuple(DOP853.E3))
-    assert d == tuple(map(tuple, DOP853.D))
+    def rows(matrix, first):  # stage s combines the s stages before it; the rest are zeros
+        assert not any(row[s:].any() for s, row in enumerate(matrix, first))
+        return [row[:s].tolist() for s, row in enumerate(matrix, first)]
+
+    a_rows, b, e5, e3, d, a_extra = dynamics._TABLEAU  # the loop's literals are scipy's
+    assert [list(row) for row in a_rows] == rows(DOP853.A[1:], 1)
+    assert [list(row) for row in a_extra] == rows(DOP853.A_EXTRA, DOP853.n_stages + 1)
+    assert [list(b), list(e5), list(e3)] == [DOP853.B.tolist(), DOP853.E5.tolist(),
+                                             DOP853.E3.tolist()]
+    assert [list(row) for row in d] == DOP853.D.tolist()
     for name in ("brentq", "quad"):
         with pytest.raises(AttributeError, match=name):
             getattr(numerics, name)
