@@ -215,10 +215,10 @@ def _cmd_spectrum(cfg: dict[str, Any]) -> int:
 
 
 def _cell_energies(params, l: int, count: int) -> list[float]:
-    # Cap the generated energies at the Coulomb scale m e2^2 so the l = 0
+    # Cap the generated energies at the energy unit m e2^2 so the l = 0
     # cells stay in the physically interesting range even when the window
     # itself only closes at the (much higher) deformation pole.
-    scale = min(energy_window(params, l), params.m * params.e2**2)
+    scale = min(energy_window(params, l), params.unit)
     return [float(f) * scale for f in np.linspace(0.05, 0.95, count)]
 
 

@@ -207,8 +207,10 @@ def integrate_orbit(
     # the loop would not return: a NaN first step never falls below the smallest step
     if not all(math.isfinite(v) for v in equations_of_motion(y0[:4], params)):
         raise ValueError(f"the flow is not finite at the initial state {state0!r}")
+    t_end = finite_float("t_end", t_end, "finite and > 0")  # a numpy float comes back a float
+    local_tol = finite_float("local_tol", local_tol, "finite and > 0")
     for name, value in (("t_end", t_end), ("local_tol", local_tol)):
-        if not finite_float(name, value, "finite and > 0") > 0:
+        if not value > 0:
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r

@@ -14,6 +14,7 @@ __all__ = [
     "NonPositiveCoupling",
     "NegativeBeta",
     "NonFinite",
+    "ScaleOutOfRange",
     "OutOfWindow",
     "RequiresNonzeroL",
     "InsufficientPeriods",
@@ -47,6 +48,10 @@ class NegativeBeta(ParameterError):
 
 class NonFinite(ParameterError):
     pass
+
+
+class ScaleOutOfRange(ParameterError):
+    """The energy unit m e2^2, or an energy converted by it, leaves the float range."""
 
 
 class OutOfWindow(SnyderCoulombError, ValueError):

@@ -1,4 +1,4 @@
-"""Physical parameters, quantum numbers, validity windows, and the input check.
+"""Physical parameters, quantum numbers, the unit scale of the spectra, and the input check.
 
 Units: natural units with hbar = 1 throughout.  The mass ``m`` and the
 Coulomb coupling ``e2`` (e squared, dimension energy*length) default to 1
@@ -6,12 +6,18 @@ in examples, so the undeformed reference energies are 1/(2 n'^2).  The
 Snyder deformation parameter ``beta`` has dimension of inverse momentum;
 ``beta = 0`` recovers ordinary mechanics.
 
-Every downstream formula assumes a positive binding energy ``E`` (total
-energy ``-E``) in the window that :func:`check_energy` alone decides:
+The spectra depend on (m, e2, beta) only through the energy unit m e2^2 and
+b = beta m e2: every level is E = m e2^2 Ẽ(n, l; b).  This module alone forms
+that scale (:class:`PhysicalParams` ``unit`` and ``b``) and converts energies
+across it; ``analytic`` and ``numerics`` compute in the reduced units
+Ẽ = E/(m e2^2) and b.
 
-* ``l > 0`` orbits require real turning points, ``E <= m*e2**2/(2*l**2)``;
-* ``beta > 0`` additionally requires ``1 - 2*beta**2*m*E > 0``, the pole of
-  the deformed radial closed form.
+Every downstream formula assumes a positive reduced binding energy Ẽ in the
+window that :meth:`PhysicalParams.admit` alone decides:
+
+* ``l > 0`` orbits require real turning points, ``Ẽ <= 1/(2*l**2)``;
+* ``b > 0`` additionally requires ``1 - 2*b**2*Ẽ > 0``, the pole of the
+  deformed radial closed form.
 
 All types are immutable after construction and all functions are pure, so
 everything here is safe to use from concurrent code.
@@ -23,15 +29,27 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import NegativeBeta, NonFinite, NonPositiveCoupling, NonPositiveMass, OutOfWindow
+from .errors import (
+    NegativeBeta,
+    NonFinite,
+    NonPositiveCoupling,
+    NonPositiveMass,
+    OutOfWindow,
+    ScaleOutOfRange,
+)
 
 __all__ = [
     "PhysicalParams",
     "QuantumNumbers",
     "finite_float",
+    "window_top",
     "energy_window",
     "check_energy",
 ]
+
+
+_NORMAL = sys.float_info.min  # the least positive normal float
+_SMALLEST = math.ulp(0.0)  # the least positive (subnormal) float
 
 
 def finite_float(name: str, value: object, rule: str = "finite") -> float:
@@ -50,9 +68,53 @@ def finite_float(name: str, value: object, rule: str = "finite") -> float:
     return value
 
 
+def _product(x: float, y: float, z: float) -> float:
+    """x y z of finite floats >= 0, as if no partial product left the float range.
+
+    Where x y is a normal float this is (x y) z; else the significands, which
+    multiply in [1/8, 1), and the exponents combine apart, so that only ldexp
+    rounds into the subnormals or overflows (to inf).
+    """
+    xy = x * y
+    if _NORMAL <= xy < math.inf:
+        return xy * z
+    (fx, kx), (fy, ky), (fz, kz) = math.frexp(x), math.frexp(y), math.frexp(z)
+    try:
+        return math.ldexp(fx * fy * fz, kx + ky + kz)
+    except OverflowError:
+        return math.inf
+
+
+def window_top(b: float, l: float) -> float:
+    """Top of the reduced window 0 < Ẽ < top for angular momentum ``l`` at b = beta m e2.
+
+    The lower of the circular-orbit bound 1/(2 l^2) (``l > 0``) and the
+    pole 1/(2 b^2), or ``math.inf``; it can only fall as ``l`` or ``b``
+    grows.  A 2 b^2 that underflows to 0 puts the pole at inf, and one that
+    overflows puts the top at 0.
+    """
+    if not l >= 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    e_max = 1.0 / (2.0 * l * l) if l > 0 else math.inf
+    pole = 2.0 * b * b
+    # the lower cap, without min(): this runs on every admitted energy
+    return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Mass, coupling and deformation, each checked by :func:`finite_float`, as floats."""
+    """Mass, coupling and deformation, each checked by :func:`finite_float`, as floats.
+
+    The spectra see them only through the scale, two floats set on
+    construction: ``unit`` = m e2^2, the energy unit, and ``b`` = beta m e2.
+    Energies cross between physical and reduced units Ẽ = E/unit only
+    through :meth:`physical` and :meth:`reduced`, which raise ScaleOutOfRange
+    where ``unit``, or a finite nonzero energy they convert, leaves the float
+    range: becomes inf or 0, or for a reduced energy, which the formulas
+    divide by (2/Ẽ overflows), a subnormal.  A physical energy may be
+    subnormal.  An infinite b closes every window: b*b puts its top at 0.
+    The orbit integrator reads m and e2 themselves.
+    """
 
     m: float
     e2: float
@@ -68,6 +130,52 @@ class PhysicalParams:
             raise NonPositiveCoupling(f"e2 must be > 0, got {self.e2!r}")
         if self.beta < 0:
             raise NegativeBeta(f"beta must be >= 0, got {self.beta!r}")
+        # derived, so not fields: stored as functools.cached_property stores, past frozen
+        self.__dict__["unit"] = _product(self.m, self.e2, self.e2)
+        self.__dict__["b"] = _product(self.m, self.e2, self.beta)
+
+    def deformation(self, beta: float) -> float:
+        """b = beta m e2 at the deformation ``beta``, as ``b`` is at ``self.beta``."""
+        return _product(self.m, self.e2, beta)
+
+    def physical(self, reduced: float) -> float:
+        """The physical energy unit * Ẽ of the reduced energy ``reduced``."""
+        energy = self.unit * reduced
+        return energy if 0.0 < energy < math.inf else self._in_range(energy, reduced, _SMALLEST)
+
+    def reduced(self, energy: float) -> float:
+        """The reduced energy E/unit of the physical energy ``energy``."""
+        reduced = energy / self.unit if self.unit else math.nan
+        return reduced if _NORMAL <= reduced < math.inf else self._in_range(
+            reduced, energy, _NORMAL)
+
+    def _in_range(self, converted: float, value: float, least: float) -> float:
+        if not 0.0 < self.unit < math.inf:
+            raise ScaleOutOfRange(f"the energy unit m e2^2 leaves the float range at "
+                                  f"m={self.m!r}, e2={self.e2!r}")
+        if 0.0 < abs(value) < math.inf and not least <= abs(converted) < math.inf:
+            raise ScaleOutOfRange(f"{value!r} converted by the energy unit m e2^2 = "
+                                  f"{self.unit!r} leaves the float range")
+        return converted
+
+    def admit(self, energy: float, l: float) -> tuple[float, bool]:
+        """The reduced energy of ``energy``, and whether it is the circular endpoint.
+
+        Raises OutOfWindow unless Ẽ is admissible for ``l``: 0 < Ẽ < top
+        (:func:`window_top`), where the flag is False, or Ẽ = top where top
+        is the circular-orbit bound of an ``l > 0`` channel lying below the
+        pole, where it is True: there the band has zero width and every phase
+        integral is 0.  Where the bound coincides with the pole, top is the
+        pole and raises.
+        """
+        reduced, top = self.reduced(energy), window_top(self.b, l)
+        if 0.0 < reduced < top:
+            return reduced, False
+        pole = 2.0 * self.b * self.b
+        if not (l > 0 and reduced == top and (pole == 0.0 or reduced < 1.0 / pole)):
+            raise OutOfWindow(f"E={energy!r} outside the window (0, {self.unit * top!r}) "
+                              f"at l={l!r}")
+        return reduced, True
 
 
 @dataclass(frozen=True)
@@ -95,33 +203,14 @@ class QuantumNumbers:
 
 
 def energy_window(params: PhysicalParams, l: float) -> float:
-    """Top e_max of the binding-energy window 0 < E < e_max for angular momentum ``l``.
-
-    The lower of the circular-orbit bound m e2^2/(2 l^2) (``l > 0``) and the
-    pole 1/(2 beta^2 m), or ``math.inf``; it can only fall as ``l`` or
-    ``beta`` grows.  A 2 beta^2 m that underflows to 0 puts the pole at inf.
-    """
-    if not l >= 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    e_max = params.m * params.e2**2 / (2.0 * l * l) if l > 0 else math.inf
-    pole = 2.0 * params.beta**2 * params.m
-    # the lower cap, without min(): this runs on every check_energy call
-    return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
+    """Top e_max of the binding-energy window 0 < E < e_max: m e2^2 times :func:`window_top`."""
+    return params.physical(window_top(params.b, l))
 
 
 def check_energy(params: PhysicalParams, energy: float, l: float) -> bool:
     """Raise OutOfWindow unless ``energy`` is an admissible binding energy for ``l``.
 
-    Admissible are 0 < E < e_max (:func:`energy_window`), where it returns
-    False, and E = e_max where e_max is the circular-orbit bound of an
-    ``l > 0`` channel lying below the pole, where it returns True: there
-    the band has zero width and every phase integral is 0.  Where the bound
-    coincides with the pole, e_max is the pole and raises.
+    Returns True at the circular endpoint, where the band has zero width,
+    and False strictly inside the window (:meth:`PhysicalParams.admit`).
     """
-    e_max = energy_window(params, l)
-    if 0.0 < energy < e_max:
-        return False
-    pole = 2.0 * params.beta**2 * params.m
-    if not (l > 0 and energy == e_max and (pole == 0.0 or energy < 1.0 / pole)):
-        raise OutOfWindow(f"E={energy!r} outside the window (0, {e_max!r}) at l={l!r}")
-    return True
+    return params.admit(energy, l)[1]

@@ -6,13 +6,17 @@ two independent routes to every phase integral.  Agreement between them is
 the core cross-check of the package (see ``verify-integrals`` in the CLI
 and the acceptance tests).
 
+Units: the public functions take and return physical energies, and
+everything between computes in the reduced units of ``model.PhysicalParams``:
+Ẽ = E/(m e2^2) and b = beta m e2, so no formula here carries m or e2.
+
 Quadrature strategy: a trapezoid rule in log variables.  One array core,
 ``_phase_rows``, evaluates the raw integrands for many (E, l) rows at once,
 as a rows x nodes array per order.  The integrands are analytic, so the
 rule converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
 
 * the real-line integrand is even; p = e^s maps (0, inf) to the line, and
-  s spans ln sqrt(2mE) +- 45 starting at 450 panels (h = 0.2), shared by
+  s spans ln sqrt(2Ẽ) +- 45 starting at 450 panels (h = 0.2), shared by
   all l = 0 rows;
 * band integrands use z = e^s, s = ln z- + ln(z+/z-) sin^2(phi): the log
   sends the 1/z pole to s -> -inf, and sin^2 absorbs the square-root
@@ -33,9 +37,9 @@ Every level has two routes.  The closed-form route is algebraic
 (``analytic.energy_closed``, which also decides whether a level is
 feasible): no root search.  The quadrature route solves Phi(E) = 2 pi n
 for a whole table at once: each level's bracket starts around its
-undeformed level m e2^2 / (2 n'^2) and widens geometrically inside the
-energy window, then Illinois regula falsi runs in u = E^(-1/2), where Phi
-is exactly linear at beta = 0, with one array evaluation per round over the
+undeformed level 1 / (2 n'^2) and widens geometrically inside the
+energy window, then Illinois regula falsi runs in u = Ẽ^(-1/2), where Phi
+is exactly linear at b = 0, with one array evaluation per round over the
 levels still open, until each bracket is ``ROOT_RTOL`` wide relative.  A
 level that fails records its error in its own row.
 ``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
@@ -56,6 +60,7 @@ import numpy as np
 from .analytic import (
     energy_closed,
     energy_series,
+    level_closed,
     phase_integral_1d_closed,
     PhaseIntegralResult,
     radial_phase_integral_closed,
@@ -67,7 +72,7 @@ from .errors import (
     SnyderCoulombError,
     ToleranceNotReached,
 )
-from .model import PhysicalParams, QuantumNumbers, check_energy, energy_window, finite_float
+from .model import PhysicalParams, QuantumNumbers, finite_float, window_top
 
 __all__ = [
     "SpectrumEntry",
@@ -85,6 +90,10 @@ MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
 QUAD_RTOL = 1e-10  # relative error estimate the trapezoid rule must meet
 ROOT_RTOL = 1e-12  # relative bracket width of a quadrature-route level
 NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
+# Smallest reduced energy of a band (l >= 1) row: the band integrand divides
+# by about 2 l^2 E^3 at its lower edge z- ~ l^2 E^2, which leaves the normal
+# floats near E = 2e-103 (l = 1).
+BAND_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -171,75 +180,68 @@ def _missed(estimate: float) -> ToleranceNotReached:
 def _infeasible(params: PhysicalParams, qn: QuantumNumbers, residual: float) -> NoRootInWindow:
     """The error for a level with no root, quoting Phi - 2 pi n at the window top."""
     return NoRootInWindow(
-        f"Phi(E) - 2 pi n = {residual!r} does not change sign inside "
-        f"(0, {energy_window(params, qn.l)!r}) for {qn}: level infeasible at "
-        f"beta={params.beta!r}"
+        f"Phi(E) - 2 pi n = {residual!r} does not change sign inside the reduced window "
+        f"(0, {window_top(params.b, qn.l)!r}) for {qn}: level infeasible at beta={params.beta!r}"
     )
 
 
-def _band_edges(
-    params: PhysicalParams, energy: np.ndarray, l: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Band edges (z_minus, z_plus) in z = p_rho^2 at the rows (energy[i], l[i]).
+def _band_edges(energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band edges (z_minus, z_plus) in z = p_rho^2 at the rows (energy[i], l[i]), reduced.
 
-    The roots of z^2 - 4m(q - E) z + (2mE)^2, q = m e2^2/l^2.  No validation:
-    every row must lie strictly inside its window (l > 0, 0 < E < e_max), so
-    that q - 2E > 0 and z_minus < z_plus.  z_plus is evaluated directly,
-    z_minus through the product z_minus z_plus = (2mE)^2, free of
-    cancellation at small E.
+    The roots of z^2 - 4(q - Ẽ) z + (2Ẽ)^2, q = 1/l^2.  No validation:
+    every row must lie strictly inside its window (l > 0, 0 < Ẽ < top), so
+    that q - 2Ẽ > 0 and z_minus < z_plus.  z_plus is evaluated directly,
+    z_minus through the product z_minus z_plus = (2Ẽ)^2, free of
+    cancellation at small Ẽ.
     """
-    m, e2 = params.m, params.e2
-    q = m * e2**2 / (l * l)
-    z_plus = 2.0 * m * (q - energy + (e2 / l) * np.sqrt(m * (q - 2.0 * energy)))
-    two_m_e = 2.0 * m * energy
-    return two_m_e * two_m_e / z_plus, z_plus
+    q = 1.0 / (l * l)
+    z_plus = 2.0 * (q - energy + (1.0 / l) * np.sqrt(q - 2.0 * energy))
+    two_e = 2.0 * energy
+    return two_e * two_e / z_plus, z_plus
 
 
-def _phase_rows(
-    params: PhysicalParams, energy: np.ndarray, l: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands.
+def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands, reduced.
 
     The rows must lie strictly inside their windows, where every band has
-    positive width.  The l = 0 rows integrate
-    2 m e2 / ((p^2 + 2mE)(1 + beta^2 p^2)) over the real line, as twice the
-    integral over p = e^s, s in ln sqrt(2mE) +- 45, on one array starting
+    positive width, and band rows at or above ``BAND_FLOOR``.  The l = 0
+    rows integrate 2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
+    integral over p = e^s, s in ln sqrt(2Ẽ) +- 45, on one array starting
     at 450 panels.  The l >= 1 rows integrate
-    l sqrt((z - z-)(z+ - z)) / (z (z + 2mE)(1 + beta^2 z)) over the band
+    l sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ)(1 + b^2 z)) over the band
     between the edges z- < z+ (:func:`_band_edges`, one call for all rows),
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
     grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
     widest row's L.  Returns (values, error estimates) as arrays; a row
     that missed ``QUAD_RTOL`` is NaN.
     """
-    m, e2, beta = params.m, params.e2, params.beta
-    b2 = beta * beta
-    two_m_e = 2.0 * m * energy
+    b2 = b * b
+    two_e = 2.0 * energy
     value, err = np.zeros(energy.shape), np.zeros(energy.shape)
 
     line = np.flatnonzero(l == 0)
     if line.size:
-        line_two_m_e = two_m_e[line, None]
+        line_two_e = two_e[line, None]
 
         def line_integrand(s: np.ndarray) -> np.ndarray:
             p = np.exp(s)
             p2 = p * p
-            raw = 2.0 * m * e2 / ((p2 + line_two_m_e) * (1.0 + b2 * p2))
+            raw = 2.0 / ((p2 + line_two_e) * (1.0 + b2 * p2))
             return 2.0 * raw * p  # even: twice the half line; dp = p ds
 
-        centre = 0.5 * np.log(two_m_e[line])
+        centre = 0.5 * np.log(two_e[line])
         value[line], err[line] = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450)
 
     band = np.flatnonzero(l != 0)
     if band.size:
-        band_l, band_two_m_e = l[band, None], two_m_e[band, None]
-        z_minus, z_plus = _band_edges(params, energy[band, None], band_l)
+        band_l, band_two_e = l[band, None], two_e[band, None]
+        z_minus, z_plus = _band_edges(energy[band, None], band_l)
         log_z_minus, width = np.log(z_minus), np.log(z_plus / z_minus)
 
         def band_integrand(phi: np.ndarray) -> np.ndarray:
             z = np.exp(log_z_minus + width * np.sin(phi) ** 2)
             radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
-            raw = band_l * np.sqrt(radicand) / (z * (z + band_two_m_e) * (1.0 + b2 * z))
+            raw = band_l * np.sqrt(radicand) / (z * (z + band_two_e) * (1.0 + b2 * z))
             return raw * z * width * np.sin(2.0 * phi)  # dz = z ds
 
         panels = 16 * (2 + int(width.max() // 8.0))
@@ -253,24 +255,29 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> Pha
     A one-row call of :func:`_phase_rows`, which describes both rules.
     Must agree with the closed-form counterpart within quadrature
     tolerance.  Raises OutOfWindow at the points where the closed forms do
-    (``check_energy``) and ToleranceNotReached when the rule misses
-    ``QUAD_RTOL``.  At the circular-orbit endpoint, where ``check_energy``
-    returns True, the band has zero width: the value is 0 with error 0,
-    and no rule runs.
+    (``PhysicalParams.admit``) and ToleranceNotReached when the rule misses
+    ``QUAD_RTOL``, or for a band row below ``BAND_FLOOR``, which it cannot
+    represent.  At the circular-orbit endpoint, which
+    ``PhysicalParams.admit`` flags, the band has zero width: the value is 0
+    with error 0, and no rule runs.
     """
-    if check_energy(params, energy, l):
+    energy, endpoint = params.admit(energy, l)
+    if endpoint:
         return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
-    value, err = _phase_rows(params, np.array([energy], dtype=float), np.array([l]))
+    if l != 0 and energy < BAND_FLOOR:
+        raise ToleranceNotReached(f"trapezoid rule takes band rows down to E/(m e2^2) = "
+                                  f"{BAND_FLOOR!r}, got {energy!r} at l={l!r}")
+    value, err = _phase_rows(params.b, np.array([energy], dtype=float), np.array([l]))
     if math.isnan(value[0]):
         raise _missed(err[0])
     return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
 
 def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> list:
-    """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together.
+    """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together, reduced.
 
     Each bracket starts at [E0/4, min(4 E0, top)] around the undeformed
-    level E0 = m e2^2/(2 n'^2), top = e_max (1 - 1e-9), and widens by
+    level E0 = 1/(2 n'^2), top = ``window_top(b, l)`` (1 - 1e-9), and widens by
     factors of 4 until the residual changes sign.  An upper end that
     reaches top without a sign change makes the level infeasible
     (``_infeasible``, quoting this route's residual).  Illinois regula falsi
@@ -278,22 +285,21 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     Phi is exactly linear at beta = 0, until its relative width in E is at
     most ``ROOT_RTOL``; the iterate of smallest residual is the root.  Every
     round evaluates all levels still open in one :func:`_phase_rows` call.
-    Returns, per level, its energy or the SnyderCoulombError that stopped
-    it; a failure stays in its own row.
+    Returns, per level, its reduced energy Ẽ or the SnyderCoulombError that
+    stopped it; a failure stays in its own row.
     """
-    m, e2 = params.m, params.e2
     result: list = [None] * len(levels)
     active = np.ones(len(levels), dtype=bool)
     l = np.array([qn.l for qn in levels], dtype=int)
     target = TWO_PI * np.array([qn.n for qn in levels], dtype=float)
-    e0 = m * e2**2 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
-    top = np.array([energy_window(params, qn.l) * (1.0 - 1e-9) for qn in levels])
+    e0 = 1.0 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
+    top = np.array([window_top(params.b, qn.l) * (1.0 - 1e-9) for qn in levels])
 
     def fail(i: int, exc: SnyderCoulombError) -> None:
         result[i], active[i] = exc, False
 
     def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
-        phi, err = _phase_rows(params, energy, l[rows])
+        phi, err = _phase_rows(params.b, energy, l[rows])
         for k in np.flatnonzero(np.isnan(phi)):
             fail(rows[k], _missed(err[k]))
         return phi - target[rows]
@@ -365,7 +371,7 @@ def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
     (energy,) = _solve_levels(params, [qn])
     if isinstance(energy, SnyderCoulombError):
         raise energy
-    return energy
+    return params.physical(energy)
 
 
 def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEntry]:
@@ -394,7 +400,7 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     numeric = iter(_solve_levels(params, feasible))
     entries: list[SpectrumEntry] = []
     for qn, e_closed in zip(levels, closed):
-        e_newton = params.m * params.e2**2 / (2.0 * qn.n_prime**2)
+        e_newton = params.physical(1.0 / (2.0 * qn.n_prime**2))
         e_series = energy_series(params, qn)
         e_numeric = e_closed if isinstance(e_closed, SnyderCoulombError) else next(numeric)
         if isinstance(e_numeric, SnyderCoulombError):  # the closed failure, else the numeric one
@@ -403,7 +409,8 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
                 error=f"{type(e_numeric).__name__}: {e_numeric}",
             ))
         else:
-            entries.append(SpectrumEntry(qn, e_newton, e_closed, e_numeric, e_series))
+            entries.append(SpectrumEntry(qn, e_newton, e_closed, params.physical(e_numeric),
+                                         e_series))
     return entries
 
 
@@ -414,8 +421,9 @@ def correction_order(
 ) -> CorrectionFit:
     """Fitted power of beta of the relative energy correction for ``qn``.
 
-    Solves the closed-form quantization at each beta in ``beta_grid`` and
-    fits log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
+    Solves the closed-form quantization at each beta in ``beta_grid``, in
+    reduced units (the ratio E(beta)/E(0) is free of m e2^2), and fits
+    log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
     channel has slope 1, the l >= 1 channels slope 2.  Grid points with a
     correction below ``NOISE_FLOOR`` are excluded; fewer than two usable
     points raise DegenerateFit.  ``params_base.beta`` must be 0.
@@ -430,11 +438,10 @@ def correction_order(
     if math.log10(max(betas) / min(betas)) < 1.5 - 1e-12:
         raise ValueError("beta_grid must span at least 1.5 decades")
 
-    e_ref = params_base.m * params_base.e2**2 / (2.0 * qn.n_prime**2)
+    e_ref = 1.0 / (2.0 * qn.n_prime**2)
     log_b, log_c = [], []
     for beta in betas:
-        deformed = PhysicalParams(params_base.m, params_base.e2, beta)
-        energy = energy_closed(deformed, qn)
+        energy = level_closed(params_base.deformation(beta), qn)
         corr = abs(energy / e_ref - 1.0)
         if corr < NOISE_FLOOR:
             continue

@@ -6,6 +6,7 @@ the elementary value pi*((a+b)/2 + g - sqrt((a+g)(b+g)))); the quadrature
 cross-check lives in test_numerics.
 """
 
+import inspect
 import math
 import random
 
@@ -18,10 +19,12 @@ from snyder_coulomb import (
     PhysicalParams,
     QuantumNumbers,
     RequiresNonzeroL,
+    ScaleOutOfRange,
     analytic,
     check_energy,
     energy_closed,
     energy_3d_perturbative_ref,
+    level_closed,
     energy_series,
     phase_integral_1d_closed,
     radial_phase_integral_closed,
@@ -79,20 +82,19 @@ def forbid_closed_phi(monkeypatch):
 
 
 class TestTurningPoints:
-    """The band edges z- <= z+ in z = p_rho^2, which only the quadrature reads."""
+    """The band edges z- <= z+ in reduced z = p_rho^2, which only the quadrature reads."""
 
     def test_degenerate_circular_orbit(self):
-        # at the circular bound E = q/2 both edges are 2mE
+        # at the circular bound E = q/2 = 1/(2 l^2) both edges are 2E
         l = np.array([1, 2, 3, 4])
-        for m, e2 in [(0.5, 2.0), (3.0, 0.7), (1.0, 1.0)]:
-            energy = m * e2**2 / (2.0 * l * l)
-            z_minus, z_plus = _band_edges(PhysicalParams(m, e2, 0.1), energy, l)
-            assert np.array_equal(z_plus, 2 * m * energy)
-            assert z_minus == pytest.approx(z_plus, rel=1e-15)
-        assert z_minus[0] == z_plus[0] == 1.0  # m = e2 = l = 1: E = 1/2
+        energy = 1.0 / (2.0 * l * l)
+        z_minus, z_plus = _band_edges(energy, l)
+        assert np.array_equal(z_plus, 2 * energy)
+        assert z_minus == pytest.approx(z_plus, rel=1e-15)
+        assert z_minus[0] == z_plus[0] == 1.0  # l = 1: E = 1/2
 
     def test_generic_band(self):
-        edges = _band_edges(PhysicalParams(1, 1, 0), np.array([0.125]), np.array([1]))
+        edges = _band_edges(np.array([0.125]), np.array([1]))
         (z_minus,), (z_plus,) = edges
         assert z_minus == pytest.approx(0.0179491924311227, rel=1e-12)
         assert z_plus == pytest.approx(3.4820508075688772, rel=1e-12)
@@ -103,22 +105,19 @@ class TestTurningPoints:
     def test_product_and_sum_identities_on_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(6):
-            m, e2 = rng.uniform(0.3, 3.0, 2)
             l = rng.integers(1, 5, 50)
-            q = m * e2**2 / l**2
+            q = 1.0 / l**2
             energy = rng.uniform(0.01, 0.999, 50) * q / 2  # below the circular bound
-            z_minus, z_plus = _band_edges(PhysicalParams(m, e2, 0), energy, l)
-            assert z_minus * z_plus == pytest.approx((2 * m * energy) ** 2, rel=1e-12)
-            assert z_minus + z_plus == pytest.approx(4 * m * (q - energy), rel=1e-12)
+            z_minus, z_plus = _band_edges(energy, l)
+            assert z_minus * z_plus == pytest.approx((2 * energy) ** 2, rel=1e-12)
+            assert z_minus + z_plus == pytest.approx(4 * (q - energy), rel=1e-12)
             assert np.all((0 < z_minus) & (z_minus < z_plus))
 
     def test_turning_points_are_beta_independent(self):
+        # the edges are a function of (E, l) alone: no deformation reaches them
+        assert list(inspect.signature(_band_edges).parameters) == ["energy", "l"]
         energy, l = np.array([0.125, 0.05, 0.02]), np.array([1, 1, 2])
-        edges = [_band_edges(PhysicalParams(1, 1, beta), energy, l) for beta in (0.0, 0.05, 0.2)]
-        assert edges[0][1][0] == pytest.approx(3.4820508075688772, rel=1e-14)
-        for z_minus, z_plus in edges[1:]:
-            assert np.array_equal(z_minus, edges[0][0])
-            assert np.array_equal(z_plus, edges[0][1])
+        assert _band_edges(energy, l)[1][0] == pytest.approx(3.4820508075688772, rel=1e-14)
 
 
 class TestPhaseIntegral1D:
@@ -227,6 +226,19 @@ class TestRadialPhaseIntegral:
         for energy in np.linspace(0.001, 0.499, 200):
             assert radial_phase_integral_closed(params, energy, 1).value > 0
 
+    @pytest.mark.parametrize("m,beta,l", [(1e304, 1e-152, 0.001), (1.0, 8e151, 0.01)])
+    def test_overflowing_ratio_keeps_its_limit(self, m, beta, l):
+        # 4 b^2/(l^2 W^2) overflows to inf; the tail l (1 + sqrt(1 + ratio))
+        # is then l + 2b/W, and Phi stays finite and exact
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        energy = 0.125 if m > 1 else 1e-305
+        e, b = mp.mpf(energy) / mp.mpf(m), mp.mpf(beta) * mp.mpf(m)
+        w = 1 - 2 * b * b * e
+        want = mp.pi * (mp.sqrt(2 / e) / w - l * (1 + mp.sqrt(1 + 4 * b * b / (l * l * w * w))))
+        got = radial_phase_integral_closed(PhysicalParams(m, 1, beta), energy, l).value
+        assert abs(got - want) <= 1e-15 * abs(want)
+
 
 class TestEnergy1D:
     def test_newtonian_ground_state(self):
@@ -256,20 +268,21 @@ class TestEnergy1D:
                 assert abs(value - 2 * PI * n) <= 1e-12 * 2 * PI * n
 
     def test_closed_and_series_are_the_1d_formulas_bitwise(self):
-        # the quadratic root and the first-order series, written out; the
-        # level is feasible exactly when beta m e2 < 2n
+        # the quadratic root and the first-order series in reduced units,
+        # written out, times m e2^2; the level is feasible exactly when b < 2n
         for m, e2 in ((1.0, 1.0), (2.0, 0.7)):
             for beta in (0.0, 1e-300, 1e-3, 0.05, 0.15, 0.9, 1.9):
                 params = PhysicalParams(m, e2, beta)
+                unit, b = params.unit, params.b
                 for n in range(1, 21):
-                    if beta * m * e2 < 2 * n:
-                        u = 2.0 * m * e2 / (n + math.sqrt(n * n + 4.0 * beta * n * m * e2))
-                        assert energy_closed(params, QuantumNumbers(n)) == u * u / (2.0 * m)
+                    if b < 2 * n:
+                        u = 2.0 / (n + math.sqrt(n * n + 4.0 * b * n))
+                        assert energy_closed(params, QuantumNumbers(n)) == unit * (u * u / 2.0)
                     else:
                         with pytest.raises(NoRootInWindow):
                             energy_closed(params, QuantumNumbers(n))
-                    series = m * e2**2 / (2.0 * n * n) * (1.0 - 2.0 * beta * m * e2 / n)
-                    assert energy_series(params, QuantumNumbers(n)) == series
+                    series = 1.0 / (2.0 * n * n) * (1.0 - 2.0 * b / n)
+                    assert energy_series(params, QuantumNumbers(n)) == unit * series
 
     @pytest.mark.parametrize("beta", [2.0, 5.0])
     def test_level_at_or_past_the_pole_is_infeasible(self, monkeypatch, beta):
@@ -380,6 +393,31 @@ class TestEnergy3D:
                     assert 0 < energy < energy_window(params, l)
 
 
+class TestReducedLevel:
+    """level_closed: the level in reduced units, which energy_closed scales."""
+
+    def test_is_energy_closed_at_unit_scale(self):
+        for beta in (0.0, 1e-3, 0.1, 0.9, 2.9):
+            for n_prime in range(1, 6):
+                for l in range(n_prime):
+                    qn = QuantumNumbers(n_prime - l, l)
+                    try:
+                        energy = energy_closed(PhysicalParams(1, 1, beta), qn)
+                    except NoRootInWindow as exc:
+                        with pytest.raises(NoRootInWindow) as reduced:
+                            level_closed(beta, qn)
+                        # energy_closed names the beta it was given before the reason
+                        assert str(exc) == f"level infeasible at beta={beta!r} for {reduced.value}"
+                        continue
+                    assert level_closed(beta, qn) == energy, (beta, qn)
+
+    def test_depends_on_m_e2_and_beta_only_through_b(self):
+        params = PhysicalParams(2.0, 0.7, 0.05)
+        qn = QuantumNumbers(2, 1)
+        assert energy_closed(params, qn) == params.unit * level_closed(params.b, qn)
+        assert params.deformation(0.05) == params.b == 0.05 * (2.0 * 0.7)
+
+
 class TestLevelInsideTheWindow:
     """A level energy_closed returns lies strictly inside its window."""
 
@@ -401,10 +439,18 @@ class TestLevelInsideTheWindow:
         assert feasible > 8000
 
     @pytest.mark.parametrize("l", [0, 1])
-    def test_underflowing_energy_is_infeasible(self, l):
-        # at m = 1e-163, u^2/(2m) underflows to E = 0
-        with pytest.raises(NoRootInWindow, match=r"E = 0\.0 is not inside the open window"):
-            energy_closed(PhysicalParams(1e-163, 1, 0.1), QuantumNumbers(1, l))
+    def test_tiny_scale_level_is_m_e2_squared_times_the_reduced_level(self, l):
+        # at m = 1e-163 the level is about 5e-164: solved in reduced units,
+        # where u^2/(2m) no longer underflows, and scaled once
+        params = PhysicalParams(1e-163, 1, 0.1)
+        unit, b = params.unit, params.b
+        energy = energy_closed(params, QuantumNumbers(1, l))
+        assert 0 < energy == unit * energy_closed(PhysicalParams(1, 1, b), QuantumNumbers(1, l))
+
+    def test_underflowing_scale_is_a_scale_error(self):
+        # m e2^2 = 1e-340 is 0 as a float: no level has a unit to be told in
+        with pytest.raises(ScaleOutOfRange, match=r"m e2\^2 leaves the float range"):
+            energy_closed(PhysicalParams(1e-300, 1e-20, 0.1), QuantumNumbers(1, 1))
 
 
 class TestEnergySeries:

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, config files."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -110,6 +112,42 @@ class TestSpectrum:
     ])
     def test_underflowing_beta_exits_zero(self, capsys, command):
         assert run_cli(capsys, *command)[0] == 0
+
+
+class TestScale:
+    """Inputs whose m e2^2, beta m e2 or products of them leave the float range."""
+
+    @pytest.mark.parametrize("argv,code,error", [
+        (["spectrum", "--beta", "1e308"], 1, "NoRootInWindow: level infeasible"),
+        (["spectrum", "--e2", "1e200"], 2, "ScaleOutOfRange: the energy unit m e2^2"),
+        (["spectrum", "--m", "1e300", "--n-prime-max", "2"], 0, None),
+        (["l-limit", "--beta-grid", "1e300"], 1,
+         "OutOfWindow: E=0.125 outside the window (0, 0.0)"),
+        # the fit reads E(beta)/E(0), free of m e2^2: b = 1e156 is what fails
+        (["scan-order", "--e2", "1e160"], 1, "NoRootInWindow: QuantumNumbers(n=1, l=0): beta m e2"),
+        (["verify-integrals", "--m", "1e150"], 1, "ToleranceNotReached: trapezoid rule takes"),
+        (["verify-integrals", "--e2", "1e200"], 2, "ScaleOutOfRange: the energy unit m e2^2"),
+        (["verify-integrals", "--m", "1e-300"], 0, None),
+        (["l-limit", "--m", "1e304", "--beta-grid", "1e-152", "--l-grid", "0.001"], 0, None),
+    ])
+    def test_each_run_ends_in_a_typed_outcome(self, capsys, argv, code, error):
+        # each of these ended in a traceback or a NaN while m, e2 and beta
+        # entered the formulas; now no cell is NaN outside an error row
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all("nan" not in row.values() for row in rows if not row.get("error"))
+        if error:
+            assert error in err or any(error in row.get("error", "") for row in rows), err
+
+    def test_subnormal_levels_are_solved(self, capsys):
+        # m e2^2 = 1e-310: each level is a subnormal, solved in reduced units
+        code, out, _ = run_cli(capsys, "spectrum", "--m", "1e-300", "--e2", "1e-5",
+                               "--n-prime-max", "2")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [float(r["E_closed"]) for r in rows] == [5e-311, 1.25e-311, 1.25e-311]
+        assert all(0 < float(r["E_numeric"]) < sys.float_info.min for r in rows)
 
 
 class TestVerifyIntegrals:

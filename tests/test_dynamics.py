@@ -417,6 +417,17 @@ class TestIntegrateOrbit:
         with pytest.raises(StepUnderflow, match=r"of t_end = 20\.0 within 20 steps"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 20.0)
 
+    def test_numpy_t_end_runs_as_its_float(self, monkeypatch):
+        # the end event and the messages see the Python float, not np.float64
+        as_float = integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 20.0)
+        as_numpy = integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), np.float64(20.0),
+                                   local_tol=np.float64(1e-10))
+        assert as_numpy.samples.tobytes() == as_float.samples.tobytes()
+        assert as_numpy.perihelia.tobytes() == as_float.perihelia.tobytes()
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
+        with pytest.raises(StepUnderflow, match=r"of t_end = 20\.0 within 20 steps"):
+            integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), np.float64(20.0))
+
     @pytest.mark.filterwarnings("ignore:local_tol")
     @pytest.mark.parametrize("m,e2,local_tol", [
         (1, 1, 1e-200), (1, 1, 1e-250), (1, 1, 1e-300), (1, 1, 5e-324),

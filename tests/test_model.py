@@ -1,6 +1,7 @@
 """Parameter validation, quantum numbers, and energy windows."""
 
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -14,8 +15,10 @@ from snyder_coulomb import (
     OutOfWindow,
     PhysicalParams,
     QuantumNumbers,
+    ScaleOutOfRange,
     check_energy,
     energy_window,
+    window_top,
 )
 
 
@@ -112,11 +115,12 @@ class TestEnergyWindow:
             with pytest.raises(OutOfWindow):
                 check_energy(params, energy, 1)
         # the pole is never admitted: not where it equals the circular bound,
-        # not at l = 0, and not where 49 * fl(1/49) rounds below 1
+        # not at l = 0, and not where 2 b^2 fl(1/(2 b^2)) = 24.5 fl(1/24.5)
+        # rounds below 1
         for params, energy, l in [
             (PhysicalParams(1, 1, 1.0), 0.5, 1),
             (PhysicalParams(1, 1, 2.0), 0.125, 0),
-            (PhysicalParams(24.5, 1, 1.0), 1.0 / 49.0, 1),
+            (PhysicalParams(1, 1, 3.5), 1.0 / 24.5, 1),
         ]:
             assert energy == energy_window(params, l)
             with pytest.raises(OutOfWindow):
@@ -134,3 +138,93 @@ class TestEnergyWindow:
                 for beta in [0.0, 0.01, 0.1, 1.0, 3.0]
             ]
             assert all(a >= b for a, b in zip(caps, caps[1:]))
+
+
+class TestScale:
+    """The one reduction of (m, e2, beta), against 50-digit mpmath in raw units.
+
+    Both spectral routes compute through this primitive, so their agreement
+    cannot catch a fault in it: this is its own check.  m e2^2 and beta m e2
+    are each rounded twice, so each must lie within two ulps of the exact
+    value (a subnormal result within two subnormal steps), and a converted
+    energy within two ulps plus the rounding of m e2^2 itself, which
+    carries few bits when it is subnormal.
+    """
+
+    PAIRS = [
+        (1.0, 1.0), (2.0, 0.5), (1.5, 1.0), (0.7, 1.9), (1e-3, 40.0),
+        (5e-324, 1.1e10 + 0.3),  # m subnormal, m e2 subnormal, m e2^2 normal
+        (3e-310, 1.7),  # m e2^2 subnormal
+        (1e-300, 1e-5),  # m e2^2 subnormal, about 1e-310
+        (1.7e308, 1.0000001),  # m e2^2 just below the largest float
+        (1e300, 1e-150), (1e-300, 1e150), (1e200, 1e-100),  # partial products out of range
+    ]
+
+    @staticmethod
+    def within(value, exact, ulps):
+        mp = pytest.importorskip("mpmath")
+        return abs(mp.mpf(value) - exact) <= ulps * mp.mpf(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("m,e2", PAIRS)
+    def test_unit_and_b_are_the_raw_products(self, m, e2):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for beta in (0.0, 0.1, 3.0, 1e-200, 1e300):
+            params = PhysicalParams(m, e2, beta)
+            unit, b = params.unit, params.b
+            assert self.within(unit, mp.mpf(m) * mp.mpf(e2) ** 2, 2), (m, e2)
+            exact_b = mp.mpf(beta) * mp.mpf(m) * mp.mpf(e2)
+            if exact_b > mp.mpf(sys.float_info.max):
+                assert b == math.inf
+            else:
+                assert self.within(b, exact_b, 2), (m, e2, beta)
+
+    @pytest.mark.parametrize("m,e2", PAIRS)
+    def test_conversions_are_the_raw_quotient_and_product(self, m, e2):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        params = PhysicalParams(m, e2)
+        exact_unit = mp.mpf(m) * mp.mpf(e2) ** 2
+        slack = abs(mp.mpf(params.unit) - exact_unit) / exact_unit  # the unit's own rounding
+        for reduced in (0.5, 1.0 / 18.0, 0.4196010845019197, 1e-3):
+            energy = params.physical(reduced)
+            exact = exact_unit * mp.mpf(reduced)
+            assert abs(mp.mpf(energy) - exact) <= (
+                2 * mp.mpf(math.ulp(float(exact))) + slack * exact), (m, e2, reduced)
+            back = params.reduced(energy)
+            exact_back = mp.mpf(energy) / exact_unit
+            assert abs(mp.mpf(back) - exact_back) <= (
+                2 * mp.mpf(math.ulp(float(exact_back))) + slack * exact_back), (m, e2, reduced)
+
+    def test_m_e2_squared_out_of_range_is_a_scale_error(self):
+        # inf above, 0 below; PhysicalParams itself still takes both
+        for m, e2 in [(1.0, 1e200), (1e300, 1e10), (1e-300, 1e-20), (5e-324, 0.5)]:
+            params = PhysicalParams(m, e2)
+            for convert in (params.physical, params.reduced):
+                with pytest.raises(ScaleOutOfRange, match=r"m e2\^2 leaves the float range"):
+                    convert(0.125)
+            with pytest.raises(ScaleOutOfRange):
+                energy_window(params, 1)
+
+    def test_conversion_out_of_range_is_a_scale_error(self):
+        tiny, huge = PhysicalParams(1e-300, 1e-5), PhysicalParams(1e300, 1.0)
+        assert tiny.physical(0.5) == 0.5 * tiny.unit > 0  # a subnormal energy is kept
+        with pytest.raises(ScaleOutOfRange, match="leaves the float range"):
+            tiny.physical(1e-20)  # 0 from nonzero
+        with pytest.raises(ScaleOutOfRange):
+            huge.reduced(1e-20)  # a subnormal reduced energy: the formulas divide by it
+        with pytest.raises(ScaleOutOfRange):
+            tiny.reduced(1.0)  # inf
+        assert tiny.physical(0.0) == 0.0 and huge.physical(math.inf) == math.inf
+        assert math.isnan(huge.reduced(math.nan))  # left to the window check
+
+    def test_infinite_b_closes_every_window(self):
+        # b = beta m e2 = 1e350 is inf while m e2^2 = 1e100 is not: no energy is
+        # admissible, which is the window's verdict, not a scale error
+        for params in (PhysicalParams(1.0, 1.0, 1e300), PhysicalParams(1e200, 1e-50, 1e200)):
+            assert [window_top(params.b, l) for l in (0, 1, 0.5)] == [0.0] * 3
+            assert energy_window(params, 0) == 0.0
+            with pytest.raises(OutOfWindow):
+                check_energy(params, 0.1 * params.unit, 0)
+        params = PhysicalParams(1e200, 1e-50, 1e200)
+        assert (params.unit, params.b) == (1e100, math.inf)
