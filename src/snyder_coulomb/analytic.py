@@ -110,7 +110,8 @@ def radial_phase_integral_closed(
         return PhaseIntegralResult(value=0.0, kind="closed_form")
     b = params.b
     w = 1.0 - 2.0 * b * b * energy
-    ratio = 4.0 * b * b / (l * l * w * w)
+    square = l * l * w * w  # 0 where l^2 underflows: the ratio is then inf, or 0 at b = 0
+    ratio = 4.0 * b * b / square if square > 0.0 else (math.inf if b else 0.0)
     # once ratio overflows, l (1 + sqrt(1 + ratio)) = l + 2 b / W far below an ulp
     tail = l * (1.0 + math.sqrt(1.0 + ratio)) if ratio < math.inf else l + 2.0 * b / w
     value = PI * (math.sqrt(2.0 / energy) / w - tail)

@@ -323,6 +323,28 @@ _TABLEAU = (
     ),
 )
 
+# One name per nonzero entry of A (row j, column i: _Aj_i), B, E5 and E3, for _stages and
+# _errors; each zero entry goes to _ and is left out there, where it would add 0.
+(
+    (
+        (_A1_0,),
+        (_A2_0, _A2_1),
+        (_A3_0, _, _A3_2),
+        (_A4_0, _, _A4_2, _A4_3),
+        (_A5_0, _, _, _A5_3, _A5_4),
+        (_A6_0, _, _, _A6_3, _A6_4, _A6_5),
+        (_A7_0, _, _, _A7_3, _A7_4, _A7_5, _A7_6),
+        (_A8_0, _, _, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7),
+        (_A9_0, _, _, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
+        (_A10_0, _, _, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
+        (_A11_0, _, _, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10),
+    ),
+    (_B0, _, _, _, _, _B5, _B6, _B7, _B8, _B9, _B10, _B11),
+    (_E5_0, _, _, _, _, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _),
+    (_E3_0, _, _, _, _, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _),
+) = _TABLEAU[:4]
+del _
+
 
 def _dop853(
     rhs: Callable[[list[float]], Sequence[float]],
@@ -339,8 +361,14 @@ def _dop853(
     same first step, error norm (E5 weighted by E3), safety factor 0.9,
     step factors 0.2 to 10 with exponent -1/8 and no growth right after a
     rejection.  Squares are products, so an error norm that overflows reads
-    inf and rejects the step.  Each stage is kept as one list per
-    component, and every combination of stages is a ``sum(map(mul, ...))``.
+    inf and rejects the step.  :func:`_stages` and :func:`_errors` are
+    the tableau unrolled: one comprehension over the components per stage,
+    summing one named coefficient times a stage per nonzero entry, left to
+    right.  On Python 3.11, where ``sum`` of floats is a plain left fold
+    from int 0, this gives the floats of ``sum(map(mul, row, stages))``
+    over the full rows bit for bit, as a 0.0 entry times a finite stage adds
+    exactly 0 (up to the sign of a zero sum); from 3.12, ``sum`` compensates
+    its rounding, and the unrolled sums stay plain folds.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
@@ -354,8 +382,6 @@ def _dop853(
     more than ``_MAX_STEPS`` states are kept.  Raises StepUnderflow if the
     step falls below 10 times the spacing of floats at s.
     """
-    a_rows, b, e5, e3, d, a_extra = _TABLEAU
-    mul = operator.mul
     rtol = max(tol, 100.0 * _EPS)
     if rtol > tol:  # as scipy's validate_tol, which warns too
         warnings.warn(f"local_tol = {tol!r} is below 100 eps; the relative tolerance "
@@ -388,18 +414,12 @@ def _dop853(
                                     f"at s = {s!r}")
             s_new = s + h_abs
             h = s_new - s
-            k = [[u] for u in f]
-            for a in a_rows:
-                stage = rhs([v + sum(map(mul, a, kv)) * h for v, kv in zip(y, k)])
-                for kv, u in zip(k, stage):
-                    kv.append(u)
-            y_new = [v + h * sum(map(mul, b, kv)) for v, kv in zip(y, k)]
+            y_new, k = _stages(rhs, y, f, h)
             f_new = rhs(y_new)
             err5 = err3 = 0.0
-            for v, v_new, kv, u in zip(y, y_new, k, f_new):
-                kv.append(u)
+            for v, v_new, u5, u3 in zip(y, y_new, *_errors(k)):
                 w = tol + max(abs(v), abs(v_new)) * rtol
-                u5, u3 = sum(map(mul, e5, kv)) / w, sum(map(mul, e3, kv)) / w
+                u5, u3 = u5 / w, u3 / w
                 err5 += u5 * u5
                 err3 += u3 * u3
             if err5 == 0.0 and err3 == 0.0:
@@ -416,7 +436,7 @@ def _dop853(
         stop = None
         hits = [i for i, (lo, hi) in enumerate(zip(g_old, g_new)) if lo <= 0.0 <= hi]
         if hits:
-            at = _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d)
+            at = _dense_output(rhs, y, y_new, k, f_new, h)
             roots = sorted(
                 (_brent(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
                         4.0 * _EPS, 4.0 * _EPS), i)
@@ -433,14 +453,74 @@ def _dop853(
         s, y, f, g_old = s_new, y_new, f_new, g_new
 
 
-def _dense_output(rhs, y, y_new, f, f_new, k, h, a_extra, d) -> Callable[[float], list[float]]:
+def _stages(
+    rhs: Callable[[list[float]], Sequence[float]], y: list[float], f: Sequence[float], h: float
+) -> tuple[list[float], tuple[Sequence[float], ...]]:
+    """The DOP853 step of size ``h`` from ``y``, where f = rhs(y): y_new and the 12 stages.
+
+    Stage 0 is ``f``.  Each later stage's input, and y_new, sums its row of
+    A (or B) times the stages, component by component, left to right over
+    the row's nonzero entries.
+    """
+    k0 = f
+    k1 = rhs([v + _A1_0 * u0 * h for v, u0 in zip(y, k0)])
+    k2 = rhs([v + (_A2_0 * u0 + _A2_1 * u1) * h for v, u0, u1 in zip(y, k0, k1)])
+    k3 = rhs([v + (_A3_0 * u0 + _A3_2 * u2) * h for v, u0, u2 in zip(y, k0, k2)])
+    k4 = rhs([v + (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3) * h
+              for v, u0, u2, u3 in zip(y, k0, k2, k3)])
+    k5 = rhs([v + (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4) * h
+              for v, u0, u3, u4 in zip(y, k0, k3, k4)])
+    k6 = rhs([v + (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5) * h
+              for v, u0, u3, u4, u5 in zip(y, k0, k3, k4, k5)])
+    k7 = rhs([v + (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6) * h
+              for v, u0, u3, u4, u5, u6 in zip(y, k0, k3, k4, k5, k6)])
+    k8 = rhs([v + (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
+                   + _A8_7 * u7) * h
+              for v, u0, u3, u4, u5, u6, u7 in zip(y, k0, k3, k4, k5, k6, k7)])
+    k9 = rhs([v + (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
+                   + _A9_7 * u7 + _A9_8 * u8) * h
+              for v, u0, u3, u4, u5, u6, u7, u8 in zip(y, k0, k3, k4, k5, k6, k7, k8)])
+    k10 = rhs([v + (_A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
+                    + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9) * h
+               for v, u0, u3, u4, u5, u6, u7, u8, u9 in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
+    k11 = rhs([v + (_A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
+                    + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9 + _A11_10 * u10) * h
+               for v, u0, u3, u4, u5, u6, u7, u8, u9, u10
+               in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
+    y_new = [v + h * (_B0 * u0 + _B5 * u5 + _B6 * u6 + _B7 * u7 + _B8 * u8 + _B9 * u9
+                      + _B10 * u10 + _B11 * u11)
+             for v, u0, u5, u6, u7, u8, u9, u10, u11 in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
+    return y_new, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11)
+
+
+def _errors(k: tuple[Sequence[float], ...]) -> tuple[list[float], list[float]]:
+    """The E5 and E3 error estimates of a step from its 12 stages ``k``, one float per component.
+
+    Each sums its row's nonzero entries times the stages, left to right.
+    """
+    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11 = k
+    stages = list(zip(k0, k5, k6, k7, k8, k9, k10, k11))
+    return (
+        [_E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8 + _E5_9 * u9
+         + _E5_10 * u10 + _E5_11 * u11 for u0, u5, u6, u7, u8, u9, u10, u11 in stages],
+        [_E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8 + _E3_9 * u9
+         + _E3_10 * u10 + _E3_11 * u11 for u0, u5, u6, u7, u8, u9, u10, u11 in stages],
+    )
+
+
+def _dense_output(rhs, y, y_new, stages, f_new, h) -> Callable[[float], list[float]]:
     """DOP853's 7th-degree interpolant of the step from ``y`` to ``y_new``.
 
-    Adds the three extra stages to ``k`` and returns the function of the
-    step fraction x in [0, 1] that gives the state, as scipy's
-    ``Dop853DenseOutput`` (x = 0 gives ``y`` exactly).
+    Takes the 12 ``stages`` of :func:`_stages`, adds ``f_new`` and the three
+    extra stages, and returns the function of the step fraction x in
+    [0, 1] that gives the state, as scipy's ``Dop853DenseOutput`` (x = 0
+    gives ``y`` exactly).  This runs only on event steps, so its stage
+    combinations stay ``sum(map(mul, ...))`` over one list per component.
     """
+    d, a_extra = _TABLEAU[4:]
     mul = operator.mul
+    f = stages[0]
+    k = [list(kv) for kv in zip(*stages, f_new)]
     for a in a_extra:
         stage = rhs([v + sum(map(mul, a, kv)) * h for v, kv in zip(y, k)])
         for kv, u in zip(k, stage):

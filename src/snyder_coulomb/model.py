@@ -91,11 +91,13 @@ def window_top(b: float, l: float) -> float:
     The lower of the circular-orbit bound 1/(2 l^2) (``l > 0``) and the
     pole 1/(2 b^2), or ``math.inf``; it can only fall as ``l`` or ``b``
     grows.  A 2 b^2 that underflows to 0 puts the pole at inf, and one that
-    overflows puts the top at 0.
+    overflows puts the top at 0.  A 2 l^2 that underflows to 0 (l below
+    about 1e-162) puts the circular bound at inf.
     """
     if not l >= 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    e_max = 1.0 / (2.0 * l * l) if l > 0 else math.inf
+    circular = 2.0 * l * l
+    e_max = 1.0 / circular if circular > 0.0 else math.inf
     pole = 2.0 * b * b
     # the lower cap, without min(): this runs on every admitted energy
     return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole

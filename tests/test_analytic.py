@@ -226,16 +226,19 @@ class TestRadialPhaseIntegral:
         for energy in np.linspace(0.001, 0.499, 200):
             assert radial_phase_integral_closed(params, energy, 1).value > 0
 
-    @pytest.mark.parametrize("m,beta,l", [(1e304, 1e-152, 0.001), (1.0, 8e151, 0.01)])
+    @pytest.mark.parametrize("m,beta,l", [(1e304, 1e-152, 0.001), (1.0, 8e151, 0.01),
+                                          (1.0, 0.1, 1e-200), (1.0, 0.0, 1e-200)])
     def test_overflowing_ratio_keeps_its_limit(self, m, beta, l):
-        # 4 b^2/(l^2 W^2) overflows to inf; the tail l (1 + sqrt(1 + ratio))
-        # is then l + 2b/W, and Phi stays finite and exact
+        # 4 b^2/(l^2 W^2) overflows to inf, or l^2 underflows to 0; the tail
+        # l (1 + sqrt(1 + ratio)) is then l + 2b/W, or 2l at b = 0, and Phi
+        # stays finite and exact
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
         energy = 0.125 if m > 1 else 1e-305
         e, b = mp.mpf(energy) / mp.mpf(m), mp.mpf(beta) * mp.mpf(m)
         w = 1 - 2 * b * b * e
-        want = mp.pi * (mp.sqrt(2 / e) / w - l * (1 + mp.sqrt(1 + 4 * b * b / (l * l * w * w))))
+        lm = mp.mpf(l)  # a float l * l underflows
+        want = mp.pi * (mp.sqrt(2 / e) / w - lm * (1 + mp.sqrt(1 + 4 * b * b / (lm * lm * w * w))))
         got = radial_phase_integral_closed(PhysicalParams(m, 1, beta), energy, l).value
         assert abs(got - want) <= 1e-15 * abs(want)
 

@@ -129,6 +129,9 @@ class TestScale:
         (["verify-integrals", "--e2", "1e200"], 2, "ScaleOutOfRange: the energy unit m e2^2"),
         (["verify-integrals", "--m", "1e-300"], 0, None),
         (["l-limit", "--m", "1e304", "--beta-grid", "1e-152", "--l-grid", "0.001"], 0, None),
+        # 2 l^2 underflows to 0: the circular bound is inf and the tail l + 2b/W
+        (["l-limit", "--l-grid", "1e-200"], 0, None),
+        (["l-limit", "--l-grid", "1e-170"], 0, None),
     ])
     def test_each_run_ends_in_a_typed_outcome(self, capsys, argv, code, error):
         # each of these ended in a traceback or a NaN while m, e2 and beta

@@ -599,6 +599,50 @@ class TestStepLoop:
         np.testing.assert_allclose(np.diff(heads)[1:] / np.diff(heads)[:-1], 10.0, rtol=1e-12)
 
 
+class TestUnrolledTableau:
+    """``_stages`` and ``_errors`` read back ``_TABLEAU`` entry for entry, zeros included.
+
+    At y = 0 and h = 1 with stage i set to 1 and every other stage to 0,
+    each sum is its row's entry i exactly, so a left-out nonzero entry, a
+    wrong name or a wrong index shows as a wrong value.
+    """
+
+    A, B, E5, E3 = dynamics._TABLEAU[:4]
+
+    @staticmethod
+    def impulse(i):
+        """(inputs of stages 1-11, y_new, stages) of one step where stage i is 1."""
+        inputs = []
+
+        def rhs(y):  # the c-th call gives stage c
+            inputs.append(y[0])
+            return (1.0 if len(inputs) == i else 0.0,)
+
+        y_new, k = dynamics._stages(rhs, [0.0], (1.0 if i == 0 else 0.0,), 1.0)
+        return inputs, y_new[0], k
+
+    def test_stage_inputs_read_back_the_rows_of_a(self):
+        read = [[] for _ in self.A]
+        for i in range(12):
+            inputs, _, k = self.impulse(i)
+            assert [u for (u,) in k] == [float(c == i) for c in range(12)]
+            for j, x in enumerate(inputs, 1):  # stage j combines stages 0 to j - 1
+                if i < j:
+                    read[j - 1].append(x)
+                else:
+                    assert x == 0.0, (i, j)
+        assert read == [list(row) for row in self.A]
+
+    def test_new_state_reads_back_b(self):
+        assert [self.impulse(i)[1] for i in range(12)] == list(self.B)
+
+    def test_error_estimates_read_back_e5_and_e3(self):
+        estimates = [dynamics._errors(self.impulse(i)[2]) for i in range(12)]
+        assert [e5 for ([e5], _) in estimates] == list(self.E5[:12])
+        assert [e3 for (_, [e3]) in estimates] == list(self.E3[:12])
+        assert self.E5[12] == self.E3[12] == 0.0  # the entry of f_new, left out
+
+
 def brent_and_brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS):
     """(outcome, points of f) of the port and of scipy's ``brentq``, as Python floats.
 

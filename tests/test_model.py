@@ -106,6 +106,11 @@ class TestEnergyWindow:
         assert energy_window(params, 0) == math.inf
         assert energy_window(params, 2) == energy_window(PhysicalParams(1, 1, 0), 2)
 
+    def test_underflowed_circular_bound_is_no_cap(self):
+        # 2 l^2 underflows to 0 below l ~ 1e-162: the circular bound is at infinity
+        assert window_top(0.0, 1e-200) == window_top(0.0, 5e-324) == math.inf
+        assert window_top(0.5, 1e-170) == window_top(0.5, 0) == 2.0
+
     def test_check_is_open_but_for_the_circular_endpoint(self):
         params = PhysicalParams(1, 1, 0)
         assert check_energy(params, 0.3, 1) is False

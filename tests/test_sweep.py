@@ -2,12 +2,12 @@
 
 Each example runs one command in-process through ``main(argv)`` with JSON
 output.  m, e2 and every beta are drawn log-uniform from the subnormals to
-the largest float, together with small grids.  Every run must exit 0, 1 or
-2 without a traceback, and pytest's ``filterwarnings = error`` fails it on
-any numpy warning.  Exit 2 is invalid input, named on stderr.  Exit 1 comes
-with a typed error, in a row of the output or as the one message of a
-package error, or with a check that failed on finite numbers.  A row
-without an error holds no NaN.
+the largest float, and l-limit's l from the subnormals to 0.1, together
+with small grids.  Every run must exit 0, 1 or 2 without a traceback, and
+pytest's ``filterwarnings = error`` fails it on any numpy warning.  Exit 2
+is invalid input, named on stderr.  Exit 1 comes with a typed error, in a
+row of the output or as the one message of a package error, or with a
+check that failed on finite numbers.  A row without an error holds no NaN.
 
 The examples are derandomized, so the suite draws the same inputs on every
 run.
@@ -29,6 +29,8 @@ TYPED = tuple(name for name in errors.__all__ if name != "SnyderCoulombError")
 # 10**x for x uniform over the exponents of the positive floats
 magnitude = st.floats(-323.3, 308.25).map(lambda x: 10.0**x)
 beta = st.one_of(st.just(0.0), magnitude)
+# l-limit's fractional l, log-uniform from the smallest subnormal up to 0.1
+small_l = st.floats(-323.3, -1.0).map(lambda x: 10.0**x)
 
 
 def grid(values, max_size):
@@ -55,7 +57,7 @@ def spectral_argv(draw):
                  "--l-list", draw(subset([0, 1, 2])), "--n", str(draw(st.integers(1, 2)))]
     else:
         argv += ["--beta-grid", draw(grid(beta, 2)),
-                 "--l-grid", draw(subset([0.1, 0.01, 0.001]))]
+                 "--l-grid", draw(grid(small_l, 3))]
     return argv + ["--format", "json"]
 
 
