@@ -185,7 +185,7 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
     Raises NoRootInWindow, naming ``params.beta``, where the level is
     infeasible, and where the float E's own reduction E/(m e2^2), which
-    ``check_energy`` reads, is not strictly inside the window; and
+    ``PhysicalParams.admit`` reads, is not strictly inside the window; and
     ScaleOutOfRange where m e2^2 Ẽ leaves the float range.
     """
     try:
@@ -194,7 +194,7 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
         raise NoRootInWindow(f"level infeasible at beta={params.beta!r} for {exc}") from None
     energy = params.physical(level)
     reduced, top = params.reduced(energy), window_top(params.b, qn.l)
-    if reduced < top:  # strictly inside, as check_energy decides on E itself
+    if reduced < top:  # strictly inside, as admit decides on E itself
         return energy
     raise NoRootInWindow(f"level infeasible at beta={params.beta!r} for {qn}: E/(m e2^2) = "
                          f"{reduced!r} is not inside the open window (0, {top!r})")

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .analytic import phase_integral_1d_closed, radial_phase_integral_closed
-from .errors import CollisionSingularity, InsufficientPeriods, SnyderCoulombError
-from .model import PhysicalParams, QuantumNumbers, energy_window, finite_float
+from .errors import CollisionSingularity, InsufficientPeriods, OutOfWindow, SnyderCoulombError
+from .model import PhysicalParams, QuantumNumbers, finite_float, window_top
 from .numerics import (
     correction_order,
     l_limit_study,
@@ -215,10 +215,10 @@ def _cmd_spectrum(cfg: dict[str, Any]) -> int:
 
 
 def _cell_energies(params, l: int, count: int) -> list[float]:
-    # Cap the generated energies at the energy unit m e2^2 so the l = 0
+    # Cap the reduced window top at 1, the energy unit m e2^2, so the l = 0
     # cells stay in the physically interesting range even when the window
     # itself only closes at the (much higher) deformation pole.
-    scale = min(energy_window(params, l), params.unit)
+    scale = params.physical(min(window_top(params.b, l), 1.0))
     return [float(f) * scale for f in np.linspace(0.05, 0.95, count)]
 
 
@@ -234,17 +234,18 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
     for beta in cfg["beta_grid"]:
         params = PhysicalParams(cfg["m"], cfg["e2"], beta)
         for l in cfg["l_grid"]:
-            # the open window: at a circular endpoint Phi = 0 and rel_dev is undefined
-            e_max = energy_window(params, l)
             energies = cfg["e_grid"] or _cell_energies(params, l, cfg["energies_per_cell"])
             for energy in energies:
-                if not 0.0 < energy < e_max:
+                try:  # both closed forms decide the window by PhysicalParams.admit
+                    if l == 0:
+                        phi_c = phase_integral_1d_closed(params, energy).value
+                    else:
+                        phi_c = radial_phase_integral_closed(params, energy, l).value
+                except OutOfWindow:
+                    phi_c = 0.0
+                if phi_c == 0.0:  # outside, or no rel_dev: Phi = 0 at or next to an endpoint
                     skipped += 1
                     continue
-                if l == 0:
-                    phi_c = phase_integral_1d_closed(params, energy).value
-                else:
-                    phi_c = radial_phase_integral_closed(params, energy, l).value
                 phi_n = phase_integral_numeric(params, energy, l).value
                 dev = abs(phi_c - phi_n) / abs(phi_c)
                 max_dev = max(max_dev, dev)

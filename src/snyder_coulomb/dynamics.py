@@ -361,21 +361,24 @@ def _dop853(
     same first step, error norm (E5 weighted by E3), safety factor 0.9,
     step factors 0.2 to 10 with exponent -1/8 and no growth right after a
     rejection.  Squares are products, so an error norm that overflows reads
-    inf and rejects the step.  :func:`_stages` and :func:`_errors` are
-    the tableau unrolled: one comprehension over the components per stage,
-    summing one named coefficient times a stage per nonzero entry, left to
-    right.  On Python 3.11, where ``sum`` of floats is a plain left fold
-    from int 0, this gives the floats of ``sum(map(mul, row, stages))``
-    over the full rows bit for bit, as a 0.0 entry times a finite stage adds
-    exactly 0 (up to the sign of a zero sum); from 3.12, ``sum`` compensates
-    its rounding, and the unrolled sums stay plain folds.
+    inf and rejects the step; a zero E5 sum is a zero norm (scipy's numpy
+    norm reads NaN where 0.01 times the E3 sum underflows too, and rejects
+    the step).  :func:`_stages` and :func:`_errors` are the tableau unrolled:
+    one comprehension over the components per stage, summing one named
+    coefficient times a stage per nonzero entry, left to right.  On Python
+    3.11, where ``sum`` of floats is a plain left fold from int 0, this
+    gives the floats of ``sum(map(mul, row, stages))`` over the full rows
+    bit for bit, as a 0.0 entry times a finite stage adds exactly 0 (up to
+    the sign of a zero sum); from 3.12, ``sum`` compensates its rounding,
+    and the unrolled sums stay plain folds.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
     the dense output (three more stages), on which ``_brent`` finds each
-    root with xtol = rtol = 4 eps in s.  The roots are taken in order; the
-    first terminal one ends the run, its state replaces the step's end, and
-    later roots of that step are dropped.
+    root with xtol = rtol = 4 eps in s; where g reads one sign at both ends
+    of it (it can miss y_new in the last bit), the root is the step end.
+    The roots are taken in order; the first terminal one ends the run, its
+    state replaces the step's end, and later roots of that step are dropped.
 
     Returns the accepted states (y0 first), the states at each event's
     roots, and the index of the event that ended the run, or None once
@@ -422,7 +425,7 @@ def _dop853(
                 u5, u3 = u5 / w, u3 / w
                 err5 += u5 * u5
                 err3 += u3 * u3
-            if err5 == 0.0 and err3 == 0.0:
+            if err5 == 0.0:
                 norm = 0.0
             else:
                 norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * len(y))
@@ -437,12 +440,14 @@ def _dop853(
         hits = [i for i, (lo, hi) in enumerate(zip(g_old, g_new)) if lo <= 0.0 <= hi]
         if hits:
             at = _dense_output(rhs, y, y_new, k, f_new, h)
-            roots = sorted(
-                (_brent(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
-                        4.0 * _EPS, 4.0 * _EPS), i)
-                for i in hits
-            )
-            for root, i in roots:
+            roots = []
+            for i in hits:
+                try:
+                    roots.append((_brent(lambda sx, g=events[i][0]: g(at((sx - s) / h)), s, s_new,
+                                         4.0 * _EPS, 4.0 * _EPS), i))
+                except ValueError:  # g(at(x)) has one sign at both ends: the step end
+                    roots.append((s_new, i))
+            for root, i in sorted(roots):
                 found[i].append(at((root - s) / h))
                 if events[i][1]:
                     y_new, stop = found[i][-1], i
@@ -577,7 +582,8 @@ def _brent(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: f
             else:  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)  # C's x/0 is inf or nan: it bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # good short step
                 spre, scur = scur, stry
             else:  # bisect

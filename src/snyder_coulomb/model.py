@@ -43,13 +43,12 @@ __all__ = [
     "QuantumNumbers",
     "finite_float",
     "window_top",
-    "energy_window",
-    "check_energy",
 ]
 
 
 _NORMAL = sys.float_info.min  # the least positive normal float
 _SMALLEST = math.ulp(0.0)  # the least positive (subnormal) float
+_DOUBLE_OVERFLOWS = math.ldexp(1.0, 1023)  # the least float whose double is inf
 
 
 def finite_float(name: str, value: object, rule: str = "finite") -> float:
@@ -113,9 +112,10 @@ class PhysicalParams:
     through :meth:`physical` and :meth:`reduced`, which raise ScaleOutOfRange
     where ``unit``, or a finite nonzero energy they convert, leaves the float
     range: becomes inf or 0, or for a reduced energy, which the formulas
-    divide by (2/Ẽ overflows), a subnormal.  A physical energy may be
-    subnormal.  An infinite b closes every window: b*b puts its top at 0.
-    The orbit integrator reads m and e2 themselves.
+    divide by and double, a subnormal (2/Ẽ overflows) or one of at least
+    2^1023 (2Ẽ overflows).  A physical energy may be subnormal.  An infinite
+    b closes every window: b*b puts its top at 0.  The orbit integrator
+    reads m and e2 themselves.
     """
 
     m: float
@@ -148,14 +148,15 @@ class PhysicalParams:
     def reduced(self, energy: float) -> float:
         """The reduced energy E/unit of the physical energy ``energy``."""
         reduced = energy / self.unit if self.unit else math.nan
-        return reduced if _NORMAL <= reduced < math.inf else self._in_range(
-            reduced, energy, _NORMAL)
+        return reduced if _NORMAL <= reduced < _DOUBLE_OVERFLOWS else self._in_range(
+            reduced, energy, _NORMAL, _DOUBLE_OVERFLOWS)
 
-    def _in_range(self, converted: float, value: float, least: float) -> float:
+    def _in_range(self, converted: float, value: float, least: float,
+                  most: float = math.inf) -> float:
         if not 0.0 < self.unit < math.inf:
             raise ScaleOutOfRange(f"the energy unit m e2^2 leaves the float range at "
                                   f"m={self.m!r}, e2={self.e2!r}")
-        if 0.0 < abs(value) < math.inf and not least <= abs(converted) < math.inf:
+        if 0.0 < abs(value) < math.inf and not least <= abs(converted) < most:
             raise ScaleOutOfRange(f"{value!r} converted by the energy unit m e2^2 = "
                                   f"{self.unit!r} leaves the float range")
         return converted
@@ -203,16 +204,3 @@ class QuantumNumbers:
     def n_prime(self) -> int:
         return self.n + self.l
 
-
-def energy_window(params: PhysicalParams, l: float) -> float:
-    """Top e_max of the binding-energy window 0 < E < e_max: m e2^2 times :func:`window_top`."""
-    return params.physical(window_top(params.b, l))
-
-
-def check_energy(params: PhysicalParams, energy: float, l: float) -> bool:
-    """Raise OutOfWindow unless ``energy`` is an admissible binding energy for ``l``.
-
-    Returns True at the circular endpoint, where the band has zero width,
-    and False strictly inside the window (:meth:`PhysicalParams.admit`).
-    """
-    return params.admit(energy, l)[1]

@@ -94,6 +94,9 @@ NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
 # by about 2 l^2 E^3 at its lower edge z- ~ l^2 E^2, which leaves the normal
 # floats near E = 2e-103 (l = 1).
 BAND_FLOOR = 1e-100
+# Largest reduced energy of a line (l = 0) row: the line integrand divides by
+# (p^2 + 2E)(1 + b^2 p^2), p^2 up to 2E e^90, which can overflow above E = 6e229.
+LINE_CEILING = 1e200
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,9 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands, reduced.
 
     The rows must lie strictly inside their windows, where every band has
-    positive width, and band rows at or above ``BAND_FLOOR``.  The l = 0
-    rows integrate 2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
+    positive width, band rows at or above ``BAND_FLOOR`` and line rows at
+    most ``LINE_CEILING``.  The l = 0 rows integrate
+    2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
     integral over p = e^s, s in ln sqrt(2Ẽ) +- 45, on one array starting
     at 450 panels.  The l >= 1 rows integrate
     l sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ)(1 + b^2 z)) over the band
@@ -256,17 +260,18 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> Pha
     Must agree with the closed-form counterpart within quadrature
     tolerance.  Raises OutOfWindow at the points where the closed forms do
     (``PhysicalParams.admit``) and ToleranceNotReached when the rule misses
-    ``QUAD_RTOL``, or for a band row below ``BAND_FLOOR``, which it cannot
-    represent.  At the circular-orbit endpoint, which
-    ``PhysicalParams.admit`` flags, the band has zero width: the value is 0
-    with error 0, and no rule runs.
+    ``QUAD_RTOL``, or for a band row below ``BAND_FLOOR`` or a line row
+    above ``LINE_CEILING``, which it cannot represent.  At the
+    circular-orbit endpoint, which ``PhysicalParams.admit`` flags, the band
+    has zero width: the value is 0 with error 0, and no rule runs.
     """
     energy, endpoint = params.admit(energy, l)
     if endpoint:
         return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
-    if l != 0 and energy < BAND_FLOOR:
+    if not (BAND_FLOOR <= energy if l != 0 else energy <= LINE_CEILING):
         raise ToleranceNotReached(f"trapezoid rule takes band rows down to E/(m e2^2) = "
-                                  f"{BAND_FLOOR!r}, got {energy!r} at l={l!r}")
+                                  f"{BAND_FLOOR!r} and l = 0 rows up to {LINE_CEILING!r}, "
+                                  f"got {energy!r} at l={l!r}")
     value, err = _phase_rows(params.b, np.array([energy], dtype=float), np.array([l]))
     if math.isnan(value[0]):
         raise _missed(err[0])

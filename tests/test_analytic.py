@@ -21,14 +21,13 @@ from snyder_coulomb import (
     RequiresNonzeroL,
     ScaleOutOfRange,
     analytic,
-    check_energy,
     energy_closed,
     energy_3d_perturbative_ref,
     level_closed,
     energy_series,
     phase_integral_1d_closed,
     radial_phase_integral_closed,
-    energy_window,
+    window_top,
 )
 from snyder_coulomb.numerics import _band_edges
 
@@ -159,7 +158,7 @@ class TestRadialPhaseIntegral:
         assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13)
 
     def test_degenerate_endpoint_is_zero(self):
-        # the closed form uses no band code: the endpoint is check_energy's
+        # the closed form uses no band code: the endpoint is admit's
         newtonian = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1).value
         assert newtonian == pytest.approx(2 * PI, rel=1e-14)
         assert radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.5, 1).value == 0.0
@@ -292,7 +291,7 @@ class TestEnergy1D:
         # beta m e2 >= 2n: the quadratic root lies at or past the pole
         params = PhysicalParams(1, 1, beta)
         u = 2.0 / (1 + math.sqrt(1 + 4.0 * beta))
-        assert u * u / 2.0 >= energy_window(params, 0)
+        assert u * u / 2.0 >= window_top(params.b, 0)
         forbid_closed_phi(monkeypatch)
         with pytest.raises(NoRootInWindow, match=INFEASIBLE):
             energy_closed(params, QuantumNumbers(1))
@@ -393,7 +392,7 @@ class TestEnergy3D:
                         continue
                     assert len(roots) == 1, (beta, qn, roots)
                     assert math.sqrt(2 * energy) == pytest.approx(roots[0], rel=1e-9)
-                    assert 0 < energy < energy_window(params, l)
+                    assert 0 < energy < window_top(params.b, l)
 
 
 class TestReducedLevel:
@@ -438,7 +437,7 @@ class TestLevelInsideTheWindow:
             except NoRootInWindow:
                 continue
             feasible += 1
-            assert check_energy(params, energy, l) is False, (m, e2, n, l, k)
+            assert params.admit(energy, l)[1] is False, (m, e2, n, l, k)
         assert feasible > 8000
 
     @pytest.mark.parametrize("l", [0, 1])

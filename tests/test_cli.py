@@ -132,6 +132,18 @@ class TestScale:
         # 2 l^2 underflows to 0: the circular bound is inf and the tail l + 2b/W
         (["l-limit", "--l-grid", "1e-200"], 0, None),
         (["l-limit", "--l-grid", "1e-170"], 0, None),
+        # m e2^2 window_top(b, 0) overflows, but the generated energies stop at m e2^2
+        (["verify-integrals", "--m=1e300", "--beta-grid=1e-310", "--l-grid=0"], 0, None),
+        # an e-grid entry is reduced: a subnormal reduced energy, and a 2E that overflows
+        (["verify-integrals", "--e-grid=-1e-320,0.1", "--l-grid=0"], 2,
+         "ScaleOutOfRange: -1e-320 converted"),
+        (["verify-integrals", "--beta-grid=0", "--l-grid=0", "--e-grid=1.7976931348623157e+308"],
+         2, "ScaleOutOfRange: 1.7976931348623157e+308 converted"),
+        (["l-limit", "--energy=1.7e308", "--beta-grid=0", "--l-grid=1e-170"], 2,
+         "ScaleOutOfRange: 1.7e+308 converted"),
+        # the line quadrature's grid would overflow
+        (["verify-integrals", "--beta-grid=0", "--l-grid=0", "--e-grid=1e230"], 1,
+         "and l = 0 rows up to 1e+200, got 1e+230 at l=0"),
     ])
     def test_each_run_ends_in_a_typed_outcome(self, capsys, argv, code, error):
         # each of these ended in a traceback or a NaN while m, e2 and beta
@@ -184,6 +196,22 @@ class TestVerifyIntegrals:
         _, rows = parse_csv(out)
         assert len(rows) == 1
         assert "skipped=1" in err
+
+    @pytest.mark.parametrize("argv", [
+        # one ulp below m e2^2 window_top(b, l), which admit reads as the top:
+        # the circular endpoint, where Phi = 0 and rel_dev divided by it
+        ["--m=2.8954790309179606", "--e2=0.001199131965262454", "--beta-grid=0.0",
+         "--l-grid=3", "--e-grid=2.3130332682812525e-07"],
+        # ... and past the top, which the product m e2^2 top had put above it
+        ["--m=30.82682849818549", "--e2=315.99942130080893", "--beta-grid=0.03562555579013346",
+         "--l-grid=3", "--e-grid=12.779617670299997"],
+        # inside the window, where the closed form rounds onto the endpoint's 0
+        ["--beta-grid=0", "--l-grid=1", "--e-grid=0.49999999999999994"],
+    ])
+    def test_admit_decides_the_window_edge(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify-integrals", *argv)
+        assert code == 1 and "checked=0 skipped=1 " in err, err
+        assert parse_csv(out)[1] == []
 
     @pytest.mark.parametrize("entries", ["nan,0.05", "inf", "-inf"])
     def test_non_finite_e_grid_entry_is_config_error(self, capsys, entries):

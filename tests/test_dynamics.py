@@ -598,6 +598,23 @@ class TestStepLoop:
         assert heads[:2] == [0.0, 1e-6]
         np.testing.assert_allclose(np.diff(heads)[1:] / np.diff(heads)[:-1], 10.0, rtol=1e-12)
 
+    def test_zero_e5_sum_is_a_zero_error_norm(self):
+        # E5 sums to 0 while 0.01 times the E3 sum underflows: the norm was 0/0
+        params = PhysicalParams(6.117852236989985e+195, 2.7309156990466124e-144,
+                                2.2211888116442033e-80)
+        traj = integrate_orbit(OrbitState(1, 0, 0, 0.5), params, 7.542995868137057e+161,
+                               local_tol=1e-12)
+        assert traj.samples.size == 329
+
+    def test_event_without_a_sign_change_on_the_interpolant_is_at_the_step_end(
+            self, monkeypatch):
+        # the interpolant can miss y_new in the last bit, so that g reads one sign
+        # at both ends of a step where g(y) <= 0 <= g(y_new): brentq would raise
+        monkeypatch.setattr(dynamics, "_dense_output", lambda *args: lambda x: [x - 2.0])
+        states, found, stop = dynamics._dop853(lambda y: [1.0], [-0.5], 1e-10,
+                                               [(lambda y: y[0], True)])
+        assert (found, stop, states[-1]) == ([[[-1.0]]], 0, [-1.0])
+
 
 class TestUnrolledTableau:
     """``_stages`` and ``_errors`` read back ``_TABLEAU`` entry for entry, zeros included.
@@ -686,7 +703,10 @@ class TestBrent:
         (lambda x: math.cos(x) - x, 0.0, 1.0),
         (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) f(b) underflows
         (lambda x: math.tanh(100.0 * (x - 1e-3)), -1.0, 1.0),
-    ], ids=["linear", "cubic", "exp", "cos", "tiny", "tanh"])
+        # the extrapolation's denominator underflows to 0: C's x/0 bisects
+        (lambda x: 1e-300 * (x - 0.3) ** 3, 0.0, 1.0),
+        (lambda x: 1e-200 * (math.exp(x) - 1.5), 0.0, 1.0),
+    ], ids=["linear", "cubic", "exp", "cos", "tiny", "tanh", "tiny-cubic", "tiny-exp"])
     def test_same_root_after_the_same_points(self, f, a, b):
         ours, theirs = brent_and_brentq(f, a, b)
         assert ours[0] == theirs[0] and f(ours[0]) == pytest.approx(0.0, abs=1e-12)

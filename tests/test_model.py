@@ -16,8 +16,6 @@ from snyder_coulomb import (
     PhysicalParams,
     QuantumNumbers,
     ScaleOutOfRange,
-    check_energy,
-    energy_window,
     window_top,
 )
 
@@ -85,26 +83,26 @@ class TestQuantumNumbers:
 class TestEnergyWindow:
     def test_circular_orbit_bound(self):
         # m e2^2 / (2 l^2) caps every l > 0 channel, a fractional l included
-        assert energy_window(PhysicalParams(1, 1, 0), 1) == 0.5
-        assert energy_window(PhysicalParams(1, 1, 0), 0.5) == 2.0
+        assert window_top(0.0, 1) == 0.5
+        assert window_top(0.0, 0.5) == 2.0
 
     def test_angular_cap_wins_over_weak_deformation(self):
         # 1/(2 beta^2 m) = 50 is far above the circular bound 0.5.
-        e_max = energy_window(PhysicalParams(1, 1, 0.1), 1)
+        e_max = window_top(0.1, 1)
         assert e_max == pytest.approx(0.5, rel=1e-15)
 
     def test_deformation_pole_caps_the_s_channel(self):
-        e_max = energy_window(PhysicalParams(1, 1, 2.0), 0)
+        e_max = window_top(2.0, 0)
         assert e_max == pytest.approx(0.125, rel=1e-15)
 
     def test_unbounded_newtonian_s_channel(self):
-        assert math.isinf(energy_window(PhysicalParams(1, 1, 0), 0))
+        assert math.isinf(window_top(0.0, 0))
 
     def test_underflowed_pole_is_no_cap(self):
         # 2 beta^2 m underflows to 0 at beta = 1e-200: the pole is at infinity
-        params = PhysicalParams(1, 1, 1e-200)
-        assert energy_window(params, 0) == math.inf
-        assert energy_window(params, 2) == energy_window(PhysicalParams(1, 1, 0), 2)
+        b = PhysicalParams(1, 1, 1e-200).b
+        assert window_top(b, 0) == math.inf
+        assert window_top(b, 2) == window_top(0.0, 2)
 
     def test_underflowed_circular_bound_is_no_cap(self):
         # 2 l^2 underflows to 0 below l ~ 1e-162: the circular bound is at infinity
@@ -113,12 +111,12 @@ class TestEnergyWindow:
 
     def test_check_is_open_but_for_the_circular_endpoint(self):
         params = PhysicalParams(1, 1, 0)
-        assert check_energy(params, 0.3, 1) is False
-        assert check_energy(params, 0.5, 1) is True  # the circular orbit: a band of zero width
-        assert check_energy(params, 0.5, 0) is False
+        assert params.admit(0.3, 1)[1] is False
+        assert params.admit(0.5, 1)[1] is True  # the circular orbit: a band of zero width
+        assert params.admit(0.5, 0)[1] is False
         for energy in (0.0, -1.0, math.nan, math.nextafter(0.5, 1.0)):
             with pytest.raises(OutOfWindow):
-                check_energy(params, energy, 1)
+                params.admit(energy, 1)
         # the pole is never admitted: not where it equals the circular bound,
         # not at l = 0, and not where 2 b^2 fl(1/(2 b^2)) = 24.5 fl(1/24.5)
         # rounds below 1
@@ -127,19 +125,19 @@ class TestEnergyWindow:
             (PhysicalParams(1, 1, 2.0), 0.125, 0),
             (PhysicalParams(1, 1, 3.5), 1.0 / 24.5, 1),
         ]:
-            assert energy == energy_window(params, l)
+            assert energy == window_top(params.beta, l)
             with pytest.raises(OutOfWindow):
-                check_energy(params, energy, l)
+                params.admit(energy, l)
 
     def test_monotone_in_l_and_beta(self):
         for m, e2 in [(1.0, 1.0), (2.0, 0.7)]:
             for beta in [0.0, 0.05, 0.3, 1.0]:
                 params = PhysicalParams(m, e2, beta)
-                caps = [energy_window(params, l) for l in range(0, 6)]
+                caps = [params.physical(window_top(params.b, l)) for l in range(0, 6)]
                 assert all(a >= b for a, b in zip(caps, caps[1:]))
         for l in range(0, 4):
             caps = [
-                energy_window(PhysicalParams(1, 1, beta), l)
+                window_top(beta, l)
                 for beta in [0.0, 0.01, 0.1, 1.0, 3.0]
             ]
             assert all(a >= b for a, b in zip(caps, caps[1:]))
@@ -208,8 +206,6 @@ class TestScale:
             for convert in (params.physical, params.reduced):
                 with pytest.raises(ScaleOutOfRange, match=r"m e2\^2 leaves the float range"):
                     convert(0.125)
-            with pytest.raises(ScaleOutOfRange):
-                energy_window(params, 1)
 
     def test_conversion_out_of_range_is_a_scale_error(self):
         tiny, huge = PhysicalParams(1e-300, 1e-5), PhysicalParams(1e300, 1.0)
@@ -222,14 +218,20 @@ class TestScale:
             tiny.reduced(1.0)  # inf
         assert tiny.physical(0.0) == 0.0 and huge.physical(math.inf) == math.inf
         assert math.isnan(huge.reduced(math.nan))  # left to the window check
+        # a reduced energy of 2^1023 or more: the formulas' 2 Ẽ overflows
+        unit = PhysicalParams(1.0, 1.0)
+        assert unit.reduced(math.nextafter(2.0**1023, 0.0)) < 2.0**1023
+        for energy in (2.0**1023, -2.0**1023, sys.float_info.max):
+            with pytest.raises(ScaleOutOfRange, match="leaves the float range"):
+                unit.reduced(energy)
 
     def test_infinite_b_closes_every_window(self):
         # b = beta m e2 = 1e350 is inf while m e2^2 = 1e100 is not: no energy is
         # admissible, which is the window's verdict, not a scale error
         for params in (PhysicalParams(1.0, 1.0, 1e300), PhysicalParams(1e200, 1e-50, 1e200)):
             assert [window_top(params.b, l) for l in (0, 1, 0.5)] == [0.0] * 3
-            assert energy_window(params, 0) == 0.0
+            assert params.physical(window_top(params.b, 0)) == 0.0
             with pytest.raises(OutOfWindow):
-                check_energy(params, 0.1 * params.unit, 0)
+                params.admit(0.1 * params.unit, 0)
         params = PhysicalParams(1e200, 1e-50, 1e200)
         assert (params.unit, params.b) == (1e100, math.inf)

@@ -22,7 +22,7 @@ from snyder_coulomb import (
     phase_integral_numeric,
     radial_phase_integral_closed,
     spectrum_table,
-    energy_window,
+    window_top,
 )
 
 PI = math.pi
@@ -70,10 +70,10 @@ class TestBandRule:
         assert res.value == pytest.approx(4 * PI, rel=1e-13)
 
     def test_degenerate_band_is_zero(self, monkeypatch):
-        # check_energy flags the circular endpoint before any rule runs
+        # admit flags the circular endpoint before any rule runs
         monkeypatch.setattr(numerics, "_phase_rows", None)
         params = PhysicalParams(1, 1, 0.1)
-        top = energy_window(params, 2)
+        top = window_top(params.b, 2)
         res = phase_integral_numeric(params, top, 2)
         assert (res.value, res.err_estimate) == (0.0, 0.0)
 
@@ -93,7 +93,7 @@ class TestTrapezoidRule:
     @pytest.mark.parametrize("beta", BETAS)
     def test_band_matches_closed_form(self, beta, l):
         params = PhysicalParams(1, 1, beta)
-        e_max = energy_window(params, l)
+        e_max = window_top(params.b, l)
         for frac in np.geomspace(1e-8, 0.9, 25):
             energy = float(frac * e_max)
             numeric = phase_integral_numeric(params, energy, l).value
@@ -108,6 +108,16 @@ class TestTrapezoidRule:
         res = phase_integral_numeric(PhysicalParams(1, 1, 0.1), energy, l)
         assert type(res.value) is float and type(res.err_estimate) is float
         assert 0.0 <= res.err_estimate <= quad_rtol * abs(res.value)
+
+    @pytest.mark.parametrize("near_pole", [False, True])
+    def test_line_rows_stop_at_the_ceiling(self, near_pole):
+        # up to LINE_CEILING the l = 0 grid stays finite, b^2 E near 1/2 included
+        top = numerics.LINE_CEILING
+        params = PhysicalParams(1, 1, 0.999 * math.sqrt(0.5 / top) if near_pole else 0.0)
+        numeric = phase_integral_numeric(params, top, 0).value
+        assert numeric == pytest.approx(phase_integral_1d_closed(params, top).value, rel=1e-13)
+        with pytest.raises(ToleranceNotReached, match="and l = 0 rows up to"):
+            phase_integral_numeric(params, math.nextafter(top, math.inf), 0)
 
     def test_lowered_panel_cap_raises(self, monkeypatch):
         # this band row starts at 48 panels, whose estimate misses QUAD_RTOL
@@ -146,7 +156,7 @@ class TestPhaseIntegralNumeric:
         # e_max is the pole 1/(2 beta^2 m) here, not the circular-orbit bound
         # (at beta = 1, l = 1 the two coincide)
         params = PhysicalParams(1, 1, beta)
-        pole = energy_window(params, l)
+        pole = window_top(params.b, l)
         assert pole == 1.0 / (2.0 * beta**2)
         with pytest.raises(OutOfWindow):
             radial_phase_integral_closed(params, pole, l)
@@ -156,7 +166,7 @@ class TestPhaseIntegralNumeric:
     @pytest.mark.parametrize("beta,l", [(0.0, 1), (0.1, 2), (0.9, 1), (2.0, 5)])
     def test_both_routes_vanish_at_the_circular_endpoint(self, beta, l):
         params = PhysicalParams(1, 1, beta)
-        top = energy_window(params, l)
+        top = window_top(params.b, l)
         assert top == 1.0 / (2.0 * l * l)
         assert radial_phase_integral_closed(params, top, l).value == 0.0
         assert phase_integral_numeric(params, top, l).value == 0.0
@@ -167,7 +177,7 @@ class TestPhaseIntegralNumeric:
     def test_both_routes_raise_at_the_same_points(self, beta, l, point):
         # the 1D closed form is the l = 0 closed route
         params = PhysicalParams(1, 1, beta)
-        e_max = energy_window(params, l)
+        e_max = window_top(params.b, l)
         energy = {
             "negative": -1.0,
             "zero": 0.0,
@@ -291,7 +301,7 @@ class TestLevelRoutes:
             for n_prime in range(1, 11):
                 for l in range(n_prime):
                     qn = QuantumNumbers(n_prime - l, l)
-                    top = energy_window(params, l) * (1 - 1e-9)
+                    top = window_top(params.b, l) * (1 - 1e-9)
                     phi = (
                         phase_integral_1d_closed(params, top)
                         if l == 0

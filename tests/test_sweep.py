@@ -1,13 +1,16 @@
-"""The four spectral commands over the whole float range of m, e2 and beta.
+"""The five commands over the whole float range of their inputs.
 
 Each example runs one command in-process through ``main(argv)`` with JSON
 output.  m, e2 and every beta are drawn log-uniform from the subnormals to
 the largest float, and l-limit's l from the subnormals to 0.1, together
-with small grids.  Every run must exit 0, 1 or 2 without a traceback, and
-pytest's ``filterwarnings = error`` fails it on any numpy warning.  Exit 2
-is invalid input, named on stderr.  Exit 1 comes with a typed error, in a
-row of the output or as the one message of a package error, or with a
-check that failed on finite numbers.  A row without an error holds no NaN.
+with small grids; verify-integrals sometimes takes energies one ulp either
+side of a window top m e2^2 ``window_top(b, l)``.  orbit draws its start
+state and span over the float range too.  Every run must exit 0, 1 or 2
+without a traceback, and pytest's ``filterwarnings = error`` fails it on
+any numpy warning.  Exit 2 is invalid input, named on stderr.  Exit 1 comes
+with a typed error, in a row of the output or as the one message of a
+package error, or with a check that failed on finite numbers.  A row
+without an error holds no NaN.
 
 The examples are derandomized, so the suite draws the same inputs on every
 run.
@@ -17,11 +20,12 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snyder_coulomb import errors
+from snyder_coulomb import PhysicalParams, dynamics, errors, window_top
 from snyder_coulomb.cli import main
 
 TYPED = tuple(name for name in errors.__all__ if name != "SnyderCoulombError")
@@ -29,13 +33,17 @@ TYPED = tuple(name for name in errors.__all__ if name != "SnyderCoulombError")
 # 10**x for x uniform over the exponents of the positive floats
 magnitude = st.floats(-323.3, 308.25).map(lambda x: 10.0**x)
 beta = st.one_of(st.just(0.0), magnitude)
+signed = st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda pair: pair[0] * pair[1])
 # l-limit's fractional l, log-uniform from the smallest subnormal up to 0.1
 small_l = st.floats(-323.3, -1.0).map(lambda x: 10.0**x)
 
 
 def grid(values, max_size):
-    return st.lists(values, min_size=1, max_size=max_size).map(
-        lambda items: ",".join(repr(item) for item in items))
+    return st.lists(values, min_size=1, max_size=max_size).map(joined)
+
+
+def joined(items):
+    return ",".join(repr(item) for item in items)
 
 
 def subset(choices):
@@ -45,12 +53,21 @@ def subset(choices):
 @st.composite
 def spectral_argv(draw):
     command = draw(st.sampled_from(["spectrum", "verify-integrals", "scan-order", "l-limit"]))
-    argv = [command, "--m", repr(draw(magnitude)), "--e2", repr(draw(magnitude))]
+    m, e2 = draw(magnitude), draw(magnitude)
+    argv = [command, "--m", repr(m), "--e2", repr(e2)]
     if command == "spectrum":
         argv += ["--beta", repr(draw(beta)), "--n-prime-max", str(draw(st.integers(1, 3)))]
     elif command == "verify-integrals":
-        argv += ["--beta-grid", draw(grid(beta, 2)), "--l-grid", draw(subset([0, 1, 2, 3])),
+        betas = draw(st.lists(beta, min_size=1, max_size=2))
+        ls = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=4))
+        argv += ["--beta-grid", joined(betas), "--l-grid", joined(ls),
                  "--energies-per-cell", str(draw(st.integers(1, 2)))]
+        params = PhysicalParams(m, e2, betas[0])
+        top = params.unit * window_top(params.b, ls[0])  # nan where m e2^2 is inf, top 0
+        edges = [e for e in (math.nextafter(top, 0.0), top, math.nextafter(top, math.inf))
+                 if math.isfinite(e)]
+        if edges and draw(st.booleans()):  # the window top and its neighbours, one ulp away
+            argv.append("--e-grid=" + joined(edges))
     elif command == "scan-order":
         top = draw(magnitude)  # seven betas over two decades below it, as the default
         argv += ["--beta-grid", ",".join(repr(top * 10.0 ** (k / 3.0 - 2.0)) for k in range(7)),
@@ -97,3 +114,38 @@ def test_spectral_commands_end_in_a_typed_outcome(argv):
         if not summary["pass"]:
             failed.append(f"max_rel_dev {summary['max_rel_dev']!r}")
     assert (code == 1) == bool(failed), (argv, code, failed)
+
+
+def orbit(m, e2, beta, x1, p2, t_end):
+    # --flag=value: in "--x1 -1e-5", argparse takes "-1e-5" for an option
+    return ["orbit", f"--m={m!r}", f"--e2={e2!r}", f"--beta={beta!r}", f"--x1={x1!r}",
+            f"--p2={p2!r}", f"--t-end={t_end!r}", "--format", "json"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.builds(orbit, magnitude, magnitude, beta, signed, signed, magnitude))
+# err5 = 0 while 0.01 err3 underflows: the error norm divided 0 by 0
+@example(orbit(6.117852236989985e+195, 2.7309156990466124e-144, 2.2211888116442033e-80,
+               1.0, 0.5, 7.542995868137057e+161))
+# Brent's extrapolation divided by a product that underflows to 0
+@example(orbit(5.548549874371901e-63, 1.8711751364571588e-161, 0.0, 2.8118666852484708e+16,
+               1.2803347799492666e-122, 1.256007749910953e+152))
+# the interpolant reads no sign change of the end event over its step
+@example(orbit(9.863599816861002e+245, 1.464070251804427e-181, 5.6496636691367725e-81,
+               1.0, 0.5, 5.355572785845128e+241))
+def test_orbit_ends_in_a_typed_outcome(argv):
+    with mock.patch.object(dynamics, "_MAX_STEPS", 2000):
+        code, out, err = run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "f(a) and f(b)" not in err, (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith("snyder-coulomb: error: "), (argv, err)
+    elif code == 1:
+        assert out == "", (argv, err)
+        if not err.startswith("orbit: collision singularity, last good t = "):
+            assert err.startswith("snyder-coulomb: ") and err.split(": ")[1] in TYPED, (argv, err)
+    else:
+        (row,) = json.loads(out)["rows"]
+        # a null precession is a run of fewer than three perihelia
+        assert row["h_drift"] is not None and row["j_drift"] is not None, (argv, row)
