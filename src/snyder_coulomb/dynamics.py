@@ -29,10 +29,12 @@ monitored instead, at the accepted steps; only a step on which an event
 function (perihelion, collision, end) changes sign builds the dense output
 and root-finds the event on it, by a port of scipy's ``brentq``.  The
 steps are taken in the Sundman time s, dt/ds = r (Hairer, Lubich & Wanner,
-Geometric Numerical Integration, ch. VIII), with the clock t as a fifth
-state component: the steps are short in t near perihelion and long near
-aphelion, so a tolerance costs about a third fewer steps than stepping in
-t.  Since r > 0, every event keeps its sign under the transform.  A
+Geometric Numerical Integration, ch. VIII), with the clock t as a fifth,
+quadrature component: it is stepped and weighted in the error norm, but
+the stages run on the four phase-space components alone, as scalars.  The
+steps are short in t near perihelion and long near aphelion, so a
+tolerance costs about a third fewer steps than stepping in t.  Since
+r > 0, every event keeps its sign under the transform.  A
 structure-preserving scheme does exist: the canonical realization
 x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P) onto this
 bracket.  Inputs pass ``model.finite_float``.
@@ -40,6 +42,7 @@ bracket.  Inputs pass ``model.finite_float``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -134,18 +137,32 @@ def equations_of_motion(
     numbers.
     """
     x1, x2, p1, p2 = y
-    r2 = x1 * x1 + x2 * x2
-    r3 = r2 * math.sqrt(r2)
-    p_sq = p1 * p1 + p2 * p2
-    p_dot_x = p1 * x1 + p2 * x2
-    e2 = params.e2
+    return _flow(params)(x1, x2, p1, p2)
+
+
+def _flow(params: PhysicalParams) -> Callable[[float, float, float, float], tuple[float, ...]]:
+    """The deformed flow at ``params``: (x1, x2, p1, p2) -> (dx1, dx2, dp1, dp2).
+
+    The one formula of the flow: :func:`equations_of_motion` and the
+    integrator's Sundman field both call the function it returns.
+    """
+    m, neg_e2 = params.m, -params.e2
     b2 = params.beta * params.beta
-    kin = (1.0 + b2 * p_sq) / params.m
-    dx1 = p1 * kin + b2 * e2 * (x1 * p_dot_x - r2 * p1) / r3
-    dx2 = p2 * kin + b2 * e2 * (x2 * p_dot_x - r2 * p2) / r3
-    dp1 = -e2 * (x1 + b2 * p1 * p_dot_x) / r3
-    dp2 = -e2 * (x2 + b2 * p2 * p_dot_x) / r3
-    return dx1, dx2, dp1, dp2
+    b2_e2 = b2 * params.e2
+
+    def flow(x1: float, x2: float, p1: float, p2: float) -> tuple[float, float, float, float]:
+        r2 = x1 * x1 + x2 * x2
+        r3 = r2 * math.sqrt(r2)
+        p_sq = p1 * p1 + p2 * p2
+        p_dot_x = p1 * x1 + p2 * x2
+        kin = (1.0 + b2 * p_sq) / m
+        dx1 = p1 * kin + b2_e2 * (x1 * p_dot_x - r2 * p1) / r3
+        dx2 = p2 * kin + b2_e2 * (x2 * p_dot_x - r2 * p2) / r3
+        dp1 = neg_e2 * (x1 + b2 * p1 * p_dot_x) / r3
+        dp2 = neg_e2 * (x2 + b2 * p2 * p_dot_x) / r3
+        return dx1, dx2, dp1, dp2
+
+    return flow
 
 
 def invariants(
@@ -192,8 +209,9 @@ def integrate_orbit(
     r = 1e-8, ValueError if the flow is not finite at ``state0`` (momenta
     so large that p^2 overflows) or unless ``t_end`` and ``local_tol`` are
     finite numbers > 0, checked in that order, and StepUnderflow if the
-    controller's step collapses, or the run takes more than 10**6 steps,
-    before ``t_end``.
+    controller's step collapses, the state overflows (the message names
+    the clock of the last finite state) or the run takes more than 10**6
+    steps, before ``t_end``.
     """
     floor_sq = _COLLISION_FLOOR * _COLLISION_FLOOR
 
@@ -204,8 +222,9 @@ def integrate_orbit(
     if collision(y0) >= 0.0:  # no crossing to detect, and r^2 may underflow to 0
         raise CollisionSingularity(f"orbit starts at r = {state0.r!r}, inside the collision "
                                    f"floor r = {_COLLISION_FLOOR!r}", t_last=0.0)
+    flow = _flow(params)
     # the loop would not return: a NaN first step never falls below the smallest step
-    if not all(math.isfinite(v) for v in equations_of_motion(y0[:4], params)):
+    if not all(math.isfinite(v) for v in flow(*y0[:4])):
         raise ValueError(f"the flow is not finite at the initial state {state0!r}")
     t_end = finite_float("t_end", t_end, "finite and > 0")  # a numpy float comes back a float
     local_tol = finite_float("local_tol", local_tol, "finite and > 0")
@@ -220,9 +239,9 @@ def integrate_orbit(
     def end(y: list[float]) -> float:
         return y[4] - t_end
 
-    def sundman(y: list[float]) -> tuple[float, ...]:
-        r = math.hypot(y[0], y[1])
-        dx1, dx2, dp1, dp2 = equations_of_motion(y[:4], params)
+    def sundman(x1: float, x2: float, p1: float, p2: float) -> tuple[float, ...]:
+        r = math.hypot(x1, x2)
+        dx1, dx2, dp1, dp2 = flow(x1, x2, p1, p2)
         return r * dx1, r * dx2, r * dp1, r * dp2, r
 
     states, found, stop = _dop853(sundman, y0, local_tol,
@@ -246,8 +265,11 @@ def integrate_orbit(
                             f"t_end = {t_end!r} within {_MAX_STEPS} steps")
 
     y = np.array(states).T
-    if not np.isfinite(y).all():
-        raise ValueError("orbit state components must be finite")
+    finite = np.isfinite(y).all(axis=0)
+    if not finite.all():  # the state at y0, which is finite, is the first
+        t_last = states[int(np.argmin(finite)) - 1][4]
+        raise StepUnderflow(f"the orbit stopped short of t_end = {t_end!r}: its state "
+                            f"overflowed after t = {t_last!r}")
     samples = _records(y)
     perihelia = _records(np.array(found[1]).reshape(-1, 5).T)
 
@@ -347,12 +369,18 @@ del _
 
 
 def _dop853(
-    rhs: Callable[[list[float]], Sequence[float]],
+    rhs: Callable[[float, float, float, float], tuple[float, ...]],
     y0: Sequence[float],
     tol: float,
     events: Sequence[tuple[Callable[[list[float]], float], bool]],
 ) -> tuple[list[list[float]], list[list[list[float]]], int | None]:
-    """Integrate the autonomous system dy/ds = ``rhs(y)`` from s = 0 to a terminal event.
+    """Integrate dy/ds = ``rhs(y[0], y[1], y[2], y[3])`` from s = 0 to a terminal event.
+
+    ``y`` has five components: the four of phase space, which ``rhs``
+    takes, and a quadrature component (the clock t), which it does not
+    read.  ``rhs`` returns all five derivatives; the quadrature component
+    is stepped, weighted in the error norm and read by the events, but no
+    stage takes it.
 
     The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs
     I, sec. II.10) on Python floats, with the tableau ``_TABLEAU`` and
@@ -363,14 +391,14 @@ def _dop853(
     rejection.  Squares are products, so an error norm that overflows reads
     inf and rejects the step; a zero E5 sum is a zero norm (scipy's numpy
     norm reads NaN where 0.01 times the E3 sum underflows too, and rejects
-    the step).  :func:`_stages` and :func:`_errors` are the tableau unrolled:
-    one comprehension over the components per stage, summing one named
-    coefficient times a stage per nonzero entry, left to right.  On Python
-    3.11, where ``sum`` of floats is a plain left fold from int 0, this
-    gives the floats of ``sum(map(mul, row, stages))`` over the full rows
-    bit for bit, as a 0.0 entry times a finite stage adds exactly 0 (up to
-    the sign of a zero sum); from 3.12, ``sum`` compensates its rounding,
-    and the unrolled sums stay plain folds.
+    the step).  :func:`_stages` and :func:`_errors` are the tableau unrolled
+    on scalars: one expression per stage and component, summing one named
+    coefficient times a stage per nonzero entry, left to right.  That gives
+    the floats of a left fold over the full rows from 0.0 bit for bit, as a
+    0.0 entry times a finite stage adds exactly 0 (up to the sign of a zero
+    sum); no combination calls ``sum``, whose float rounding is
+    compensated from Python 3.12 on, so the bits do not depend on the
+    Python version.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
@@ -390,14 +418,14 @@ def _dop853(
         warnings.warn(f"local_tol = {tol!r} is below 100 eps; the relative tolerance "
                       f"is raised to {rtol!r}", stacklevel=3)
     y = list(y0)
-    f = rhs(y)
+    f = rhs(*y[:4])
 
     # the first step (ibid., sec. II.4), as scipy's select_initial_step, with RMS norms
     scale, root_n = [tol + abs(v) * rtol for v in y], math.sqrt(len(y))
     d0 = math.hypot(*[v / w for v, w in zip(y, scale)]) / root_n
     d1 = math.hypot(*[u / w for u, w in zip(f, scale)]) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = rhs([v + h0 * u for v, u in zip(y, f)])
+    f1 = rhs(*[v + h0 * u for v, u in zip(y[:4], f)])
     d2 = math.hypot(*[(u1 - u) / w for u1, u, w in zip(f1, f, scale)]) / root_n
     d2 = d2 / h0 if h0 > 0.0 else math.inf  # h0 can underflow to 0; numpy's x / 0 is inf
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -418,7 +446,7 @@ def _dop853(
             s_new = s + h_abs
             h = s_new - s
             y_new, k = _stages(rhs, y, f, h)
-            f_new = rhs(y_new)
+            f_new = rhs(*y_new[:4])
             err5 = err3 = 0.0
             for v, v_new, u5, u3 in zip(y, y_new, *_errors(k)):
                 w = tol + max(abs(v), abs(v_new)) * rtol
@@ -459,57 +487,131 @@ def _dop853(
 
 
 def _stages(
-    rhs: Callable[[list[float]], Sequence[float]], y: list[float], f: Sequence[float], h: float
-) -> tuple[list[float], tuple[Sequence[float], ...]]:
-    """The DOP853 step of size ``h`` from ``y``, where f = rhs(y): y_new and the 12 stages.
+    rhs: Callable[[float, float, float, float], tuple[float, ...]],
+    y: list[float],
+    f: tuple[float, ...],
+    h: float,
+) -> tuple[list[float], tuple[tuple[float, ...], ...]]:
+    """The DOP853 step of size ``h`` from ``y``, where f = rhs(*y[:4]): y_new and the 12 stages.
 
-    Stage 0 is ``f``.  Each later stage's input, and y_new, sums its row of
-    A (or B) times the stages, component by component, left to right over
-    the row's nonzero entries.
+    Stage 0 is ``f``.  Each later stage's input sums its row of A times the
+    stages in the four phase-space components, and y_new sums B in all
+    five, left to right over the row's nonzero entries.
     """
+    y0, y1, y2, y3, y4 = y
     k0 = f
-    k1 = rhs([v + _A1_0 * u0 * h for v, u0 in zip(y, k0)])
-    k2 = rhs([v + (_A2_0 * u0 + _A2_1 * u1) * h for v, u0, u1 in zip(y, k0, k1)])
-    k3 = rhs([v + (_A3_0 * u0 + _A3_2 * u2) * h for v, u0, u2 in zip(y, k0, k2)])
-    k4 = rhs([v + (_A4_0 * u0 + _A4_2 * u2 + _A4_3 * u3) * h
-              for v, u0, u2, u3 in zip(y, k0, k2, k3)])
-    k5 = rhs([v + (_A5_0 * u0 + _A5_3 * u3 + _A5_4 * u4) * h
-              for v, u0, u3, u4 in zip(y, k0, k3, k4)])
-    k6 = rhs([v + (_A6_0 * u0 + _A6_3 * u3 + _A6_4 * u4 + _A6_5 * u5) * h
-              for v, u0, u3, u4, u5 in zip(y, k0, k3, k4, k5)])
-    k7 = rhs([v + (_A7_0 * u0 + _A7_3 * u3 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6) * h
-              for v, u0, u3, u4, u5, u6 in zip(y, k0, k3, k4, k5, k6)])
-    k8 = rhs([v + (_A8_0 * u0 + _A8_3 * u3 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
-                   + _A8_7 * u7) * h
-              for v, u0, u3, u4, u5, u6, u7 in zip(y, k0, k3, k4, k5, k6, k7)])
-    k9 = rhs([v + (_A9_0 * u0 + _A9_3 * u3 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
-                   + _A9_7 * u7 + _A9_8 * u8) * h
-              for v, u0, u3, u4, u5, u6, u7, u8 in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-    k10 = rhs([v + (_A10_0 * u0 + _A10_3 * u3 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
-                    + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9) * h
-               for v, u0, u3, u4, u5, u6, u7, u8, u9 in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-    k11 = rhs([v + (_A11_0 * u0 + _A11_3 * u3 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
-                    + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9 + _A11_10 * u10) * h
-               for v, u0, u3, u4, u5, u6, u7, u8, u9, u10
-               in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-    y_new = [v + h * (_B0 * u0 + _B5 * u5 + _B6 * u6 + _B7 * u7 + _B8 * u8 + _B9 * u9
-                      + _B10 * u10 + _B11 * u11)
-             for v, u0, u5, u6, u7, u8, u9, u10, u11 in zip(y, k0, k5, k6, k7, k8, k9, k10, k11)]
+    k1 = rhs(y0 + _A1_0 * k0[0] * h,
+             y1 + _A1_0 * k0[1] * h,
+             y2 + _A1_0 * k0[2] * h,
+             y3 + _A1_0 * k0[3] * h)
+    k2 = rhs(y0 + (_A2_0 * k0[0] + _A2_1 * k1[0]) * h,
+             y1 + (_A2_0 * k0[1] + _A2_1 * k1[1]) * h,
+             y2 + (_A2_0 * k0[2] + _A2_1 * k1[2]) * h,
+             y3 + (_A2_0 * k0[3] + _A2_1 * k1[3]) * h)
+    k3 = rhs(y0 + (_A3_0 * k0[0] + _A3_2 * k2[0]) * h,
+             y1 + (_A3_0 * k0[1] + _A3_2 * k2[1]) * h,
+             y2 + (_A3_0 * k0[2] + _A3_2 * k2[2]) * h,
+             y3 + (_A3_0 * k0[3] + _A3_2 * k2[3]) * h)
+    k4 = rhs(y0 + (_A4_0 * k0[0] + _A4_2 * k2[0] + _A4_3 * k3[0]) * h,
+             y1 + (_A4_0 * k0[1] + _A4_2 * k2[1] + _A4_3 * k3[1]) * h,
+             y2 + (_A4_0 * k0[2] + _A4_2 * k2[2] + _A4_3 * k3[2]) * h,
+             y3 + (_A4_0 * k0[3] + _A4_2 * k2[3] + _A4_3 * k3[3]) * h)
+    k5 = rhs(y0 + (_A5_0 * k0[0] + _A5_3 * k3[0] + _A5_4 * k4[0]) * h,
+             y1 + (_A5_0 * k0[1] + _A5_3 * k3[1] + _A5_4 * k4[1]) * h,
+             y2 + (_A5_0 * k0[2] + _A5_3 * k3[2] + _A5_4 * k4[2]) * h,
+             y3 + (_A5_0 * k0[3] + _A5_3 * k3[3] + _A5_4 * k4[3]) * h)
+    k6 = rhs(y0 + (_A6_0 * k0[0] + _A6_3 * k3[0] + _A6_4 * k4[0] + _A6_5 * k5[0]) * h,
+             y1 + (_A6_0 * k0[1] + _A6_3 * k3[1] + _A6_4 * k4[1] + _A6_5 * k5[1]) * h,
+             y2 + (_A6_0 * k0[2] + _A6_3 * k3[2] + _A6_4 * k4[2] + _A6_5 * k5[2]) * h,
+             y3 + (_A6_0 * k0[3] + _A6_3 * k3[3] + _A6_4 * k4[3] + _A6_5 * k5[3]) * h)
+    k7 = rhs(y0 + (_A7_0 * k0[0] + _A7_3 * k3[0] + _A7_4 * k4[0] + _A7_5 * k5[0]
+                   + _A7_6 * k6[0]) * h,
+             y1 + (_A7_0 * k0[1] + _A7_3 * k3[1] + _A7_4 * k4[1] + _A7_5 * k5[1]
+                   + _A7_6 * k6[1]) * h,
+             y2 + (_A7_0 * k0[2] + _A7_3 * k3[2] + _A7_4 * k4[2] + _A7_5 * k5[2]
+                   + _A7_6 * k6[2]) * h,
+             y3 + (_A7_0 * k0[3] + _A7_3 * k3[3] + _A7_4 * k4[3] + _A7_5 * k5[3]
+                   + _A7_6 * k6[3]) * h)
+    k8 = rhs(y0 + (_A8_0 * k0[0] + _A8_3 * k3[0] + _A8_4 * k4[0] + _A8_5 * k5[0] + _A8_6 * k6[0]
+                   + _A8_7 * k7[0]) * h,
+             y1 + (_A8_0 * k0[1] + _A8_3 * k3[1] + _A8_4 * k4[1] + _A8_5 * k5[1] + _A8_6 * k6[1]
+                   + _A8_7 * k7[1]) * h,
+             y2 + (_A8_0 * k0[2] + _A8_3 * k3[2] + _A8_4 * k4[2] + _A8_5 * k5[2] + _A8_6 * k6[2]
+                   + _A8_7 * k7[2]) * h,
+             y3 + (_A8_0 * k0[3] + _A8_3 * k3[3] + _A8_4 * k4[3] + _A8_5 * k5[3] + _A8_6 * k6[3]
+                   + _A8_7 * k7[3]) * h)
+    k9 = rhs(y0 + (_A9_0 * k0[0] + _A9_3 * k3[0] + _A9_4 * k4[0] + _A9_5 * k5[0] + _A9_6 * k6[0]
+                   + _A9_7 * k7[0] + _A9_8 * k8[0]) * h,
+             y1 + (_A9_0 * k0[1] + _A9_3 * k3[1] + _A9_4 * k4[1] + _A9_5 * k5[1] + _A9_6 * k6[1]
+                   + _A9_7 * k7[1] + _A9_8 * k8[1]) * h,
+             y2 + (_A9_0 * k0[2] + _A9_3 * k3[2] + _A9_4 * k4[2] + _A9_5 * k5[2] + _A9_6 * k6[2]
+                   + _A9_7 * k7[2] + _A9_8 * k8[2]) * h,
+             y3 + (_A9_0 * k0[3] + _A9_3 * k3[3] + _A9_4 * k4[3] + _A9_5 * k5[3] + _A9_6 * k6[3]
+                   + _A9_7 * k7[3] + _A9_8 * k8[3]) * h)
+    k10 = rhs(y0 + (_A10_0 * k0[0] + _A10_3 * k3[0] + _A10_4 * k4[0] + _A10_5 * k5[0]
+                    + _A10_6 * k6[0] + _A10_7 * k7[0] + _A10_8 * k8[0] + _A10_9 * k9[0]) * h,
+              y1 + (_A10_0 * k0[1] + _A10_3 * k3[1] + _A10_4 * k4[1] + _A10_5 * k5[1]
+                    + _A10_6 * k6[1] + _A10_7 * k7[1] + _A10_8 * k8[1] + _A10_9 * k9[1]) * h,
+              y2 + (_A10_0 * k0[2] + _A10_3 * k3[2] + _A10_4 * k4[2] + _A10_5 * k5[2]
+                    + _A10_6 * k6[2] + _A10_7 * k7[2] + _A10_8 * k8[2] + _A10_9 * k9[2]) * h,
+              y3 + (_A10_0 * k0[3] + _A10_3 * k3[3] + _A10_4 * k4[3] + _A10_5 * k5[3]
+                    + _A10_6 * k6[3] + _A10_7 * k7[3] + _A10_8 * k8[3] + _A10_9 * k9[3]) * h)
+    k11 = rhs(y0 + (_A11_0 * k0[0] + _A11_3 * k3[0] + _A11_4 * k4[0] + _A11_5 * k5[0]
+                    + _A11_6 * k6[0] + _A11_7 * k7[0] + _A11_8 * k8[0] + _A11_9 * k9[0]
+                    + _A11_10 * k10[0]) * h,
+              y1 + (_A11_0 * k0[1] + _A11_3 * k3[1] + _A11_4 * k4[1] + _A11_5 * k5[1]
+                    + _A11_6 * k6[1] + _A11_7 * k7[1] + _A11_8 * k8[1] + _A11_9 * k9[1]
+                    + _A11_10 * k10[1]) * h,
+              y2 + (_A11_0 * k0[2] + _A11_3 * k3[2] + _A11_4 * k4[2] + _A11_5 * k5[2]
+                    + _A11_6 * k6[2] + _A11_7 * k7[2] + _A11_8 * k8[2] + _A11_9 * k9[2]
+                    + _A11_10 * k10[2]) * h,
+              y3 + (_A11_0 * k0[3] + _A11_3 * k3[3] + _A11_4 * k4[3] + _A11_5 * k5[3]
+                    + _A11_6 * k6[3] + _A11_7 * k7[3] + _A11_8 * k8[3] + _A11_9 * k9[3]
+                    + _A11_10 * k10[3]) * h)
+    y_new = [y0 + h * (_B0 * k0[0] + _B5 * k5[0] + _B6 * k6[0] + _B7 * k7[0] + _B8 * k8[0]
+                       + _B9 * k9[0] + _B10 * k10[0] + _B11 * k11[0]),
+             y1 + h * (_B0 * k0[1] + _B5 * k5[1] + _B6 * k6[1] + _B7 * k7[1] + _B8 * k8[1]
+                       + _B9 * k9[1] + _B10 * k10[1] + _B11 * k11[1]),
+             y2 + h * (_B0 * k0[2] + _B5 * k5[2] + _B6 * k6[2] + _B7 * k7[2] + _B8 * k8[2]
+                       + _B9 * k9[2] + _B10 * k10[2] + _B11 * k11[2]),
+             y3 + h * (_B0 * k0[3] + _B5 * k5[3] + _B6 * k6[3] + _B7 * k7[3] + _B8 * k8[3]
+                       + _B9 * k9[3] + _B10 * k10[3] + _B11 * k11[3]),
+             y4 + h * (_B0 * k0[4] + _B5 * k5[4] + _B6 * k6[4] + _B7 * k7[4] + _B8 * k8[4]
+                       + _B9 * k9[4] + _B10 * k10[4] + _B11 * k11[4])]
     return y_new, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11)
 
 
-def _errors(k: tuple[Sequence[float], ...]) -> tuple[list[float], list[float]]:
+def _errors(k: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The E5 and E3 error estimates of a step from its 12 stages ``k``, one float per component.
 
     Each sums its row's nonzero entries times the stages, left to right.
     """
     k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11 = k
-    stages = list(zip(k0, k5, k6, k7, k8, k9, k10, k11))
     return (
-        [_E5_0 * u0 + _E5_5 * u5 + _E5_6 * u6 + _E5_7 * u7 + _E5_8 * u8 + _E5_9 * u9
-         + _E5_10 * u10 + _E5_11 * u11 for u0, u5, u6, u7, u8, u9, u10, u11 in stages],
-        [_E3_0 * u0 + _E3_5 * u5 + _E3_6 * u6 + _E3_7 * u7 + _E3_8 * u8 + _E3_9 * u9
-         + _E3_10 * u10 + _E3_11 * u11 for u0, u5, u6, u7, u8, u9, u10, u11 in stages],
+        (
+            _E5_0 * k0[0] + _E5_5 * k5[0] + _E5_6 * k6[0] + _E5_7 * k7[0] + _E5_8 * k8[0]
+            + _E5_9 * k9[0] + _E5_10 * k10[0] + _E5_11 * k11[0],
+            _E5_0 * k0[1] + _E5_5 * k5[1] + _E5_6 * k6[1] + _E5_7 * k7[1] + _E5_8 * k8[1]
+            + _E5_9 * k9[1] + _E5_10 * k10[1] + _E5_11 * k11[1],
+            _E5_0 * k0[2] + _E5_5 * k5[2] + _E5_6 * k6[2] + _E5_7 * k7[2] + _E5_8 * k8[2]
+            + _E5_9 * k9[2] + _E5_10 * k10[2] + _E5_11 * k11[2],
+            _E5_0 * k0[3] + _E5_5 * k5[3] + _E5_6 * k6[3] + _E5_7 * k7[3] + _E5_8 * k8[3]
+            + _E5_9 * k9[3] + _E5_10 * k10[3] + _E5_11 * k11[3],
+            _E5_0 * k0[4] + _E5_5 * k5[4] + _E5_6 * k6[4] + _E5_7 * k7[4] + _E5_8 * k8[4]
+            + _E5_9 * k9[4] + _E5_10 * k10[4] + _E5_11 * k11[4],
+        ),
+        (
+            _E3_0 * k0[0] + _E3_5 * k5[0] + _E3_6 * k6[0] + _E3_7 * k7[0] + _E3_8 * k8[0]
+            + _E3_9 * k9[0] + _E3_10 * k10[0] + _E3_11 * k11[0],
+            _E3_0 * k0[1] + _E3_5 * k5[1] + _E3_6 * k6[1] + _E3_7 * k7[1] + _E3_8 * k8[1]
+            + _E3_9 * k9[1] + _E3_10 * k10[1] + _E3_11 * k11[1],
+            _E3_0 * k0[2] + _E3_5 * k5[2] + _E3_6 * k6[2] + _E3_7 * k7[2] + _E3_8 * k8[2]
+            + _E3_9 * k9[2] + _E3_10 * k10[2] + _E3_11 * k11[2],
+            _E3_0 * k0[3] + _E3_5 * k5[3] + _E3_6 * k6[3] + _E3_7 * k7[3] + _E3_8 * k8[3]
+            + _E3_9 * k9[3] + _E3_10 * k10[3] + _E3_11 * k11[3],
+            _E3_0 * k0[4] + _E3_5 * k5[4] + _E3_6 * k6[4] + _E3_7 * k7[4] + _E3_8 * k8[4]
+            + _E3_9 * k9[4] + _E3_10 * k10[4] + _E3_11 * k11[4],
+        ),
     )
 
 
@@ -520,21 +622,24 @@ def _dense_output(rhs, y, y_new, stages, f_new, h) -> Callable[[float], list[flo
     extra stages, and returns the function of the step fraction x in
     [0, 1] that gives the state, as scipy's ``Dop853DenseOutput`` (x = 0
     gives ``y`` exactly).  This runs only on event steps, so its stage
-    combinations stay ``sum(map(mul, ...))`` over one list per component.
+    combinations stay left folds over the full rows, one list per component.
     """
     d, a_extra = _TABLEAU[4:]
-    mul = operator.mul
+
+    def dot(row: Sequence[float], kv: list[float]) -> float:  # as sum of floats up to 3.11
+        return functools.reduce(operator.add, map(operator.mul, row, kv), 0.0)
+
     f = stages[0]
     k = [list(kv) for kv in zip(*stages, f_new)]
     for a in a_extra:
-        stage = rhs([v + sum(map(mul, a, kv)) * h for v, kv in zip(y, k)])
+        stage = rhs(*[v + dot(a, kv) * h for v, kv in zip(y[:4], k)])
         for kv, u in zip(k, stage):
             kv.append(u)
     coeffs = []
     for v, v_new, u, u_new, kv in zip(y, y_new, f, f_new, k):
         dv = v_new - v
         coeffs.append((v, dv, h * u - dv, 2.0 * dv - h * (u_new + u),
-                       *[h * sum(map(mul, row, kv)) for row in d]))
+                       *[h * dot(row, kv) for row in d]))
 
     def at(x: float) -> list[float]:
         z = 1.0 - x

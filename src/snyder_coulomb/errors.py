@@ -90,4 +90,6 @@ class CollisionSingularity(SnyderCoulombError, RuntimeError):
 
 
 class StepUnderflow(SnyderCoulombError, RuntimeError):
-    """The integrator stopped short of t_end: its step underflowed or it ran out of steps."""
+    """The integrator stopped short of t_end: its step underflowed, its state overflowed
+    or it ran out of steps.
+    """

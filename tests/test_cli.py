@@ -348,6 +348,19 @@ class TestOrbit:
         assert err.startswith("snyder-coulomb: StepUnderflow: the clock reached only t = ")
         assert err.endswith(" of t_end = 20.0 within 20 steps\n")
 
+    def test_overflowing_orbit_is_check_failure(self, capsys):
+        # the end event's dense output overflows to NaN: the run stops short
+        # of t_end, at the last finite state, rather than blaming the input
+        code, out, err = run_cli(
+            capsys, "orbit", "--m=9.863599816861002e+245", "--e2=1.464070251804427e-181",
+            "--beta=5.6496636691367725e-81", "--x1=1", "--p2=0.5",
+            "--t-end=5.355572785845128e+241",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("snyder-coulomb: StepUnderflow: the orbit stopped short of t_end = "
+                       "5.355572785845128e+241: its state overflowed after "
+                       "t = 5.325835556129641e+232\n")
+
     def test_dump_samples_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "orbit", "--beta", "0", "--t-end", "30",

@@ -7,11 +7,16 @@ identity of the bracket table itself is spot-checked on coordinate
 triples with exact gradient algebra.
 """
 
+import hashlib
 import math
+import re
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snyder_coulomb import (
     CollisionSingularity,
@@ -224,18 +229,39 @@ class TestBracketAlgebra:
             assert abs(term2 + term3) <= 1e-12
 
 
+def patch_flow(monkeypatch, wrap):
+    """Make ``dynamics._flow``, the one flow kernel, return ``wrap(flow)`` for its flow."""
+    kernel = dynamics._flow
+    monkeypatch.setattr(dynamics, "_flow", lambda params: wrap(kernel(params)))
+
+
 @pytest.fixture
 def flow_calls(monkeypatch):
-    """The states at which the integrator evaluates ``equations_of_motion``."""
-    flow = dynamics.equations_of_motion
+    """The states (x1, x2, p1, p2) at which the flow kernel ``_flow`` is evaluated."""
     calls = []
 
-    def counted(y, params):
-        calls.append(tuple(y))
-        return flow(y, params)
+    def wrap(flow):
+        def counted(*y):
+            calls.append(y)
+            return flow(*y)
 
-    monkeypatch.setattr(dynamics, "equations_of_motion", counted)
+        return counted
+
+    patch_flow(monkeypatch, wrap)
     return calls
+
+
+def sundman_field(params):
+    """The right-hand side that ``integrate_orbit`` hands its step loop at ``params``."""
+    class Captured(Exception):
+        pass
+
+    def capture(rhs, *args):
+        raise Captured(rhs)
+
+    with mock.patch.object(dynamics, "_dop853", capture), pytest.raises(Captured) as excinfo:
+        integrate_orbit(ECCENTRIC, params, 1.0)
+    return excinfo.value.args[0]
 
 
 class TestIntegrateOrbit:
@@ -361,10 +387,24 @@ class TestIntegrateOrbit:
 
     def test_integrates_the_tested_flow(self, flow_calls):
         # the bracket oracles above check equations_of_motion; the
-        # integrator must evaluate that same function, start state included
-        integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0.05), 1.0)
+        # integrator must evaluate the same kernel, start state included
+        params = PhysicalParams(1, 1, 0.05)
+        integrate_orbit(ECCENTRIC, params, 1.0)
         assert flow_calls[0] == (ECCENTRIC.x1, ECCENTRIC.x2, ECCENTRIC.p1, ECCENTRIC.p2)
         assert len(flow_calls) > 10
+        n = len(flow_calls)
+        equations_of_motion((1.0, 0.0, 0.0, 1.0), params)
+        assert flow_calls[n:] == [(1.0, 0.0, 0.0, 1.0)]
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 2.0),
+           st.tuples(*[st.floats(-10.0, 10.0)] * 4).filter(lambda y: math.hypot(*y[:2]) > 0.1))
+    def test_sundman_field_is_r_times_the_tested_flow(self, m, e2, beta, y):
+        # dy/ds = r dy/dt, and dt/ds = r, bit for bit
+        params = PhysicalParams(m, e2, beta)
+        r = math.hypot(y[0], y[1])
+        expected = (*[r * v for v in equations_of_motion(y, params)], r)
+        assert repr(sundman_field(params)(*y)) == repr(expected)
 
     @pytest.mark.parametrize("beta", [0.0, 0.05])
     @pytest.mark.parametrize("tol,most", [(1e-10, 4500), (1e-12, 7000)])
@@ -386,7 +426,10 @@ class TestIntegrateOrbit:
         assert traj.j_drift <= 1e3 * tol
 
     def test_non_finite_solution_is_rejected(self, monkeypatch):
+        # an overflowing state stops the run short of t_end, as a collapsed step
+        # does, at the clock of the last finite state
         loop = dynamics._dop853
+        t_last = float(integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0).samples.t[-2])
 
         def poisoned(*args, **kwargs):
             states, found, stop = loop(*args, **kwargs)
@@ -394,20 +437,23 @@ class TestIntegrateOrbit:
             return states, found, stop
 
         monkeypatch.setattr(dynamics, "_dop853", poisoned)
-        with pytest.raises(ValueError, match="must be finite"):
+        message = f"stopped short of t_end = 1.0: its state overflowed after t = {t_last!r}"
+        with pytest.raises(StepUnderflow, match=re.escape(message) + "$"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 1.0)
 
     def test_collapsed_step_raises_step_underflow(self, monkeypatch):
         # a flow that turns NaN mid-run fails every error test, and each
         # rejection cuts the step by 5 until it is below 10 ulp of s
-        flow = dynamics.equations_of_motion
         calls = []
 
-        def failing(y, params):
-            calls.append(y)
-            return flow(y, params) if len(calls) <= 100 else (math.nan,) * 4
+        def wrap(flow):
+            def failing(*y):
+                calls.append(y)
+                return flow(*y) if len(calls) <= 100 else (math.nan,) * 4
 
-        monkeypatch.setattr(dynamics, "equations_of_motion", failing)
+            return failing
+
+        patch_flow(monkeypatch, wrap)
         with pytest.raises(StepUnderflow, match="Required step size"):
             integrate_orbit(ECCENTRIC, PhysicalParams(1, 1, 0), 10 * T_ECC)
 
@@ -592,7 +638,7 @@ class TestStepLoop:
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 5)
         monkeypatch.setattr(dynamics.math, "nextafter", spy)
         y0 = [1.0, 0.0, 0.0, 0.0, 0.0]
-        states, found, stop = dynamics._dop853(lambda y: [0.0] * 5, y0, 1e-10,
+        states, found, stop = dynamics._dop853(lambda *x: (0.0,) * 5, y0, 1e-10,
                                                [(lambda y: -1.0, True)])
         assert (states, found, stop) == ([y0] * 6, [[]], None)
         assert heads[:2] == [0.0, 1e-6]
@@ -610,53 +656,124 @@ class TestStepLoop:
             self, monkeypatch):
         # the interpolant can miss y_new in the last bit, so that g reads one sign
         # at both ends of a step where g(y) <= 0 <= g(y_new): brentq would raise
-        monkeypatch.setattr(dynamics, "_dense_output", lambda *args: lambda x: [x - 2.0])
-        states, found, stop = dynamics._dop853(lambda y: [1.0], [-0.5], 1e-10,
-                                               [(lambda y: y[0], True)])
-        assert (found, stop, states[-1]) == ([[[-1.0]]], 0, [-1.0])
+        monkeypatch.setattr(dynamics, "_dense_output", lambda *args: lambda x: [x - 2.0] * 5)
+        states, found, stop = dynamics._dop853(lambda *x: (1.0,) * 5, [-0.5, 0.0, 0.0, 0.0, 0.0],
+                                               1e-10, [(lambda y: y[0], True)])
+        assert (found, stop, states[-1]) == ([[[-1.0] * 5]], 0, [-1.0] * 5)
+
+
+def trajectory_digest(traj) -> str:
+    """sha256 over the sample and perihelion bytes and the drift reprs."""
+    return hashlib.sha256(traj.samples.tobytes() + traj.perihelia.tobytes()
+                          + repr((traj.h_drift, traj.j_drift)).encode()).hexdigest()
+
+
+def compensated_sum(values, start=0):
+    """Neumaier's sum, as Python 3.12's ``sum`` adds floats."""
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+PINNED_ORBITS = [
+    pytest.param(ECCENTRIC, 0.0, 1e-10, 3 * T_ECC,
+                 "9a3f28ac76a3111d811c78179529ba155c293b7902cf15b879257cff3eacad1c",
+                 id="b0-1e-10"),
+    pytest.param(ECCENTRIC, 0.0, 1e-12, 3 * T_ECC,
+                 "fa6c88994d14a4cb2bc57970f21d954b21018393ad36906393bac912e7f28a16",
+                 id="b0-1e-12"),
+    pytest.param(ECCENTRIC, 0.05, 1e-10, 3 * T_ECC,
+                 "7ca6b42c882ac3a3a1ef9c07afb4a2b242872de971bef921ee5838ccd528948a",
+                 id="b0.05-1e-10"),
+    pytest.param(ECCENTRIC, 0.05, 1e-12, 3 * T_ECC,
+                 "b01132efaffb2600af8e1ee56cc8e5cef74d015e821908a199df4385899d98e4",
+                 id="b0.05-1e-12"),
+    pytest.param(ECCENTRIC, 0.5, 1e-10, 3 * T_ECC,
+                 "f39889742b5b1adc79063d55e8736f3114afe4279456099364019e4025212705",
+                 id="b0.5-1e-10"),
+    pytest.param(ECCENTRIC, 0.5, 1e-12, 3 * T_ECC,
+                 "e2a7555ef3d39877b8caec211035bcf2763c693d590688c57779ba878f6792ef",
+                 id="b0.5-1e-12"),
+    pytest.param(OrbitState(2.0, 0.0, 0.0, -0.45), 0.05, 1e-10, 3 * T_ECC,
+                 "97df026acc0894115ba4f0b8855ced34bad4c5b8c2f144cb0868a54085f4438b",
+                 id="retrograde"),
+    pytest.param(OrbitState(2.0, 0.0, 0.0, 1.2), 0.05, 1e-10, 20.0,  # H > 0
+                 "3334aefa25327c05413cf39204ee2d9d879936e65856804004f74129868c6b13",
+                 id="unbound"),
+]
+
+
+class TestPinnedBits:
+    """The step loop's floats, pinned: any change to a stage sum, the error norm,
+    the step control or the event roots shows here, on orbits no golden runs."""
+
+    @pytest.mark.parametrize("state,beta,tol,t_end,digest", PINNED_ORBITS)
+    def test_orbit_bits(self, state, beta, tol, t_end, digest):
+        traj = integrate_orbit(state, PhysicalParams(1, 1, beta), t_end, local_tol=tol)
+        assert trajectory_digest(traj) == digest
+
+    @pytest.mark.parametrize("state,beta,tol,t_end,digest", PINNED_ORBITS)
+    def test_bits_do_not_depend_on_the_version_of_sum(self, monkeypatch, state, beta, tol,
+                                                     t_end, digest):
+        # from Python 3.12 on, sum compensates the rounding of floats: the
+        # loop's combinations are left folds, so the bits stay those of 3.11
+        monkeypatch.setattr(dynamics, "sum", compensated_sum, raising=False)
+        traj = integrate_orbit(state, PhysicalParams(1, 1, beta), t_end, local_tol=tol)
+        assert trajectory_digest(traj) == digest
 
 
 class TestUnrolledTableau:
     """``_stages`` and ``_errors`` read back ``_TABLEAU`` entry for entry, zeros included.
 
-    At y = 0 and h = 1 with stage i set to 1 and every other stage to 0,
-    each sum is its row's entry i exactly, so a left-out nonzero entry, a
-    wrong name or a wrong index shows as a wrong value.
+    At y = 0 and h = 1 with stage i set to ``IMPULSE`` and every other stage
+    to 0, each sum in component c is its row's entry i times 2^c exactly,
+    so a left-out nonzero entry, a wrong name, a wrong stage index or a
+    wrong component index shows as a wrong value.
     """
 
     A, B, E5, E3 = dynamics._TABLEAU[:4]
+    IMPULSE = (1.0, 2.0, 4.0, 8.0, 16.0)
+    ZERO = (0.0,) * 5
 
-    @staticmethod
-    def impulse(i):
-        """(inputs of stages 1-11, y_new, stages) of one step where stage i is 1."""
+    @classmethod
+    def impulse(cls, i):
+        """(inputs of stages 1-11, y_new, stages) of one step where stage i is IMPULSE."""
         inputs = []
 
-        def rhs(y):  # the c-th call gives stage c
-            inputs.append(y[0])
-            return (1.0 if len(inputs) == i else 0.0,)
+        def rhs(*x):  # the c-th call gives stage c
+            inputs.append(x)
+            return cls.IMPULSE if len(inputs) == i else cls.ZERO
 
-        y_new, k = dynamics._stages(rhs, [0.0], (1.0 if i == 0 else 0.0,), 1.0)
-        return inputs, y_new[0], k
+        y_new, k = dynamics._stages(rhs, [0.0] * 5, cls.IMPULSE if i == 0 else cls.ZERO, 1.0)
+        return inputs, y_new, k
+
+    @classmethod
+    def scaled(cls, row, components=5):
+        """Each entry of ``row`` times the impulse, one tuple per entry."""
+        return [tuple(a * u for u in cls.IMPULSE[:components]) for a in row]
 
     def test_stage_inputs_read_back_the_rows_of_a(self):
         read = [[] for _ in self.A]
         for i in range(12):
             inputs, _, k = self.impulse(i)
-            assert [u for (u,) in k] == [float(c == i) for c in range(12)]
+            assert list(k) == [self.IMPULSE if c == i else self.ZERO for c in range(12)]
             for j, x in enumerate(inputs, 1):  # stage j combines stages 0 to j - 1
                 if i < j:
                     read[j - 1].append(x)
                 else:
-                    assert x == 0.0, (i, j)
-        assert read == [list(row) for row in self.A]
+                    assert x == self.ZERO[:4], (i, j)
+        assert read == [self.scaled(row, 4) for row in self.A]
 
     def test_new_state_reads_back_b(self):
-        assert [self.impulse(i)[1] for i in range(12)] == list(self.B)
+        assert [tuple(self.impulse(i)[1]) for i in range(12)] == self.scaled(self.B)
 
     def test_error_estimates_read_back_e5_and_e3(self):
         estimates = [dynamics._errors(self.impulse(i)[2]) for i in range(12)]
-        assert [e5 for ([e5], _) in estimates] == list(self.E5[:12])
-        assert [e3 for (_, [e3]) in estimates] == list(self.E3[:12])
+        assert [e5 for e5, _ in estimates] == self.scaled(self.E5[:12])
+        assert [e3 for _, e3 in estimates] == self.scaled(self.E3[:12])
         assert self.E5[12] == self.E3[12] == 0.0  # the entry of f_new, left out
 
 
