@@ -24,10 +24,12 @@ integrator locates the perihelia there as events.
 Integration uses the Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett
 & Wanner, Solving ODEs I, sec. II.10), run by this module's own step loop
 on Python floats with the tableau and step control of scipy's ``DOP853``;
-no scipy is imported.  It does not preserve the bracket, so drift is
-monitored instead, at the accepted steps; only a step on which an event
-function (perihelion, collision, end) changes sign builds the dense output
-and root-finds the event on it, by a port of scipy's ``brentq``.  The
+no scipy is imported.  Its stage arithmetic is generated from the tableau
+at import (the text is ``_STAGE_SOURCE``).  It does not preserve the
+bracket, so drift is monitored instead, at the accepted steps; only a step
+on which an event function (perihelion, collision, end) changes sign
+builds the dense output and root-finds the event on it, by a port of
+scipy's ``brentq``.  The
 steps are taken in the Sundman time s, dt/ds = r (Hairer, Lubich & Wanner,
 Geometric Numerical Integration, ch. VIII), with the clock t as a fifth,
 quadrature component: it is stepped and weighted in the error norm, but
@@ -42,9 +44,8 @@ bracket.  Inputs pass ``model.finite_float``.
 
 from __future__ import annotations
 
-import functools
+import linecache
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -134,10 +135,23 @@ def equations_of_motion(
     """Time derivatives (dx1, dx2, dp1, dp2) of the deformed flow.
 
     ``y`` is the phase-space point (x1, x2, p1, p2), any sequence of four
-    numbers.
+    numbers.  Raises ValueError where the flow is not finite at ``y``: where
+    a term overflows, or r^3 underflows to 0 (r below about 1e-108).
     """
     x1, x2, p1, p2 = y
-    return _flow(params)(x1, x2, p1, p2)
+    return _finite_flow(_flow(params), (x1, x2, p1, p2), f"y = {y!r}")
+
+
+def _finite_flow(flow: Callable[..., tuple[float, ...]], y: Sequence[float],
+                 where: str) -> tuple[float, ...]:
+    """``flow(*y)``, or ValueError naming the point ``where`` unless all of it is finite."""
+    try:
+        derivs = flow(*y)
+    except ZeroDivisionError:  # r^3 underflowed to 0
+        derivs = (math.nan,)
+    if not all(math.isfinite(v) for v in derivs):
+        raise ValueError(f"the flow is not finite at {where}")
+    return derivs
 
 
 def _flow(params: PhysicalParams) -> Callable[[float, float, float, float], tuple[float, ...]]:
@@ -224,8 +238,7 @@ def integrate_orbit(
                                    f"floor r = {_COLLISION_FLOOR!r}", t_last=0.0)
     flow = _flow(params)
     # the loop would not return: a NaN first step never falls below the smallest step
-    if not all(math.isfinite(v) for v in flow(*y0[:4])):
-        raise ValueError(f"the flow is not finite at the initial state {state0!r}")
+    _finite_flow(flow, y0[:4], f"the initial state {state0!r}")
     t_end = finite_float("t_end", t_end, "finite and > 0")  # a numpy float comes back a float
     local_tol = finite_float("local_tol", local_tol, "finite and > 0")
     for name, value in (("t_end", t_end), ("local_tol", local_tol)):
@@ -345,27 +358,68 @@ _TABLEAU = (
     ),
 )
 
-# One name per nonzero entry of A (row j, column i: _Aj_i), B, E5 and E3, for _stages and
-# _errors; each zero entry goes to _ and is left out there, where it would add 0.
-(
-    (
-        (_A1_0,),
-        (_A2_0, _A2_1),
-        (_A3_0, _, _A3_2),
-        (_A4_0, _, _A4_2, _A4_3),
-        (_A5_0, _, _, _A5_3, _A5_4),
-        (_A6_0, _, _, _A6_3, _A6_4, _A6_5),
-        (_A7_0, _, _, _A7_3, _A7_4, _A7_5, _A7_6),
-        (_A8_0, _, _, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7),
-        (_A9_0, _, _, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8),
-        (_A10_0, _, _, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9),
-        (_A11_0, _, _, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10),
-    ),
-    (_B0, _, _, _, _, _B5, _B6, _B7, _B8, _B9, _B10, _B11),
-    (_E5_0, _, _, _, _, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11, _),
-    (_E3_0, _, _, _, _, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11, _),
-) = _TABLEAU[:4]
-del _
+
+def _fold(row: Sequence[float], c: int) -> str:
+    """Source of ``row`` times the stages in component ``c``, stage i being ``k<i>``.
+
+    One ``repr`` literal times ``k<i>[c]`` per nonzero entry, summed left to
+    right: a 0.0 entry times a finite stage would add exactly 0 (up to the
+    sign of a zero sum), so it is left out.
+    """
+    return " + ".join(f"{a!r} * k{i}[{c}]" for i, a in enumerate(row) if a)
+
+
+def _unrolled(tableau: tuple) -> str:
+    """Source of ``_stages``, ``_errors`` and ``_dense``: ``tableau`` unrolled on scalars.
+
+    An A row of length j gives stage j, ``rhs`` of y_c + (fold) * h in the
+    four phase-space components c.  In all five components, B gives y_new =
+    y_c + h * (fold), E5 and E3 give the folds and each D row h * (fold).
+    """
+    a, b, e5, e3, d, a_extra = tableau
+
+    def lines(items, indent: int = 8) -> str:
+        return f",\n{' ' * indent}".join(items)
+
+    def stage(row: Sequence[float]) -> str:
+        inputs = lines(f"y{c} + ({_fold(row, c)}) * h" for c in range(4))
+        return f"    k{len(row)} = rhs(\n        {inputs})\n"
+
+    def names(count: int) -> str:
+        return ", ".join(f"k{i}" for i in range(count))
+
+    new = lines(f"y{c} + h * ({_fold(b, c)})" for c in range(5))
+    errors = lines(f"({lines((_fold(row, c) for c in range(5)), 9)})" for row in (e5, e3))
+    dense = lines(f"({lines((f'h * ({_fold(row, c)})' for row in d), 9)})" for c in range(5))
+    return (
+        "def _stages(rhs, y, f, h):\n"
+        f'    """The step of size h from y, f = rhs(*y[:4]): y_new and the {len(b)} stages."""\n'
+        "    y0, y1, y2, y3, y4 = y\n"
+        "    k0 = f\n"
+        + "".join(stage(row) for row in a)
+        + f"    return [\n        {new}], ({names(len(b))})\n"
+        "\n\n"
+        "def _errors(k):\n"
+        '    """The E5 and E3 error estimates of the stages k, one float per component."""\n'
+        f"    {names(len(b))} = k\n"
+        f"    return (\n        {errors})\n"
+        "\n\n"
+        "def _dense(rhs, y, k, h):\n"
+        f'    """The {len(d)} D sums per component from y and the stages k, f_new last."""\n'
+        "    y0, y1, y2, y3, y4 = y\n"
+        f"    {names(len(a_extra[0]))} = k\n"
+        + "".join(stage(row) for row in a_extra)
+        + f"    return (\n        {dense})\n"
+    )
+
+
+# The stage arithmetic, generated once at import from _TABLEAU, the one home of the
+# coefficients; registered so that tracebacks and inspect.getsource show its lines.
+_STAGE_SOURCE = _unrolled(_TABLEAU)
+_STAGE_FILE = f"<{__name__} stages>"
+linecache.cache[_STAGE_FILE] = (len(_STAGE_SOURCE), None, _STAGE_SOURCE.splitlines(True),
+                                _STAGE_FILE)
+exec(compile(_STAGE_SOURCE, _STAGE_FILE, "exec"))
 
 
 def _dop853(
@@ -391,14 +445,17 @@ def _dop853(
     rejection.  Squares are products, so an error norm that overflows reads
     inf and rejects the step; a zero E5 sum is a zero norm (scipy's numpy
     norm reads NaN where 0.01 times the E3 sum underflows too, and rejects
-    the step).  :func:`_stages` and :func:`_errors` are the tableau unrolled
-    on scalars: one expression per stage and component, summing one named
-    coefficient times a stage per nonzero entry, left to right.  That gives
-    the floats of a left fold over the full rows from 0.0 bit for bit, as a
-    0.0 entry times a finite stage adds exactly 0 (up to the sign of a zero
-    sum); no combination calls ``sum``, whose float rounding is
-    compensated from Python 3.12 on, so the bits do not depend on the
-    Python version.
+    the step).  The stage combinations of the step (:func:`_stages`), the
+    error estimate (:func:`_errors`) and the dense output (:func:`_dense`)
+    are generated from ``_TABLEAU`` at import by :func:`_unrolled`: one
+    expression per stage and component, summing a float literal times a
+    stage per nonzero entry, left to right.  That gives the floats of a
+    left fold over the full rows from 0.0 bit for bit, as a 0.0 entry
+    times a finite stage adds exactly 0 (up to the sign of a zero sum); no
+    combination calls ``sum``, whose float rounding is compensated from
+    Python 3.12 on, so the bits do not depend on the Python version.  The
+    generated text is ``_STAGE_SOURCE``, which ``inspect.getsource`` of
+    each of the three also shows.
 
     ``events`` are (g, terminal) pairs; g(y) has an event where it rises
     through 0, on a step with g_old <= 0 <= g_new.  Only such a step builds
@@ -486,160 +543,19 @@ def _dop853(
         s, y, f, g_old = s_new, y_new, f_new, g_new
 
 
-def _stages(
-    rhs: Callable[[float, float, float, float], tuple[float, ...]],
-    y: list[float],
-    f: tuple[float, ...],
-    h: float,
-) -> tuple[list[float], tuple[tuple[float, ...], ...]]:
-    """The DOP853 step of size ``h`` from ``y``, where f = rhs(*y[:4]): y_new and the 12 stages.
-
-    Stage 0 is ``f``.  Each later stage's input sums its row of A times the
-    stages in the four phase-space components, and y_new sums B in all
-    five, left to right over the row's nonzero entries.
-    """
-    y0, y1, y2, y3, y4 = y
-    k0 = f
-    k1 = rhs(y0 + _A1_0 * k0[0] * h,
-             y1 + _A1_0 * k0[1] * h,
-             y2 + _A1_0 * k0[2] * h,
-             y3 + _A1_0 * k0[3] * h)
-    k2 = rhs(y0 + (_A2_0 * k0[0] + _A2_1 * k1[0]) * h,
-             y1 + (_A2_0 * k0[1] + _A2_1 * k1[1]) * h,
-             y2 + (_A2_0 * k0[2] + _A2_1 * k1[2]) * h,
-             y3 + (_A2_0 * k0[3] + _A2_1 * k1[3]) * h)
-    k3 = rhs(y0 + (_A3_0 * k0[0] + _A3_2 * k2[0]) * h,
-             y1 + (_A3_0 * k0[1] + _A3_2 * k2[1]) * h,
-             y2 + (_A3_0 * k0[2] + _A3_2 * k2[2]) * h,
-             y3 + (_A3_0 * k0[3] + _A3_2 * k2[3]) * h)
-    k4 = rhs(y0 + (_A4_0 * k0[0] + _A4_2 * k2[0] + _A4_3 * k3[0]) * h,
-             y1 + (_A4_0 * k0[1] + _A4_2 * k2[1] + _A4_3 * k3[1]) * h,
-             y2 + (_A4_0 * k0[2] + _A4_2 * k2[2] + _A4_3 * k3[2]) * h,
-             y3 + (_A4_0 * k0[3] + _A4_2 * k2[3] + _A4_3 * k3[3]) * h)
-    k5 = rhs(y0 + (_A5_0 * k0[0] + _A5_3 * k3[0] + _A5_4 * k4[0]) * h,
-             y1 + (_A5_0 * k0[1] + _A5_3 * k3[1] + _A5_4 * k4[1]) * h,
-             y2 + (_A5_0 * k0[2] + _A5_3 * k3[2] + _A5_4 * k4[2]) * h,
-             y3 + (_A5_0 * k0[3] + _A5_3 * k3[3] + _A5_4 * k4[3]) * h)
-    k6 = rhs(y0 + (_A6_0 * k0[0] + _A6_3 * k3[0] + _A6_4 * k4[0] + _A6_5 * k5[0]) * h,
-             y1 + (_A6_0 * k0[1] + _A6_3 * k3[1] + _A6_4 * k4[1] + _A6_5 * k5[1]) * h,
-             y2 + (_A6_0 * k0[2] + _A6_3 * k3[2] + _A6_4 * k4[2] + _A6_5 * k5[2]) * h,
-             y3 + (_A6_0 * k0[3] + _A6_3 * k3[3] + _A6_4 * k4[3] + _A6_5 * k5[3]) * h)
-    k7 = rhs(y0 + (_A7_0 * k0[0] + _A7_3 * k3[0] + _A7_4 * k4[0] + _A7_5 * k5[0]
-                   + _A7_6 * k6[0]) * h,
-             y1 + (_A7_0 * k0[1] + _A7_3 * k3[1] + _A7_4 * k4[1] + _A7_5 * k5[1]
-                   + _A7_6 * k6[1]) * h,
-             y2 + (_A7_0 * k0[2] + _A7_3 * k3[2] + _A7_4 * k4[2] + _A7_5 * k5[2]
-                   + _A7_6 * k6[2]) * h,
-             y3 + (_A7_0 * k0[3] + _A7_3 * k3[3] + _A7_4 * k4[3] + _A7_5 * k5[3]
-                   + _A7_6 * k6[3]) * h)
-    k8 = rhs(y0 + (_A8_0 * k0[0] + _A8_3 * k3[0] + _A8_4 * k4[0] + _A8_5 * k5[0] + _A8_6 * k6[0]
-                   + _A8_7 * k7[0]) * h,
-             y1 + (_A8_0 * k0[1] + _A8_3 * k3[1] + _A8_4 * k4[1] + _A8_5 * k5[1] + _A8_6 * k6[1]
-                   + _A8_7 * k7[1]) * h,
-             y2 + (_A8_0 * k0[2] + _A8_3 * k3[2] + _A8_4 * k4[2] + _A8_5 * k5[2] + _A8_6 * k6[2]
-                   + _A8_7 * k7[2]) * h,
-             y3 + (_A8_0 * k0[3] + _A8_3 * k3[3] + _A8_4 * k4[3] + _A8_5 * k5[3] + _A8_6 * k6[3]
-                   + _A8_7 * k7[3]) * h)
-    k9 = rhs(y0 + (_A9_0 * k0[0] + _A9_3 * k3[0] + _A9_4 * k4[0] + _A9_5 * k5[0] + _A9_6 * k6[0]
-                   + _A9_7 * k7[0] + _A9_8 * k8[0]) * h,
-             y1 + (_A9_0 * k0[1] + _A9_3 * k3[1] + _A9_4 * k4[1] + _A9_5 * k5[1] + _A9_6 * k6[1]
-                   + _A9_7 * k7[1] + _A9_8 * k8[1]) * h,
-             y2 + (_A9_0 * k0[2] + _A9_3 * k3[2] + _A9_4 * k4[2] + _A9_5 * k5[2] + _A9_6 * k6[2]
-                   + _A9_7 * k7[2] + _A9_8 * k8[2]) * h,
-             y3 + (_A9_0 * k0[3] + _A9_3 * k3[3] + _A9_4 * k4[3] + _A9_5 * k5[3] + _A9_6 * k6[3]
-                   + _A9_7 * k7[3] + _A9_8 * k8[3]) * h)
-    k10 = rhs(y0 + (_A10_0 * k0[0] + _A10_3 * k3[0] + _A10_4 * k4[0] + _A10_5 * k5[0]
-                    + _A10_6 * k6[0] + _A10_7 * k7[0] + _A10_8 * k8[0] + _A10_9 * k9[0]) * h,
-              y1 + (_A10_0 * k0[1] + _A10_3 * k3[1] + _A10_4 * k4[1] + _A10_5 * k5[1]
-                    + _A10_6 * k6[1] + _A10_7 * k7[1] + _A10_8 * k8[1] + _A10_9 * k9[1]) * h,
-              y2 + (_A10_0 * k0[2] + _A10_3 * k3[2] + _A10_4 * k4[2] + _A10_5 * k5[2]
-                    + _A10_6 * k6[2] + _A10_7 * k7[2] + _A10_8 * k8[2] + _A10_9 * k9[2]) * h,
-              y3 + (_A10_0 * k0[3] + _A10_3 * k3[3] + _A10_4 * k4[3] + _A10_5 * k5[3]
-                    + _A10_6 * k6[3] + _A10_7 * k7[3] + _A10_8 * k8[3] + _A10_9 * k9[3]) * h)
-    k11 = rhs(y0 + (_A11_0 * k0[0] + _A11_3 * k3[0] + _A11_4 * k4[0] + _A11_5 * k5[0]
-                    + _A11_6 * k6[0] + _A11_7 * k7[0] + _A11_8 * k8[0] + _A11_9 * k9[0]
-                    + _A11_10 * k10[0]) * h,
-              y1 + (_A11_0 * k0[1] + _A11_3 * k3[1] + _A11_4 * k4[1] + _A11_5 * k5[1]
-                    + _A11_6 * k6[1] + _A11_7 * k7[1] + _A11_8 * k8[1] + _A11_9 * k9[1]
-                    + _A11_10 * k10[1]) * h,
-              y2 + (_A11_0 * k0[2] + _A11_3 * k3[2] + _A11_4 * k4[2] + _A11_5 * k5[2]
-                    + _A11_6 * k6[2] + _A11_7 * k7[2] + _A11_8 * k8[2] + _A11_9 * k9[2]
-                    + _A11_10 * k10[2]) * h,
-              y3 + (_A11_0 * k0[3] + _A11_3 * k3[3] + _A11_4 * k4[3] + _A11_5 * k5[3]
-                    + _A11_6 * k6[3] + _A11_7 * k7[3] + _A11_8 * k8[3] + _A11_9 * k9[3]
-                    + _A11_10 * k10[3]) * h)
-    y_new = [y0 + h * (_B0 * k0[0] + _B5 * k5[0] + _B6 * k6[0] + _B7 * k7[0] + _B8 * k8[0]
-                       + _B9 * k9[0] + _B10 * k10[0] + _B11 * k11[0]),
-             y1 + h * (_B0 * k0[1] + _B5 * k5[1] + _B6 * k6[1] + _B7 * k7[1] + _B8 * k8[1]
-                       + _B9 * k9[1] + _B10 * k10[1] + _B11 * k11[1]),
-             y2 + h * (_B0 * k0[2] + _B5 * k5[2] + _B6 * k6[2] + _B7 * k7[2] + _B8 * k8[2]
-                       + _B9 * k9[2] + _B10 * k10[2] + _B11 * k11[2]),
-             y3 + h * (_B0 * k0[3] + _B5 * k5[3] + _B6 * k6[3] + _B7 * k7[3] + _B8 * k8[3]
-                       + _B9 * k9[3] + _B10 * k10[3] + _B11 * k11[3]),
-             y4 + h * (_B0 * k0[4] + _B5 * k5[4] + _B6 * k6[4] + _B7 * k7[4] + _B8 * k8[4]
-                       + _B9 * k9[4] + _B10 * k10[4] + _B11 * k11[4])]
-    return y_new, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11)
-
-
-def _errors(k: tuple[tuple[float, ...], ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The E5 and E3 error estimates of a step from its 12 stages ``k``, one float per component.
-
-    Each sums its row's nonzero entries times the stages, left to right.
-    """
-    k0, _, _, _, _, k5, k6, k7, k8, k9, k10, k11 = k
-    return (
-        (
-            _E5_0 * k0[0] + _E5_5 * k5[0] + _E5_6 * k6[0] + _E5_7 * k7[0] + _E5_8 * k8[0]
-            + _E5_9 * k9[0] + _E5_10 * k10[0] + _E5_11 * k11[0],
-            _E5_0 * k0[1] + _E5_5 * k5[1] + _E5_6 * k6[1] + _E5_7 * k7[1] + _E5_8 * k8[1]
-            + _E5_9 * k9[1] + _E5_10 * k10[1] + _E5_11 * k11[1],
-            _E5_0 * k0[2] + _E5_5 * k5[2] + _E5_6 * k6[2] + _E5_7 * k7[2] + _E5_8 * k8[2]
-            + _E5_9 * k9[2] + _E5_10 * k10[2] + _E5_11 * k11[2],
-            _E5_0 * k0[3] + _E5_5 * k5[3] + _E5_6 * k6[3] + _E5_7 * k7[3] + _E5_8 * k8[3]
-            + _E5_9 * k9[3] + _E5_10 * k10[3] + _E5_11 * k11[3],
-            _E5_0 * k0[4] + _E5_5 * k5[4] + _E5_6 * k6[4] + _E5_7 * k7[4] + _E5_8 * k8[4]
-            + _E5_9 * k9[4] + _E5_10 * k10[4] + _E5_11 * k11[4],
-        ),
-        (
-            _E3_0 * k0[0] + _E3_5 * k5[0] + _E3_6 * k6[0] + _E3_7 * k7[0] + _E3_8 * k8[0]
-            + _E3_9 * k9[0] + _E3_10 * k10[0] + _E3_11 * k11[0],
-            _E3_0 * k0[1] + _E3_5 * k5[1] + _E3_6 * k6[1] + _E3_7 * k7[1] + _E3_8 * k8[1]
-            + _E3_9 * k9[1] + _E3_10 * k10[1] + _E3_11 * k11[1],
-            _E3_0 * k0[2] + _E3_5 * k5[2] + _E3_6 * k6[2] + _E3_7 * k7[2] + _E3_8 * k8[2]
-            + _E3_9 * k9[2] + _E3_10 * k10[2] + _E3_11 * k11[2],
-            _E3_0 * k0[3] + _E3_5 * k5[3] + _E3_6 * k6[3] + _E3_7 * k7[3] + _E3_8 * k8[3]
-            + _E3_9 * k9[3] + _E3_10 * k10[3] + _E3_11 * k11[3],
-            _E3_0 * k0[4] + _E3_5 * k5[4] + _E3_6 * k6[4] + _E3_7 * k7[4] + _E3_8 * k8[4]
-            + _E3_9 * k9[4] + _E3_10 * k10[4] + _E3_11 * k11[4],
-        ),
-    )
-
-
 def _dense_output(rhs, y, y_new, stages, f_new, h) -> Callable[[float], list[float]]:
     """DOP853's 7th-degree interpolant of the step from ``y`` to ``y_new``.
 
-    Takes the 12 ``stages`` of :func:`_stages`, adds ``f_new`` and the three
-    extra stages, and returns the function of the step fraction x in
-    [0, 1] that gives the state, as scipy's ``Dop853DenseOutput`` (x = 0
-    gives ``y`` exactly).  This runs only on event steps, so its stage
-    combinations stay left folds over the full rows, one list per component.
+    Takes the 12 ``stages`` of :func:`_stages` and ``f_new``; :func:`_dense`
+    adds the three extra stages and gives the D sums.  Returns the function
+    of the step fraction x in [0, 1] that gives the state, as scipy's
+    ``Dop853DenseOutput`` (x = 0 gives ``y`` exactly).
     """
-    d, a_extra = _TABLEAU[4:]
-
-    def dot(row: Sequence[float], kv: list[float]) -> float:  # as sum of floats up to 3.11
-        return functools.reduce(operator.add, map(operator.mul, row, kv), 0.0)
-
     f = stages[0]
-    k = [list(kv) for kv in zip(*stages, f_new)]
-    for a in a_extra:
-        stage = rhs(*[v + dot(a, kv) * h for v, kv in zip(y[:4], k)])
-        for kv, u in zip(k, stage):
-            kv.append(u)
     coeffs = []
-    for v, v_new, u, u_new, kv in zip(y, y_new, f, f_new, k):
+    for v, v_new, u, u_new, d in zip(y, y_new, f, f_new, _dense(rhs, y, (*stages, f_new), h)):
         dv = v_new - v
-        coeffs.append((v, dv, h * u - dv, 2.0 * dv - h * (u_new + u),
-                       *[h * dot(row, kv) for row in d]))
+        coeffs.append((v, dv, h * u - dv, 2.0 * dv - h * (u_new + u), *d))
 
     def at(x: float) -> list[float]:
         z = 1.0 - x

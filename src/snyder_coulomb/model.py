@@ -49,6 +49,7 @@ __all__ = [
 _NORMAL = sys.float_info.min  # the least positive normal float
 _SMALLEST = math.ulp(0.0)  # the least positive (subnormal) float
 _DOUBLE_OVERFLOWS = math.ldexp(1.0, 1023)  # the least float whose double is inf
+_QUANTUM_MAX = 2**53  # the largest n or l: every integer up to it is a float
 
 
 def finite_float(name: str, value: object, rule: str = "finite") -> float:
@@ -187,7 +188,9 @@ class QuantumNumbers:
 
     The principal number ``n_prime = n + l`` labels the undeformed spectrum
     ``E = m e2^2 / (2 n'^2)``.  The magnetic quantum number never enters the
-    spectrum (rotational invariance) and is not modeled.
+    spectrum (rotational invariance) and is not modeled.  Both numbers are at
+    most 2**53, up to which every integer is a float: the formulas take them
+    as floats.
     """
 
     n: int
@@ -199,6 +202,8 @@ class QuantumNumbers:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value > _QUANTUM_MAX:  # no value: str() of a huge int can itself fail
+                raise ValueError(f"{name} must be <= 2**53, up to which every integer is a float")
 
     @property
     def n_prime(self) -> int:

@@ -251,6 +251,14 @@ class TestScanOrder:
         assert (code, out) == (2, "")
         assert "empty list" in err
 
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**154])
+    def test_huge_n_is_config_error(self, capsys, n):
+        # 10**154 overflowed the float conversion of 4 n (n + l) b^2 in a traceback
+        code, out, err = run_cli(capsys, "scan-order", "--n", str(n), "--l-list", "1")
+        assert (code, out) == (2, "")
+        assert err == ("snyder-coulomb: error: ValueError: n must be <= 2**53, up to which "
+                       "every integer is a float\n")
+
     def test_l_zero_only_reports_residual(self, capsys):
         code, out, _ = run_cli(capsys, "scan-order", "--l-list", "0")
         assert code == 0

@@ -8,6 +8,7 @@ triples with exact gradient algebra.
 """
 
 import hashlib
+import inspect
 import math
 import re
 from dataclasses import astuple
@@ -154,6 +155,14 @@ class TestEquationsOfMotion:
             poisson_bracket(*coordinate_gradients("p", 1), dh_dx, dh_dp, x, p, 0.1),
         ]
         assert derivs == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("y,beta", [
+        ((1e-110, 0.0, 0.0, 1.0), 0.0),  # r^3 underflows to 0: was a ZeroDivisionError
+        ((1.0, 0.0, 1e200, 0.0), 0.1),  # p^2 overflows: was (inf, nan, -inf, -0.0)
+    ])
+    def test_non_finite_flow_is_a_value_error(self, y, beta):
+        with pytest.raises(ValueError, match=re.escape(f"the flow is not finite at y = {y!r}")):
+            equations_of_motion(y, PhysicalParams(1, 1, beta))
 
     def test_kepler_reduction_is_exact(self):
         state = OrbitState(1.7, -0.4, 0.2, 0.6)
@@ -726,15 +735,17 @@ class TestPinnedBits:
 
 
 class TestUnrolledTableau:
-    """``_stages`` and ``_errors`` read back ``_TABLEAU`` entry for entry, zeros included.
+    """``_stages``, ``_errors`` and ``_dense`` read back ``_TABLEAU`` entry for entry, zeros
+    included.
 
     At y = 0 and h = 1 with stage i set to ``IMPULSE`` and every other stage
     to 0, each sum in component c is its row's entry i times 2^c exactly,
-    so a left-out nonzero entry, a wrong name, a wrong stage index or a
+    so a left-out nonzero entry, a wrong literal, a wrong stage index or a
     wrong component index shows as a wrong value.
     """
 
     A, B, E5, E3 = dynamics._TABLEAU[:4]
+    D, A_EXTRA = dynamics._TABLEAU[4:]
     IMPULSE = (1.0, 2.0, 4.0, 8.0, 16.0)
     ZERO = (0.0,) * 5
 
@@ -775,6 +786,35 @@ class TestUnrolledTableau:
         assert [e5 for e5, _ in estimates] == self.scaled(self.E5[:12])
         assert [e3 for _, e3 in estimates] == self.scaled(self.E3[:12])
         assert self.E5[12] == self.E3[12] == 0.0  # the entry of f_new, left out
+
+    def test_dense_output_reads_back_the_extra_rows_of_a_and_d(self):
+        # stages 0-11 and f_new (12) are given, the extra stages 13-15 come from rhs
+        read, sums = [[] for _ in self.A_EXTRA], []
+        for i in range(16):
+            inputs = []
+
+            def rhs(*x):  # the c-th call gives stage 12 + c
+                inputs.append(x)
+                return self.IMPULSE if 12 + len(inputs) == i else self.ZERO
+
+            k = [self.IMPULSE if c == i else self.ZERO for c in range(13)]
+            sums.append(dynamics._dense(rhs, [0.0] * 5, k, 1.0))
+            for j, x in enumerate(inputs, 13):  # stage j combines stages 0 to j - 1
+                if i < j:
+                    read[j - 13].append(x)
+                else:
+                    assert x == self.ZERO[:4], (i, j)
+        assert read == [self.scaled(row, 4) for row in self.A_EXTRA]
+        # sums[i][c][r]: D row r in component c, with stage i set
+        assert [[tuple(d[c][r] for c in range(5)) for d in sums]
+                for r in range(len(self.D))] == [self.scaled(row) for row in self.D]
+
+    def test_generated_source_is_registered(self):
+        # inspect reads the generated text back through linecache
+        for function in (dynamics._stages, dynamics._errors, dynamics._dense):
+            source = inspect.getsource(function)
+            assert source.startswith(f"def {function.__name__}(")
+            assert source in dynamics._STAGE_SOURCE
 
 
 def brent_and_brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS):

@@ -79,6 +79,16 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError):
             QuantumNumbers(n=1.5, l=0)
 
+    @pytest.mark.parametrize("n,l,name", [(2**53 + 1, 0, "n"), (10**154, 1, "n"),
+                                          (1, 10**200, "l"), (1, 10**5000, "l")],
+                             ids=["n-2**53+1", "n-1e154", "l-1e200", "l-1e5000"])
+    def test_numbers_past_2_to_the_53_are_rejected(self, n, l, name):
+        with pytest.raises(ValueError, match=f"^{name} must be <= 2\\*\\*53"):
+            QuantumNumbers(n=n, l=l)
+
+    def test_largest_numbers_are_kept(self):
+        assert QuantumNumbers(n=2**53, l=2**53).n_prime == 2**54
+
 
 class TestEnergyWindow:
     def test_circular_orbit_bound(self):

@@ -2,9 +2,10 @@
 
 Each example runs one command in-process through ``main(argv)`` with JSON
 output.  m, e2 and every beta are drawn log-uniform from the subnormals to
-the largest float, and l-limit's l from the subnormals to 0.1, together
-with small grids; verify-integrals sometimes takes energies one ulp either
-side of a window top m e2^2 ``window_top(b, l)``.  orbit draws its start
+the largest float, l-limit's l from the subnormals to 0.1 and scan-order's
+n from 1 to 10**200, together with small grids; verify-integrals sometimes
+takes energies one ulp either side of a window top m e2^2
+``window_top(b, l)``.  orbit draws its start
 state and span over the float range too.  Every run must exit 0, 1 or 2
 without a traceback, and pytest's ``filterwarnings = error`` fails it on
 any numpy warning.  Exit 2 is invalid input, named on stderr.  Exit 1 comes
@@ -36,6 +37,8 @@ beta = st.one_of(st.just(0.0), magnitude)
 signed = st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda pair: pair[0] * pair[1])
 # l-limit's fractional l, log-uniform from the smallest subnormal up to 0.1
 small_l = st.floats(-323.3, -1.0).map(lambda x: 10.0**x)
+# scan-order's n: 1 or 2, or 10**x for x uniform in [0, 200], past the 2**53 bound
+quantum_n = st.one_of(st.integers(1, 2), st.floats(0.0, 200.0).map(lambda x: int(10.0**x)))
 
 
 def grid(values, max_size):
@@ -71,7 +74,7 @@ def spectral_argv(draw):
     elif command == "scan-order":
         top = draw(magnitude)  # seven betas over two decades below it, as the default
         argv += ["--beta-grid", ",".join(repr(top * 10.0 ** (k / 3.0 - 2.0)) for k in range(7)),
-                 "--l-list", draw(subset([0, 1, 2])), "--n", str(draw(st.integers(1, 2)))]
+                 "--l-list", draw(subset([0, 1, 2])), "--n", str(draw(quantum_n))]
     else:
         argv += ["--beta-grid", draw(grid(beta, 2)),
                  "--l-grid", draw(grid(small_l, 3))]
