@@ -1,5 +1,6 @@
 """Quadrature oracles, spectrum solving, and scaling fits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -126,6 +127,55 @@ class TestTrapezoidRule:
         monkeypatch.setattr(numerics, "MAX_PANELS", 48)
         with pytest.raises(ToleranceNotReached, match="within 48 panels"):
             phase_integral_numeric(params, 0.005, 1)
+
+
+def pinned_grid(b):
+    """(reduced energies, l) of the pinned rows at b: line and band rows across the window."""
+    rows = []
+    for l in (0, 1, 2, 7, 30):
+        top = min(window_top(b, l), 1.0)
+        fracs = (1e-8, 0.01, 0.3, 0.9) if l == 0 else (1e-40, 1e-6, 0.01, 0.3, 0.9, 1 - 1e-9)
+        rows += [(frac * top, l) for frac in fracs]
+    if b == 0.0:  # one ulp below the circular bound at l = 1000 the rule misses QUAD_RTOL
+        rows.append((math.nextafter(window_top(b, 1000), 0.0), 1000))
+    energy, l = zip(*rows)
+    return np.array(energy), np.array(l)
+
+
+PINNED_B = (0.0, 1e-3, 0.1, 0.9, 3.0)
+PINNED_QUADRATURE = "33886b3c96614c9aafa227d06a52983401c27e083bd03cb6c3cd82b3889a12e3"
+
+
+class TestPinnedQuadratureBits:
+    """``_phase_rows``' values and error estimates, pinned bit for bit: a change to
+    any floating-point operation of the two rules or of the doubling shows here."""
+
+    def test_phase_rows_bits(self, monkeypatch):
+        orders, trapezoid = [], numerics._trapezoid
+
+        def counting(f, a, b, n):  # counts the orders a call evaluates
+            orders.append(0)
+
+            def counted(x):
+                orders[-1] += 1
+                return f(x)
+
+            return trapezoid(counted, a, b, n)
+
+        monkeypatch.setattr(numerics, "_trapezoid", counting)
+        digest, missed, doubled = hashlib.sha256(), 0, 0
+        for b in PINNED_B:
+            energy, l = pinned_grid(b)
+            # each b's rows in one call, where they share their grids, then row by row
+            for rows in [slice(None), *(slice(i, i + 1) for i in range(len(l)))]:
+                orders.clear()
+                value, err = numerics._phase_rows(b, energy[rows], l[rows])
+                digest.update(value.tobytes() + err.tobytes())
+                missed += int(np.isnan(value).sum())
+                doubled += len(value) == 1 and orders[0] > 1 and not np.isnan(value[0])
+        # the l = 1000 row misses alone (its batch's wider grid resolves it); 65 rows double
+        assert (missed, doubled) == (1, 65)
+        assert digest.hexdigest() == PINNED_QUADRATURE
 
 
 class TestPhaseIntegralNumeric:
