@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoRootInWindow, RequiresNonzeroL
+from .errors import NoRootInWindow, RequiresNonzeroL, ScaleOutOfRange
 from .model import PhysicalParams, QuantumNumbers, window_top
 
 __all__ = [
@@ -223,10 +223,15 @@ def energy_3d_perturbative_ref(params: PhysicalParams, qn: QuantumNumbers) -> fl
 
     Same prefactor as the l >= 1 :func:`energy_series` with bracket
     1/n' - 1/(l + 1/2) + 1/(2 l (l + 1/2)(l + 1)); the bracket vanishes
-    identically at (n', l) = (2, 1).  Breaks down at l = 0.
+    identically at (n', l) = (2, 1).  Breaks down at l = 0.  Raises
+    ScaleOutOfRange where b^2 is so large that the reduced value is not finite.
     """
     if qn.l == 0:
         raise RequiresNonzeroL("the perturbative comparator breaks down at l = 0")
     b, np_, l = params.b, qn.n_prime, qn.l
     bracket = 1.0 / np_ - 1.0 / (l + 0.5) + 1.0 / (2.0 * l * (l + 0.5) * (l + 1.0))
-    return params.physical(1.0 / (2.0 * np_ * np_) * (1.0 + 2.0 * b * b / np_ * bracket))
+    reduced = 1.0 / (2.0 * np_ * np_) * (1.0 + 2.0 * b * b / np_ * bracket)
+    if not math.isfinite(reduced):
+        raise ScaleOutOfRange(f"the perturbative comparator leaves the float range at "
+                              f"b = beta m e2 = {b!r} for {qn}: E/(m e2^2) = {reduced!r}")
+    return params.physical(reduced)

@@ -200,8 +200,9 @@ class QuantumNumbers:
         for name, value, low in (("n", self.n, 1), ("l", self.l, 0)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if value < low:  # the value is quoted only where str() of it cannot fail
+                got = f", got {value}" if value >= -_QUANTUM_MAX else ""
+                raise ValueError(f"{name} must be >= {low}{got}")
             if value > _QUANTUM_MAX:  # no value: str() of a huge int can itself fail
                 raise ValueError(f"{name} must be <= 2**53, up to which every integer is a float")
 

@@ -36,12 +36,14 @@ output, only the number of nodes.
 Every level has two routes.  The closed-form route is algebraic
 (``analytic.energy_closed``, which also decides whether a level is
 feasible): no root search.  The quadrature route solves Phi(E) = 2 pi n
-for a whole table at once: each level's bracket starts around its
-undeformed level 1 / (2 n'^2) and widens geometrically inside the
-energy window, then Illinois regula falsi runs in u = Ẽ^(-1/2), where Phi
-is exactly linear at b = 0, with one array evaluation per round over the
-levels still open, until each bracket is ``ROOT_RTOL`` wide relative.  A
-level that fails records its error in its own row.
+for a whole table at once: each level's bracket starts just below its
+undeformed level E0 = 1 / (2 n'^2), which the deformation lowers, and
+widens geometrically inside the energy window, then Anderson-Bjorck regula
+falsi runs in u = Ẽ^(-1/2), where Phi is exactly linear at b = 0, with one
+array evaluation per round over the levels still open, until each bracket
+is ``ROOT_RTOL`` wide relative; the level is the secant root through the
+converged bracket's ends.  A level that fails records its error in its
+own row.
 ``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
 same code, so this module loads no scipy.
 
@@ -304,15 +306,21 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> Pha
 def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together, reduced.
 
-    Each bracket starts at [E0/4, min(4 E0, top)] around the undeformed
-    level E0 = 1/(2 n'^2), top = ``window_top(b, l)`` (1 - 1e-9), and widens by
-    factors of 4 until the residual changes sign.  An upper end that
-    reaches top without a sign change makes the level infeasible
-    (``_infeasible``, quoting this route's residual).  Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) then shrinks it in u = E^(-1/2), where
+    Each bracket starts at [E0/4, min(E0, top)] below the undeformed level
+    E0 = 1/(2 n'^2), which the deformation lowers, top = ``window_top(b, l)``
+    (1 - 1e-9), and either end widens by factors of 4 until the residual
+    changes sign.  An upper end that reaches top without a sign change
+    makes the level infeasible (``_infeasible``, quoting this route's
+    residual).  Regula falsi then shrinks the bracket in u = E^(-1/2), where
     Phi is exactly linear at beta = 0, until its relative width in E is at
-    most ``ROOT_RTOL``; the iterate of smallest residual is the root.  Every
-    round evaluates all levels still open in one :func:`_phase_rows` call.
+    most ``ROOT_RTOL``.  When the new iterate c lands on the side of the
+    last one b, the other end stays, its residual scaled by Anderson-Bjorck's
+    m = 1 - f_c/f_b, or by Illinois' 1/2 where m <= 0 (Anderson & Bjorck,
+    BIT 13, 1973).  The root is the secant root through the unscaled
+    residuals at the converged bracket's two ends, where they differ in sign
+    and it lies inside the bracket; otherwise it is the iterate of smallest
+    residual.  Every round evaluates all levels still open in one
+    :func:`_phase_rows` call.
     Returns, per level, its reduced energy Ẽ or the SnyderCoulombError that
     stopped it; a failure stays in its own row.
     """
@@ -332,7 +340,8 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
             fail(rows[k], _missed(err[k]))
         return phi - target[rows]
 
-    lo, hi = np.minimum(e0, top) / 4.0, np.minimum(4.0 * e0, top)
+    hi = np.minimum(e0, top)  # the deformation lowers a level: it lies below E0
+    lo = hi / 4.0
     f_lo, f_hi = np.zeros(len(levels)), np.zeros(len(levels))
     widen_lo, widen_hi = active.copy(), active.copy()
     for _ in range(100):
@@ -352,6 +361,7 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
 
     # u = E^(-1/2) rises as E falls, and so does Phi: f_a > 0 > f_b.
     u_a, u_b, f_a, f_b = lo**-0.5, hi**-0.5, f_lo, f_hi
+    r_a = f_a.copy()  # the unscaled residual at a; b is the last iterate, never scaled
     best_u = np.where(np.abs(f_a) < np.abs(f_b), u_a, u_b)
     best_f = np.minimum(np.abs(f_a), np.abs(f_b))
     tol = ROOT_RTOL / 2.0  # relative width in u; E = u^-2 doubles it
@@ -369,9 +379,11 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
         better = np.abs(fc) < best_f[rows]
         best_u[rows] = np.where(better, c, best_u[rows])
         best_f[rows] = np.where(better, np.abs(fc), best_f[rows])
-        kept = fc * fb > 0.0  # same side as b: a stays, with its residual halved
+        kept = fc * fb > 0.0  # same side as b: a stays, its residual scaled by m
+        m = 1.0 - fc / fb  # Anderson-Bjorck's m, or Illinois' 1/2 where m <= 0
         u_a[rows] = np.where(fc == 0.0, c, np.where(kept, a, b))
-        f_a[rows] = np.where(kept, 0.5 * fa, fb)
+        f_a[rows] = np.where(kept, np.where(m > 0.0, m, 0.5) * fa, fb)
+        r_a[rows] = np.where(kept, r_a[rows], fb)
         u_b[rows], f_b[rows] = c, fc
     else:
         for i in np.flatnonzero(active):
@@ -379,6 +391,13 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
                 f"regula falsi did not reach rtol={ROOT_RTOL!r} "
                 f"in 100 steps for {levels[i]}"
             ))
+    # the root of the secant through the unscaled residuals at the converged ends,
+    # where they differ in sign and it falls inside the bracket, else the best iterate
+    ends = np.flatnonzero(r_a * f_b < 0.0)
+    a, b, fa, fb = u_a[ends], u_b[ends], r_a[ends], f_b[ends]
+    c = b - fb * (b - a) / (fb - fa)
+    inside = (np.minimum(a, b) <= c) & (c <= np.maximum(a, b))
+    best_u[ends[inside]] = c[inside]
     return [
         float(1.0 / (u * u)) if found is None else found
         for u, found in zip(best_u.tolist(), result)
@@ -388,10 +407,11 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
 def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
     """Root of the quadrature Phi(E) = 2 pi n for the level ``qn``.
 
-    A one-level call of the table solver: a bracket around the undeformed
-    level E0 = m e2^2/(2 n'^2), widened geometrically inside the energy
-    window, then Illinois regula falsi in u = E^(-1/2) to relative width
-    ``ROOT_RTOL`` in E, on a quadrature Phi held to ``QUAD_RTOL``.  Raises
+    A one-level call of the table solver: a bracket just below the
+    undeformed level E0 = m e2^2/(2 n'^2), widened geometrically inside the
+    energy window, then Anderson-Bjorck regula falsi in u = E^(-1/2) to
+    relative width ``ROOT_RTOL`` in E, on a quadrature Phi held to
+    ``QUAD_RTOL``, and the secant root through the final bracket.  Raises
     NoRootInWindow when the level is infeasible at this deformation (no
     root inside the window) and ToleranceNotReached when the quadrature or
     the root search misses its tolerance.
@@ -407,9 +427,10 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
 
     Entries are ordered by (n', l).  The closed route solves one level at
     a time; the quadrature route solves every closed-feasible level in one
-    table-wide Illinois search (see :func:`_solve_levels`), one array
-    evaluation of Phi per round.  Solver failures are recorded in-row and
-    do not abort the table or move the other rows.
+    table-wide search (see :func:`_solve_levels`: brackets starting below
+    each undeformed level, Anderson-Bjorck regula falsi, a final secant),
+    one array evaluation of Phi per round.  Solver failures are recorded
+    in-row and do not abort the table or move the other rows.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")

@@ -504,3 +504,11 @@ class TestEnergySeries:
     def test_perturbative_comparator_requires_nonzero_l(self):
         with pytest.raises(RequiresNonzeroL):
             energy_3d_perturbative_ref(PhysicalParams(1, 1, 0.1), QuantumNumbers(n=1, l=0))
+
+    @pytest.mark.parametrize("n,l", [(1, 1), (2, 1), (1, 2)])
+    def test_perturbative_comparator_outside_the_float_range_raises(self, n, l):
+        # b^2 overflows: the comparator would read +-inf, (1, 1) included, whose
+        # bracket is 5.6e-17 in floats rather than 0
+        with pytest.raises(ScaleOutOfRange, match=r"comparator leaves the float range at "
+                                                   r"b = beta m e2 = 1e\+300"):
+            energy_3d_perturbative_ref(PhysicalParams(1, 1, 1e300), QuantumNumbers(n=n, l=l))

@@ -86,6 +86,16 @@ class TestQuantumNumbers:
         with pytest.raises(ValueError, match=f"^{name} must be <= 2\\*\\*53"):
             QuantumNumbers(n=n, l=l)
 
+    @pytest.mark.parametrize("n,l,message", [
+        (-2**53, 0, f"n must be >= 1, got {-2**53}"), (-2**53 - 1, 0, "n must be >= 1"),
+        (-10**5000, 0, "n must be >= 1"), (1, -10**5000, "l must be >= 0"),
+    ], ids=["n-minus-2**53", "n-minus-2**53-1", "n-minus-1e5000", "l-minus-1e5000"])
+    def test_negative_numbers_are_quoted_only_within_2_to_the_53(self, n, l, message):
+        # str() of an int past 4,300 digits raises its own ValueError
+        with pytest.raises(ValueError) as info:
+            QuantumNumbers(n=n, l=l)
+        assert str(info.value) == message
+
     def test_largest_numbers_are_kept(self):
         assert QuantumNumbers(n=2**53, l=2**53).n_prime == 2**54
 

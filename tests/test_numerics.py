@@ -461,6 +461,14 @@ class TestTableSolver:
             assert abs(entry.e_numeric / alone - 1.0) <= 2 * 1e-12
             assert abs(entry.e_numeric / entry.e_closed - 1.0) <= 1e-11
 
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.01, 0.15, 0.9, 3.0])
+    def test_levels_agree_with_the_closed_route_to_roundoff(self, beta):
+        # the secant through the converged bracket's unscaled residuals: a few ulps
+        gaps = [abs(entry.e_numeric / entry.e_closed - 1.0)
+                for entry in spectrum_table(PhysicalParams(1, 1, beta), 20)
+                if entry.error is None]
+        assert gaps and max(gaps) <= 1e-14
+
     def test_missed_quadrature_fails_only_its_row(self, monkeypatch):
         # A row of the first array call misses its tolerance: the l = 0
         # level (n', l) = (3, 0), whose rows share the fixed 450-panel line.
