@@ -11,9 +11,10 @@ everything between computes in the reduced units of ``model.PhysicalParams``:
 Ẽ = E/(m e2^2) and b = beta m e2, so no formula here carries m or e2.
 
 Quadrature strategy: a trapezoid rule in log variables.  One array core,
-``_phase_rows``, evaluates the raw integrands for many (E, l) rows at once,
-as a rows x nodes array per order.  The integrands are analytic, so the
-rule converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
+``_phase_rows``, evaluates the raw integrands for many float (E, l) rows at
+once, as a rows x nodes array per order, and refuses the rows its floats
+cannot represent.  The integrands are analytic, so the rule converges
+exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
 
 * the real-line integrand is even; p = e^s maps (0, inf) to the line, and
   s spans ln sqrt(2Ẽ) +- 45 starting at 450 panels (h = 0.2), shared by
@@ -42,8 +43,8 @@ widens geometrically inside the energy window, then Anderson-Bjorck regula
 falsi runs in u = Ẽ^(-1/2), where Phi is exactly linear at b = 0, with one
 array evaluation per round over the levels still open, until each bracket
 is ``ROOT_RTOL`` wide relative; the level is the secant root through the
-converged bracket's ends.  A level that fails records its error in its
-own row.
+converged bracket's ends, else the last iterate.  A level that fails
+records its error in its own row.
 ``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
 same code, so this module loads no scipy.
 
@@ -195,8 +196,12 @@ def _phi_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return factors
 
 
-def _missed(estimate: float) -> ToleranceNotReached:
-    """The error of a row the trapezoid rule left NaN."""
+def _missed(energy: float, l: float, estimate: float) -> ToleranceNotReached:
+    """The error of a row that :func:`_phase_rows` left NaN: refused (estimate inf) or missed."""
+    if estimate == math.inf:
+        return ToleranceNotReached(f"trapezoid rule takes band rows down to E/(m e2^2) = "
+                                   f"{BAND_FLOOR!r} and l = 0 rows up to {LINE_CEILING!r}, "
+                                   f"got {energy!r} at l={l!r}")
     return ToleranceNotReached(
         f"trapezoid rule did not reach rtol={QUAD_RTOL!r} within "
         f"{MAX_PANELS} panels (estimate {estimate:.3g})"
@@ -227,11 +232,11 @@ def _band_edges(energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loop phase integrals at the rows (energy[i], l[i]), from the raw integrands, reduced.
+    """Loop phase integrals at the float rows (energy[i], l[i]), from the raw integrands, reduced.
 
     The rows must lie strictly inside their windows, where every band has
-    positive width, band rows at or above ``BAND_FLOOR`` and line rows at
-    most ``LINE_CEILING``.  The l = 0 rows integrate
+    positive width; a band row below ``BAND_FLOOR`` or a line row above
+    ``LINE_CEILING`` is refused: NaN, with estimate inf.  The l = 0 rows integrate
     2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
     integral over p = e^s, s in ln sqrt(2Ẽ) +- 45, on one array starting
     at 450 panels.  The l >= 1 rows integrate
@@ -240,13 +245,13 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
     grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
     widest row's L.  Returns (values, error estimates) as arrays; a row
-    that missed ``QUAD_RTOL`` is NaN.
+    that missed ``QUAD_RTOL`` is NaN with its last estimate (:func:`_missed`).
     """
     b2 = b * b
     two_e = 2.0 * energy
-    value, err = np.empty(energy.shape), np.empty(energy.shape)  # every row is assigned
+    value, err = np.full(energy.shape, np.nan), np.full(energy.shape, np.inf)
 
-    line = np.flatnonzero(l == 0)
+    line = np.flatnonzero((l == 0) & (energy <= LINE_CEILING))
     if line.size:
         line_two_e = two_e[line, None]
 
@@ -259,7 +264,7 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
         centre = 0.5 * np.log(two_e[line])
         value[line], err[line] = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450)
 
-    band = np.flatnonzero(l != 0)
+    band = np.flatnonzero((l != 0) & (energy >= BAND_FLOOR))
     if band.size:
         band_l, band_two_e = l[band, None], two_e[band, None]
         z_minus, z_plus = _band_edges(energy[band, None], band_l)
@@ -281,25 +286,21 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
 def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> PhaseIntegralResult:
     """Loop phase integral at one (E, l), evaluated from the raw integrand.
 
-    A one-row call of :func:`_phase_rows`, which describes both rules.
-    Must agree with the closed-form counterpart within quadrature
-    tolerance.  Raises OutOfWindow at the points where the closed forms do
-    (``PhysicalParams.admit``) and ToleranceNotReached when the rule misses
-    ``QUAD_RTOL``, or for a band row below ``BAND_FLOOR`` or a line row
-    above ``LINE_CEILING``, which it cannot represent.  At the
+    A one-row call of :func:`_phase_rows`, which describes both rules and
+    the rows it refuses.  Must agree with the closed-form counterpart
+    within quadrature tolerance.  Raises OutOfWindow at the points where
+    the closed forms do (``PhysicalParams.admit``) and ToleranceNotReached
+    when the rule misses ``QUAD_RTOL`` or refuses the row (a band row below
+    ``BAND_FLOOR`` or a line row above ``LINE_CEILING``).  At the
     circular-orbit endpoint, which ``PhysicalParams.admit`` flags, the band
     has zero width: the value is 0 with error 0, and no rule runs.
     """
     energy, endpoint = params.admit(energy, l)
     if endpoint:
         return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
-    if not (BAND_FLOOR <= energy if l != 0 else energy <= LINE_CEILING):
-        raise ToleranceNotReached(f"trapezoid rule takes band rows down to E/(m e2^2) = "
-                                  f"{BAND_FLOOR!r} and l = 0 rows up to {LINE_CEILING!r}, "
-                                  f"got {energy!r} at l={l!r}")
-    value, err = _phase_rows(params.b, np.array([energy], dtype=float), np.array([l]))
+    value, err = _phase_rows(params.b, np.array([energy]), np.array([l], dtype=float))
     if math.isnan(value[0]):
-        raise _missed(err[0])
+        raise _missed(energy, l, err[0])
     return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
 
@@ -311,22 +312,22 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     (1 - 1e-9), and either end widens by factors of 4 until the residual
     changes sign.  An upper end that reaches top without a sign change
     makes the level infeasible (``_infeasible``, quoting this route's
-    residual).  Regula falsi then shrinks the bracket in u = E^(-1/2), where
-    Phi is exactly linear at beta = 0, until its relative width in E is at
-    most ``ROOT_RTOL``.  When the new iterate c lands on the side of the
-    last one b, the other end stays, its residual scaled by Anderson-Bjorck's
+    residual), and so does an empty window (top = 0: 2 b^2 overflows), at
+    once.  Regula falsi then shrinks the bracket in u = E^(-1/2), where Phi
+    is exactly linear at beta = 0, until its relative width in E is at most
+    ``ROOT_RTOL``.  When the new iterate c lands on the side of the last
+    one b, the other end stays, its residual scaled by Anderson-Bjorck's
     m = 1 - f_c/f_b, or by Illinois' 1/2 where m <= 0 (Anderson & Bjorck,
     BIT 13, 1973).  The root is the secant root through the unscaled
-    residuals at the converged bracket's two ends, where they differ in sign
-    and it lies inside the bracket; otherwise it is the iterate of smallest
-    residual.  Every round evaluates all levels still open in one
-    :func:`_phase_rows` call.
+    residuals at the converged bracket's two ends, where they differ in
+    sign and it lies inside the bracket, else the last iterate.  Every
+    round evaluates all levels still open in one :func:`_phase_rows` call.
     Returns, per level, its reduced energy Ẽ or the SnyderCoulombError that
     stopped it; a failure stays in its own row.
     """
     result: list = [None] * len(levels)
     active = np.ones(len(levels), dtype=bool)
-    l = np.array([qn.l for qn in levels], dtype=int)
+    l = np.array([qn.l for qn in levels], dtype=float)
     target = TWO_PI * np.array([qn.n for qn in levels], dtype=float)
     e0 = 1.0 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
     top = np.array([window_top(params.b, qn.l) * (1.0 - 1e-9) for qn in levels])
@@ -337,10 +338,12 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
         phi, err = _phase_rows(params.b, energy, l[rows])
         for k in np.flatnonzero(np.isnan(phi)):
-            fail(rows[k], _missed(err[k]))
+            fail(rows[k], _missed(float(energy[k]), levels[rows[k]].l, err[k]))
         return phi - target[rows]
 
-    hi = np.minimum(e0, top)  # the deformation lowers a level: it lies below E0
+    for i in np.flatnonzero(top == 0.0):  # 2 b^2 overflows: no bracket fits
+        fail(i, NoRootInWindow(f"empty reduced window (0, 0.0) for {levels[i]}"))
+    hi = np.where(active, np.minimum(e0, top), e0)  # below E0, which the deformation lowers
     lo = hi / 4.0
     f_lo, f_hi = np.zeros(len(levels)), np.zeros(len(levels))
     widen_lo, widen_hi = active.copy(), active.copy()
@@ -362,8 +365,6 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     # u = E^(-1/2) rises as E falls, and so does Phi: f_a > 0 > f_b.
     u_a, u_b, f_a, f_b = lo**-0.5, hi**-0.5, f_lo, f_hi
     r_a = f_a.copy()  # the unscaled residual at a; b is the last iterate, never scaled
-    best_u = np.where(np.abs(f_a) < np.abs(f_b), u_a, u_b)
-    best_f = np.minimum(np.abs(f_a), np.abs(f_b))
     tol = ROOT_RTOL / 2.0  # relative width in u; E = u^-2 doubles it
     for _ in range(100):
         active &= ~(np.abs(u_b - u_a) <= tol * u_b)
@@ -376,9 +377,6 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
         c = np.where(np.abs(c - b) < least, b + np.copysign(least, a - b), c)
         c = np.where((np.minimum(a, b) < c) & (c < np.maximum(a, b)), c, 0.5 * (a + b))
         fc = residual(rows, 1.0 / (c * c))
-        better = np.abs(fc) < best_f[rows]
-        best_u[rows] = np.where(better, c, best_u[rows])
-        best_f[rows] = np.where(better, np.abs(fc), best_f[rows])
         kept = fc * fb > 0.0  # same side as b: a stays, its residual scaled by m
         m = 1.0 - fc / fb  # Anderson-Bjorck's m, or Illinois' 1/2 where m <= 0
         u_a[rows] = np.where(fc == 0.0, c, np.where(kept, a, b))
@@ -392,15 +390,15 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
                 f"in 100 steps for {levels[i]}"
             ))
     # the root of the secant through the unscaled residuals at the converged ends,
-    # where they differ in sign and it falls inside the bracket, else the best iterate
+    # where they differ in sign and it falls inside the bracket, else the last iterate
     ends = np.flatnonzero(r_a * f_b < 0.0)
     a, b, fa, fb = u_a[ends], u_b[ends], r_a[ends], f_b[ends]
     c = b - fb * (b - a) / (fb - fa)
     inside = (np.minimum(a, b) <= c) & (c <= np.maximum(a, b))
-    best_u[ends[inside]] = c[inside]
+    u_b[ends[inside]] = c[inside]
     return [
         float(1.0 / (u * u)) if found is None else found
-        for u, found in zip(best_u.tolist(), result)
+        for u, found in zip(u_b.tolist(), result)
     ]
 
 

@@ -197,6 +197,14 @@ class TestVerifyIntegrals:
         assert len(rows) == 1
         assert "skipped=1" in err
 
+    def test_l_past_the_int64_square(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-integrals", "--l-grid", "4000000000", "--beta-grid", "0",
+            "--energies-per-cell", "2",
+        )
+        assert code == 0 and "checked=2 skipped=0 " in err, err
+        assert all(float(r["rel_dev"]) <= 1e-13 for r in parse_csv(out)[1])
+
     @pytest.mark.parametrize("argv", [
         # one ulp below m e2^2 window_top(b, l), which admit reads as the top:
         # the circular endpoint, where Phi = 0 and rel_dev divided by it

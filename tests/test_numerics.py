@@ -120,6 +120,14 @@ class TestTrapezoidRule:
         with pytest.raises(ToleranceNotReached, match="and l = 0 rows up to"):
             phase_integral_numeric(params, math.nextafter(top, math.inf), 0)
 
+    def test_refused_rows_come_back_nan_with_estimate_inf(self):
+        # a band row below BAND_FLOOR and a line row above LINE_CEILING are not
+        # evaluated; the row between them reads as it does alone
+        energy, l = np.array([1e-101, 0.1, 1e201]), np.array([1.0, 1.0, 0.0])
+        value, err = numerics._phase_rows(0.0, energy, l)
+        assert np.isnan(value[[0, 2]]).all() and (err[[0, 2]] == math.inf).all()
+        assert (value[1], err[1]) == tuple(numerics._phase_rows(0.0, energy[1:2], l[1:2]))
+
     def test_lowered_panel_cap_raises(self, monkeypatch):
         # this band row starts at 48 panels, whose estimate misses QUAD_RTOL
         params = PhysicalParams(1, 1, 0.0)
@@ -258,6 +266,13 @@ class TestPhaseIntegralNumeric:
             assert closed == numeric == 0.0
         else:  # top is the pole
             assert closed is OutOfWindow
+
+    def test_l_past_the_int64_square(self):
+        # l * l = 1.6e19 wraps as an int64; the rows are floats
+        params = PhysicalParams(1, 1, 0)
+        numeric = phase_integral_numeric(params, 1e-20, 4_000_000_000).value
+        closed = radial_phase_integral_closed(params, 1e-20, 4_000_000_000).value
+        assert numeric == pytest.approx(closed, rel=1e-12)
 
     def test_negative_l_fails_the_window_check(self):
         with pytest.raises(ValueError, match="l must be >= 0"):
@@ -504,6 +519,19 @@ class TestTableSolver:
         monkeypatch.setattr(numerics, "ROOT_RTOL", 0.0)
         with pytest.raises(ToleranceNotReached, match="did not reach rtol=0.0 in 100 steps"):
             energy_numeric(PhysicalParams(1, 1, 0.1), QuantumNumbers(1, 1))
+
+    def test_bracket_below_the_band_floor_is_refused(self):
+        # b = 1e60 puts the l = 1 window top at 5e-121, below BAND_FLOOR
+        with pytest.raises(ToleranceNotReached, match="takes band rows down to"):
+            energy_numeric(PhysicalParams(1, 1, 1e60), QuantumNumbers(1, 1))
+
+    def test_empty_window_fails_before_any_evaluation(self, monkeypatch):
+        # 2 b^2 overflows: the window top is 0 and no bracket fits below it
+        params = PhysicalParams(2.58e24, 3.53e42, 1.59e109)
+        assert window_top(params.b, 1) == 0.0
+        monkeypatch.setattr(numerics, "_phase_rows", None)
+        with pytest.raises(NoRootInWindow, match=r"empty reduced window \(0, 0.0\)"):
+            energy_numeric(params, QuantumNumbers(2**40, 1))
 
     def test_underflowing_beta_raises_no_zero_division(self):
         params = PhysicalParams(1, 1, 1e-200)

@@ -1,4 +1,4 @@
-"""The five commands over the whole float range of their inputs.
+"""The five commands and the two quadrature entries over the whole float range of their inputs.
 
 Each example runs one command in-process through ``main(argv)`` with JSON
 output.  m, e2 and every beta are drawn log-uniform from the subnormals to
@@ -13,6 +13,11 @@ with a typed error, in a row of the output or as the one message of a
 package error, or with a check that failed on finite numbers.  A row
 without an error holds no NaN.
 
+``phase_integral_numeric`` and ``energy_numeric`` are called directly, with
+m, e2 and beta drawn as above, energies log-uniform up to the energy unit,
+n up to 2**40 and l up to 2**53, past where an int64 l*l wraps.  Each call
+returns a finite float or raises a SnyderCoulombError, and emits no warning.
+
 The examples are derandomized, so the suite draws the same inputs on every
 run.
 """
@@ -26,7 +31,8 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snyder_coulomb import PhysicalParams, dynamics, errors, window_top
+from snyder_coulomb import (PhysicalParams, QuantumNumbers, dynamics, energy_numeric, errors,
+                            phase_integral_numeric, window_top)
 from snyder_coulomb.cli import main
 
 TYPED = tuple(name for name in errors.__all__ if name != "SnyderCoulombError")
@@ -39,6 +45,8 @@ signed = st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda pair: pai
 small_l = st.floats(-323.3, -1.0).map(lambda x: 10.0**x)
 # scan-order's n: 1 or 2, or 10**x for x uniform in [0, 200], past the 2**53 bound
 quantum_n = st.one_of(st.integers(1, 2), st.floats(0.0, 200.0).map(lambda x: int(10.0**x)))
+# an energy's share of the energy unit m e2^2, log-uniform from the subnormals up to 1
+unit_share = st.floats(-323.3, 0.0).map(lambda x: 10.0**x)
 
 
 def grid(values, max_size):
@@ -152,3 +160,21 @@ def test_orbit_ends_in_a_typed_outcome(argv):
         (row,) = json.loads(out)["rows"]
         # a null precession is a run of fewer than three perihelia
         assert row["h_drift"] is not None and row["j_drift"] is not None, (argv, row)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(magnitude, magnitude, beta, unit_share,
+       st.one_of(st.integers(1, 3), st.floats(0.0, 40.0).map(lambda x: int(2.0**x))),
+       st.sampled_from([0, 1, 2, 3, 7, 4_000_000_000, 2**40, 2**53]))
+def test_quadrature_entries_end_in_a_finite_float_or_a_typed_error(m, e2, beta, share, n, l):
+    params = PhysicalParams(m, e2, beta)
+    energy = params.unit * share  # inf or 0 where the unit leaves the float range
+    for call in (lambda: phase_integral_numeric(params, energy, l),
+                 lambda: energy_numeric(params, QuantumNumbers(n, l))):
+        try:
+            result = call()
+        except errors.SnyderCoulombError:
+            continue
+        values = (result,) if isinstance(result, float) else (result.value, result.err_estimate)
+        assert all(math.isfinite(value) for value in values), (params, energy, n, l, result)
