@@ -198,20 +198,16 @@ def _cmd_spectrum(cfg: dict[str, Any]) -> int:
     header = ["n_prime", "l", "beta", "E_newton", "E_closed", "E_numeric",
               "E_series", "rel_gap_closed_numeric", "error"]
     rows = []
-    failed = False
     for entry in entries:
-        if entry.error is None:
-            gap = abs(entry.e_closed - entry.e_numeric) / abs(entry.e_closed)
-        else:
-            gap = math.nan
-            failed = True
+        gap = math.nan if entry.error else (
+            abs(entry.e_closed - entry.e_numeric) / abs(entry.e_closed))
         rows.append([
             entry.qn.n_prime, entry.qn.l, params.beta, entry.e_newton,
             entry.e_closed, entry.e_numeric, entry.e_series, gap,
             entry.error or "",
         ])
     _emit(cfg, "spectrum", header, rows)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_CHECK_FAILED if any(entry.error for entry in entries) else EXIT_OK
 
 
 def _cell_energies(params, l: int, count: int) -> list[float]:

@@ -187,10 +187,21 @@ def invariants(
     ``state`` is an OrbitState, or ``Trajectory.samples`` (anything with
     the attributes x1, x2, p1, p2), for which H and J hold one entry per
     sample.  Squares are products, as float ``**2`` and numpy's may differ.
+    Raises ValueError where H or J is not finite (a term overflows), naming
+    the state or the first such sample.
     """
-    r = np.hypot(state.x1, state.x2)
-    h = (state.p1 * state.p1 + state.p2 * state.p2) / (2.0 * params.m) - params.e2 / r
-    j = state.x1 * state.p2 - state.x2 * state.p1
+    with np.errstate(all="ignore"):  # an overflow reads inf, raised below
+        r = np.hypot(state.x1, state.x2)
+        h = (state.p1 * state.p1 + state.p2 * state.p2) / (2.0 * params.m) - params.e2 / r
+        j = state.x1 * state.p2 - state.x2 * state.p1
+    finite = np.isfinite(h) & np.isfinite(j)
+    if not finite.all():
+        where = repr(state)
+        if finite.ndim:  # samples: name the first that is not finite
+            k = int(np.argmin(finite))
+            point = tuple(float(v[k]) for v in (state.x1, state.x2, state.p1, state.p2))
+            where = f"sample {k}, (x1, x2, p1, p2) = {point!r}"
+        raise ValueError(f"H and J are not both finite at {where}")
     return h, j
 
 
@@ -225,7 +236,8 @@ def integrate_orbit(
     finite numbers > 0, checked in that order, and StepUnderflow if the
     controller's step collapses, the state overflows (the message names
     the clock of the last finite state) or the run takes more than 10**6
-    steps, before ``t_end``.
+    steps, before ``t_end``; and :func:`invariants` raises ValueError where
+    H or J of a sample is not finite.
     """
     floor_sq = _COLLISION_FLOOR * _COLLISION_FLOOR
 

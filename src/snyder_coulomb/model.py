@@ -90,9 +90,9 @@ def window_top(b: float, l: float) -> float:
 
     The lower of the circular-orbit bound 1/(2 l^2) (``l > 0``) and the
     pole 1/(2 b^2), or ``math.inf``; it can only fall as ``l`` or ``b``
-    grows.  A 2 b^2 that underflows to 0 puts the pole at inf, and one that
-    overflows puts the top at 0.  A 2 l^2 that underflows to 0 (l below
-    about 1e-162) puts the circular bound at inf.
+    grows.  Where 1/(2 b^2) overflows (b below about 5e-155) the pole is
+    inf, and where 2 b^2 overflows the top is 0.  Where 1/(2 l^2) overflows
+    (l below about 5e-155) the circular bound is inf.
     """
     if not l >= 0:
         raise ValueError(f"l must be >= 0, got {l}")

@@ -34,10 +34,10 @@ fixed: the rule converges so fast that once the estimate meets any
 tolerance, the sum itself is at roundoff, so a tighter one would change no
 output, only the number of nodes.
 
-Every level has two routes.  The closed-form route is algebraic
-(``analytic.energy_closed``, which also decides whether a level is
-feasible): no root search.  The quadrature route solves Phi(E) = 2 pi n
-for a whole table at once: each level's bracket starts just below its
+Every level has two routes, and neither gates the other.  The closed-form
+route is algebraic (``analytic.energy_closed``): no root search.  The
+quadrature route solves Phi(E) = 2 pi n for a whole table at once,
+infeasible levels included: each level's bracket starts just below its
 undeformed level E0 = 1 / (2 n'^2), which the deformation lowers, and
 widens geometrically inside the energy window, then Anderson-Bjorck regula
 falsi runs in u = Ẽ^(-1/2), where Phi is exactly linear at b = 0, with one
@@ -154,10 +154,11 @@ def _trapezoid(
     ``a`` and ``b`` when they are arrays), to a rows x nodes array.  The
     error estimate |T_n - T_{n/2}| reuses every other node of the same
     evaluation.  While any row's estimate exceeds ``QUAD_RTOL * |T_n|``, n
-    doubles for the whole array; each row keeps the sum of the first order
-    that met ``QUAD_RTOL``, so its value does not depend on the rows beside
-    it.  A row still missing after a doubling past ``MAX_PANELS`` comes back
-    NaN, with its last estimate.  Returns (values, error estimates).
+    doubles for the whole array; each row keeps the sum of its own first
+    order that met ``QUAD_RTOL``, but the starting order ``n`` is the
+    batch's, so a row's value can depend on the rows beside it.  A row still
+    missing after a doubling past ``MAX_PANELS`` comes back NaN, with its
+    last estimate.  Returns (values, error estimates).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     value, err, missing = np.nan, np.nan, True
@@ -405,14 +406,11 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
 def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
     """Root of the quadrature Phi(E) = 2 pi n for the level ``qn``.
 
-    A one-level call of the table solver: a bracket just below the
-    undeformed level E0 = m e2^2/(2 n'^2), widened geometrically inside the
-    energy window, then Anderson-Bjorck regula falsi in u = E^(-1/2) to
-    relative width ``ROOT_RTOL`` in E, on a quadrature Phi held to
-    ``QUAD_RTOL``, and the secant root through the final bracket.  Raises
-    NoRootInWindow when the level is infeasible at this deformation (no
-    root inside the window) and ToleranceNotReached when the quadrature or
-    the root search misses its tolerance.
+    A one-level call of the table solver :func:`_solve_levels`, which
+    describes the search.  Raises NoRootInWindow when the level is
+    infeasible at this deformation (no root inside the window) and
+    ToleranceNotReached when the quadrature or the root search misses its
+    tolerance.
     """
     (energy,) = _solve_levels(params, [qn])
     if isinstance(energy, SnyderCoulombError):
@@ -423,12 +421,13 @@ def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
 def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEntry]:
     """All levels with 1 <= n' <= n_prime_max, 0 <= l <= n' - 1.
 
-    Entries are ordered by (n', l).  The closed route solves one level at
-    a time; the quadrature route solves every closed-feasible level in one
-    table-wide search (see :func:`_solve_levels`: brackets starting below
-    each undeformed level, Anderson-Bjorck regula falsi, a final secant),
-    one array evaluation of Phi per round.  Solver failures are recorded
-    in-row and do not abort the table or move the other rows.
+    Entries are ordered by (n', l).  Both routes solve every level: the
+    closed route one at a time, the quadrature route all in one table-wide
+    search (see :func:`_solve_levels`: brackets starting below each
+    undeformed level, Anderson-Bjorck regula falsi, a final secant), one
+    array evaluation of Phi per round.  A row's error is the closed route's
+    failure, else the quadrature route's; it does not abort the table or
+    move the other rows.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")
@@ -437,19 +436,14 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
         for n_prime in range(1, n_prime_max + 1)
         for l in range(n_prime)
     ]
-    closed: list[float | SnyderCoulombError] = []
-    for qn in levels:
-        try:
-            closed.append(energy_closed(params, qn))
-        except SnyderCoulombError as exc:  # per-entry isolation
-            closed.append(exc)
-    feasible = [qn for qn, e in zip(levels, closed) if not isinstance(e, SnyderCoulombError)]
-    numeric = iter(_solve_levels(params, feasible))
     entries: list[SpectrumEntry] = []
-    for qn, e_closed in zip(levels, closed):
+    for qn, e_numeric in zip(levels, _solve_levels(params, levels)):
+        try:
+            e_closed = energy_closed(params, qn)
+        except SnyderCoulombError as exc:  # per-entry isolation
+            e_numeric = exc
         e_newton = params.physical(1.0 / (2.0 * qn.n_prime**2))
         e_series = energy_series(params, qn)
-        e_numeric = e_closed if isinstance(e_closed, SnyderCoulombError) else next(numeric)
         if isinstance(e_numeric, SnyderCoulombError):  # the closed failure, else the numeric one
             entries.append(SpectrumEntry(
                 qn, e_newton, math.nan, math.nan, e_series,
@@ -517,18 +511,15 @@ def l_limit_study(
     The gap column is the raw difference phi_radial(l) - phi_one_dim; it is
     dominated by the -pi*l band-offset term at small l, and the l -> 0
     limit of the radial closed form reproduces the 1D closed form exactly
-    (for every beta), as the rows make visible.  OutOfWindow failures are
-    recorded in-row, as in :func:`spectrum_table`, and do not abort the
-    study; when the 1D form fails, the radial form is not evaluated.
+    (for every beta), as the rows make visible.  Each row evaluates the 1D
+    form, then the radial form; the first OutOfWindow failure is recorded
+    in-row, as in :func:`spectrum_table`, and does not abort the study.
     """
-    try:
-        phi_1d = phase_integral_1d_closed(params, energy).value
-    except OutOfWindow as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return [LLimitRow(float(l), math.nan, math.nan, math.nan, error) for l in l_grid]
     rows: list[LLimitRow] = []
     for l in l_grid:
+        phi_1d = math.nan
         try:
+            phi_1d = phase_integral_1d_closed(params, energy).value
             phi_r = radial_phase_integral_closed(params, energy, float(l)).value
             rows.append(LLimitRow(float(l), phi_r, phi_1d, phi_r - phi_1d))
         except OutOfWindow as exc:

@@ -190,6 +190,23 @@ class TestInvariants:
         _, j = invariants(OrbitState(1.0, 1.0, 1.0, 1.0), PhysicalParams(1, 1, 0))
         assert j == 0.0
 
+    @pytest.mark.parametrize("state", [
+        OrbitState(1e-320, 0.0, 0.0, 1.0),  # e2/r overflows: was numpy's RuntimeWarning
+        OrbitState(1.0, 0.0, 1e200, 0.0),  # p1^2 overflows: was H = inf
+        OrbitState(1e200, 1e200, 1e200, 1e200),  # inf - inf: was J = nan
+    ])
+    def test_non_finite_invariants_are_a_value_error(self, state):
+        with pytest.raises(ValueError, match=re.escape(f"not both finite at {state!r}")):
+            invariants(state, PhysicalParams(1, 1, 0))
+
+    def test_non_finite_sample_is_named(self):
+        params = PhysicalParams(1, 1, 0)
+        samples = integrate_orbit(ECCENTRIC, params, T_ECC).samples.copy()
+        samples.p1[[3, 5]] = 1e200
+        point = (float(samples.x1[3]), float(samples.x2[3]), 1e200, float(samples.p2[3]))
+        with pytest.raises(ValueError, match=re.escape(f"at sample 3, (x1, x2, p1, p2) = {point!r}")):
+            invariants(samples, params)
+
 
 class TestBracketAlgebra:
     def test_angular_momentum_commutes_with_hamiltonian(self):

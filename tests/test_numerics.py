@@ -13,6 +13,7 @@ from snyder_coulomb import (
     OutOfWindow,
     PhysicalParams,
     QuantumNumbers,
+    SnyderCoulombError,
     ToleranceNotReached,
     correction_order,
     energy_closed,
@@ -483,6 +484,27 @@ class TestTableSolver:
                 for entry in spectrum_table(PhysicalParams(1, 1, beta), 20)
                 if entry.error is None]
         assert gaps and max(gaps) <= 1e-14
+
+    @pytest.mark.parametrize("beta", [3.0, 10.0])
+    def test_both_routes_solve_every_level(self, monkeypatch, beta):
+        # the quadrature route brackets the closed route's infeasible levels too,
+        # and each row's error is the closed route's failure, word for word
+        params = PhysicalParams(1, 1, beta)
+        calls, core = [], numerics._phase_rows
+
+        def counting_core(*args):
+            calls.append(len(args[1]))
+            return core(*args)
+
+        monkeypatch.setattr(numerics, "_phase_rows", counting_core)
+        table = spectrum_table(params, 8)
+        assert calls[0] == 2 * 36  # both bracket ends of all 36 levels
+        failed = [entry for entry in table if entry.error is not None]
+        assert failed
+        for entry in failed:
+            with pytest.raises(SnyderCoulombError) as closed:
+                energy_closed(params, entry.qn)
+            assert entry.error == f"{type(closed.value).__name__}: {closed.value}"
 
     def test_missed_quadrature_fails_only_its_row(self, monkeypatch):
         # A row of the first array call misses its tolerance: the l = 0

@@ -17,6 +17,11 @@ without an error holds no NaN.
 m, e2 and beta drawn as above, energies log-uniform up to the energy unit,
 n up to 2**40 and l up to 2**53, past where an int64 l*l wraps.  Each call
 returns a finite float or raises a SnyderCoulombError, and emits no warning.
+The other public functions of the spectra and the dynamics are called the
+same way, with energies log-uniform over the float range, n and l up to
+2**53 and signed state components: each returns finite values, raises a
+SnyderCoulombError or raises the ValueError its docstring names.  The only
+non-finite values allowed are the ones the docstrings promise.
 
 The examples are derandomized, so the suite draws the same inputs on every
 run.
@@ -26,13 +31,17 @@ import contextlib
 import io
 import json
 import math
+import sys
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snyder_coulomb import (PhysicalParams, QuantumNumbers, dynamics, energy_numeric, errors,
-                            phase_integral_numeric, window_top)
+from snyder_coulomb import (OrbitState, PhysicalParams, QuantumNumbers, correction_order,
+                            dynamics, energy_3d_perturbative_ref, energy_closed, energy_numeric,
+                            energy_series, equations_of_motion, errors, invariants,
+                            l_limit_study, level_closed, phase_integral_1d_closed,
+                            phase_integral_numeric, radial_phase_integral_closed, window_top)
 from snyder_coulomb.cli import main
 
 TYPED = tuple(name for name in errors.__all__ if name != "SnyderCoulombError")
@@ -178,3 +187,65 @@ def test_quadrature_entries_end_in_a_finite_float_or_a_typed_error(m, e2, beta, 
             continue
         values = (result,) if isinstance(result, float) else (result.value, result.err_estimate)
         assert all(math.isfinite(value) for value in values), (params, energy, n, l, result)
+
+
+def settled(call, *named):
+    """``call()``, or None where it raised a SnyderCoulombError or one of the ``named`` errors."""
+    try:
+        return call()
+    except (errors.SnyderCoulombError, *named):
+        return None
+
+
+def finite(*values):
+    return all(math.isfinite(value) for value in values)
+
+
+# n or l: small, or 2**x for x uniform in [0, 53], up to the QuantumNumbers bound
+quantum = st.one_of(st.integers(0, 3), st.floats(0.0, 53.0).map(lambda x: int(2.0**x)))
+# a fractional or an integer l > 0, as the radial closed form takes it
+float_l = st.one_of(small_l, st.floats(0.0, 53.0).map(lambda x: float(int(2.0**x))))
+# the top of correction_order's beta grid, whose two decades below it stay positive
+grid_top = st.floats(-300.0, 308.25).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(magnitude, magnitude, beta, magnitude, quantum, quantum, float_l, grid_top,
+       st.tuples(signed, signed, signed, signed))
+def test_public_functions_end_in_finite_values_or_a_typed_error(m, e2, beta, energy, n, l,
+                                                                 radial_l, top_beta, y):
+    params = PhysicalParams(m, e2, beta)
+    qn = QuantumNumbers(max(n, 1), l)
+    context = (params, energy, qn, radial_l, top_beta, y)
+
+    for call in (lambda: energy_closed(params, qn), lambda: level_closed(params.b, qn),
+                 lambda: energy_3d_perturbative_ref(params, qn)):
+        value = settled(call)
+        assert value is None or finite(value), (context, value)
+    series = settled(lambda: energy_series(params, qn))  # -inf at a huge b, as documented
+    assert series is None or finite(series) or series == -math.inf, (context, series)
+
+    b, top = params.b, window_top(params.b, radial_l)
+    least = 1.0 / sys.float_info.max  # inf where 1/(2 l^2) and 1/(2 b^2) overflow, as documented
+    assert finite(top) or 2.0 * radial_l * radial_l < least and 2.0 * b * b < least, (
+        context, top)
+    for call in (lambda: phase_integral_1d_closed(params, energy),
+                 lambda: radial_phase_integral_closed(params, energy, radial_l)):
+        result = settled(call)
+        assert result is None or finite(result.value), (context, result)
+
+    for row in settled(lambda: l_limit_study(params, energy, [radial_l, 1e-3])) or []:
+        assert row.error is not None or finite(row.phi_radial, row.phi_one_dim, row.gap), (
+            context, row)
+        if row.error is not None:
+            assert row.error.split(":")[0] in TYPED, (context, row)
+
+    grid = [top_beta * 10.0 ** (k / 3.0 - 2.0) for k in range(7)]
+    fit = settled(lambda: correction_order(PhysicalParams(m, e2), qn, grid))
+    assert fit is None or finite(fit.slope, fit.intercept, fit.rms_residual), (context, fit)
+
+    state = OrbitState(*y)
+    for call in (lambda: invariants(state, params), lambda: equations_of_motion(y, params)):
+        values = settled(call, ValueError)  # where the values are not finite, as documented
+        assert values is None or finite(*values), (context, values)
