@@ -215,7 +215,8 @@ def energy_series(params: PhysicalParams, qn: QuantumNumbers) -> float:
     newton = 1.0 / (2.0 * np_ * np_)
     if qn.l == 0:
         return params.physical(newton * (1.0 - 2.0 * b / np_))
-    return params.physical(newton * (1.0 + 2.0 * b * b / np_ * (1.0 / np_ - 1.0 / qn.l)))
+    bracket = min(1.0 / np_ - 1.0 / qn.l, -math.ulp(0.0))  # l < n': below 0 even if it rounds to 0
+    return params.physical(newton * (1.0 + 2.0 * b * b / np_ * bracket))
 
 
 def energy_3d_perturbative_ref(params: PhysicalParams, qn: QuantumNumbers) -> float:

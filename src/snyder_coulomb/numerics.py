@@ -23,16 +23,17 @@ exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
   sends the 1/z pole to s -> -inf, and sin^2 absorbs the square-root
   vanishing at both band edges, so the integrand in phi is smooth and
   vanishes at both ends.  The l >= 1 rows share one phi grid, starting at
-  16 (2 + floor(L/8)) panels for the widest row's L = ln(z+/z-).
+  64 panels.
 
 The error estimate is |T_n - T_{n/2}|: the half-order sum is taken over
 every other node of the same array, so it costs no evaluations.  While any
 row's estimate exceeds ``QUAD_RTOL`` relative, the panel count of the whole
 array doubles, up to ``MAX_PANELS``; each row keeps its first sum that met
-the tolerance, and a row that never meets it fails alone.  The tolerance is
-fixed: the rule converges so fast that once the estimate meets any
-tolerance, the sum itself is at roundoff, so a tighter one would change no
-output, only the number of nodes.
+the tolerance, and a row that never meets it fails alone.  Both rules start
+at a fixed order, so a row reads as its one-row call, and a table's level
+equals its one-level solve.  The tolerance is fixed: the rule converges so
+fast that once the estimate meets any tolerance, the sum itself is at
+roundoff, so a tighter one would change no output, only the number of nodes.
 
 Every level has two routes, and neither gates the other.  The closed-form
 route is algebraic (``analytic.energy_closed``): no root search.  The
@@ -155,10 +156,9 @@ def _trapezoid(
     error estimate |T_n - T_{n/2}| reuses every other node of the same
     evaluation.  While any row's estimate exceeds ``QUAD_RTOL * |T_n|``, n
     doubles for the whole array; each row keeps the sum of its own first
-    order that met ``QUAD_RTOL``, but the starting order ``n`` is the
-    batch's, so a row's value can depend on the rows beside it.  A row still
-    missing after a doubling past ``MAX_PANELS`` comes back NaN, with its
-    last estimate.  Returns (values, error estimates).
+    order that met ``QUAD_RTOL``, so a row's value does not depend on the
+    rows beside it.  A row still missing after a doubling past ``MAX_PANELS``
+    comes back NaN, with its last estimate.  Returns (values, error estimates).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     value, err, missing = np.nan, np.nan, True
@@ -244,9 +244,9 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     l sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ)(1 + b^2 z)) over the band
     between the edges z- < z+ (:func:`_band_edges`, one call for all rows),
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
-    grid of phi in [0, pi/2] starting at 16 (2 + floor(L/8)) panels for the
-    widest row's L.  Returns (values, error estimates) as arrays; a row
-    that missed ``QUAD_RTOL`` is NaN with its last estimate (:func:`_missed`).
+    grid of phi in [0, pi/2] starting at 64 panels.  Returns (values, error
+    estimates) as arrays; a row that missed ``QUAD_RTOL`` is NaN with its
+    last estimate (:func:`_missed`).
     """
     b2 = b * b
     two_e = 2.0 * energy
@@ -279,12 +279,11 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
             raw = band_l * np.sqrt(radicand) / (z * (z + band_two_e) * (1.0 + b2 * z))
             return raw * z * width * sin_double  # dz = z ds
 
-        panels = 16 * (2 + int(width.max() // 8.0))
-        value[band], err[band] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, panels)
+        value[band], err[band] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, 64)
     return value, err
 
 
-def phase_integral_numeric(params: PhysicalParams, energy: float, l: int) -> PhaseIntegralResult:
+def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> PhaseIntegralResult:
     """Loop phase integral at one (E, l), evaluated from the raw integrand.
 
     A one-row call of :func:`_phase_rows`, which describes both rules and

@@ -488,6 +488,11 @@ class TestEnergySeries:
         # both are lowered relative to the undeformed level
         assert e31 < 1 / 18 and e32 < 1 / 18
 
+    def test_overflowing_correction_is_minus_inf(self):
+        # b^2 overflows, and n' and l round to one float, so 1/n' - 1/l rounds
+        # to 0; l < n' keeps the correction negative
+        assert energy_series(PhysicalParams(1, 1, 1e200), QuantumNumbers(1, 2**53)) == -math.inf
+
     def test_perturbative_comparator_values(self):
         params = PhysicalParams(1, 1, 0.1)
         # bracket 1/2 - 2/3 + 1/6 vanishes identically at (n', l) = (2, 1)
