@@ -32,19 +32,10 @@ import math
 import sys
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from . import __version__
-from .analytic import phase_integral_1d_closed, radial_phase_integral_closed
+from .analytic import l_limit_study, phase_integral_1d_closed, radial_phase_integral_closed
 from .errors import CollisionSingularity, InsufficientPeriods, OutOfWindow, SnyderCoulombError
 from .model import PhysicalParams, QuantumNumbers, finite_float, window_top
-from .numerics import (
-    correction_order,
-    l_limit_study,
-    phase_integral_numeric,
-    spectrum_table,
-)
-from .dynamics import OrbitState, integrate_orbit, invariants, precession_per_orbit
 
 __all__ = ["main", "run"]
 
@@ -192,7 +183,13 @@ def _emit(
 # --------------------------------------------------------------------------
 
 
+# A command imports the numpy layer it runs, numerics or dynamics, when it
+# runs: no command loads the other layer, and l-limit loads neither.
+
+
 def _cmd_spectrum(cfg: dict[str, Any]) -> int:
+    from .numerics import spectrum_table
+
     params = PhysicalParams(cfg["m"], cfg["e2"], cfg["beta"])
     entries = spectrum_table(params, cfg["n_prime_max"])
     header = ["n_prime", "l", "beta", "E_newton", "E_closed", "E_numeric",
@@ -210,15 +207,25 @@ def _cmd_spectrum(cfg: dict[str, Any]) -> int:
     return EXIT_CHECK_FAILED if any(entry.error for entry in entries) else EXIT_OK
 
 
+def _linspace(a: float, b: float, count: int) -> list[float]:
+    """``count`` floats evenly spaced from a to b, bit for bit ``np.linspace(a, b, count)``."""
+    if count == 1:
+        return [a]
+    step = (b - a) / (count - 1)
+    return [a + k * step for k in range(count - 1)] + [b]
+
+
 def _cell_energies(params, l: int, count: int) -> list[float]:
     # Cap the reduced window top at 1, the energy unit m e2^2, so the l = 0
     # cells stay in the physically interesting range even when the window
     # itself only closes at the (much higher) deformation pole.
     scale = params.physical(min(window_top(params.b, l), 1.0))
-    return [float(f) * scale for f in np.linspace(0.05, 0.95, count)]
+    return [f * scale for f in _linspace(0.05, 0.95, count)]
 
 
 def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
+    from .numerics import phase_integral_numeric
+
     if cfg["energies_per_cell"] < 1:
         raise ValueError("energies-per-cell must be >= 1")
     for energy in cfg["e_grid"] or ():  # a finite energy outside a window is skipped
@@ -259,6 +266,8 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_scan_order(cfg: dict[str, Any]) -> int:
+    from .numerics import correction_order
+
     params_base = PhysicalParams(cfg["m"], cfg["e2"], 0.0)
     header = ["l", "slope", "rms_residual", "n_used", "pass"]
     rows = []
@@ -274,7 +283,9 @@ def _cmd_scan_order(cfg: dict[str, Any]) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _undeformed_period(params: PhysicalParams, state: OrbitState) -> float:
+def _undeformed_period(params: PhysicalParams, state) -> float:
+    from .dynamics import invariants
+
     energy_total, _ = invariants(state, params)
     if energy_total >= 0:
         raise ValueError("initial state is unbound at beta = 0; give --t-end explicitly")
@@ -283,6 +294,8 @@ def _undeformed_period(params: PhysicalParams, state: OrbitState) -> float:
 
 
 def _cmd_orbit(cfg: dict[str, Any]) -> int:
+    from .dynamics import OrbitState, integrate_orbit, precession_per_orbit
+
     params = PhysicalParams(cfg["m"], cfg["e2"], cfg["beta"])
     state0 = OrbitState(cfg["x1"], cfg["x2"], cfg["p1"], cfg["p2"])
     t_end = cfg["t_end"]
@@ -390,7 +403,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     add("l-list", type=ints, default=[0, 1, 2], metavar="LIST",
         help="comma list of angular momenta")
     add("n", type=int, default=1, help="radial quantum number of the scanned level")
-    add("beta-grid", type=floats, default=[float(b) for b in np.logspace(-4, -2, 7)],
+    add("beta-grid", type=floats, default=[10.0**e for e in _linspace(-4.0, -2.0, 7)],
         metavar="LIST", help="comma list of betas (>= 4 points over >= 1.5 decades)")
 
     add = add_command("orbit")

@@ -1,10 +1,14 @@
 """Quadrature of the raw phase-integral integrands and spectrum solving.
 
-This module deliberately never reuses the closed forms to produce a number:
-the integrands are integrated as written, so closed form and quadrature are
-two independent routes to every phase integral.  Agreement between them is
-the core cross-check of the package (see ``verify-integrals`` in the CLI
-and the acceptance tests).
+The quadrature route deliberately never reuses the closed forms to produce
+a number: the integrands are integrated as written, so closed form and
+quadrature are two independent routes to every phase integral.  Agreement
+between them is the core cross-check of the package (see
+``verify-integrals`` in the CLI and the acceptance tests).
+``spectrum_table`` puts the two routes side by side, and
+``correction_order`` fits the closed-form levels, with numpy's ``polyfit``.
+The closed-form-only ``l_limit_study`` lives in ``analytic``, which needs
+no numpy; this module binds it and ``LLimitRow`` too.
 
 Units: the public functions take and return physical energies, and
 everything between computes in the reduced units of ``model.PhysicalParams``:
@@ -62,18 +66,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (
+from .analytic import (  # LLimitRow and l_limit_study stay readable from here
     energy_closed,
     energy_series,
+    l_limit_study,
     level_closed,
-    phase_integral_1d_closed,
+    LLimitRow,
     PhaseIntegralResult,
-    radial_phase_integral_closed,
 )
 from .errors import (
     DegenerateFit,
     NoRootInWindow,
-    OutOfWindow,
     SnyderCoulombError,
     ToleranceNotReached,
 )
@@ -82,12 +85,10 @@ from .model import PhysicalParams, QuantumNumbers, finite_float, window_top
 __all__ = [
     "SpectrumEntry",
     "CorrectionFit",
-    "LLimitRow",
     "phase_integral_numeric",
     "energy_numeric",
     "spectrum_table",
     "correction_order",
-    "l_limit_study",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -128,22 +129,6 @@ class CorrectionFit:
     intercept: float
     rms_residual: float
     n_used: int
-
-
-@dataclass(frozen=True)
-class LLimitRow:
-    """Radial closed form at small l next to the 1D closed form.
-
-    ``error`` carries an out-of-window failure; the failed values are NaN
-    in that case, and phi_one_dim stays populated when only the radial
-    form failed.
-    """
-
-    l: float
-    phi_radial: float
-    phi_one_dim: float
-    gap: float
-    error: str | None = None
 
 
 def _trapezoid(
@@ -500,28 +485,3 @@ def correction_order(
         rms_residual=rms,
         n_used=len(log_b),
     )
-
-
-def l_limit_study(
-    params: PhysicalParams, energy: float, l_grid: Sequence[float]
-) -> list[LLimitRow]:
-    """Radial closed form along a grid of small l > 0 next to the 1D value.
-
-    The gap column is the raw difference phi_radial(l) - phi_one_dim; it is
-    dominated by the -pi*l band-offset term at small l, and the l -> 0
-    limit of the radial closed form reproduces the 1D closed form exactly
-    (for every beta), as the rows make visible.  Each row evaluates the 1D
-    form, then the radial form; the first OutOfWindow failure is recorded
-    in-row, as in :func:`spectrum_table`, and does not abort the study.
-    """
-    rows: list[LLimitRow] = []
-    for l in l_grid:
-        phi_1d = math.nan
-        try:
-            phi_1d = phase_integral_1d_closed(params, energy).value
-            phi_r = radial_phase_integral_closed(params, energy, float(l)).value
-            rows.append(LLimitRow(float(l), phi_r, phi_1d, phi_r - phi_1d))
-        except OutOfWindow as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            rows.append(LLimitRow(float(l), math.nan, phi_1d, math.nan, error))
-    return rows

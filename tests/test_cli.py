@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from snyder_coulomb import (
@@ -19,6 +20,7 @@ from snyder_coulomb import (
     energy_closed,
     integrate_orbit,
 )
+from snyder_coulomb import cli
 from snyder_coulomb.cli import main
 
 
@@ -187,6 +189,16 @@ class TestVerifyIntegrals:
         assert float(rows[0]["phi_closed"]) == pytest.approx(2 * math.pi, rel=1e-12)
         assert float(rows[0]["rel_dev"]) <= 1e-10
 
+    def test_cell_energies_are_numpys_linspace(self, capsys):
+        # bit for bit, and one energy per cell is the start point, as in numpy
+        for count in range(1, 65):
+            assert ([x.hex() for x in cli._linspace(0.05, 0.95, count)]
+                    == [x.hex() for x in np.linspace(0.05, 0.95, count).tolist()])
+        code, out, _ = run_cli(capsys, "verify-integrals", "--beta-grid", "0",
+                               "--l-grid", "0", "--energies-per-cell", "1")
+        assert code == 0
+        assert [float(r["E"]) for r in parse_csv(out)[1]] == [0.05]
+
     def test_out_of_window_points_skipped(self, capsys):
         code, out, err = run_cli(
             capsys, "verify-integrals", "--beta-grid", "0", "--l-grid", "1",
@@ -243,6 +255,11 @@ class TestScanOrder:
         assert slopes["0"] == pytest.approx(1.0, abs=0.02)
         assert slopes["1"] == pytest.approx(2.0, abs=0.02)
         assert slopes["2"] == pytest.approx(2.0, abs=0.02)
+
+    def test_default_beta_grid_is_numpys_logspace(self):
+        _, commands = cli._build_parser()
+        default = commands["scan-order"][1]["beta-grid"].default
+        assert [x.hex() for x in default] == [x.hex() for x in np.logspace(-4, -2, 7).tolist()]
 
     def test_single_beta_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "scan-order", "--beta-grid", "0.001")

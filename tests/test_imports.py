@@ -1,7 +1,11 @@
-"""No module of the package imports scipy: no CLI command loads any ``scipy`` module.
+"""Which modules each CLI command loads, and the lazy package root.
 
-Package modules also import no private (``_``-prefixed) name from each other,
-and the quadrature route calls no closed-form function.
+No module of the package imports scipy, so no CLI command loads any
+``scipy`` module.  Importing the package and the CLI loads no numpy; each
+command loads only the numpy layer it runs, ``numerics`` or ``dynamics``,
+and ``l-limit`` loads neither.  Package modules also import no private
+(``_``-prefixed) name from each other, and the quadrature route calls no
+closed-form function.
 """
 
 import ast
@@ -13,11 +17,19 @@ from pathlib import Path
 
 import pytest
 
-from snyder_coulomb import PhysicalParams, analytic, dynamics, numerics
+import snyder_coulomb
+from snyder_coulomb import PhysicalParams, analytic, dynamics, errors, model, numerics
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-PROBE = """
+WATCHED = ("numpy", "scipy", "snyder_coulomb.numerics", "snyder_coulomb.dynamics")
+NUMERICS = {"numpy", "snyder_coulomb.numerics"}
+DYNAMICS = {"numpy", "snyder_coulomb.dynamics"}
+# The watched modules each command loads; "" is the import of the package and the CLI.
+LOADS = {"": set(), "l-limit": set(), "spectrum": NUMERICS, "verify-integrals": NUMERICS,
+         "scan-order": NUMERICS, "orbit": DYNAMICS}
+
+PROBE = f"""
 import contextlib, io, sys
 import snyder_coulomb
 from snyder_coulomb import cli
@@ -25,17 +37,21 @@ argv = sys.argv[1:]
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(*(name for name in {WATCHED!r} if name in sys.modules))
 """
 
 
-def _scipy_loaded_by(argv):
+def _run(code, *argv):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def _loaded_by(argv):
+    return set(_run(PROBE, *argv).split())
 
 
 @pytest.mark.parametrize("argv", [
@@ -44,15 +60,33 @@ def _scipy_loaded_by(argv):
      "--energies-per-cell", "2"],
 ])
 def test_closed_form_paths_do_not_load_scipy(argv):
-    assert _scipy_loaded_by(argv) == "[]"
+    assert _loaded_by(argv) == LOADS[argv[0] if argv else ""]
 
 
 def test_spectrum_loads_no_scipy():
-    assert _scipy_loaded_by(["spectrum", "--n-prime-max", "2"]) == "[]"
+    assert _loaded_by(["spectrum", "--n-prime-max", "2"]) == LOADS["spectrum"]
 
 
 def test_orbit_loads_no_scipy():
-    assert _scipy_loaded_by(["orbit", "--t-end", "30"]) == "[]"
+    assert _loaded_by(["orbit", "--t-end", "30"]) == LOADS["orbit"]
+
+
+SUBMODULES = (errors, model, analytic, numerics, dynamics)
+
+
+def test_root_names_are_the_submodules_names():
+    names = ["__version__", *(name for module in SUBMODULES for name in module.__all__)]
+    assert snyder_coulomb.__all__ == names
+    assert len(set(names)) == len(names) == 42
+    for module in SUBMODULES:
+        for name in module.__all__:
+            assert getattr(snyder_coulomb, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_root_name():
+    code = ("from snyder_coulomb import *\nimport snyder_coulomb\n"
+            "print(len(snyder_coulomb.__all__), sorted(set(snyder_coulomb.__all__) - set(dir())))")
+    assert _run(code) == "42 []"
 
 
 def test_step_loop_tableau_is_scipys():
@@ -119,8 +153,9 @@ def test_quadrature_route_names_no_closed_form():
 
 
 def test_unknown_attribute_still_raises():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        numerics.no_such_name  # noqa: B018
+    for module in (numerics, snyder_coulomb):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name  # noqa: B018
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.15])
