@@ -20,14 +20,18 @@ once, as a rows x nodes array per order, and refuses the rows its floats
 cannot represent.  The integrands are analytic, so the rule converges
 exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
 
-* the real-line integrand is even; p = e^s maps (0, inf) to the line, and
-  s spans ln sqrt(2Ẽ) +- 45 starting at 450 panels (h = 0.2), shared by
-  all l = 0 rows;
-* band integrands use z = e^s, s = ln z- + ln(z+/z-) sin^2(phi): the log
-  sends the 1/z pole to s -> -inf, and sin^2 absorbs the square-root
-  vanishing at both band edges, so the integrand in phi is smooth and
-  vanishes at both ends.  The l >= 1 rows share one phi grid, starting at
-  64 panels.
+* the real-line integrand is even; in t = p / sqrt(2Ẽ) = e^x it reads
+  4t / ((1 + t^2)(1 + 2Ẽ b^2 t^2)) dx / sqrt(2Ẽ), and x spans -45..45
+  starting at 450 panels (h = 0.2).  Every l = 0 row shares these nodes,
+  and their factors t^2 and 4t / (1 + t^2) are cached per panel count, so
+  a line row takes no exp: one multiply, add and divide per node, and one
+  division by sqrt(2Ẽ) of the sum;
+* band integrands use z = e^s, s = ln z- + L sin^2(phi), L = ln(z+/z-):
+  the log sends the 1/z pole to s -> -inf, and sin^2 absorbs the
+  square-root vanishing at both band edges, so the integrand in phi is
+  smooth and vanishes at both ends.  The raw integrand's 1/z cancels
+  dz = z ds, and l L is one factor per row.  The l >= 1 rows share one phi
+  grid, starting at 64 panels, whose sin^2(phi) and sin(2 phi) are cached.
 
 The error estimate is |T_n - T_{n/2}|: the half-order sum is taken over
 every other node of the same array, so it costs no evaluations.  While any
@@ -96,12 +100,13 @@ MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
 QUAD_RTOL = 1e-10  # relative error estimate the trapezoid rule must meet
 ROOT_RTOL = 1e-12  # relative bracket width of a quadrature-route level
 NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
-# Smallest reduced energy of a band (l >= 1) row: the band integrand divides
-# by about 2 l^2 E^3 at its lower edge z- ~ l^2 E^2, which leaves the normal
-# floats near E = 2e-103 (l = 1).
+# Smallest reduced energy of a band (l >= 1) row.  The band rule's first float
+# limit is its lower edge z- = (2E)^2 / z+ ~ l^2 E^2, which leaves the normal floats
+# near E = 1e-154 (l = 1); the floor keeps the domain the band rule has been checked on.
 BAND_FLOOR = 1e-100
-# Largest reduced energy of a line (l = 0) row: the line integrand divides by
-# (p^2 + 2E)(1 + b^2 p^2), p^2 up to 2E e^90, which can overflow above E = 6e229.
+# Largest reduced energy of a line (l = 0) row.  The rule in t = p/sqrt(2E) forms
+# only 2E, its square root and 2E b^2 < 1, all finite while 2E is (E < 9e307); the
+# ceiling keeps the domain the line rule has been checked on, not a float limit.
 LINE_CEILING = 1e200
 
 
@@ -137,13 +142,17 @@ def _trapezoid(
     """n-panel trapezoid sums over [a, b] of the rows of the array function ``f``.
 
     ``f`` maps the nodes a + h k, k = 0..n (one row of nodes per row of
-    ``a`` and ``b`` when they are arrays), to a rows x nodes array.  The
-    error estimate |T_n - T_{n/2}| reuses every other node of the same
-    evaluation.  While any row's estimate exceeds ``QUAD_RTOL * |T_n|``, n
-    doubles for the whole array; each row keeps the sum of its own first
-    order that met ``QUAD_RTOL``, so a row's value does not depend on the
-    rows beside it.  A row still missing after a doubling past ``MAX_PANELS``
-    comes back NaN, with its last estimate.  Returns (values, error estimates).
+    ``a`` and ``b`` when they are arrays, one row for all when they are
+    floats), to a rows x nodes array; it may read factors cached per node
+    count instead of the nodes.  Each sum is ``np.add.reduce`` along a row,
+    as ``.sum`` takes it, never a BLAS product, whose order of summation
+    can depend on the number of rows.  The error estimate |T_n - T_{n/2}|
+    reuses every other node of the same evaluation.  While any row's
+    estimate exceeds ``QUAD_RTOL * |T_n|``, n doubles for the whole array;
+    each row keeps the sum of its own first order that met ``QUAD_RTOL``,
+    so a row's value does not depend on the rows beside it.  A row still
+    missing after a doubling past ``MAX_PANELS`` comes back NaN, with its
+    last estimate.  Returns (values, error estimates).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     value, err, missing = np.nan, np.nan, True
@@ -151,15 +160,15 @@ def _trapezoid(
         h = (b - a) / n
         y = f(a[..., None] + h[..., None] * _indices(n))
         ends = 0.5 * (y[..., 0] + y[..., -1])
-        total = h * (y.sum(axis=-1) - ends)
-        estimate = np.abs(total - 2.0 * h * (y[..., ::2].sum(axis=-1) - ends))
+        total = h * (np.add.reduce(y, axis=-1) - ends)
+        estimate = np.abs(total - 2.0 * h * (np.add.reduce(y[..., ::2], axis=-1) - ends))
         met = missing & (estimate <= QUAD_RTOL * np.abs(total))
-        if met.all():  # every row meets it at this order: the usual case, at the first
+        if np.logical_and.reduce(met, axis=None):  # every row meets it: the usual case, at once
             return total, estimate
         err = np.where(missing, estimate, err)
         value = np.where(met, total, value)
         missing = missing & ~met
-        if not np.any(missing) or 2 * n > MAX_PANELS:
+        if not missing.any() or 2 * n > MAX_PANELS:
             return value, err
         n *= 2
 
@@ -177,6 +186,16 @@ def _phi_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(phi) and sin(2 phi) on the n-panel grid phi = (pi/2) k/n, cached and read-only."""
     phi = (math.pi / 2.0 / n) * _indices(n)
     factors = np.sin(phi) ** 2, np.sin(2.0 * phi)
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
+
+
+@functools.lru_cache(maxsize=64)
+def _line_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """t^2 and 4t/(1 + t^2) at t = e^x on the n-panel grid x = -45 + (90/n) k, cached and read-only."""
+    t = np.exp(-45.0 + (90.0 / n) * _indices(n))
+    factors = t * t, 4.0 * t / (1.0 + t * t)
     for factor in factors:
         factor.flags.writeable = False
     return factors
@@ -224,45 +243,50 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     positive width; a band row below ``BAND_FLOOR`` or a line row above
     ``LINE_CEILING`` is refused: NaN, with estimate inf.  The l = 0 rows integrate
     2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
-    integral over p = e^s, s in ln sqrt(2Ẽ) +- 45, on one array starting
-    at 450 panels.  The l >= 1 rows integrate
+    integral over p = sqrt(2Ẽ) t, t = e^x, x in [-45, 45]: the sum of
+    4t / ((1 + t^2)(1 + 2Ẽ b^2 t^2)) on the shared nodes, with t^2 and
+    4t / (1 + t^2) cached (:func:`_line_factors`), divided by sqrt(2Ẽ),
+    on one array starting at 450 panels.  The l >= 1 rows integrate
     l sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ)(1 + b^2 z)) over the band
     between the edges z- < z+ (:func:`_band_edges`, one call for all rows),
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
-    grid of phi in [0, pi/2] starting at 64 panels.  Returns (values, error
-    estimates) as arrays; a row that missed ``QUAD_RTOL`` is NaN with its
-    last estimate (:func:`_missed`).
+    grid of phi in [0, pi/2] starting at 64 panels; the 1/z cancels
+    dz = z ds, and l L is one factor per row.  Every operation acts on a
+    row alone, so a row reads as its one-row call, bit for bit.  Returns
+    (values, error estimates) as arrays; a row that missed ``QUAD_RTOL`` is
+    NaN with its last estimate (:func:`_missed`).
     """
     b2 = b * b
     two_e = 2.0 * energy
     value, err = np.full(energy.shape, np.nan), np.full(energy.shape, np.inf)
 
-    line = np.flatnonzero((l == 0) & (energy <= LINE_CEILING))
+    line = ((l == 0) & (energy <= LINE_CEILING)).nonzero()[0]
     if line.size:
-        line_two_e = two_e[line, None]
+        line_c = (two_e[line] * b2)[:, None]  # 2Ẽ b^2 < 1 inside the window
 
-        def line_integrand(s: np.ndarray) -> np.ndarray:
-            p = np.exp(s)
-            p2 = p * p
-            raw = 2.0 / ((p2 + line_two_e) * (1.0 + b2 * p2))
-            return 2.0 * raw * p  # even: twice the half line; dp = p ds
+        def line_integrand(x: np.ndarray) -> np.ndarray:
+            # x is the grid of [-45, 45] with x.size nodes: its factors are cached
+            t2, weight = _line_factors(x.size - 1)
+            return weight / (1.0 + line_c * t2)
 
-        centre = 0.5 * np.log(two_e[line])
-        value[line], err[line] = _trapezoid(line_integrand, centre - 45.0, centre + 45.0, 450)
+        total, estimate = _trapezoid(line_integrand, -45.0, 45.0, 450)
+        scale = np.sqrt(two_e[line])  # p = sqrt(2Ẽ) t
+        value[line], err[line] = total / scale, estimate / scale
 
-    band = np.flatnonzero((l != 0) & (energy >= BAND_FLOOR))
+    band = ((l != 0) & (energy >= BAND_FLOOR)).nonzero()[0]
     if band.size:
-        band_l, band_two_e = l[band, None], two_e[band, None]
-        z_minus, z_plus = _band_edges(energy[band, None], band_l)
+        band_two_e = two_e[band, None]
+        z_minus, z_plus = _band_edges(energy[band, None], l[band, None])
         log_z_minus, width = np.log(z_minus), np.log(z_plus / z_minus)
+        factor = l[band, None] * width  # l times L, of ds = L sin(2 phi) dphi
 
         def band_integrand(phi: np.ndarray) -> np.ndarray:
             # phi is the grid of [0, pi/2] with phi.size nodes: its factors are cached
             sin2, sin_double = _phi_factors(phi.size - 1)
             z = np.exp(log_z_minus + width * sin2)
             radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
-            raw = band_l * np.sqrt(radicand) / (z * (z + band_two_e) * (1.0 + b2 * z))
-            return raw * z * width * sin_double  # dz = z ds
+            # the raw integrand's 1/z cancels dz = z ds
+            return factor * np.sqrt(radicand) * sin_double / ((z + band_two_e) * (1.0 + b2 * z))
 
         value[band], err[band] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, 64)
     return value, err
@@ -322,29 +346,29 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
 
     def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
         phi, err = _phase_rows(params.b, energy, l[rows])
-        for k in np.flatnonzero(np.isnan(phi)):
+        for k in np.isnan(phi).nonzero()[0]:
             fail(rows[k], _missed(float(energy[k]), levels[rows[k]].l, err[k]))
         return phi - target[rows]
 
-    for i in np.flatnonzero(top == 0.0):  # 2 b^2 overflows: no bracket fits
+    for i in (top == 0.0).nonzero()[0]:  # 2 b^2 overflows: no bracket fits
         fail(i, NoRootInWindow(f"empty reduced window (0, 0.0) for {levels[i]}"))
     hi = np.where(active, np.minimum(e0, top), e0)  # below E0, which the deformation lowers
     lo = hi / 4.0
     f_lo, f_hi = np.zeros(len(levels)), np.zeros(len(levels))
     widen_lo, widen_hi = active.copy(), active.copy()
     for _ in range(100):
-        at_lo, at_hi = np.flatnonzero(widen_lo & active), np.flatnonzero(widen_hi & active)
+        at_lo, at_hi = (widen_lo & active).nonzero()[0], (widen_hi & active).nonzero()[0]
         if not at_lo.size + at_hi.size:
             break
         f = residual(np.concatenate([at_lo, at_hi]), np.concatenate([lo[at_lo], hi[at_hi]]))
         f_lo[at_lo], f_hi[at_hi] = f[: at_lo.size], f[at_lo.size :]
         widen_lo, widen_hi = f_lo <= 0.0, f_hi >= 0.0
-        for i in np.flatnonzero(widen_hi & active & (hi >= top)):
+        for i in (widen_hi & active & (hi >= top)).nonzero()[0]:
             fail(i, _infeasible(params, levels[i], float(f_hi[i])))
-        lo = np.where(widen_lo, lo / 4.0, lo)
-        hi = np.where(widen_hi, np.minimum(4.0 * hi, top), hi)
+        np.divide(lo, 4.0, out=lo, where=widen_lo)
+        np.minimum(4.0 * hi, top, out=hi, where=widen_hi)
     else:
-        for i in np.flatnonzero(active & (widen_lo | widen_hi)):
+        for i in (active & (widen_lo | widen_hi)).nonzero()[0]:
             fail(i, NoRootInWindow(f"no sign change of Phi(E) - 2 pi n found for {levels[i]}"))
 
     # u = E^(-1/2) rises as E falls, and so does Phi: f_a > 0 > f_b.
@@ -353,7 +377,7 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
     tol = ROOT_RTOL / 2.0  # relative width in u; E = u^-2 doubles it
     for _ in range(100):
         active &= ~(np.abs(u_b - u_a) <= tol * u_b)
-        rows = np.flatnonzero(active)
+        rows = active.nonzero()[0]
         if not rows.size:
             break
         a, b, fa, fb = u_a[rows], u_b[rows], f_a[rows], f_b[rows]
@@ -369,14 +393,14 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
         r_a[rows] = np.where(kept, r_a[rows], fb)
         u_b[rows], f_b[rows] = c, fc
     else:
-        for i in np.flatnonzero(active):
+        for i in active.nonzero()[0]:
             fail(i, ToleranceNotReached(
                 f"regula falsi did not reach rtol={ROOT_RTOL!r} "
                 f"in 100 steps for {levels[i]}"
             ))
     # the root of the secant through the unscaled residuals at the converged ends,
     # where they differ in sign and it falls inside the bracket, else the last iterate
-    ends = np.flatnonzero(r_a * f_b < 0.0)
+    ends = (r_a * f_b < 0.0).nonzero()[0]
     a, b, fa, fb = u_a[ends], u_b[ends], r_a[ends], f_b[ends]
     c = b - fb * (b - a) / (fb - fa)
     inside = (np.minimum(a, b) <= c) & (c <= np.maximum(a, b))

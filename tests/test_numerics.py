@@ -34,7 +34,7 @@ E_1D_BETA01_N1 = 0.4196010845019197
 
 
 class TestRealLineRule:
-    """The l = 0 route: the raw integrand over the real line, in p = e^s."""
+    """The l = 0 route: the raw integrand over the real line, in t = p / sqrt(2E) = e^x."""
 
     def test_arctangent_integral(self):
         # at beta = 0, 2mE = 1 the integrand is 2 / (p^2 + 1)
@@ -157,6 +157,33 @@ class TestTrapezoidRule:
             assert (value[i : i + 1].tobytes(), err[i : i + 1].tobytes()) == (
                 alone[0].tobytes(), alone[1].tobytes()), (b, energy[i], l[i])
 
+    def test_interior_rows_match_40_digit_quadrature(self):
+        # 40 line and band rows against mpmath's tanh-sinh quadrature of the raw
+        # integrands: b = 0 or log-uniform in [1e-4, 3], E log-uniform in
+        # [1e-8, 0.9] of the window top (at most 1); the corners are left out
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(32)
+        rows = []
+        for i in range(40):
+            b = 0.0 if i % 4 < 2 else float(10.0 ** rng.uniform(-4.0, math.log10(3.0)))
+            l = 0 if i % 2 == 0 else int(rng.integers(1, 31))
+            top = min(window_top(b, l), 1.0)
+            rows.append((b, float(top * 10.0 ** rng.uniform(-8.0, math.log10(0.9))), l))
+        with mp.workdps(40):
+            for b, energy, l in rows:
+                value = numerics._phase_rows(b, np.array([energy]), np.array([float(l)]))[0][0]
+                mb, two_e = mp.mpf(b), 2 * mp.mpf(energy)
+                if l == 0:  # even: twice the half line
+                    exact = 2 * mp.quad(lambda p: 2 / ((p * p + two_e) * (1 + mb * mb * p * p)),
+                                        [0, mp.inf])
+                else:  # between the roots of z^2 - 4(1/l^2 - E) z + (2E)^2
+                    half = 2 / mp.mpf(l) ** 2 - two_e
+                    z_plus = half + mp.sqrt(half * half - two_e * two_e)
+                    z_minus = two_e * two_e / z_plus
+                    exact = l * mp.quad(lambda z: mp.sqrt((z - z_minus) * (z_plus - z)) / (
+                        z * (z + two_e) * (1 + mb * mb * z)), [z_minus, z_plus])
+                assert abs(value / exact - 1) <= 1e-15, (b, energy, l, value)
+
 
 def pinned_grid(b):
     """(reduced energies, l) of the pinned rows at b: line and band rows across the window."""
@@ -172,7 +199,7 @@ def pinned_grid(b):
 
 
 PINNED_B = (0.0, 1e-3, 0.1, 0.9, 3.0)
-PINNED_QUADRATURE = "f01b5115f417c7e503109530a5ca64865ce58996a3776a21828c89165b2a255c"
+PINNED_QUADRATURE = "e5fb5afdfc8035f3270d5892749a4432703f968060cf34e25fdb6f8d2bd1c773"
 
 
 class TestPinnedQuadratureBits:
@@ -503,6 +530,25 @@ class TestTableSolver:
                 for entry in spectrum_table(PhysicalParams(1, 1, beta), 20)
                 if entry.error is None]
         assert gaps and max(gaps) <= 1e-14
+
+    @pytest.mark.parametrize("beta,rows", [
+        (0.0, [72, 27, 36, 21]),
+        (2e-3, [72, 36, 36, 7]),
+        (0.02, [72, 36, 36, 26, 1]),
+        (0.14, [72, 36, 36, 36, 11]),
+    ])
+    def test_table_work_is_pinned(self, monkeypatch, beta, rows):
+        # the rows of each _phase_rows call of an 8-shell table: both bracket ends
+        # of all 36 levels, the ends that widen, then one call per regula falsi round
+        calls, core = [], numerics._phase_rows
+
+        def counting_core(*args):
+            calls.append(len(args[1]))
+            return core(*args)
+
+        monkeypatch.setattr(numerics, "_phase_rows", counting_core)
+        spectrum_table(PhysicalParams(1, 1, beta), 8)
+        assert calls == rows
 
     @pytest.mark.parametrize("beta", [3.0, 10.0])
     def test_both_routes_solve_every_level(self, monkeypatch, beta):
