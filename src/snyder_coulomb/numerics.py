@@ -193,7 +193,7 @@ def _phi_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)
 def _line_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """t^2 and 4t/(1 + t^2) at t = e^x on the n-panel grid x = -45 + (90/n) k, cached and read-only."""
+    """t^2 and 4t/(1 + t^2) at t = e^x, x = -45 + (90/n) k, k = 0..n, cached and read-only."""
     t = np.exp(-45.0 + (90.0 / n) * _indices(n))
     factors = t * t, 4.0 * t / (1.0 + t * t)
     for factor in factors:
