@@ -17,11 +17,11 @@ the formulas: each is its physical form at m = e2 = 1.
 * ``radial_phase_integral_closed`` -- full radial loop of the planar
   problem in polar momentum coordinates, expressed in z = p_rho^2 between
   the turning points z- <= z <= z+.
-* ``level_closed`` -- the reduced level of any (n, l) at b itself:
-  Phi(E) = 2 pi n solved algebraically (a quadratic for l = 0, the 1D
-  problem, and a quartic for l >= 1), with no root search; a level raises
+* ``level_closed`` -- the reduced level of any real n > 0, l >= 0 at b
+  itself: Phi(E) = 2 pi n solved algebraically (a quadratic for l = 0, the
+  1D problem, and a quartic for l > 0), with no root search; a level raises
   unless b < 2n + l and its float energy lies strictly inside the window.
-  ``energy_closed`` is that level in physical units.
+  ``energy_closed`` is the level of a ``QuantumNumbers`` in physical units.
 * ``energy_series`` -- its leading-order expansion in the deformation
   (first order for l = 0, second order for l >= 1).
 * ``l_limit_study`` -- the radial closed form along a grid of small l next
@@ -140,15 +140,16 @@ def radial_phase_integral_closed(
     return PhaseIntegralResult(value=value, kind="closed_form")
 
 
-def level_closed(b: float, qn: QuantumNumbers) -> float:
-    """Reduced level Ẽ = E/(m e2^2) of ``qn`` at b = beta m e2: Phi = 2 pi n solved exactly.
+def level_closed(b: float, n: float, l: float) -> float:
+    """Reduced level Ẽ = E/(m e2^2) of (n, l) at b = beta m e2: Phi = 2 pi n solved exactly.
 
+    Real n and l, 0 < n < inf and 0 <= l < inf, else ValueError; n' = n + l.
     Algebraically, in u = sqrt(2 Ẽ).  For l = 0 (the 1D problem) the condition is
     b n u^2 + n u - 1 = 0 in u > 0, solved in the cancellation-free form
     u = 2 / (n + sqrt(n^2 + 4 b n)); Ẽ lies below the pole exactly when
     b < 2n.  At b = 0 this is 1/(2 n^2).
 
-    For l >= 1, with A = 2, N = 2n + l and K = N^2 - l^2 = 4n(n + l),
+    For l > 0, with A = 2, N = 2n + l and K = N^2 - l^2 = 4n(n + l),
     squaring the condition gives the quartic
 
         g(u) = ((N - l) u - A)((N + l) u - A) - K b^2 u^4 = 0,
@@ -168,12 +169,14 @@ def level_closed(b: float, qn: QuantumNumbers) -> float:
     as b A < 2N; an infeasible level raises NoRootInWindow quoting that
     rule, and no Phi is evaluated.  So does a float Ẽ = u^2/2 not strictly
     inside the window (:func:`~snyder_coulomb.model.window_top`): rounded
-    onto the pole.  Each message starts with ``qn``.
+    onto the pole or underflowing to 0.  Where u0^4 overflows (n' below
+    about 1e-77) it raises ScaleOutOfRange.  The messages name no level.
     """
-    n, l = qn.n, qn.l
+    if not (0.0 < n < math.inf and 0.0 <= l < math.inf):
+        raise ValueError(f"a level needs 0 < n < inf and 0 <= l < inf, got n={n!r}, l={l!r}")
     a, big_n = 2.0, 2 * n + l
     if not b * a < 2 * big_n:
-        raise NoRootInWindow(f"{qn}: beta m e2 = {b!r} is not below 2n + l = {big_n}")
+        raise NoRootInWindow(f"beta m e2 = {b!r} is not below 2n + l = {big_n}")
     if l == 0:
         u = a / (n + math.sqrt(n * n + 4.0 * b * n))
     else:
@@ -181,24 +184,28 @@ def level_closed(b: float, qn: QuantumNumbers) -> float:
         kb2 = k * b * b
         lo, hi = 0.0, a / (big_n + l)
         u = hi
-        for _ in range(100):
-            g = ((big_n - l) * u - a) * ((big_n + l) * u - a) - kb2 * u**4
-            if g == 0.0:
-                break
-            if g > 0.0:
-                lo = u
-            else:
-                hi = u
-            new = u - g / (2.0 * k * u - 2.0 * big_n * a - 4.0 * kb2 * u**3)
-            if not lo <= new <= hi:
-                new = 0.5 * (lo + hi)
-            step, u = abs(new - u), new
-            if step <= _NEWTON_RTOL * u:
-                break
+        try:
+            for _ in range(100):
+                g = ((big_n - l) * u - a) * ((big_n + l) * u - a) - kb2 * u**4
+                if g == 0.0:
+                    break
+                if g > 0.0:
+                    lo = u
+                else:
+                    hi = u
+                slope = 2.0 * k * u - 2.0 * big_n * a - 4.0 * kb2 * u**3
+                # g'(u0) = -2 A l at b = 0 can round to 0 where l << n: bisect instead
+                new = u - g / slope if slope < 0.0 else 0.5 * (lo + hi)
+                if not lo <= new <= hi:
+                    new = 0.5 * (lo + hi)
+                step, u = abs(new - u), new
+                if step <= _NEWTON_RTOL * u:
+                    break
+        except OverflowError:  # u0^4 past the float range: n' below about 1e-77
+            raise ScaleOutOfRange(f"the level quartic overflows at n + l = {n + l!r}") from None
     energy, top = u * u / 2.0, window_top(b, l)
-    if not energy < top:
-        raise NoRootInWindow(f"{qn}: E/(m e2^2) = {energy!r} is not inside the open "
-                             f"window (0, {top!r})")
+    if not 0.0 < energy < top:
+        raise NoRootInWindow(f"E/(m e2^2) = {energy!r} is not inside the open window (0, {top!r})")
     return energy
 
 
@@ -211,9 +218,9 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
     ScaleOutOfRange where m e2^2 Ẽ leaves the float range.
     """
     try:
-        level = level_closed(params.b, qn)
+        level = level_closed(params.b, qn.n, qn.l)
     except NoRootInWindow as exc:
-        raise NoRootInWindow(f"level infeasible at beta={params.beta!r} for {exc}") from None
+        raise NoRootInWindow(f"level infeasible at beta={params.beta!r} for {qn}: {exc}") from None
     energy = params.physical(level)
     reduced, top = params.reduced(energy), window_top(params.b, qn.l)
     if reduced < top:  # strictly inside, as admit decides on E itself

@@ -17,20 +17,21 @@ everything between computes in the reduced units of ``model.PhysicalParams``:
 Quadrature strategy: a trapezoid rule in log variables.  One array core,
 ``_phase_rows``, evaluates the raw integrands for many float (E, l) rows at
 once, as a rows x nodes array per order, and refuses the rows its floats
-cannot represent.  The integrands are analytic, so the rule converges
-exponentially (Trefethen & Weideman, SIAM Review 56, 2014):
+cannot represent.  Each integrand is a function of the panel count, read
+from factors cached per count, so the rule (``_trapezoid``) forms no nodes.
+The integrands are analytic, so the rule converges exponentially
+(Trefethen & Weideman, SIAM Review 56, 2014):
 
 * the real-line integrand is even; in t = p / sqrt(2Ẽ) = e^x it reads
   4t / ((1 + t^2)(1 + 2Ẽ b^2 t^2)) dx / sqrt(2Ẽ), and x spans -45..45
-  starting at 450 panels (h = 0.2).  Every l = 0 row shares these nodes,
-  and their factors t^2 and 4t / (1 + t^2) are cached per panel count, so
-  a line row takes no exp: one multiply, add and divide per node, and one
-  division by sqrt(2Ẽ) of the sum;
+  starting at 450 panels (h = 0.2).  Every l = 0 row shares the factors
+  t^2 and 4t / (1 + t^2), so a line row takes no exp: one multiply, add
+  and divide per node, and one division by sqrt(2Ẽ) of the sum;
 * band integrands use z = e^s, s = ln z- + L sin^2(phi), L = ln(z+/z-):
   the log sends the 1/z pole to s -> -inf, and sin^2 absorbs the
   square-root vanishing at both band edges, so the integrand in phi is
   smooth and vanishes at both ends.  The raw integrand's 1/z cancels
-  dz = z ds, and l L is one factor per row.  The l >= 1 rows share one phi
+  dz = z ds, and l L is one factor per row.  The l > 0 rows share one phi
   grid, starting at 64 panels, whose sin^2(phi) and sin(2 phi) are cached.
 
 The error estimate is |T_n - T_{n/2}|: the half-order sum is taken over
@@ -43,15 +44,17 @@ equals its one-level solve.  The tolerance is fixed: the rule converges so
 fast that once the estimate meets any tolerance, the sum itself is at
 roundoff, so a tighter one would change no output, only the number of nodes.
 
-Every level has two routes, and neither gates the other.  The closed-form
-route is algebraic (``analytic.energy_closed``): no root search.  The
-quadrature route solves Phi(E) = 2 pi n for a whole table at once,
-infeasible levels included: each level's bracket starts just below its
-undeformed level E0 = 1 / (2 n'^2), which the deformation lowers, and
-widens geometrically inside the energy window, then Anderson-Bjorck regula
-falsi runs in u = Ẽ^(-1/2), where Phi is exactly linear at b = 0, with one
-array evaluation per round over the levels still open, until each bracket
-is ``ROOT_RTOL`` wide relative; the level is the secant root through the
+Every level has two routes, and neither gates the other; both cores take
+real n > 0 and l >= 0 (``analytic.level_closed``, ``_solve_levels``), and
+the public entries unwrap ``QuantumNumbers``.  The closed-form route is
+algebraic (``analytic.energy_closed``): no root search.  The quadrature
+route solves Phi(E) = 2 pi n for a whole table at once, infeasible levels
+included: each level's bracket starts just below its undeformed level
+E0 = 1 / (2 n'^2), which the deformation lowers, and widens geometrically
+inside the energy window, then Anderson-Bjorck regula falsi runs in
+u = Ẽ^(-1/2), where Phi is exactly linear at b = 0, with one array
+evaluation per round over the levels still open, until each bracket is
+``ROOT_RTOL`` wide relative; the level is the secant root through the
 converged bracket's ends, else the last iterate.  A level that fails
 records its error in its own row.
 ``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
@@ -100,14 +103,10 @@ MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
 QUAD_RTOL = 1e-10  # relative error estimate the trapezoid rule must meet
 ROOT_RTOL = 1e-12  # relative bracket width of a quadrature-route level
 NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
-# Smallest reduced energy of a band (l >= 1) row.  The band rule's first float
+# Smallest reduced energy of a band (l > 0) row.  The band rule's first float
 # limit is its lower edge z- = (2E)^2 / z+ ~ l^2 E^2, which leaves the normal floats
 # near E = 1e-154 (l = 1); the floor keeps the domain the band rule has been checked on.
 BAND_FLOOR = 1e-100
-# Largest reduced energy of a line (l = 0) row.  The rule in t = p/sqrt(2E) forms
-# only 2E, its square root and 2E b^2 < 1, all finite while 2E is (E < 9e307); the
-# ceiling keeps the domain the line rule has been checked on, not a float limit.
-LINE_CEILING = 1e200
 
 
 @dataclass(frozen=True)
@@ -137,28 +136,27 @@ class CorrectionFit:
 
 
 def _trapezoid(
-    f: Callable[[np.ndarray], np.ndarray], a, b, n: int
+    f: Callable[[int], np.ndarray], width: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n-panel trapezoid sums over [a, b] of the rows of the array function ``f``.
+    """n-panel trapezoid sums over an interval ``width`` wide of the rows of ``f``.
 
-    ``f`` maps the nodes a + h k, k = 0..n (one row of nodes per row of
-    ``a`` and ``b`` when they are arrays, one row for all when they are
-    floats), to a rows x nodes array; it may read factors cached per node
-    count instead of the nodes.  Each sum is ``np.add.reduce`` along a row,
-    as ``.sum`` takes it, never a BLAS product, whose order of summation
-    can depend on the number of rows.  The error estimate |T_n - T_{n/2}|
-    reuses every other node of the same evaluation.  While any row's
-    estimate exceeds ``QUAD_RTOL * |T_n|``, n doubles for the whole array;
-    each row keeps the sum of its own first order that met ``QUAD_RTOL``,
-    so a row's value does not depend on the rows beside it.  A row still
-    missing after a doubling past ``MAX_PANELS`` comes back NaN, with its
-    last estimate.  Returns (values, error estimates).
+    ``f`` is a function of the panel count: ``f(n)`` is the rows x (n + 1)
+    array of the integrand at the nodes k = 0..n, h = width / n apart, built
+    from factors cached per count, so the rule forms no node array.  Each
+    sum is ``np.add.reduce`` along a row, as ``.sum`` takes it, never a BLAS
+    product, whose order of summation can depend on the number of rows.
+    The error estimate |T_n - T_{n/2}| reuses every other node of the same
+    evaluation.  While any row's estimate exceeds ``QUAD_RTOL * |T_n|``, n
+    doubles for the whole array; each row keeps the sum of its own first
+    order that met ``QUAD_RTOL``, so a row's value does not depend on the
+    rows beside it.  A row still missing after a doubling past
+    ``MAX_PANELS`` comes back NaN, with its last estimate.  Returns
+    (values, error estimates).
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     value, err, missing = np.nan, np.nan, True
     while True:
-        h = (b - a) / n
-        y = f(a[..., None] + h[..., None] * _indices(n))
+        h = width / n
+        y = f(n)
         ends = 0.5 * (y[..., 0] + y[..., -1])
         total = h * (np.add.reduce(y, axis=-1) - ends)
         estimate = np.abs(total - 2.0 * h * (np.add.reduce(y[..., ::2], axis=-1) - ends))
@@ -174,17 +172,9 @@ def _trapezoid(
 
 
 @functools.lru_cache(maxsize=64)
-def _indices(n: int) -> np.ndarray:
-    """The node indices k = 0..n of an n-panel rule, cached per n and read-only."""
-    k = np.arange(n + 1)
-    k.flags.writeable = False
-    return k
-
-
-@functools.lru_cache(maxsize=64)
 def _phi_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(phi) and sin(2 phi) on the n-panel grid phi = (pi/2) k/n, cached and read-only."""
-    phi = (math.pi / 2.0 / n) * _indices(n)
+    phi = (math.pi / 2.0 / n) * np.arange(n + 1)
     factors = np.sin(phi) ** 2, np.sin(2.0 * phi)
     for factor in factors:
         factor.flags.writeable = False
@@ -194,7 +184,7 @@ def _phi_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=64)
 def _line_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """t^2 and 4t/(1 + t^2) at t = e^x, x = -45 + (90/n) k, k = 0..n, cached and read-only."""
-    t = np.exp(-45.0 + (90.0 / n) * _indices(n))
+    t = np.exp(-45.0 + (90.0 / n) * np.arange(n + 1))
     factors = t * t, 4.0 * t / (1.0 + t * t)
     for factor in factors:
         factor.flags.writeable = False
@@ -205,19 +195,10 @@ def _missed(energy: float, l: float, estimate: float) -> ToleranceNotReached:
     """The error of a row that :func:`_phase_rows` left NaN: refused (estimate inf) or missed."""
     if estimate == math.inf:
         return ToleranceNotReached(f"trapezoid rule takes band rows down to E/(m e2^2) = "
-                                   f"{BAND_FLOOR!r} and l = 0 rows up to {LINE_CEILING!r}, "
-                                   f"got {energy!r} at l={l!r}")
+                                   f"{BAND_FLOOR!r}, got {energy!r} at l={l!r}")
     return ToleranceNotReached(
         f"trapezoid rule did not reach rtol={QUAD_RTOL!r} within "
         f"{MAX_PANELS} panels (estimate {estimate:.3g})"
-    )
-
-
-def _infeasible(params: PhysicalParams, qn: QuantumNumbers, residual: float) -> NoRootInWindow:
-    """The error for a level with no root, quoting Phi - 2 pi n at the window top."""
-    return NoRootInWindow(
-        f"Phi(E) - 2 pi n = {residual!r} does not change sign inside the reduced window "
-        f"(0, {window_top(params.b, qn.l)!r}) for {qn}: level infeasible at beta={params.beta!r}"
     )
 
 
@@ -240,13 +221,13 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     """Loop phase integrals at the float rows (energy[i], l[i]), from the raw integrands, reduced.
 
     The rows must lie strictly inside their windows, where every band has
-    positive width; a band row below ``BAND_FLOOR`` or a line row above
-    ``LINE_CEILING`` is refused: NaN, with estimate inf.  The l = 0 rows integrate
+    positive width, and below 2^1023, where 2Ẽ is finite; a band row below
+    ``BAND_FLOOR`` is refused: NaN, with estimate inf.  The l = 0 rows integrate
     2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
     integral over p = sqrt(2Ẽ) t, t = e^x, x in [-45, 45]: the sum of
     4t / ((1 + t^2)(1 + 2Ẽ b^2 t^2)) on the shared nodes, with t^2 and
     4t / (1 + t^2) cached (:func:`_line_factors`), divided by sqrt(2Ẽ),
-    on one array starting at 450 panels.  The l >= 1 rows integrate
+    on one array starting at 450 panels.  The l > 0 rows integrate
     l sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ)(1 + b^2 z)) over the band
     between the edges z- < z+ (:func:`_band_edges`, one call for all rows),
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
@@ -260,16 +241,15 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     two_e = 2.0 * energy
     value, err = np.full(energy.shape, np.nan), np.full(energy.shape, np.inf)
 
-    line = ((l == 0) & (energy <= LINE_CEILING)).nonzero()[0]
+    line = (l == 0).nonzero()[0]
     if line.size:
         line_c = (two_e[line] * b2)[:, None]  # 2Ẽ b^2 < 1 inside the window
 
-        def line_integrand(x: np.ndarray) -> np.ndarray:
-            # x is the grid of [-45, 45] with x.size nodes: its factors are cached
-            t2, weight = _line_factors(x.size - 1)
+        def line_integrand(n: int) -> np.ndarray:  # on x in [-45, 45]
+            t2, weight = _line_factors(n)
             return weight / (1.0 + line_c * t2)
 
-        total, estimate = _trapezoid(line_integrand, -45.0, 45.0, 450)
+        total, estimate = _trapezoid(line_integrand, 90.0, 450)
         scale = np.sqrt(two_e[line])  # p = sqrt(2Ẽ) t
         value[line], err[line] = total / scale, estimate / scale
 
@@ -280,15 +260,14 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
         log_z_minus, width = np.log(z_minus), np.log(z_plus / z_minus)
         factor = l[band, None] * width  # l times L, of ds = L sin(2 phi) dphi
 
-        def band_integrand(phi: np.ndarray) -> np.ndarray:
-            # phi is the grid of [0, pi/2] with phi.size nodes: its factors are cached
-            sin2, sin_double = _phi_factors(phi.size - 1)
+        def band_integrand(n: int) -> np.ndarray:  # on phi in [0, pi/2]
+            sin2, sin_double = _phi_factors(n)
             z = np.exp(log_z_minus + width * sin2)
             radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
             # the raw integrand's 1/z cancels dz = z ds
             return factor * np.sqrt(radicand) * sin_double / ((z + band_two_e) * (1.0 + b2 * z))
 
-        value[band], err[band] = _trapezoid(band_integrand, 0.0, math.pi / 2.0, 64)
+        value[band], err[band] = _trapezoid(band_integrand, math.pi / 2.0, 64)
     return value, err
 
 
@@ -300,9 +279,9 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
     within quadrature tolerance.  Raises OutOfWindow at the points where
     the closed forms do (``PhysicalParams.admit``) and ToleranceNotReached
     when the rule misses ``QUAD_RTOL`` or refuses the row (a band row below
-    ``BAND_FLOOR`` or a line row above ``LINE_CEILING``).  At the
-    circular-orbit endpoint, which ``PhysicalParams.admit`` flags, the band
-    has zero width: the value is 0 with error 0, and no rule runs.
+    ``BAND_FLOOR``).  At the circular-orbit endpoint, which
+    ``PhysicalParams.admit`` flags, the band has zero width: the value is 0
+    with error 0, and no rule runs.
     """
     energy, endpoint = params.admit(energy, l)
     if endpoint:
@@ -313,48 +292,52 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
     return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
 
-def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> list:
-    """Roots of the quadrature Phi(E) = 2 pi n for all ``levels`` together, reduced.
+def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]) -> list:
+    """Roots of the quadrature Phi(E) = 2 pi n at the levels (n[i], l[i]) together, reduced.
 
-    Each bracket starts at [E0/4, min(E0, top)] below the undeformed level
-    E0 = 1/(2 n'^2), which the deformation lowers, top = ``window_top(b, l)``
-    (1 - 1e-9), and either end widens by factors of 4 until the residual
-    changes sign.  An upper end that reaches top without a sign change
-    makes the level infeasible (``_infeasible``, quoting this route's
-    residual), and so does an empty window (top = 0: 2 b^2 overflows), at
-    once.  Regula falsi then shrinks the bracket in u = E^(-1/2), where Phi
-    is exactly linear at beta = 0, until its relative width in E is at most
-    ``ROOT_RTOL``.  When the new iterate c lands on the side of the last
-    one b, the other end stays, its residual scaled by Anderson-Bjorck's
-    m = 1 - f_c/f_b, or by Illinois' 1/2 where m <= 0 (Anderson & Bjorck,
-    BIT 13, 1973).  The root is the secant root through the unscaled
-    residuals at the converged bracket's two ends, where they differ in
-    sign and it lies inside the bracket, else the last iterate.  Every
-    round evaluates all levels still open in one :func:`_phase_rows` call.
-    Returns, per level, its reduced energy Ẽ or the SnyderCoulombError that
-    stopped it; a failure stays in its own row.
+    Real n and l, 0 < n < inf and 0 <= l < inf (else ValueError), and
+    n' = n + l; the messages name a level by its n and l.  Each bracket
+    starts at [E0/4, min(E0, top)] below the undeformed level E0 = 1/(2 n'^2),
+    which the deformation lowers, top = ``window_top(b, l)`` (1 - 1e-9), and
+    either end widens by factors of 4 until the residual changes sign.  An
+    upper end that reaches top without a sign change makes the level
+    infeasible, quoting this route's residual there, and so does an empty
+    window (top = 0: 2 b^2 overflows), at once.  Regula falsi then
+    shrinks the bracket in u = E^(-1/2), where Phi is exactly linear at
+    beta = 0, until its relative width in E is at most ``ROOT_RTOL``.  When
+    the new iterate c lands on the side of the last one b, the other end
+    stays, its residual scaled by Anderson-Bjorck's m = 1 - f_c/f_b, or by
+    Illinois' 1/2 where m <= 0 (Anderson & Bjorck, BIT 13, 1973).  The root
+    is the secant root through the unscaled residuals at the converged
+    bracket's two ends, where they differ in sign and it lies inside the
+    bracket, else the last iterate.  Every round evaluates all levels still
+    open in one :func:`_phase_rows` call.  Returns, per level, its reduced
+    energy Ẽ or the SnyderCoulombError that stopped it; a failure stays in
+    its own row.
     """
-    result: list = [None] * len(levels)
-    active = np.ones(len(levels), dtype=bool)
-    l = np.array([qn.l for qn in levels], dtype=float)
-    target = TWO_PI * np.array([qn.n for qn in levels], dtype=float)
-    e0 = 1.0 / (2.0 * np.array([qn.n_prime for qn in levels], dtype=float) ** 2)
-    top = np.array([window_top(params.b, qn.l) * (1.0 - 1e-9) for qn in levels])
+    result: list = [None] * len(n)
+    active = np.ones(len(n), dtype=bool)
+    n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
+    if not ((0.0 < n_rows) & (n_rows < math.inf) & (0.0 <= l_rows) & (l_rows < math.inf)).all():
+        raise ValueError("levels need 0 < n < inf and 0 <= l < inf")
+    target = TWO_PI * n_rows
+    e0 = 1.0 / (2.0 * (n_rows + l_rows) ** 2)
+    top = np.array([window_top(params.b, x) * (1.0 - 1e-9) for x in l])
 
     def fail(i: int, exc: SnyderCoulombError) -> None:
         result[i], active[i] = exc, False
 
     def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
-        phi, err = _phase_rows(params.b, energy, l[rows])
+        phi, err = _phase_rows(params.b, energy, l_rows[rows])
         for k in np.isnan(phi).nonzero()[0]:
-            fail(rows[k], _missed(float(energy[k]), levels[rows[k]].l, err[k]))
+            fail(rows[k], _missed(float(energy[k]), l[rows[k]], err[k]))
         return phi - target[rows]
 
     for i in (top == 0.0).nonzero()[0]:  # 2 b^2 overflows: no bracket fits
-        fail(i, NoRootInWindow(f"empty reduced window (0, 0.0) for {levels[i]}"))
+        fail(i, NoRootInWindow(f"empty reduced window (0, 0.0) for n={n[i]}, l={l[i]}"))
     hi = np.where(active, np.minimum(e0, top), e0)  # below E0, which the deformation lowers
     lo = hi / 4.0
-    f_lo, f_hi = np.zeros(len(levels)), np.zeros(len(levels))
+    f_lo, f_hi = np.zeros(len(n)), np.zeros(len(n))
     widen_lo, widen_hi = active.copy(), active.copy()
     for _ in range(100):
         at_lo, at_hi = (widen_lo & active).nonzero()[0], (widen_hi & active).nonzero()[0]
@@ -364,12 +347,16 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
         f_lo[at_lo], f_hi[at_hi] = f[: at_lo.size], f[at_lo.size :]
         widen_lo, widen_hi = f_lo <= 0.0, f_hi >= 0.0
         for i in (widen_hi & active & (hi >= top)).nonzero()[0]:
-            fail(i, _infeasible(params, levels[i], float(f_hi[i])))
+            fail(i, NoRootInWindow(  # quoting Phi - 2 pi n at the window top
+                f"Phi(E) - 2 pi n = {float(f_hi[i])!r} does not change sign inside the reduced "
+                f"window (0, {window_top(params.b, l[i])!r}) for n={n[i]}, l={l[i]}: level "
+                f"infeasible at beta={params.beta!r}"))
         np.divide(lo, 4.0, out=lo, where=widen_lo)
         np.minimum(4.0 * hi, top, out=hi, where=widen_hi)
     else:
         for i in (active & (widen_lo | widen_hi)).nonzero()[0]:
-            fail(i, NoRootInWindow(f"no sign change of Phi(E) - 2 pi n found for {levels[i]}"))
+            fail(i, NoRootInWindow(f"no sign change of Phi(E) - 2 pi n found for n={n[i]}, "
+                                   f"l={l[i]}"))
 
     # u = E^(-1/2) rises as E falls, and so does Phi: f_a > 0 > f_b.
     u_a, u_b, f_a, f_b = lo**-0.5, hi**-0.5, f_lo, f_hi
@@ -396,7 +383,7 @@ def _solve_levels(params: PhysicalParams, levels: Sequence[QuantumNumbers]) -> l
         for i in active.nonzero()[0]:
             fail(i, ToleranceNotReached(
                 f"regula falsi did not reach rtol={ROOT_RTOL!r} "
-                f"in 100 steps for {levels[i]}"
+                f"in 100 steps for n={n[i]}, l={l[i]}"
             ))
     # the root of the secant through the unscaled residuals at the converged ends,
     # where they differ in sign and it falls inside the bracket, else the last iterate
@@ -420,7 +407,7 @@ def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
     ToleranceNotReached when the quadrature or the root search misses its
     tolerance.
     """
-    (energy,) = _solve_levels(params, [qn])
+    (energy,) = _solve_levels(params, [qn.n], [qn.l])
     if isinstance(energy, SnyderCoulombError):
         raise energy
     return params.physical(energy)
@@ -445,7 +432,8 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
         for l in range(n_prime)
     ]
     entries: list[SpectrumEntry] = []
-    for qn, e_numeric in zip(levels, _solve_levels(params, levels)):
+    solved = _solve_levels(params, [qn.n for qn in levels], [qn.l for qn in levels])
+    for qn, e_numeric in zip(levels, solved):
         try:
             e_closed = energy_closed(params, qn)
         except SnyderCoulombError as exc:  # per-entry isolation
@@ -487,10 +475,14 @@ def correction_order(
     if math.log10(max(betas) / min(betas)) < 1.5 - 1e-12:
         raise ValueError("beta_grid must span at least 1.5 decades")
 
+    n, l = qn.n, qn.l
     e_ref = 1.0 / (2.0 * qn.n_prime**2)
     log_b, log_c = [], []
     for beta in betas:
-        energy = level_closed(params_base.deformation(beta), qn)
+        try:
+            energy = level_closed(params_base.deformation(beta), n, l)
+        except NoRootInWindow as exc:
+            raise NoRootInWindow(f"{qn}: {exc}") from None
         corr = abs(energy / e_ref - 1.0)
         if corr < NOISE_FLOOR:
             continue

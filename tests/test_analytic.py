@@ -407,17 +407,42 @@ class TestReducedLevel:
                         energy = energy_closed(PhysicalParams(1, 1, beta), qn)
                     except NoRootInWindow as exc:
                         with pytest.raises(NoRootInWindow) as reduced:
-                            level_closed(beta, qn)
-                        # energy_closed names the beta it was given before the reason
-                        assert str(exc) == f"level infeasible at beta={beta!r} for {reduced.value}"
+                            level_closed(beta, qn.n, qn.l)
+                        # energy_closed names the beta it was given and the level before the reason
+                        assert str(exc) == (f"level infeasible at beta={beta!r} for {qn}: "
+                                            f"{reduced.value}")
                         continue
-                    assert level_closed(beta, qn) == energy, (beta, qn)
+                    assert level_closed(beta, qn.n, qn.l) == energy, (beta, qn)
 
     def test_depends_on_m_e2_and_beta_only_through_b(self):
         params = PhysicalParams(2.0, 0.7, 0.05)
         qn = QuantumNumbers(2, 1)
-        assert energy_closed(params, qn) == params.unit * level_closed(params.b, qn)
+        assert energy_closed(params, qn) == params.unit * level_closed(params.b, qn.n, qn.l)
         assert params.deformation(0.05) == params.b == 0.05 * (2.0 * 0.7)
+
+    @pytest.mark.parametrize("n,l", [(0.0, 0.0), (-1.0, 1.0), (1, -1), (1.0, -1e-300),
+                                     (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+                                     (1.0, math.inf)])
+    def test_quantum_numbers_outside_the_real_domain_raise(self, n, l):
+        with pytest.raises(ValueError, match=r"needs 0 < n < inf and 0 <= l < inf"):
+            level_closed(0.1, n, l)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3])
+    def test_tiny_l_beside_a_large_n_reads_the_1d_limit(self, beta):
+        # l = 5e-18 against n = 19.9: g'(u0) = -2 A l at b = 0 rounds to 0 beside
+        # 2 K u0, so the step bisects; the level is the 1D level to roundoff
+        n, l = 19.941684216082134, 5.048250879797824e-18
+        assert level_closed(beta, n, l) == pytest.approx(level_closed(beta, n, 0), rel=1e-15)
+
+    def test_an_underflowing_level_is_outside_the_window(self):
+        # u = 1/n' = 1e-200: Ẽ = u^2/2 underflows to 0
+        with pytest.raises(NoRootInWindow, match=r"E/\(m e2\^2\) = 0.0 is not inside"):
+            level_closed(0.0, 1e200, 1.0)
+
+    def test_an_overflowing_quartic_is_a_scale_error(self):
+        # n' = 2e-100: u0^4 = 1/n'^4 leaves the float range
+        with pytest.raises(ScaleOutOfRange, match="level quartic overflows"):
+            level_closed(0.0, 1e-100, 1e-100)
 
 
 class TestLevelInsideTheWindow:

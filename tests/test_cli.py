@@ -143,9 +143,8 @@ class TestScale:
          2, "ScaleOutOfRange: 1.7976931348623157e+308 converted"),
         (["l-limit", "--energy=1.7e308", "--beta-grid=0", "--l-grid=1e-170"], 2,
          "ScaleOutOfRange: 1.7e+308 converted"),
-        # the line quadrature's grid would overflow
-        (["verify-integrals", "--beta-grid=0", "--l-grid=0", "--e-grid=1e230"], 1,
-         "and l = 0 rows up to 1e+200, got 1e+230 at l=0"),
+        # a line row far up the float range: the rule holds while 2E is finite
+        (["verify-integrals", "--beta-grid=0", "--l-grid=0", "--e-grid=1e230"], 0, None),
     ])
     def test_each_run_ends_in_a_typed_outcome(self, capsys, argv, code, error):
         # each of these ended in a traceback or a NaN while m, e2 and beta

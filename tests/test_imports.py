@@ -152,6 +152,23 @@ def test_quadrature_route_names_no_closed_form():
     assert (sorted(shared), sorted(set(QUADRATURE_CORE) - defs.keys())) == ([], [])
 
 
+NUMBER_CORES = {"analytic": ("level_closed",),
+                "numerics": ("_solve_levels", "_phase_rows", "_trapezoid")}
+
+
+def test_level_and_quadrature_cores_name_no_quantum_numbers():
+    # the cores take plain numbers; QuantumNumbers is the label of the public entries
+    named, missing = [], []
+    for module, names in NUMBER_CORES.items():
+        tree = ast.parse((SRC / "snyder_coulomb" / f"{module}.py").read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        missing += [name for name in names if name not in defs]
+        named += [name for name in names if name in defs and any(
+            isinstance(node, ast.Name) and node.id == "QuantumNumbers"
+            for node in ast.walk(defs[name]))]
+    assert (named, missing) == ([], [])
+
+
 def test_unknown_attribute_still_raises():
     for module in (numerics, snyder_coulomb):
         with pytest.raises(AttributeError, match="no_such_name"):

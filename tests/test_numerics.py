@@ -22,6 +22,7 @@ from snyder_coulomb import (
     energy_numeric,
     energy_series,
     l_limit_study,
+    level_closed,
     phase_integral_1d_closed,
     phase_integral_numeric,
     radial_phase_integral_closed,
@@ -55,11 +56,12 @@ class TestRealLineRule:
     def test_exhausted_panels_fail_only_their_row(self):
         # the spike of height 2e14 at p = 0 needs h << 1e-7 to resolve; the
         # periodic row beside it keeps the sum of its own first passing order
-        periodic = lambda p: np.exp(np.cos(PI * p))
-        rows = lambda p: np.stack([2.0 / (p * p + 1e-14), periodic(p)])
-        value, err = numerics._trapezoid(rows, -1.0, 1.0, 16)
+        nodes = lambda n: -1.0 + (2.0 / n) * np.arange(n + 1)  # the n-panel grid of [-1, 1]
+        periodic = lambda n: np.exp(np.cos(PI * nodes(n)))
+        rows = lambda n: np.stack([2.0 / (nodes(n) ** 2 + 1e-14), periodic(n)])
+        value, err = numerics._trapezoid(rows, 2.0, 16)
         assert math.isnan(value[0]) and err[0] > numerics.QUAD_RTOL
-        alone = numerics._trapezoid(periodic, -1.0, 1.0, 16)
+        alone = numerics._trapezoid(periodic, 2.0, 16)
         assert (value[1], err[1]) == alone
         assert value[1] == pytest.approx(2 * 1.2660658777520084, rel=1e-14)  # 2 I0(1)
 
@@ -113,23 +115,32 @@ class TestTrapezoidRule:
         assert type(res.value) is float and type(res.err_estimate) is float
         assert 0.0 <= res.err_estimate <= quad_rtol * abs(res.value)
 
-    @pytest.mark.parametrize("near_pole", [False, True])
-    def test_line_rows_stop_at_the_ceiling(self, near_pole):
-        # up to LINE_CEILING the l = 0 grid stays finite, b^2 E near 1/2 included
-        top = numerics.LINE_CEILING
-        params = PhysicalParams(1, 1, 0.999 * math.sqrt(0.5 / top) if near_pole else 0.0)
-        numeric = phase_integral_numeric(params, top, 0).value
-        assert numeric == pytest.approx(phase_integral_1d_closed(params, top).value, rel=1e-13)
-        with pytest.raises(ToleranceNotReached, match="and l = 0 rows up to"):
-            phase_integral_numeric(params, math.nextafter(top, math.inf), 0)
+    @pytest.mark.parametrize("pole_share", [0.0, 1e-200, 0.5, 0.999])
+    def test_line_rows_hold_up_to_the_float_limit(self, pole_share):
+        # the l = 0 rule forms only 2E, its square root and 2E b^2 < 1, all finite
+        # below 2^1023, where PhysicalParams.reduced stops: E log-uniform in
+        # [1e200, 2^1023) and one ulp below 2^1023, at b = pole_share sqrt(1/(2E)),
+        # against the partial fractions 2 pi / (A (1 + b A)), A = sqrt(2E), to 40 digits
+        mp = pytest.importorskip("mpmath")
+        last = math.nextafter(2.0**1023, 0.0)
+        rng = np.random.default_rng(34)
+        energies = [*(10.0 ** rng.uniform(200.0, math.log10(last), 24)).tolist(), last]
+        with mp.workdps(40):
+            for energy in energies:
+                b = pole_share * math.sqrt(0.5 / energy)
+                value = phase_integral_numeric(PhysicalParams(1, 1, b), energy, 0).value
+                a = mp.sqrt(2 * mp.mpf(energy))
+                exact = 2 * mp.pi / (a * (1 + mp.mpf(b) * a))
+                assert abs(value / exact - 1) <= 1e-15, (energy, b, value)
 
     def test_refused_rows_come_back_nan_with_estimate_inf(self):
-        # a band row below BAND_FLOOR and a line row above LINE_CEILING are not
-        # evaluated; the row between them reads as it does alone
+        # a band row below BAND_FLOOR is not evaluated; the rows beside it, a line
+        # row at 1e201 among them, read as they do alone
         energy, l = np.array([1e-101, 0.1, 1e201]), np.array([1.0, 1.0, 0.0])
         value, err = numerics._phase_rows(0.0, energy, l)
-        assert np.isnan(value[[0, 2]]).all() and (err[[0, 2]] == math.inf).all()
+        assert np.isnan(value[0]) and err[0] == math.inf
         assert (value[1], err[1]) == tuple(numerics._phase_rows(0.0, energy[1:2], l[1:2]))
+        assert (value[2], err[2]) == tuple(numerics._phase_rows(0.0, energy[2:3], l[2:3]))
 
     def test_lowered_panel_cap_raises(self, monkeypatch):
         # this band row misses QUAD_RTOL at the 64-panel start and meets it at 128
@@ -209,14 +220,14 @@ class TestPinnedQuadratureBits:
     def test_phase_rows_bits(self, monkeypatch):
         orders, trapezoid = [], numerics._trapezoid
 
-        def counting(f, a, b, n):  # counts the orders a call evaluates
+        def counting(f, width, n):  # counts the orders a call evaluates
             orders.append(0)
 
             def counted(x):
                 orders[-1] += 1
                 return f(x)
 
-            return trapezoid(counted, a, b, n)
+            return trapezoid(counted, width, n)
 
         monkeypatch.setattr(numerics, "_trapezoid", counting)
         digest, missed, doubled = hashlib.sha256(), 0, 0
@@ -441,7 +452,9 @@ class TestLevelRoutes:
             params = PhysicalParams(1, 1, beta)
             levels = [QuantumNumbers(n_prime - l, l) for n_prime in range(1, 7)
                       for l in range(n_prime)]
-            for qn, energy in zip(levels, numerics._solve_levels(params, levels)):
+            solved = numerics._solve_levels(params, [qn.n for qn in levels],
+                                            [qn.l for qn in levels])
+            for qn, energy in zip(levels, solved):
                 if isinstance(energy, NoRootInWindow):
                     numeric.add((beta, qn))
                 try:
@@ -626,6 +639,44 @@ class TestTableSolver:
         assert phase_integral_1d_closed(params, 0.1) == phase_integral_1d_closed(undeformed, 0.1)
         with pytest.raises(DegenerateFit):
             correction_order(undeformed, QuantumNumbers(1, 0), [1e-200, 1e-199, 1e-198, 1e-197])
+
+
+# n log-uniform in [1e-3, 50]; l = 0, or log-uniform in [1e-8, 50]
+real_n = st.floats(-3.0, math.log10(50.0)).map(lambda x: 10.0**x)
+real_l = st.one_of(st.just(0.0), st.floats(-8.0, math.log10(50.0)).map(lambda x: 10.0**x))
+
+
+class TestRealQuantumNumbers:
+    """Both routes take a level at real n > 0 and l >= 0: level_closed and _solve_levels."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.one_of(st.tuples(real_n, real_l), st.tuples(st.integers(1, 50), st.integers(0, 50))),
+           st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+    def test_routes_agree_at_real_quantum_numbers(self, quantum, share):
+        # b up to 0.99 of the feasibility bound 2n + l; an integer (n, l), given as
+        # floats, reads as its QuantumNumbers call bit for bit on both routes
+        n, l = quantum
+        b = share * (2 * n + l)
+        params = PhysicalParams(1, 1, b)  # b = beta, and E = Ẽ
+        closed = level_closed(b, float(n), float(l))
+        (numeric,) = numerics._solve_levels(params, [float(n)], [float(l)])
+        assert isinstance(numeric, float), (n, l, b, numeric)
+        assert abs(numeric / closed - 1.0) <= 1e-14, (n, l, b, closed, numeric)
+        if isinstance(n, int):
+            qn = QuantumNumbers(n, l)
+            assert (closed, numeric) == (energy_closed(params, qn), energy_numeric(params, qn))
+
+    @pytest.mark.parametrize("n,l", [(0.0, 0.0), (-1.0, 1.0), (1.0, -1.0), (math.nan, 0.0),
+                                     (1.0, math.nan), (math.inf, 0.0), (1.0, math.inf)])
+    def test_quantum_numbers_outside_the_real_domain_raise(self, n, l):
+        with pytest.raises(ValueError, match=r"need 0 < n < inf and 0 <= l < inf"):
+            numerics._solve_levels(PhysicalParams(1, 1, 0.1), [2.0, n], [1.0, l])
+
+    def test_messages_name_n_and_l_as_given(self):
+        # b = 3 makes (1, 0) infeasible: the quadrature route names the level itself
+        (energy,) = numerics._solve_levels(PhysicalParams(1, 1, 3.0), [1], [0])
+        assert isinstance(energy, NoRootInWindow)
+        assert "for n=1, l=0: level infeasible at beta=3.0" in str(energy)
 
 
 class TestCorrectionOrder:

@@ -19,7 +19,8 @@ n up to 2**40 and l up to 2**53, past where an int64 l*l wraps.  Each call
 returns a finite float or raises a SnyderCoulombError, and emits no warning.
 The other public functions of the spectra and the dynamics are called the
 same way, with energies log-uniform over the float range, n and l up to
-2**53 and signed state components: each returns finite values, raises a
+2**53 (and, for ``level_closed``, real n and l log-uniform over the positive
+floats, l also 0) and signed state components: each returns finite values, raises a
 SnyderCoulombError or raises the ValueError its docstring names.  The only
 non-finite values allowed are the ones the docstrings promise.
 
@@ -205,6 +206,8 @@ def finite(*values):
 quantum = st.one_of(st.integers(0, 3), st.floats(0.0, 53.0).map(lambda x: int(2.0**x)))
 # a fractional or an integer l > 0, as the radial closed form takes it
 float_l = st.one_of(small_l, st.floats(0.0, 53.0).map(lambda x: float(int(2.0**x))))
+# a real n or l of level_closed: log-uniform over the positive floats, or l = 0
+real_l = st.one_of(st.just(0.0), magnitude)
 # the top of correction_order's beta grid, whose two decades below it stay positive
 grid_top = st.floats(-300.0, 308.25).map(lambda x: 10.0**x)
 
@@ -212,14 +215,16 @@ grid_top = st.floats(-300.0, 308.25).map(lambda x: 10.0**x)
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(magnitude, magnitude, beta, magnitude, quantum, quantum, float_l, grid_top,
-       st.tuples(signed, signed, signed, signed))
+       st.tuples(signed, signed, signed, signed), magnitude, real_l)
 def test_public_functions_end_in_finite_values_or_a_typed_error(m, e2, beta, energy, n, l,
-                                                                 radial_l, top_beta, y):
+                                                                 radial_l, top_beta, y,
+                                                                 real_n, level_l):
     params = PhysicalParams(m, e2, beta)
     qn = QuantumNumbers(max(n, 1), l)
-    context = (params, energy, qn, radial_l, top_beta, y)
+    context = (params, energy, qn, radial_l, top_beta, y, real_n, level_l)
 
-    for call in (lambda: energy_closed(params, qn), lambda: level_closed(params.b, qn),
+    for call in (lambda: energy_closed(params, qn), lambda: level_closed(params.b, qn.n, qn.l),
+                 lambda: level_closed(params.b, real_n, level_l),
                  lambda: energy_3d_perturbative_ref(params, qn)):
         value = settled(call)
         assert value is None or finite(value), (context, value)
