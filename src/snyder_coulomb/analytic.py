@@ -31,10 +31,11 @@ The radial closed form implemented here is the exact value of
 
     l * Integral_{z-}^{z+} sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ) (1 + b^2 z)) dz
 
-obtained by partial fractions; it vanishes at the circular-orbit endpoint
-and matches a trapezoid rule on the raw integrand to machine precision
-(see the numerics module and the test suite for the cross-checks).  No
-closed form evaluates the band edges z-, z+: only the quadrature does.
+obtained by partial fractions; it tends to 0 at the circular-orbit bound,
+which lies outside the open window, and matches a trapezoid rule on the
+raw integrand to machine precision (see the numerics module and the test
+suite for the cross-checks).  No closed form evaluates the band edges
+z-, z+: only the quadrature does.
 
 All functions are pure and all result types immutable.
 """
@@ -42,6 +43,7 @@ All functions are pure and all result types immutable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from typing import Sequence
@@ -105,7 +107,7 @@ def phase_integral_1d_closed(params: PhysicalParams, energy: float) -> PhaseInte
     and strictly decreasing in E on the energy window.  Raises OutOfWindow
     outside it (``PhysicalParams.admit``).
     """
-    energy, _ = params.admit(energy, 0)
+    energy = params.admit(energy, 0)
     value = PI * math.sqrt(2.0 / energy) / (1.0 + params.b * math.sqrt(2.0 * energy))
     return PhaseIntegralResult(value=value, kind="closed_form")
 
@@ -120,16 +122,14 @@ def radial_phase_integral_closed(
         pi * [ sqrt(2 / Ẽ) / W - l * (1 + sqrt(1 + 4 b^2 / (l^2 W^2))) ].
 
     At b = 0 this reduces to pi*(sqrt(2/Ẽ) - 2 l) along the same code path.
-    At the circular-orbit endpoint, which ``PhysicalParams.admit`` flags,
-    the band has zero width and the integral is exactly zero; 0 is returned
-    rather than raised.  Raises ValueError unless l > 0 and OutOfWindow outside the
-    window.  ``l`` may be fractional, which is used by the small-l limit study.
+    Raises ValueError unless l > 0 and OutOfWindow outside the open window
+    (``PhysicalParams.admit``), at the circular-orbit bound too, where the
+    band has zero width.  ``l`` may be fractional, which is used by the
+    small-l limit study.
     """
     if not l > 0:
         raise ValueError(f"l must be > 0, got {l!r}")
-    energy, endpoint = params.admit(energy, l)
-    if endpoint:
-        return PhaseIntegralResult(value=0.0, kind="closed_form")
+    energy = params.admit(energy, l)
     b = params.b
     w = 1.0 - 2.0 * b * b * energy
     square = l * l * w * w  # 0 where l^2 underflows: the ratio is then inf, or 0 at b = 0
@@ -143,7 +143,8 @@ def radial_phase_integral_closed(
 def level_closed(b: float, n: float, l: float) -> float:
     """Reduced level Ẽ = E/(m e2^2) of (n, l) at b = beta m e2: Phi = 2 pi n solved exactly.
 
-    Real n and l, 0 < n < inf and 0 <= l < inf, else ValueError; n' = n + l.
+    Real n and l, 0 < n < inf and 0 <= l < inf, else ValueError, an int past
+    the float range too; n' = n + l.
     Algebraically, in u = sqrt(2 Ẽ).  For l = 0 (the 1D problem) the condition is
     b n u^2 + n u - 1 = 0 in u > 0, solved in the cancellation-free form
     u = 2 / (n + sqrt(n^2 + 4 b n)); Ẽ lies below the pole exactly when
@@ -172,7 +173,7 @@ def level_closed(b: float, n: float, l: float) -> float:
     onto the pole or underflowing to 0.  Where u0^4 overflows (n' below
     about 1e-77) it raises ScaleOutOfRange.  The messages name no level.
     """
-    if not (0.0 < n < math.inf and 0.0 <= l < math.inf):
+    if not (0.0 < n <= sys.float_info.max and 0.0 <= l <= sys.float_info.max):
         raise ValueError(f"a level needs 0 < n < inf and 0 <= l < inf, got n={n!r}, l={l!r}")
     a, big_n = 2.0, 2 * n + l
     if not b * a < 2 * big_n:

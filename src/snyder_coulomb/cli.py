@@ -246,7 +246,7 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
                         phi_c = radial_phase_integral_closed(params, energy, l).value
                 except OutOfWindow:
                     phi_c = 0.0
-                if phi_c == 0.0:  # outside, or no rel_dev: Phi = 0 at or next to an endpoint
+                if phi_c == 0.0:  # outside, or rounded to 0 next to the circular bound
                     skipped += 1
                     continue
                 phi_n = phase_integral_numeric(params, energy, l).value

@@ -15,7 +15,7 @@ across it; ``analytic`` and ``numerics`` compute in the reduced units
 Every downstream formula assumes a positive reduced binding energy Ẽ in the
 window that :meth:`PhysicalParams.admit` alone decides:
 
-* ``l > 0`` orbits require real turning points, ``Ẽ <= 1/(2*l**2)``;
+* ``l > 0`` orbits require a band of positive width, ``Ẽ < 1/(2*l**2)``;
 * ``b > 0`` additionally requires ``1 - 2*b**2*Ẽ > 0``, the pole of the
   deformed radial closed form.
 
@@ -162,24 +162,17 @@ class PhysicalParams:
                                   f"{self.unit!r} leaves the float range")
         return converted
 
-    def admit(self, energy: float, l: float) -> tuple[float, bool]:
-        """The reduced energy of ``energy``, and whether it is the circular endpoint.
+    def admit(self, energy: float, l: float) -> float:
+        """The reduced energy Ẽ of ``energy``, strictly inside the window of ``l``.
 
-        Raises OutOfWindow unless Ẽ is admissible for ``l``: 0 < Ẽ < top
-        (:func:`window_top`), where the flag is False, or Ẽ = top where top
-        is the circular-orbit bound of an ``l > 0`` channel lying below the
-        pole, where it is True: there the band has zero width and every phase
-        integral is 0.  Where the bound coincides with the pole, top is the
-        pole and raises.
+        Raises OutOfWindow unless 0 < Ẽ < top (:func:`window_top`), at
+        either bound of the window too: at the circular-orbit bound the band
+        has zero width, Phi = 0 is no level, and no route evaluates it.
         """
         reduced, top = self.reduced(energy), window_top(self.b, l)
         if 0.0 < reduced < top:
-            return reduced, False
-        pole = 2.0 * self.b * self.b
-        if not (l > 0 and reduced == top and (pole == 0.0 or reduced < 1.0 / pole)):
-            raise OutOfWindow(f"E={energy!r} outside the window (0, {self.unit * top!r}) "
-                              f"at l={l!r}")
-        return reduced, True
+            return reduced
+        raise OutOfWindow(f"E={energy!r} outside the window (0, {self.unit * top!r}) at l={l!r}")
 
 
 @dataclass(frozen=True)

@@ -277,15 +277,11 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
     A one-row call of :func:`_phase_rows`, which describes both rules and
     the rows it refuses.  Must agree with the closed-form counterpart
     within quadrature tolerance.  Raises OutOfWindow at the points where
-    the closed forms do (``PhysicalParams.admit``) and ToleranceNotReached
-    when the rule misses ``QUAD_RTOL`` or refuses the row (a band row below
-    ``BAND_FLOOR``).  At the circular-orbit endpoint, which
-    ``PhysicalParams.admit`` flags, the band has zero width: the value is 0
-    with error 0, and no rule runs.
+    the closed forms do (``PhysicalParams.admit``), at the circular-orbit
+    bound too, before any rule runs, and ToleranceNotReached when the rule
+    misses ``QUAD_RTOL`` or refuses the row (a band row below ``BAND_FLOOR``).
     """
-    energy, endpoint = params.admit(energy, l)
-    if endpoint:
-        return PhaseIntegralResult(value=0.0, kind="numeric", err_estimate=0.0)
+    energy = params.admit(energy, l)
     value, err = _phase_rows(params.b, np.array([energy]), np.array([l], dtype=float))
     if math.isnan(value[0]):
         raise _missed(energy, l, err[0])
@@ -295,8 +291,9 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
 def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n at the levels (n[i], l[i]) together, reduced.
 
-    Real n and l, 0 < n < inf and 0 <= l < inf (else ValueError), and
-    n' = n + l; the messages name a level by its n and l.  Each bracket
+    Real n and l, 0 < n < inf and 0 <= l < inf (else ValueError, an int
+    past the float range too), and n' = n + l; the messages name a level by
+    its n and l.  Each bracket
     starts at [E0/4, min(E0, top)] below the undeformed level E0 = 1/(2 n'^2),
     which the deformation lowers, top = ``window_top(b, l)`` (1 - 1e-9), and
     either end widens by factors of 4 until the residual changes sign.  An
@@ -317,8 +314,12 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
     """
     result: list = [None] * len(n)
     active = np.ones(len(n), dtype=bool)
-    n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
-    if not ((0.0 < n_rows) & (n_rows < math.inf) & (0.0 <= l_rows) & (l_rows < math.inf)).all():
+    try:
+        n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
+        real = ((0.0 < n_rows) & (n_rows < math.inf) & (0.0 <= l_rows) & (l_rows < math.inf)).all()
+    except OverflowError:  # an int past the float range
+        real = False
+    if not real:
         raise ValueError("levels need 0 < n < inf and 0 <= l < inf")
     target = TWO_PI * n_rows
     e0 = 1.0 / (2.0 * (n_rows + l_rows) ** 2)

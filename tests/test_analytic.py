@@ -157,13 +157,14 @@ class TestRadialPhaseIntegral:
         res = radial_phase_integral_closed(PhysicalParams(1, 1, 0.1), 0.125, 1)
         assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13)
 
-    def test_degenerate_endpoint_is_zero(self):
-        # the closed form uses no band code: the endpoint is admit's
+    def test_circular_bound_is_out_of_window(self):
+        # the closed form uses no band code: the window, open at the circular bound, is admit's
         newtonian = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1).value
         assert newtonian == pytest.approx(2 * PI, rel=1e-14)
-        assert radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.5, 1).value == 0.0
-        # the circular-orbit band has zero width for beta > 0 as well
-        assert radial_phase_integral_closed(PhysicalParams(1, 1, 0.1), 0.5, 1).value == 0.0
+        # the circular-orbit band has zero width, for beta > 0 as well
+        for beta in (0.0, 0.1):
+            with pytest.raises(OutOfWindow):
+                radial_phase_integral_closed(PhysicalParams(1, 1, beta), 0.5, 1)
 
     def test_out_of_window(self):
         with pytest.raises(OutOfWindow):
@@ -422,8 +423,9 @@ class TestReducedLevel:
 
     @pytest.mark.parametrize("n,l", [(0.0, 0.0), (-1.0, 1.0), (1, -1), (1.0, -1e-300),
                                      (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
-                                     (1.0, math.inf)])
+                                     (1.0, math.inf), (10**400, 0), (1, 10**400)])
     def test_quantum_numbers_outside_the_real_domain_raise(self, n, l):
+        # an int past the float range too: compared, never converted
         with pytest.raises(ValueError, match=r"needs 0 < n < inf and 0 <= l < inf"):
             level_closed(0.1, n, l)
 
@@ -462,7 +464,7 @@ class TestLevelInsideTheWindow:
             except NoRootInWindow:
                 continue
             feasible += 1
-            assert params.admit(energy, l)[1] is False, (m, e2, n, l, k)
+            params.admit(energy, l)  # strictly inside the open window: no OutOfWindow
         assert feasible > 8000
 
     @pytest.mark.parametrize("l", [0, 1])

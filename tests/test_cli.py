@@ -218,13 +218,13 @@ class TestVerifyIntegrals:
 
     @pytest.mark.parametrize("argv", [
         # one ulp below m e2^2 window_top(b, l), which admit reads as the top:
-        # the circular endpoint, where Phi = 0 and rel_dev divided by it
+        # the circular bound, outside the open window
         ["--m=2.8954790309179606", "--e2=0.001199131965262454", "--beta-grid=0.0",
          "--l-grid=3", "--e-grid=2.3130332682812525e-07"],
         # ... and past the top, which the product m e2^2 top had put above it
         ["--m=30.82682849818549", "--e2=315.99942130080893", "--beta-grid=0.03562555579013346",
          "--l-grid=3", "--e-grid=12.779617670299997"],
-        # inside the window, where the closed form rounds onto the endpoint's 0
+        # inside the window, where the closed form rounds to 0, which rel_dev divides by
         ["--beta-grid=0", "--l-grid=1", "--e-grid=0.49999999999999994"],
     ])
     def test_admit_decides_the_window_edge(self, capsys, argv):
@@ -456,6 +456,16 @@ class TestLLimit:
         _, rows = parse_csv(out)
         flagged = [r for r in rows if r["error"]]
         assert len(flagged) == 1  # l = 0.001 keeps E = 0.6 inside its window
+
+    def test_circular_bound_row_is_out_of_window(self, capsys):
+        # E = 1/(2 l^2) at l = 2: the circular orbit, Phi = 0, is no level
+        code, out, _ = run_cli(
+            capsys, "l-limit", "--energy", "0.125", "--l-grid", "2", "--beta-grid", "0",
+        )
+        assert code == 1
+        (row,) = csv.DictReader(io.StringIO(out))  # the quoted error holds a comma
+        assert row["phi_radial"] == row["gap"] == "nan"
+        assert row["error"] == "OutOfWindow: E=0.125 outside the window (0, 0.125) at l=2.0"
 
 
 class TestInfrastructure:

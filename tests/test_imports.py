@@ -152,6 +152,23 @@ def test_quadrature_route_names_no_closed_form():
     assert (sorted(shared), sorted(set(QUADRATURE_CORE) - defs.keys())) == ([], [])
 
 
+def test_only_admit_raises_out_of_window():
+    # one owner of the energy window: every route that refuses an energy asks admit
+    def raisers(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from raisers(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "OutOfWindow":
+                    yield scope
+            yield from raisers(child, scope)
+
+    found = [scope for path in MODULES for scope in raisers(ast.parse(path.read_text()), path.stem)]
+    assert found == ["model.PhysicalParams.admit"]
+
+
 NUMBER_CORES = {"analytic": ("level_closed",),
                 "numerics": ("_solve_levels", "_phase_rows", "_trapezoid")}
 

@@ -129,17 +129,17 @@ class TestEnergyWindow:
         assert window_top(0.0, 1e-200) == window_top(0.0, 5e-324) == math.inf
         assert window_top(0.5, 1e-170) == window_top(0.5, 0) == 2.0
 
-    def test_check_is_open_but_for_the_circular_endpoint(self):
+    def test_check_is_open_at_both_ends(self):
         params = PhysicalParams(1, 1, 0)
-        assert params.admit(0.3, 1)[1] is False
-        assert params.admit(0.5, 1)[1] is True  # the circular orbit: a band of zero width
-        assert params.admit(0.5, 0)[1] is False
-        for energy in (0.0, -1.0, math.nan, math.nextafter(0.5, 1.0)):
+        assert params.admit(0.3, 1) == 0.3
+        assert params.admit(0.5, 0) == 0.5
+        assert params.admit(math.nextafter(0.5, 0.0), 1) == math.nextafter(0.5, 0.0)
+        # the circular orbit, a band of zero width, is no level: Phi = 0 there
+        for energy in (0.0, -1.0, math.nan, 0.5, math.nextafter(0.5, 1.0)):
             with pytest.raises(OutOfWindow):
                 params.admit(energy, 1)
-        # the pole is never admitted: not where it equals the circular bound,
-        # not at l = 0, and not where 2 b^2 fl(1/(2 b^2)) = 24.5 fl(1/24.5)
-        # rounds below 1
+        # nor is the pole: not where it equals the circular bound, not at l = 0,
+        # and not where 2 b^2 fl(1/(2 b^2)) = 24.5 fl(1/24.5) rounds below 1
         for params, energy, l in [
             (PhysicalParams(1, 1, 1.0), 0.5, 1),
             (PhysicalParams(1, 1, 2.0), 0.125, 0),
