@@ -4,10 +4,10 @@
 At beta = 0 the loop quantization condition is exact for the Coulomb
 problem: solving Phi(E) = 2 pi n for every (n', l) must land on the
 familiar levels, degenerate in l.  Both solver routes are shown: the
-closed-form levels and Anderson-Bjorck regula falsi in u = E^(-1/2) on a blind
+closed-form levels and a secant method in u = E^(-1/2) on a blind
 trapezoid rule (in log variables) over the raw integrand.  At beta = 0 the
-phase integral is exactly linear in u, so the root search lands in a few
-steps.
+phase integral is exactly linear in u, so the root search ends after its
+first step from E0.
 """
 
 from snyder_coulomb import PhysicalParams, QuantumNumbers, energy_closed, energy_numeric

@@ -49,14 +49,13 @@ real n > 0 and l >= 0 (``analytic.level_closed``, ``_solve_levels``), and
 the public entries unwrap ``QuantumNumbers``.  The closed-form route is
 algebraic (``analytic.energy_closed``): no root search.  The quadrature
 route solves Phi(E) = 2 pi n for a whole table at once, infeasible levels
-included: each level's bracket starts just below its undeformed level
-E0 = 1 / (2 n'^2), which the deformation lowers, and widens geometrically
-inside the energy window, then Anderson-Bjorck regula falsi runs in
-u = Ẽ^(-1/2), where Phi is exactly linear at b = 0, with one array
-evaluation per round over the levels still open, until each bracket is
-``ROOT_RTOL`` wide relative; the level is the secant root through the
-converged bracket's ends, else the last iterate.  A level that fails
-records its error in its own row.
+included, by a safeguarded secant method in u = Ẽ^(-1/2), where Phi is
+exactly linear at b = 0: each level starts at its undeformed level
+E0 = 1 / (2 n'^2), which the deformation lowers, or just below the window
+top, and its residuals' signs keep a bracket on it.  Each round is one
+array evaluation over the levels still open; a level ends at its first
+step under ``ROOT_RTOL`` relative in Ẽ, at b = 0 its very first.  A level
+that fails records its error in its own row.
 ``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
 same code, so this module loads no scipy.
 
@@ -84,6 +83,7 @@ from .analytic import (  # LLimitRow and l_limit_study stay readable from here
 from .errors import (
     DegenerateFit,
     NoRootInWindow,
+    ScaleOutOfRange,
     SnyderCoulombError,
     ToleranceNotReached,
 )
@@ -101,7 +101,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 MAX_PANELS = 1 << 14  # panel cap of the trapezoid rule
 QUAD_RTOL = 1e-10  # relative error estimate the trapezoid rule must meet
-ROOT_RTOL = 1e-12  # relative bracket width of a quadrature-route level
+ROOT_RTOL = 1e-12  # a quadrature-route level ends at a step under this, relative in E
+SLOPE_B0 = math.pi * math.sqrt(2.0)  # dPhi/du at b = 0 on both channels, u = E^(-1/2)
 NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
 # Smallest reduced energy of a band (l > 0) row.  The band rule's first float
 # limit is its lower edge z- = (2E)^2 / z+ ~ l^2 E^2, which leaves the normal floats
@@ -293,21 +294,22 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
 
     Real n and l, 0 < n < inf and 0 <= l < inf (else ValueError, an int
     past the float range too), and n' = n + l; the messages name a level by
-    its n and l.  Each bracket
-    starts at [E0/4, min(E0, top)] below the undeformed level E0 = 1/(2 n'^2),
-    which the deformation lowers, top = ``window_top(b, l)`` (1 - 1e-9), and
-    either end widens by factors of 4 until the residual changes sign.  An
-    upper end that reaches top without a sign change makes the level
-    infeasible, quoting this route's residual there, and so does an empty
-    window (top = 0: 2 b^2 overflows), at once.  Regula falsi then
-    shrinks the bracket in u = E^(-1/2), where Phi is exactly linear at
-    beta = 0, until its relative width in E is at most ``ROOT_RTOL``.  When
-    the new iterate c lands on the side of the last one b, the other end
-    stays, its residual scaled by Anderson-Bjorck's m = 1 - f_c/f_b, or by
-    Illinois' 1/2 where m <= 0 (Anderson & Bjorck, BIT 13, 1973).  The root
-    is the secant root through the unscaled residuals at the converged
-    bracket's two ends, where they differ in sign and it lies inside the
-    bracket, else the last iterate.  Every round evaluates all levels still
+    its n and l.  A safeguarded secant method runs in u = E^(-1/2), where
+    Phi rises with u and is exactly linear at b = 0, with slope pi sqrt(2)
+    on both channels.  Each level starts at min(E0, top): its undeformed
+    level E0 = 1/(2 n'^2), which the deformation lowers, or top =
+    ``window_top(b, l)`` (1 - 1e-9).  Its first step takes the b = 0 slope,
+    and each later one the secant through its last two iterates.  Each
+    residual's sign moves one end of the level's bracket; a step that leaves
+    the bracket bisects it, or doubles u while no residual above 0 is known,
+    and no step goes above top.  A residual >= 0 at top makes the level
+    infeasible, quoting that residual, and so does an empty window (top = 0:
+    2 b^2 overflows), at once; a start outside 0 < E < 2^1023, the energies
+    :func:`_phase_rows` takes, raises ScaleOutOfRange, at once.  A level is
+    done at the end of its first step shorter than ``ROOT_RTOL``/2 relative
+    in u (``ROOT_RTOL`` in E), which is not evaluated.  A level still open
+    after 100 rounds fails: NoRootInWindow while no residual above 0 is
+    known, else ToleranceNotReached.  Every round evaluates all levels still
     open in one :func:`_phase_rows` call.  Returns, per level, its reduced
     energy Ẽ or the SnyderCoulombError that stopped it; a failure stays in
     its own row.
@@ -322,8 +324,9 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
     if not real:
         raise ValueError("levels need 0 < n < inf and 0 <= l < inf")
     target = TWO_PI * n_rows
-    e0 = 1.0 / (2.0 * (n_rows + l_rows) ** 2)
     top = np.array([window_top(params.b, x) * (1.0 - 1e-9) for x in l])
+    with np.errstate(over="ignore", divide="ignore"):  # an E0 past the float range, failed below
+        start = np.minimum(1.0 / (2.0 * (n_rows + l_rows) ** 2), top)
 
     def fail(i: int, exc: SnyderCoulombError) -> None:
         result[i], active[i] = exc, False
@@ -334,68 +337,51 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
             fail(rows[k], _missed(float(energy[k]), l[rows[k]], err[k]))
         return phi - target[rows]
 
-    for i in (top == 0.0).nonzero()[0]:  # 2 b^2 overflows: no bracket fits
+    for i in (top == 0.0).nonzero()[0]:  # 2 b^2 overflows: no level fits below the top
         fail(i, NoRootInWindow(f"empty reduced window (0, 0.0) for n={n[i]}, l={l[i]}"))
-    hi = np.where(active, np.minimum(e0, top), e0)  # below E0, which the deformation lowers
-    lo = hi / 4.0
-    f_lo, f_hi = np.zeros(len(n)), np.zeros(len(n))
-    widen_lo, widen_hi = active.copy(), active.copy()
-    for _ in range(100):
-        at_lo, at_hi = (widen_lo & active).nonzero()[0], (widen_hi & active).nonzero()[0]
-        if not at_lo.size + at_hi.size:
-            break
-        f = residual(np.concatenate([at_lo, at_hi]), np.concatenate([lo[at_lo], hi[at_hi]]))
-        f_lo[at_lo], f_hi[at_hi] = f[: at_lo.size], f[at_lo.size :]
-        widen_lo, widen_hi = f_lo <= 0.0, f_hi >= 0.0
-        for i in (widen_hi & active & (hi >= top)).nonzero()[0]:
-            fail(i, NoRootInWindow(  # quoting Phi - 2 pi n at the window top
-                f"Phi(E) - 2 pi n = {float(f_hi[i])!r} does not change sign inside the reduced "
-                f"window (0, {window_top(params.b, l[i])!r}) for n={n[i]}, l={l[i]}: level "
-                f"infeasible at beta={params.beta!r}"))
-        np.divide(lo, 4.0, out=lo, where=widen_lo)
-        np.minimum(4.0 * hi, top, out=hi, where=widen_hi)
-    else:
-        for i in (active & (widen_lo | widen_hi)).nonzero()[0]:
-            fail(i, NoRootInWindow(f"no sign change of Phi(E) - 2 pi n found for n={n[i]}, "
-                                   f"l={l[i]}"))
+    for i in (active & ~((0.0 < start) & (start < 2.0**1023))).nonzero()[0]:
+        fail(i, ScaleOutOfRange(f"the start E/(m e2^2) = {float(start[i])!r} leaves the float "
+                                f"range for n={n[i]}, l={l[i]}"))
 
-    # u = E^(-1/2) rises as E falls, and so does Phi: f_a > 0 > f_b.
-    u_a, u_b, f_a, f_b = lo**-0.5, hi**-0.5, f_lo, f_hi
-    r_a = f_a.copy()  # the unscaled residual at a; b is the last iterate, never scaled
-    tol = ROOT_RTOL / 2.0  # relative width in u; E = u^-2 doubles it
-    for _ in range(100):
-        active &= ~(np.abs(u_b - u_a) <= tol * u_b)
+    # u = E^(-1/2) rises as E falls, and so does Phi; lo starts at the top, untried
+    u, lo = np.where(active, start, 1.0) ** -0.5, np.where(active, top, 1.0) ** -0.5
+    u_top, hi = lo.copy(), np.full(len(n), math.inf)
+    below = np.zeros(len(n), dtype=bool)  # a residual below 0 is known at lo
+    u_last, f_last = np.zeros(len(n)), np.zeros(len(n))
+    tol = ROOT_RTOL / 2.0  # relative step in u; E = u^-2 doubles it
+    for step in range(100):
         rows = active.nonzero()[0]
         if not rows.size:
             break
-        a, b, fa, fb = u_a[rows], u_b[rows], f_a[rows], f_b[rows]
-        c = b - fb * (b - a) / (fb - fa)
-        least = 0.5 * tol * b  # a step below tolerance moves no bracket end
-        c = np.where(np.abs(c - b) < least, b + np.copysign(least, a - b), c)
-        c = np.where((np.minimum(a, b) < c) & (c < np.maximum(a, b)), c, 0.5 * (a + b))
-        fc = residual(rows, 1.0 / (c * c))
-        kept = fc * fb > 0.0  # same side as b: a stays, its residual scaled by m
-        m = 1.0 - fc / fb  # Anderson-Bjorck's m, or Illinois' 1/2 where m <= 0
-        u_a[rows] = np.where(fc == 0.0, c, np.where(kept, a, b))
-        f_a[rows] = np.where(kept, np.where(m > 0.0, m, 0.5) * fa, fb)
-        r_a[rows] = np.where(kept, r_a[rows], fb)
-        u_b[rows], f_b[rows] = c, fc
-    else:
-        for i in active.nonzero()[0]:
-            fail(i, ToleranceNotReached(
-                f"regula falsi did not reach rtol={ROOT_RTOL!r} "
-                f"in 100 steps for n={n[i]}, l={l[i]}"
-            ))
-    # the root of the secant through the unscaled residuals at the converged ends,
-    # where they differ in sign and it falls inside the bracket, else the last iterate
-    ends = (r_a * f_b < 0.0).nonzero()[0]
-    a, b, fa, fb = u_a[ends], u_b[ends], r_a[ends], f_b[ends]
-    c = b - fb * (b - a) / (fb - fa)
-    inside = (np.minimum(a, b) <= c) & (c <= np.maximum(a, b))
-    u_b[ends[inside]] = c[inside]
+        x = u[rows]
+        f = residual(rows, start[rows] if step == 0 else 1.0 / (x * x))
+        for k in ((f >= 0.0) & (x == u_top[rows])).nonzero()[0]:
+            i = rows[k]
+            fail(i, NoRootInWindow(  # quoting Phi - 2 pi n at the window top
+                f"Phi(E) - 2 pi n = {float(f[k])!r} does not change sign inside the reduced "
+                f"window (0, {window_top(params.b, l[i])!r}) for n={n[i]}, l={l[i]}: level "
+                f"infeasible at beta={params.beta!r}"))
+        neg = f < 0.0
+        lo[rows], hi[rows] = np.where(neg, x, lo[rows]), np.where(neg, hi[rows], x)
+        below[rows] |= neg
+        low, high, down = lo[rows], hi[rows], below[rows]
+        with np.errstate(all="ignore"):  # a flat or repeated secant reads inf or nan
+            c = x - f / (SLOPE_B0 if step == 0 else (f - f_last[rows]) / (x - u_last[rows]))
+        bound = np.where(high < math.inf, high, 2.0 * low)  # no residual above 0 yet: double u
+        escape = np.where(high < math.inf, 0.5 * (low + high), bound)
+        c = np.where(~down & (c <= low), low, np.where((low <= c) & (c <= bound), c, escape))
+        u_last[rows], f_last[rows], u[rows] = x, f, c
+        active[rows[np.abs(c - x) < tol * c]] = False
+    for i in active.nonzero()[0]:  # still open after 100 rounds
+        if hi[i] == math.inf:
+            fail(i, NoRootInWindow(f"no sign change of Phi(E) - 2 pi n found for n={n[i]}, "
+                                   f"l={l[i]}"))
+        else:
+            fail(i, ToleranceNotReached(f"secant method did not reach rtol={ROOT_RTOL!r} "
+                                        f"in 100 steps for n={n[i]}, l={l[i]}"))
     return [
-        float(1.0 / (u * u)) if found is None else found
-        for u, found in zip(u_b.tolist(), result)
+        float(1.0 / (x * x)) if found is None else found
+        for x, found in zip(u.tolist(), result)
     ]
 
 
@@ -419,11 +405,10 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
 
     Entries are ordered by (n', l).  Both routes solve every level: the
     closed route one at a time, the quadrature route all in one table-wide
-    search (see :func:`_solve_levels`: brackets starting below each
-    undeformed level, Anderson-Bjorck regula falsi, a final secant), one
-    array evaluation of Phi per round.  A row's error is the closed route's
-    failure, else the quadrature route's; it does not abort the table or
-    move the other rows.
+    search (see :func:`_solve_levels`: a safeguarded secant method from
+    each undeformed level), one array evaluation of Phi per round.  A row's
+    error is the closed route's failure, else the quadrature route's; it
+    does not abort the table or move the other rows.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")

@@ -205,4 +205,4 @@ def test_spectrum_table_makes_few_array_calls(monkeypatch, beta):
     entries = numerics.spectrum_table(PhysicalParams(1, 1, beta), 8)
     assert all(entry.error is None for entry in entries)
     assert 1 <= len(calls) <= 6
-    assert calls[0] == 2 * len(entries)  # both bracket ends of every level
+    assert calls[0] == len(entries)  # every level's start

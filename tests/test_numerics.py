@@ -15,6 +15,7 @@ from snyder_coulomb import (
     OutOfWindow,
     PhysicalParams,
     QuantumNumbers,
+    ScaleOutOfRange,
     SnyderCoulombError,
     ToleranceNotReached,
     correction_order,
@@ -576,21 +577,21 @@ class TestTableSolver:
 
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.01, 0.15, 0.9, 3.0])
     def test_levels_agree_with_the_closed_route_to_roundoff(self, beta):
-        # the secant through the converged bracket's unscaled residuals: a few ulps
+        # the secant's last step, not evaluated: a few ulps
         gaps = [abs(entry.e_numeric / entry.e_closed - 1.0)
                 for entry in spectrum_table(PhysicalParams(1, 1, beta), 20)
                 if entry.error is None]
         assert gaps and max(gaps) <= 1e-14
 
     @pytest.mark.parametrize("beta,rows", [
-        (0.0, [72, 27, 36, 21]),
-        (2e-3, [72, 36, 36, 7]),
-        (0.02, [72, 36, 36, 26, 1]),
-        (0.14, [72, 36, 36, 36, 11]),
+        (0.0, [36]),
+        (2e-3, [36, 36, 9]),
+        (0.02, [36, 36, 36, 2]),
+        (0.14, [36, 36, 36, 17, 1]),
     ])
     def test_table_work_is_pinned(self, monkeypatch, beta, rows):
-        # the rows of each _phase_rows call of an 8-shell table: both bracket ends
-        # of all 36 levels, the ends that widen, then one call per regula falsi round
+        # the rows of each _phase_rows call of an 8-shell table: the starts of all
+        # 36 levels, then one call per secant round over the levels still open
         calls, core = [], numerics._phase_rows
 
         def counting_core(*args):
@@ -614,7 +615,7 @@ class TestTableSolver:
 
         monkeypatch.setattr(numerics, "_phase_rows", counting_core)
         table = spectrum_table(params, 8)
-        assert calls[0] == 2 * 36  # both bracket ends of all 36 levels
+        assert calls[0] == 36  # the starts of all 36 levels
         failed = [entry for entry in table if entry.error is not None]
         assert failed
         for entry in failed:
@@ -646,17 +647,32 @@ class TestTableSolver:
         assert table[:index] + table[index + 1 :] == unforced[:index] + unforced[index + 1 :]
 
     def test_bracket_without_a_sign_change_gives_up_after_100_widenings(self, monkeypatch):
-        # a Phi below 2 pi n at every energy: the lower end widens forever
-        monkeypatch.setattr(numerics, "_phase_rows", lambda params, energy, l, *rest: (
-            np.zeros(len(energy)), np.zeros(len(energy))))
+        # a Phi below 2 pi n at every energy: u doubles forever
+        calls = []
+
+        def flat(params, energy, l):
+            calls.append(len(energy))
+            return np.zeros(len(energy)), np.zeros(len(energy))
+
+        monkeypatch.setattr(numerics, "_phase_rows", flat)
         with pytest.raises(NoRootInWindow, match="no sign change of Phi"):
             energy_numeric(PhysicalParams(1, 1, 0.1), QuantumNumbers(1, 1))
+        assert calls == [1] * 100
 
     def test_unreachable_root_tolerance_gives_up_after_100_rounds(self, monkeypatch):
-        # no bracket of two distinct floats has relative width 0
+        # no step is shorter than 0, not even one from a residual of exactly 0.0
+        calls, core = [], numerics._phase_rows
+
+        def counting_core(*args):
+            calls.append(len(args[1]))
+            return core(*args)
+
+        monkeypatch.setattr(numerics, "_phase_rows", counting_core)
         monkeypatch.setattr(numerics, "ROOT_RTOL", 0.0)
-        with pytest.raises(ToleranceNotReached, match="did not reach rtol=0.0 in 100 steps"):
+        with pytest.raises(ToleranceNotReached,
+                           match="secant method did not reach rtol=0.0 in 100 steps"):
             energy_numeric(PhysicalParams(1, 1, 0.1), QuantumNumbers(1, 1))
+        assert calls == [1] * 100
 
     def test_bracket_below_the_band_floor_is_refused(self):
         # b = 1e60 puts the l = 1 window top at 5e-121, below BAND_FLOOR
@@ -670,6 +686,38 @@ class TestTableSolver:
         monkeypatch.setattr(numerics, "_phase_rows", None)
         with pytest.raises(NoRootInWindow, match=r"empty reduced window \(0, 0.0\)"):
             energy_numeric(params, QuantumNumbers(2**40, 1))
+
+    def test_start_past_the_float_range_fails_before_any_evaluation(self, monkeypatch):
+        # E0 = 1/(2 n^2) at l = 0 reaches 2^1023 below n = 7.5e-155, and overflows
+        monkeypatch.setattr(numerics, "_phase_rows", None)
+        for n in (5e-155, 1e-300):
+            (energy,) = numerics._solve_levels(PhysicalParams(1, 1, 0), [n], [0])
+            assert isinstance(energy, ScaleOutOfRange)
+            assert str(energy) == (f"the start E/(m e2^2) = inf leaves the float range "
+                                   f"for n={n}, l=0")
+
+    @pytest.mark.parametrize("n,l,b", [
+        (1.235920473197018e-151, 0, 4.936075711728386e-153),
+        (1e-150, 0, 0.0),
+        (1e-154, 0, 0.0),
+    ])
+    def test_tiny_n_levels_keep_their_last_step(self, n, l, b):
+        # residuals of order 2 pi n 1e-12 and below: the secant step stays exact
+        (energy,) = numerics._solve_levels(PhysicalParams(1, 1, b), [n], [l])
+        assert abs(energy / level_closed(b, n, l) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n_prime_max", [8, 20, 50])
+    def test_undeformed_table_takes_one_call(self, monkeypatch, n_prime_max):
+        # Phi is exactly linear in u at b = 0: one step from E0 ends every level
+        calls, core = [], numerics._phase_rows
+
+        def counting_core(*args):
+            calls.append(len(args[1]))
+            return core(*args)
+
+        monkeypatch.setattr(numerics, "_phase_rows", counting_core)
+        spectrum_table(PhysicalParams(1, 1, 0), n_prime_max)
+        assert calls == [n_prime_max * (n_prime_max + 1) // 2]
 
     def test_underflowing_beta_raises_no_zero_division(self):
         params = PhysicalParams(1, 1, 1e-200)
