@@ -31,11 +31,11 @@ The radial closed form implemented here is the exact value of
 
     l * Integral_{z-}^{z+} sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ) (1 + b^2 z)) dz
 
-obtained by partial fractions; it tends to 0 at the circular-orbit bound,
-which lies outside the open window, and matches a trapezoid rule on the
-raw integrand to machine precision (see the numerics module and the test
-suite for the cross-checks).  No closed form evaluates the band edges
-z-, z+: only the quadrature does.
+obtained by partial fractions and evaluated in a conjugate form that does
+not divide by W = 1 - 2 b^2 Ẽ; it tends to 0 at the circular-orbit bound,
+which lies outside the open window, and matches a trapezoid rule on the raw
+integrand to machine precision (see the numerics module and the tests).
+No closed form evaluates the band edges z-, z+: only the quadrature does.
 
 All functions are pure and all result types immutable.
 """
@@ -117,11 +117,14 @@ def radial_phase_integral_closed(
 ) -> PhaseIntegralResult:
     """Closed form of the radial loop integral for angular momentum l >= 1.
 
-    In reduced units, with W = 1 - 2 b^2 Ẽ, the exact value is
+    In reduced units, with s = sqrt(2/Ẽ) and W = 1 - 2 b^2 Ẽ, the exact value is
 
-        pi * [ sqrt(2 / Ẽ) / W - l * (1 + sqrt(1 + 4 b^2 / (l^2 W^2))) ].
+        pi * (s - 2 l) * s / (s + 4 b^2 / (l W + sqrt(l^2 W^2 + 4 b^2))),
 
-    At b = 0 this reduces to pi*(sqrt(2/Ẽ) - 2 l) along the same code path.
+    which is pi [s/W - l (1 + sqrt(1 + 4b^2/(l^2 W^2)))] as s^2 - 4b^2 = s^2 W,
+    but with no division by W, which vanishes at the pole, and no cancellation
+    but in s - 2 l, next to the circular bound.  At b = 0 the quotient is
+    exactly 1: the value is pi*(s - 2 l) bit for bit, along the same code path.
     Raises ValueError unless l > 0 and OutOfWindow outside the open window
     (``PhysicalParams.admit``), at the circular-orbit bound too, where the
     band has zero width.  ``l`` may be fractional, which is used by the
@@ -130,13 +133,9 @@ def radial_phase_integral_closed(
     if not l > 0:
         raise ValueError(f"l must be > 0, got {l!r}")
     energy = params.admit(energy, l)
-    b = params.b
-    w = 1.0 - 2.0 * b * b * energy
-    square = l * l * w * w  # 0 where l^2 underflows: the ratio is then inf, or 0 at b = 0
-    ratio = 4.0 * b * b / square if square > 0.0 else (math.inf if b else 0.0)
-    # once ratio overflows, l (1 + sqrt(1 + ratio)) = l + 2 b / W far below an ulp
-    tail = l * (1.0 + math.sqrt(1.0 + ratio)) if ratio < math.inf else l + 2.0 * b / w
-    value = PI * (math.sqrt(2.0 / energy) / w - tail)
+    b, s = params.b, math.sqrt(2.0 / energy)
+    lw = l * (1.0 - 2.0 * b * b * energy)
+    value = PI * (s - 2.0 * l) * (s / (s + 4.0 * b * b / (lw + math.hypot(lw, 2.0 * b))))
     return PhaseIntegralResult(value=value, kind="closed_form")
 
 

@@ -183,6 +183,13 @@ class TestRadialPhaseIntegral:
             value = radial_phase_integral_closed(params, energy, l).value
             newtonian = PI * (math.sqrt(2 * 1 * 1**2 / energy) - 2 * l)
             assert value == newtonian
+        # integer and real l, E log-uniform across the window up to 1e-9 below its top
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            l = float(rng.integers(1, 60)) if rng.random() < 0.5 else 10 ** rng.uniform(-3, 2)
+            energy = window_top(0.0, l) * 10 ** rng.uniform(-9, -1e-9)
+            value = radial_phase_integral_closed(params, energy, l).value
+            assert value == PI * (math.sqrt(2 / energy) - 2 * l), (energy, l)
 
     def test_newtonian_levels_give_integer_loops(self):
         params = PhysicalParams(1, 1, 0)
@@ -225,12 +232,42 @@ class TestRadialPhaseIntegral:
         params = PhysicalParams(1, 1, 0.1)
         for energy in np.linspace(0.001, 0.499, 200):
             assert radial_phase_integral_closed(params, energy, 1).value > 0
+        # 1 to 4 ulps below the top, at the circular bound (b < l), the pole (b > l) and
+        # where they meet (b = l): Phi may round to 0 there, but never below it
+        rng = np.random.default_rng(38)
+        for _ in range(2000):
+            l = float(rng.integers(1, 60)) if rng.random() < 0.5 else 10 ** rng.uniform(-3, 2)
+            beta = l * float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)]))
+            params = PhysicalParams(1, 1, beta)
+            energy = window_top(params.b, l)
+            for _ in range(rng.integers(1, 5)):
+                energy = math.nextafter(energy, 0.0)
+            assert radial_phase_integral_closed(params, energy, l).value >= 0.0, (beta, l, energy)
+
+    @pytest.mark.parametrize("d", [0.5, 1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("beta,l", [(3.0, 3), (2.0, 1), (0.0, 1), (0.1, 3), (1.0, 7),
+                                        (0.5, 0.5), (1e-3, 1e-3)])
+    def test_window_corners_lose_only_the_circular_margin(self, beta, l, d):
+        # at E = top (1 - d) next to the pole, the circular bound and the b = l corner where
+        # they meet, the only loss is the rounding of sqrt(2/E) - 2l: the relative error
+        # stays within 1e-15 / d_c, d_c = 1 - 2 E l^2 the distance to the circular bound;
+        # the reference is the W form at the same float inputs, to 60 digits
+        mp = pytest.importorskip("mpmath")
+        params = PhysicalParams(1, 1, beta)
+        energy = window_top(params.b, l) * (1.0 - d)
+        got = radial_phase_integral_closed(params, energy, l).value
+        with mp.workdps(60):
+            e, b, lm = mp.mpf(energy), mp.mpf(params.b), mp.mpf(l)
+            w = 1 - 2 * b * b * e
+            want = mp.pi * (mp.sqrt(2 / e) / w - lm * (1 + mp.sqrt(1 + 4 * b * b / (lm * lm * w * w))))
+            d_c = 1 - 2 * e * lm * lm
+            assert abs(got - want) / abs(want) * d_c <= 1e-15
 
     @pytest.mark.parametrize("m,beta,l", [(1e304, 1e-152, 0.001), (1.0, 8e151, 0.01),
                                           (1.0, 0.1, 1e-200), (1.0, 0.0, 1e-200)])
     def test_overflowing_ratio_keeps_its_limit(self, m, beta, l):
-        # 4 b^2/(l^2 W^2) overflows to inf, or l^2 underflows to 0; the tail
-        # l (1 + sqrt(1 + ratio)) is then l + 2b/W, or 2l at b = 0, and Phi
+        # here 4 b^2/(l^2 W^2) overflows, or l^2 underflows: the closed form forms
+        # neither, as math.hypot(l W, 2b) takes the tiny-l and huge-b ends, and Phi
         # stays finite and exact
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50

@@ -226,6 +226,8 @@ class TestVerifyIntegrals:
          "--l-grid=3", "--e-grid=12.779617670299997"],
         # inside the window, where the closed form rounds to 0, which rel_dev divides by
         ["--beta-grid=0", "--l-grid=1", "--e-grid=0.49999999999999994"],
+        # ... and one ulp below the circular bound at b = 2, l = 5: it rounds to 0, not below
+        ["--beta-grid=2", "--l-grid=5", "--e-grid=0.019999999999999997"],
     ])
     def test_admit_decides_the_window_edge(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify-integrals", *argv)
