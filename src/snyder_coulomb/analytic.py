@@ -213,20 +213,16 @@ def energy_closed(params: PhysicalParams, qn: QuantumNumbers) -> float:
     """Exact binding energy of the level ``qn``: m e2^2 times :func:`level_closed`.
 
     Raises NoRootInWindow, naming ``params.beta``, where the level is
-    infeasible, and where the float E's own reduction E/(m e2^2), which
-    ``PhysicalParams.admit`` reads, is not strictly inside the window; and
-    ScaleOutOfRange where m e2^2 Ẽ leaves the float range.
+    infeasible and where ``PhysicalParams.admit`` refuses the physical E,
+    which can round onto the top that Ẽ lies below; and ScaleOutOfRange
+    where m e2^2 Ẽ leaves the float range.
     """
     try:
-        level = level_closed(params.b, qn.n, qn.l)
-    except NoRootInWindow as exc:
+        energy = params.physical(level_closed(params.b, qn.n, qn.l))
+        params.admit(energy, qn.l)
+    except (NoRootInWindow, OutOfWindow) as exc:
         raise NoRootInWindow(f"level infeasible at beta={params.beta!r} for {qn}: {exc}") from None
-    energy = params.physical(level)
-    reduced, top = params.reduced(energy), window_top(params.b, qn.l)
-    if reduced < top:  # strictly inside, as admit decides on E itself
-        return energy
-    raise NoRootInWindow(f"level infeasible at beta={params.beta!r} for {qn}: E/(m e2^2) = "
-                         f"{reduced!r} is not inside the open window (0, {top!r})")
+    return energy
 
 
 def energy_series(params: PhysicalParams, qn: QuantumNumbers) -> float:

@@ -45,9 +45,10 @@ fast that once the estimate meets any tolerance, the sum itself is at
 roundoff, so a tighter one would change no output, only the number of nodes.
 
 Every level has two routes, and neither gates the other; both cores take
-real n > 0 and l >= 0 (``analytic.level_closed``, ``_solve_levels``), and
-the public entries unwrap ``QuantumNumbers``.  The closed-form route is
-algebraic (``analytic.energy_closed``): no root search.  The quadrature
+(b, n, l), b = beta m e2 and real n > 0, l >= 0 (``analytic.level_closed``,
+``_solve_levels``), and the public entries pass ``PhysicalParams.b`` and
+unwrap ``QuantumNumbers``.  The closed-form route is algebraic
+(``analytic.energy_closed``): no root search.  The quadrature
 route solves Phi(E) = 2 pi n for a whole table at once, infeasible levels
 included, by a safeguarded secant method in u = Ẽ^(-1/2), where Phi is
 exactly linear at b = 0: each level starts at its undeformed level
@@ -104,10 +105,13 @@ QUAD_RTOL = 1e-10  # relative error estimate the trapezoid rule must meet
 ROOT_RTOL = 1e-12  # a quadrature-route level ends at a step under this, relative in E
 SLOPE_B0 = math.pi * math.sqrt(2.0)  # dPhi/du at b = 0 on both channels, u = E^(-1/2)
 NOISE_FLOOR = 1e-13  # smallest relative correction correction_order fits
-# Smallest reduced energy of a band (l > 0) row.  The band rule's first float
-# limit is its lower edge z- = (2E)^2 / z+ ~ l^2 E^2, which leaves the normal floats
-# near E = 1e-154 (l = 1); the floor keeps the domain the band rule has been checked on.
+# Smallest reduced energy of a band (l > 0) row: not a float limit, but the domain
+# the band rule has been checked on.
 BAND_FLOOR = 1e-100
+# Bound on z+^2 and on the edge ratio z+/z- of a band row, with z+ z- = (2E)^2: below
+# it every factor of the band integrand is finite (z+ ~ 4/l^2 at small l, so z+/z-
+# leaves the floats once l^2 E is below about 1.5e-154, and z+^2 first when E > 1/2).
+_EDGE_LIMIT = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,8 @@ def _missed(energy: float, l: float, estimate: float) -> ToleranceNotReached:
     """The error of a row that :func:`_phase_rows` left NaN: refused (estimate inf) or missed."""
     if estimate == math.inf:
         return ToleranceNotReached(f"trapezoid rule takes band rows down to E/(m e2^2) = "
-                                   f"{BAND_FLOOR!r}, got {energy!r} at l={l!r}")
+                                   f"{BAND_FLOOR!r}, with z+^2 and z+/z- below 2^1022; "
+                                   f"got {energy!r} at l={l!r}")
     return ToleranceNotReached(
         f"trapezoid rule did not reach rtol={QUAD_RTOL!r} within "
         f"{MAX_PANELS} panels (estimate {estimate:.3g})"
@@ -222,8 +227,10 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     """Loop phase integrals at the float rows (energy[i], l[i]), from the raw integrands, reduced.
 
     The rows must lie strictly inside their windows, where every band has
-    positive width, and below 2^1023, where 2Ẽ is finite; a band row below
-    ``BAND_FLOOR`` is refused: NaN, with estimate inf.  The l = 0 rows integrate
+    positive width, and below 2^1023, where 2Ẽ is finite.  A band row is
+    refused, NaN with estimate inf and no trapezoid round, below
+    ``BAND_FLOOR`` or where its z+^2 or z+/z- reaches 2^1022, past which a
+    factor of its integrand overflows.  The l = 0 rows integrate
     2 / ((p^2 + 2Ẽ)(1 + b^2 p^2)) over the real line, as twice the
     integral over p = sqrt(2Ẽ) t, t = e^x, x in [-45, 45]: the sum of
     4t / ((1 + t^2)(1 + 2Ẽ b^2 t^2)) on the shared nodes, with t^2 and
@@ -256,9 +263,15 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
 
     band = ((l != 0) & (energy >= BAND_FLOOR)).nonzero()[0]
     if band.size:
+        with np.errstate(all="ignore"):  # edges past the float range: refused just below
+            z_minus, z_plus = _band_edges(energy[band, None], l[band, None])
+            ratio = z_plus / z_minus
+            held = (np.maximum(z_plus * z_plus, ratio) < _EDGE_LIMIT)[:, 0]
+        if not held.all():
+            band, z_minus, z_plus, ratio = band[held], z_minus[held], z_plus[held], ratio[held]
+    if band.size:
         band_two_e = two_e[band, None]
-        z_minus, z_plus = _band_edges(energy[band, None], l[band, None])
-        log_z_minus, width = np.log(z_minus), np.log(z_plus / z_minus)
+        log_z_minus, width = np.log(z_minus), np.log(ratio)
         factor = l[band, None] * width  # l times L, of ds = L sin(2 phi) dphi
 
         def band_integrand(n: int) -> np.ndarray:  # on phi in [0, pi/2]
@@ -280,7 +293,8 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
     within quadrature tolerance.  Raises OutOfWindow at the points where
     the closed forms do (``PhysicalParams.admit``), at the circular-orbit
     bound too, before any rule runs, and ToleranceNotReached when the rule
-    misses ``QUAD_RTOL`` or refuses the row (a band row below ``BAND_FLOOR``).
+    misses ``QUAD_RTOL`` or refuses the row (a band row below ``BAND_FLOOR``
+    or with band edges past the float range).
     """
     energy = params.admit(energy, l)
     value, err = _phase_rows(params.b, np.array([energy]), np.array([l], dtype=float))
@@ -289,30 +303,31 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
     return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
 
-def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]) -> list:
+def _solve_levels(b: float, n: Sequence[float], l: Sequence[float]) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n at the levels (n[i], l[i]) together, reduced.
 
-    Real n and l, 0 < n < inf and 0 <= l < inf (else ValueError, an int
-    past the float range too), and n' = n + l; the messages name a level by
-    its n and l.  A safeguarded secant method runs in u = E^(-1/2), where
-    Phi rises with u and is exactly linear at b = 0, with slope pi sqrt(2)
-    on both channels.  Each level starts at min(E0, top): its undeformed
-    level E0 = 1/(2 n'^2), which the deformation lowers, or top =
-    ``window_top(b, l)`` (1 - 1e-9).  Its first step takes the b = 0 slope,
-    and each later one the secant through its last two iterates.  Each
-    residual's sign moves one end of the level's bracket; a step that leaves
-    the bracket bisects it, or doubles u while no residual above 0 is known,
-    and no step goes above top.  A residual >= 0 at top makes the level
-    infeasible, quoting that residual, and so does an empty window (top = 0:
-    2 b^2 overflows), at once; a start outside 0 < E < 2^1023, the energies
-    :func:`_phase_rows` takes, raises ScaleOutOfRange, at once.  A level is
-    done at the end of its first step shorter than ``ROOT_RTOL``/2 relative
-    in u (``ROOT_RTOL`` in E), which is not evaluated.  A level still open
-    after 100 rounds fails: NoRootInWindow while no residual above 0 is
-    known, else ToleranceNotReached.  Every round evaluates all levels still
-    open in one :func:`_phase_rows` call.  Returns, per level, its reduced
-    energy Ẽ or the SnyderCoulombError that stopped it; a failure stays in
-    its own row.
+    The core takes what ``analytic.level_closed`` takes: b = beta m e2, and
+    real n and l, 0 < n < inf and 0 <= l < inf (else ValueError, an int past
+    the float range too), with n' = n + l; the messages name a level by its
+    n and l, and quote b as ``beta m e2``.  A safeguarded secant method runs
+    in u = E^(-1/2), where Phi rises with u and is exactly linear at b = 0,
+    with slope pi sqrt(2) on both channels.  Each level starts at min(E0,
+    top): its undeformed level E0 = 1/(2 n'^2), which the deformation
+    lowers, or top = ``window_top(b, l)`` (1 - 1e-9).  Its first step takes
+    the b = 0 slope, and each later one the secant through its last two
+    iterates.  Each residual's sign moves one end of the level's bracket; a
+    step that leaves the bracket bisects it, or doubles u while no residual
+    above 0 is known, and no step goes above top.  A residual >= 0 at top
+    makes the level infeasible, quoting that residual, and so does an empty
+    window (top = 0: 2 b^2 overflows), at once; a start outside 0 < E <
+    2^1023, the energies :func:`_phase_rows` takes, raises ScaleOutOfRange,
+    at once.  A level is done at the end of its first step shorter than
+    ``ROOT_RTOL``/2 relative in u (``ROOT_RTOL`` in E), which is not
+    evaluated.  A level still open after 100 rounds fails: NoRootInWindow
+    while no residual above 0 is known, else ToleranceNotReached.  Every
+    round evaluates all levels still open in one :func:`_phase_rows` call.
+    Returns, per level, its reduced energy Ẽ or the SnyderCoulombError that
+    stopped it; a failure stays in its own row.
     """
     result: list = [None] * len(n)
     active = np.ones(len(n), dtype=bool)
@@ -324,7 +339,7 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
     if not real:
         raise ValueError("levels need 0 < n < inf and 0 <= l < inf")
     target = TWO_PI * n_rows
-    top = np.array([window_top(params.b, x) * (1.0 - 1e-9) for x in l])
+    top = np.array([window_top(b, x) * (1.0 - 1e-9) for x in l])
     with np.errstate(over="ignore", divide="ignore"):  # an E0 past the float range, failed below
         start = np.minimum(1.0 / (2.0 * (n_rows + l_rows) ** 2), top)
 
@@ -332,7 +347,7 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
         result[i], active[i] = exc, False
 
     def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
-        phi, err = _phase_rows(params.b, energy, l_rows[rows])
+        phi, err = _phase_rows(b, energy, l_rows[rows])
         for k in np.isnan(phi).nonzero()[0]:
             fail(rows[k], _missed(float(energy[k]), l[rows[k]], err[k]))
         return phi - target[rows]
@@ -359,8 +374,8 @@ def _solve_levels(params: PhysicalParams, n: Sequence[float], l: Sequence[float]
             i = rows[k]
             fail(i, NoRootInWindow(  # quoting Phi - 2 pi n at the window top
                 f"Phi(E) - 2 pi n = {float(f[k])!r} does not change sign inside the reduced "
-                f"window (0, {window_top(params.b, l[i])!r}) for n={n[i]}, l={l[i]}: level "
-                f"infeasible at beta={params.beta!r}"))
+                f"window (0, {window_top(b, l[i])!r}) for n={n[i]}, l={l[i]}: level "
+                f"infeasible at beta m e2 = {b!r}"))
         neg = f < 0.0
         lo[rows], hi[rows] = np.where(neg, x, lo[rows]), np.where(neg, hi[rows], x)
         below[rows] |= neg
@@ -394,7 +409,7 @@ def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
     ToleranceNotReached when the quadrature or the root search misses its
     tolerance.
     """
-    (energy,) = _solve_levels(params, [qn.n], [qn.l])
+    (energy,) = _solve_levels(params.b, [qn.n], [qn.l])
     if isinstance(energy, SnyderCoulombError):
         raise energy
     return params.physical(energy)
@@ -418,7 +433,7 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
         for l in range(n_prime)
     ]
     entries: list[SpectrumEntry] = []
-    solved = _solve_levels(params, [qn.n for qn in levels], [qn.l for qn in levels])
+    solved = _solve_levels(params.b, [qn.n for qn in levels], [qn.l for qn in levels])
     for qn, e_numeric in zip(levels, solved):
         try:
             e_closed = energy_closed(params, qn)

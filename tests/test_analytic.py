@@ -89,16 +89,16 @@ class TestTurningPoints:
         energy = 1.0 / (2.0 * l * l)
         z_minus, z_plus = _band_edges(energy, l)
         assert np.array_equal(z_plus, 2 * energy)
-        assert z_minus == pytest.approx(z_plus, rel=1e-15)
+        assert z_minus == pytest.approx(z_plus, rel=1e-15, abs=0)
         assert z_minus[0] == z_plus[0] == 1.0  # l = 1: E = 1/2
 
     def test_generic_band(self):
         edges = _band_edges(np.array([0.125]), np.array([1]))
         (z_minus,), (z_plus,) = edges
-        assert z_minus == pytest.approx(0.0179491924311227, rel=1e-12)
-        assert z_plus == pytest.approx(3.4820508075688772, rel=1e-12)
-        assert z_minus * z_plus == pytest.approx(0.0625, rel=1e-12)
-        assert z_minus + z_plus == pytest.approx(3.5, rel=1e-12)
+        assert z_minus == pytest.approx(0.0179491924311227, rel=1e-12, abs=0)
+        assert z_plus == pytest.approx(3.4820508075688772, rel=1e-12, abs=0)
+        assert z_minus * z_plus == pytest.approx(0.0625, rel=1e-12, abs=0)
+        assert z_minus + z_plus == pytest.approx(3.5, rel=1e-12, abs=0)
         assert z_minus < z_plus
 
     def test_product_and_sum_identities_on_grid(self):
@@ -108,31 +108,31 @@ class TestTurningPoints:
             q = 1.0 / l**2
             energy = rng.uniform(0.01, 0.999, 50) * q / 2  # below the circular bound
             z_minus, z_plus = _band_edges(energy, l)
-            assert z_minus * z_plus == pytest.approx((2 * energy) ** 2, rel=1e-12)
-            assert z_minus + z_plus == pytest.approx(4 * (q - energy), rel=1e-12)
+            assert z_minus * z_plus == pytest.approx((2 * energy) ** 2, rel=1e-12, abs=0)
+            assert z_minus + z_plus == pytest.approx(4 * (q - energy), rel=1e-12, abs=0)
             assert np.all((0 < z_minus) & (z_minus < z_plus))
 
     def test_turning_points_are_beta_independent(self):
         # the edges are a function of (E, l) alone: no deformation reaches them
         assert list(inspect.signature(_band_edges).parameters) == ["energy", "l"]
         energy, l = np.array([0.125, 0.05, 0.02]), np.array([1, 1, 2])
-        assert _band_edges(energy, l)[1][0] == pytest.approx(3.4820508075688772, rel=1e-14)
+        assert _band_edges(energy, l)[1][0] == pytest.approx(3.4820508075688772, rel=1e-14, abs=0)
 
 
 class TestPhaseIntegral1D:
     def test_ground_state_newtonian(self):
         res = phase_integral_1d_closed(PhysicalParams(1, 1, 0), 0.5)
-        assert res.value == pytest.approx(2 * PI, rel=1e-14)
+        assert res.value == pytest.approx(2 * PI, rel=1e-14, abs=0)
         assert res.kind == "closed_form"
         assert res.err_estimate is None
 
     def test_deformed_root_gives_full_loop(self):
         res = phase_integral_1d_closed(PhysicalParams(1, 1, 0.1), E_1D_BETA01_N1)
-        assert res.value == pytest.approx(2 * PI, rel=1e-13)
+        assert res.value == pytest.approx(2 * PI, rel=1e-13, abs=0)
 
     def test_second_level_newtonian(self):
         res = phase_integral_1d_closed(PhysicalParams(1, 1, 0), 0.125)
-        assert res.value == pytest.approx(4 * PI, rel=1e-14)
+        assert res.value == pytest.approx(4 * PI, rel=1e-14, abs=0)
 
     def test_rejects_energy_at_pole(self):
         with pytest.raises(OutOfWindow):
@@ -151,16 +151,16 @@ class TestPhaseIntegral1D:
 class TestRadialPhaseIntegral:
     def test_newtonian_level(self):
         res = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1)
-        assert res.value == pytest.approx(2 * PI, rel=1e-14)
+        assert res.value == pytest.approx(2 * PI, rel=1e-14, abs=0)
 
     def test_deformed_frozen_value(self):
         res = radial_phase_integral_closed(PhysicalParams(1, 1, 0.1), 0.125, 1)
-        assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13)
+        assert res.value == pytest.approx(PHI_RADIAL_BETA01, rel=1e-13, abs=0)
 
     def test_circular_bound_is_out_of_window(self):
         # the closed form uses no band code: the window, open at the circular bound, is admit's
         newtonian = radial_phase_integral_closed(PhysicalParams(1, 1, 0), 0.125, 1).value
-        assert newtonian == pytest.approx(2 * PI, rel=1e-14)
+        assert newtonian == pytest.approx(2 * PI, rel=1e-14, abs=0)
         # the circular-orbit band has zero width, for beta > 0 as well
         for beta in (0.0, 0.1):
             with pytest.raises(OutOfWindow):
@@ -197,7 +197,7 @@ class TestRadialPhaseIntegral:
             energy = 1.0 / (2.0 * n_prime**2)
             for l in range(1, n_prime):
                 value = radial_phase_integral_closed(params, energy, l).value
-                assert value == pytest.approx(2 * PI * (n_prime - l), rel=1e-12)
+                assert value == pytest.approx(2 * PI * (n_prime - l), rel=1e-12, abs=0)
 
     def test_matches_partial_fraction_oracle(self):
         rng = np.random.default_rng(11)
@@ -283,20 +283,20 @@ class TestRadialPhaseIntegral:
 class TestEnergy1D:
     def test_newtonian_ground_state(self):
         assert energy_closed(PhysicalParams(1, 1, 0), QuantumNumbers(1)) == pytest.approx(
-            0.5, rel=1e-15
+            0.5, rel=1e-15, abs=0
         )
 
     def test_deformed_ground_state(self):
         got = energy_closed(PhysicalParams(1, 1, 0.1), QuantumNumbers(1))
-        assert got == pytest.approx(E_1D_BETA01_N1, rel=1e-14)
+        assert got == pytest.approx(E_1D_BETA01_N1, rel=1e-14, abs=0)
         # quadratic-root oracle, same equation solved by numpy
         roots = np.roots([0.1 * 1, 1, -1.0])
         u = roots[roots > 0][0]
-        assert got == pytest.approx(float(u * u / 2.0), rel=1e-12)
+        assert got == pytest.approx(float(u * u / 2.0), rel=1e-12, abs=0)
 
     def test_newtonian_n3(self):
         assert energy_closed(PhysicalParams(1, 1, 0), QuantumNumbers(3)) == pytest.approx(
-            1 / 18, rel=1e-15
+            1 / 18, rel=1e-15, abs=0
         )
 
     def test_self_consistency_with_phase_integral(self):
@@ -382,7 +382,7 @@ class TestEnergy3D:
         for n_prime in range(2, 12):
             for l in range(1, n_prime):
                 energy = energy_closed(params, QuantumNumbers(n_prime - l, l))
-                assert energy == pytest.approx(0.5 / n_prime**2, rel=4.5e-16)
+                assert energy == pytest.approx(0.5 / n_prime**2, rel=4.5e-16, abs=0)
 
     def test_closed_levels_match_50_digit_references(self):
         # <= 4 ulp over the grid, both channels
@@ -429,7 +429,7 @@ class TestEnergy3D:
                         assert roots == [], (beta, qn)
                         continue
                     assert len(roots) == 1, (beta, qn, roots)
-                    assert math.sqrt(2 * energy) == pytest.approx(roots[0], rel=1e-9)
+                    assert math.sqrt(2 * energy) == pytest.approx(roots[0], rel=1e-9, abs=0)
                     assert 0 < energy < window_top(params.b, l)
 
 
@@ -471,7 +471,7 @@ class TestReducedLevel:
         # l = 5e-18 against n = 19.9: g'(u0) = -2 A l at b = 0 rounds to 0 beside
         # 2 K u0, so the step bisects; the level is the 1D level to roundoff
         n, l = 19.941684216082134, 5.048250879797824e-18
-        assert level_closed(beta, n, l) == pytest.approx(level_closed(beta, n, 0), rel=1e-15)
+        assert level_closed(beta, n, l) == pytest.approx(level_closed(beta, n, 0), rel=1e-15, abs=0)
 
     def test_an_underflowing_level_is_outside_the_window(self):
         # u = 1/n' = 1e-200: Ẽ = u^2/2 underflows to 0
@@ -523,15 +523,15 @@ class TestEnergySeries:
     def test_1d_series_values(self):
         for beta, n, expected in ((0.1, 1, 0.4), (0, 2, 0.125), (0.01, 1, 0.49)):
             got = energy_series(PhysicalParams(1, 1, beta), QuantumNumbers(n))
-            assert got == pytest.approx(expected, rel=1e-15)
+            assert got == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_3d_series_values(self):
         assert energy_series(
             PhysicalParams(1, 1, 0.1), QuantumNumbers(n=1, l=1)
-        ) == pytest.approx(0.1243750, rel=1e-15)
+        ) == pytest.approx(0.1243750, rel=1e-15, abs=0)
         assert energy_series(
             PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=2)
-        ) == pytest.approx(1 / 18, rel=1e-15)
+        ) == pytest.approx(1 / 18, rel=1e-15, abs=0)
 
     def test_3d_series_correction_shrinks_as_l_approaches_n_prime(self):
         # the corrective coefficient is proportional to 1/n' - 1/l, so it
@@ -548,7 +548,7 @@ class TestEnergySeries:
         params = PhysicalParams(1, 1, 0.1)
         e31 = energy_series(params, QuantumNumbers(n=2, l=1))
         e32 = energy_series(params, QuantumNumbers(n=1, l=2))
-        assert e31 != pytest.approx(e32, rel=1e-12)
+        assert e31 != pytest.approx(e32, rel=1e-12, abs=0)
         # both are lowered relative to the undeformed level
         assert e31 < 1 / 18 and e32 < 1 / 18
 
@@ -561,13 +561,13 @@ class TestEnergySeries:
         params = PhysicalParams(1, 1, 0.1)
         # bracket 1/2 - 2/3 + 1/6 vanishes identically at (n', l) = (2, 1)
         assert energy_3d_perturbative_ref(params, QuantumNumbers(n=1, l=1)) == pytest.approx(
-            0.125, rel=1e-15
+            0.125, rel=1e-15, abs=0
         )
         assert energy_3d_perturbative_ref(
             PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=1)
-        ) == pytest.approx(0.125, rel=1e-15)
+        ) == pytest.approx(0.125, rel=1e-15, abs=0)
         assert energy_3d_perturbative_ref(params, QuantumNumbers(n=2, l=1)) == pytest.approx(
-            (1 / 18) * (1 - 0.02 / 18), rel=1e-14
+            (1 / 18) * (1 - 0.02 / 18), rel=1e-14, abs=0
         )
 
     def test_perturbative_comparator_requires_nonzero_l(self):

@@ -55,7 +55,7 @@ class TestSpectrum:
         assert header[:3] == ["n_prime", "l", "beta"]
         assert len(rows) == 3
         energies = [float(r["E_closed"]) for r in rows]
-        assert energies == pytest.approx([0.5, 0.125, 0.125], rel=1e-10)
+        assert energies == pytest.approx([0.5, 0.125, 0.125], rel=1e-10, abs=0)
 
     def test_deformed_level(self, capsys):
         code, out, _ = run_cli(
@@ -65,7 +65,7 @@ class TestSpectrum:
         _, rows = parse_csv(out)
         row = next(r for r in rows if r["n_prime"] == "2" and r["l"] == "1")
         assert float(row["E_closed"]) == pytest.approx(0.12438, abs=1e-5)
-        assert float(row["E_series"]) == pytest.approx(0.1243750, rel=1e-12)
+        assert float(row["E_series"]) == pytest.approx(0.1243750, rel=1e-12, abs=0)
         row10 = next(r for r in rows if r["n_prime"] == "1")
         assert float(row10["E_closed"]) == pytest.approx(0.4196011, abs=1e-6)
 
@@ -85,7 +85,7 @@ class TestSpectrum:
         assert payload["meta"]["command"] == "spectrum"
         assert payload["meta"]["n-prime-max"] == 1
         assert len(payload["rows"]) == 1
-        assert payload["rows"][0]["E_closed"] == pytest.approx(0.5, rel=1e-10)
+        assert payload["rows"][0]["E_closed"] == pytest.approx(0.5, rel=1e-10, abs=0)
 
     def test_infeasible_levels_flagged_in_row(self, capsys):
         code, out, _ = run_cli(
@@ -185,7 +185,7 @@ class TestVerifyIntegrals:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 1
-        assert float(rows[0]["phi_closed"]) == pytest.approx(2 * math.pi, rel=1e-12)
+        assert float(rows[0]["phi_closed"]) == pytest.approx(2 * math.pi, rel=1e-12, abs=0)
         assert float(rows[0]["rel_dev"]) <= 1e-10
 
     def test_cell_energies_are_numpys_linspace(self, capsys):
@@ -328,7 +328,7 @@ class TestOrbit:
         _, rows = parse_csv(out)
         # H = 1.2^2/2 - 1/0.5 = -1.28, so a = 1/2.56 and T = 2 pi a^1.5 at m = e2 = 1
         period = 2.0 * math.pi * (1.0 / 2.56) ** 1.5
-        assert float(rows[0]["t_end"]) == pytest.approx(100.0 * period, rel=1e-14)
+        assert float(rows[0]["t_end"]) == pytest.approx(100.0 * period, rel=1e-14, abs=0)
 
     def test_zero_t_end_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "orbit", "--t-end", "0")
@@ -430,7 +430,7 @@ class TestLLimit:
         newtonian = [r for r in rows if float(r["beta"]) == 0.0]
         for row in newtonian:
             assert float(row["gap"]) == pytest.approx(
-                -2 * math.pi * float(row["l"]), rel=1e-9
+                -2 * math.pi * float(row["l"]), rel=1e-9, abs=0
             )
 
     def test_nan_l_is_config_error(self, capsys):

@@ -178,13 +178,13 @@ class TestEquationsOfMotion:
 class TestInvariants:
     def test_circular_values(self):
         h, j = invariants(OrbitState(1.0, 0.0, 0.0, 1.0), PhysicalParams(1, 1, 0))
-        assert h == pytest.approx(-0.5, rel=1e-15)
-        assert j == pytest.approx(1.0, rel=1e-15)
+        assert h == pytest.approx(-0.5, rel=1e-15, abs=0)
+        assert j == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_eccentric_values(self):
         h, j = invariants(ECCENTRIC, PhysicalParams(1, 1, 0))
-        assert h == pytest.approx(-0.375, rel=1e-15)
-        assert j == pytest.approx(1.0, rel=1e-15)
+        assert h == pytest.approx(-0.375, rel=1e-15, abs=0)
+        assert j == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_radial_motion_has_zero_j(self):
         _, j = invariants(OrbitState(1.0, 1.0, 1.0, 1.0), PhysicalParams(1, 1, 0))
@@ -943,7 +943,7 @@ class TestPrecession:
             assert abs(result.angle_per_orbit) > 1e-4
             precessions.append(abs(result.angle_per_orbit))
         ratio = precessions[1] / precessions[0]
-        assert ratio == pytest.approx(4.0, rel=0.05)
+        assert ratio == pytest.approx(4.0, rel=0.05, abs=0)
 
     def test_circular_orbit_flagged(self):
         traj = integrate_orbit(

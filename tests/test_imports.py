@@ -5,7 +5,9 @@ No module of the package imports scipy, so no CLI command loads any
 command loads only the numpy layer it runs, ``numerics`` or ``dynamics``,
 and ``l-limit`` loads neither.  Package modules also import no private
 (``_``-prefixed) name from each other, and the quadrature route calls no
-closed-form function.
+closed-form function.  The reduced level cores take b = beta m e2 and leave
+the physical scale to ``model``, and no test leaves a relative bound with
+approx's default absolute one.
 """
 
 import ast
@@ -18,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import snyder_coulomb
-from snyder_coulomb import PhysicalParams, analytic, dynamics, errors, model, numerics
+from snyder_coulomb import (NoRootInWindow, PhysicalParams, QuantumNumbers, analytic, dynamics,
+                            errors, model, numerics, window_top)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,6 +172,61 @@ def test_only_admit_raises_out_of_window():
     assert found == ["model.PhysicalParams.admit"]
 
 
+def _defs(module):
+    tree = ast.parse((SRC / "snyder_coulomb" / f"{module}.py").read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+B_CORES = {"analytic": ("level_closed",), "numerics": ("_solve_levels", "_phase_rows")}
+
+
+def test_level_cores_take_b_and_name_no_physical_params():
+    # the physical scale is model's: a reduced core reads b = beta m e2 alone
+    firsts, named = {}, []
+    for module, names in B_CORES.items():
+        defs = _defs(module)
+        for name in names:
+            firsts[name] = defs[name].args.args[0].arg
+            named += [name for node in ast.walk(defs[name])
+                      if isinstance(node, ast.Name) and node.id == "PhysicalParams"]
+    assert (firsts, named) == (dict.fromkeys(firsts, "b"), [])
+
+
+def test_energy_closed_asks_admit_alone():
+    # admit is the one window test of a physical level; energy_closed words its failure once
+    body = list(ast.walk(_defs("analytic")["energy_closed"]))
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in body if isinstance(node, ast.Call)}
+    raises = sum(isinstance(node, ast.Raise) for node in body)
+    assert ("admit" in called, called & {"window_top", "reduced"}, raises) == (True, set(), 1)
+
+
+def test_physical_level_rounded_onto_the_top_quotes_admit():
+    # the reduced level lies below the window top, but m e2^2 times it reads back onto the top
+    params = PhysicalParams(1.7235702277312939, 15.443361036904205, 0.18784480816951726)
+    qn = QuantumNumbers(2, 1)
+    assert analytic.level_closed(params.b, 2, 1) < window_top(params.b, 1)
+    with pytest.raises(NoRootInWindow) as exc:
+        analytic.energy_closed(params, qn)
+    top = "8.221340364631008"  # m e2^2 times the reduced top, and the physical level itself
+    assert str(exc.value) == (f"level infeasible at beta={params.beta!r} for {qn}: "
+                              f"E={top} outside the window (0, {top}) at l=1")
+
+
+def test_relative_bounds_say_abs():
+    # approx adds abs=1e-12 to a bare rel=r, which loosens the bound wherever |x| < 1e-12/r
+    loose = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "approx"
+        and "rel" in (keywords := {keyword.arg for keyword in node.keywords})
+        and "abs" not in keywords
+    ]
+    assert loose == []
+
+
 NUMBER_CORES = {"analytic": ("level_closed",),
                 "numerics": ("_solve_levels", "_phase_rows", "_trapezoid")}
 
@@ -177,8 +235,7 @@ def test_level_and_quadrature_cores_name_no_quantum_numbers():
     # the cores take plain numbers; QuantumNumbers is the label of the public entries
     named, missing = [], []
     for module, names in NUMBER_CORES.items():
-        tree = ast.parse((SRC / "snyder_coulomb" / f"{module}.py").read_text())
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        defs = _defs(module)
         missing += [name for name in names if name not in defs]
         named += [name for name in names if name in defs and any(
             isinstance(node, ast.Name) and node.id == "QuantumNumbers"

@@ -109,11 +109,11 @@ class TestEnergyWindow:
     def test_angular_cap_wins_over_weak_deformation(self):
         # 1/(2 beta^2 m) = 50 is far above the circular bound 0.5.
         e_max = window_top(0.1, 1)
-        assert e_max == pytest.approx(0.5, rel=1e-15)
+        assert e_max == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_deformation_pole_caps_the_s_channel(self):
         e_max = window_top(2.0, 0)
-        assert e_max == pytest.approx(0.125, rel=1e-15)
+        assert e_max == pytest.approx(0.125, rel=1e-15, abs=0)
 
     def test_unbounded_newtonian_s_channel(self):
         assert math.isinf(window_top(0.0, 0))

@@ -41,7 +41,7 @@ class TestRealLineRule:
     def test_arctangent_integral(self):
         # at beta = 0, 2mE = 1 the integrand is 2 / (p^2 + 1)
         res = phase_integral_numeric(PhysicalParams(1, 1, 0), 0.5, 0)
-        assert res.value == pytest.approx(2 * PI, rel=1e-13)
+        assert res.value == pytest.approx(2 * PI, rel=1e-13, abs=0)
         assert res.err_estimate <= 1e-10 * res.value
 
     def test_deformed_lorentzian_against_partial_fractions(self):
@@ -51,8 +51,8 @@ class TestRealLineRule:
         energy, beta = 0.5, 0.1
         a = math.sqrt(2 * m * energy)
         value = phase_integral_numeric(PhysicalParams(m, e2, beta), energy, 0).value
-        assert value == pytest.approx(2 * m * e2 * PI / (a * (1 + beta * a)), rel=1e-13)
-        assert value == pytest.approx(2 * PI / 1.1, rel=1e-13)
+        assert value == pytest.approx(2 * m * e2 * PI / (a * (1 + beta * a)), rel=1e-13, abs=0)
+        assert value == pytest.approx(2 * PI / 1.1, rel=1e-13, abs=0)
 
     def test_exhausted_panels_fail_only_their_row(self):
         # the spike of height 2e14 at p = 0 needs h << 1e-7 to resolve; the
@@ -64,7 +64,7 @@ class TestRealLineRule:
         assert math.isnan(value[0]) and err[0] > numerics.QUAD_RTOL
         alone = numerics._trapezoid(periodic, 2.0, 16)
         assert (value[1], err[1]) == alone
-        assert value[1] == pytest.approx(2 * 1.2660658777520084, rel=1e-14)  # 2 I0(1)
+        assert value[1] == pytest.approx(2 * 1.2660658777520084, rel=1e-14, abs=0)  # 2 I0(1)
 
 
 class TestBandRule:
@@ -74,7 +74,7 @@ class TestBandRule:
         # at beta = 0 the radial loop integral is 2 pi (n' - l) with
         # n' = sqrt(m e2^2 / (2E)) = 5 here
         res = phase_integral_numeric(PhysicalParams(1, 1, 0), 0.02, 3)
-        assert res.value == pytest.approx(4 * PI, rel=1e-13)
+        assert res.value == pytest.approx(4 * PI, rel=1e-13, abs=0)
 
     def test_degenerate_band_is_refused_before_any_rule(self, monkeypatch):
         # admit refuses the circular bound, a band of zero width, before any rule runs
@@ -94,7 +94,7 @@ class TestTrapezoidRule:
         for energy in np.geomspace(1e-8, 0.49, 25):
             numeric = phase_integral_numeric(params, float(energy), 0).value
             closed = phase_integral_1d_closed(params, float(energy)).value
-            assert numeric == pytest.approx(closed, rel=1e-13)
+            assert numeric == pytest.approx(closed, rel=1e-13, abs=0)
 
     # and the b = l corners, where the pole meets the circular bound, which BETAS leaves
     # out: it also feeds the line test, whose window would close at the pole
@@ -145,11 +145,47 @@ class TestTrapezoidRule:
         assert (value[1], err[1]) == tuple(numerics._phase_rows(0.0, energy[1:2], l[1:2]))
         assert (value[2], err[2]) == tuple(numerics._phase_rows(0.0, energy[2:3], l[2:3]))
 
+    @pytest.mark.parametrize("energy,l", [(0.1, 1e-78), (1e-50, 1e-60), (1e-50, 2e-70),
+                                          (1e-90, 1e-60), (1e10, 1e-80), (1e100, 1e-100)])
+    def test_rows_whose_edges_leave_the_floats_are_refused(self, monkeypatch, energy, l):
+        # z+/z- overflows once l^2 E is below about 1.5e-154, and z+^2 first at large E:
+        # such a row is refused before any trapezoid round, with no numpy warning
+        monkeypatch.setattr(numerics, "_trapezoid", None)
+        with pytest.raises(ToleranceNotReached,
+                           match=r"with z\+\^2 and z\+/z- below 2\^1022; got .* at l="):
+            phase_integral_numeric(PhysicalParams(1, 1, 0), energy, l)
+
+    def test_rows_beside_the_edge_limit_are_finite_or_refused(self):
+        # rows around both limits, up to the pole, in one call: each one is refused or
+        # finite, and a kept row reads as its one-row call
+        rng = np.random.default_rng(38)
+        small = 10.0 ** rng.uniform(-100.0, 0.0, 20)
+        large = 10.0 ** rng.uniform(0.0, 150.0, 20)
+        energy = np.concatenate([small, large])
+        l = np.concatenate([np.sqrt(1.5e-154 / small), np.full(20, math.sqrt(2.0**-509))])
+        l *= 10.0 ** rng.uniform(-0.3, 0.3, 40)
+        energy = np.minimum(energy, np.nextafter(0.5 / (l * l), 0.0))
+        b = math.sqrt(0.5 / energy.max()) * 0.999999
+        value, err = numerics._phase_rows(b, energy, l)
+        refused = err == math.inf
+        assert 0 < refused.sum() < 40
+        assert np.isnan(value[refused]).all() and np.isfinite(value[~refused]).all()
+        for i in (~refused).nonzero()[0]:
+            alone = numerics._phase_rows(b, energy[i : i + 1], l[i : i + 1])
+            assert (value[i], err[i]) == (alone[0][0], alone[1][0])
+
+    def test_ratio_limit_falls_between_l_1e_76_and_1e_78_at_e_01(self):
+        assert phase_integral_numeric(PhysicalParams(1, 1, 0), 0.1, 1e-76).value == (
+            14.049629462081448)
+        # the table solver's start E0 = 1/2 at l = 1e-78 is such a row
+        (level,) = numerics._solve_levels(0.0, [1.0], [1e-78])
+        assert isinstance(level, ToleranceNotReached)
+
     def test_lowered_panel_cap_raises(self, monkeypatch):
         # this band row misses QUAD_RTOL at the 64-panel start and meets it at 128
         params = PhysicalParams(1, 1, 0.0)
         value = phase_integral_numeric(params, 1e-4, 1).value
-        assert value == pytest.approx(2 * PI * (1 / math.sqrt(2e-4) - 1), rel=1e-13)
+        assert value == pytest.approx(2 * PI * (1 / math.sqrt(2e-4) - 1), rel=1e-13, abs=0)
         monkeypatch.setattr(numerics, "MAX_PANELS", 64)
         with pytest.raises(ToleranceNotReached, match="within 64 panels"):
             phase_integral_numeric(params, 1e-4, 1)
@@ -259,8 +295,8 @@ class TestPhaseIntegralNumeric:
         params = PhysicalParams(1, 1, 0.1)
         numeric = phase_integral_numeric(params, 0.125, 1).value
         closed = radial_phase_integral_closed(params, 0.125, 1).value
-        assert numeric == pytest.approx(closed, rel=1e-8)
-        assert numeric == pytest.approx(1.9901227376726 * PI, rel=1e-10)
+        assert numeric == pytest.approx(closed, rel=1e-8, abs=0)
+        assert numeric == pytest.approx(1.9901227376726 * PI, rel=1e-10, abs=0)
 
     def test_deformed_s_channel_at_exact_root(self):
         params = PhysicalParams(1, 1, 0.1)
@@ -372,7 +408,7 @@ class TestPhaseIntegralNumeric:
         params = PhysicalParams(1, 1, 0)
         numeric = phase_integral_numeric(params, 1e-20, 4_000_000_000).value
         closed = radial_phase_integral_closed(params, 1e-20, 4_000_000_000).value
-        assert numeric == pytest.approx(closed, rel=1e-12)
+        assert numeric == pytest.approx(closed, rel=1e-12, abs=0)
 
     def test_negative_l_fails_the_window_check(self):
         with pytest.raises(ValueError, match="l must be >= 0"):
@@ -406,11 +442,11 @@ class TestLevelRoutes:
 
     def test_newtonian_p_level(self):
         energy = energy_closed(PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=1))
-        assert energy == pytest.approx(0.125, rel=1e-10)
+        assert energy == pytest.approx(0.125, rel=1e-10, abs=0)
 
     def test_deformed_p_level_against_series(self):
         energy = energy_closed(PhysicalParams(1, 1, 0.1), QuantumNumbers(n=1, l=1))
-        assert energy == pytest.approx(0.1243834369668, rel=1e-10)
+        assert energy == pytest.approx(0.1243834369668, rel=1e-10, abs=0)
         # the first-order series 0.1243750 is off only at order beta^4
         assert energy == pytest.approx(0.1243750, abs=2e-5)
 
@@ -428,7 +464,7 @@ class TestLevelRoutes:
     def test_deformed_s_channel_numeric_matches_exact(self):
         params = PhysicalParams(1, 1, 0.1)
         energy = energy_numeric(params, QuantumNumbers(n=1, l=0))
-        assert energy == pytest.approx(energy_closed(params, QuantumNumbers(1)), rel=1e-8)
+        assert energy == pytest.approx(energy_closed(params, QuantumNumbers(1)), rel=1e-8, abs=0)
         assert energy == pytest.approx(0.4196011, abs=1e-6)
 
     def test_methods_agree(self):
@@ -436,7 +472,7 @@ class TestLevelRoutes:
         for qn in (QuantumNumbers(2, 0), QuantumNumbers(1, 1), QuantumNumbers(2, 1)):
             closed = energy_closed(params, qn)
             numeric = energy_numeric(params, qn)
-            assert numeric == pytest.approx(closed, rel=1e-8)
+            assert numeric == pytest.approx(closed, rel=1e-8, abs=0)
 
     def test_residual_of_quantization_condition(self):
         for beta in (0.0, 0.01, 0.1):
@@ -493,7 +529,7 @@ class TestLevelRoutes:
             params = PhysicalParams(1, 1, beta)
             levels = [QuantumNumbers(n_prime - l, l) for n_prime in range(1, 7)
                       for l in range(n_prime)]
-            solved = numerics._solve_levels(params, [qn.n for qn in levels],
+            solved = numerics._solve_levels(params.b, [qn.n for qn in levels],
                                             [qn.l for qn in levels])
             for qn, energy in zip(levels, solved):
                 if isinstance(energy, NoRootInWindow):
@@ -523,29 +559,29 @@ class TestSpectrumTable:
         for entry in entries:
             assert entry.error is None
             expected = 1.0 / (2.0 * entry.qn.n_prime**2)
-            assert entry.e_closed == pytest.approx(expected, rel=1e-10)
-            assert entry.e_numeric == pytest.approx(expected, rel=1e-8)
+            assert entry.e_closed == pytest.approx(expected, rel=1e-10, abs=0)
+            assert entry.e_numeric == pytest.approx(expected, rel=1e-8, abs=0)
         # equal n' implies equal energy at beta = 0
         by_np = {}
         for entry in entries:
             by_np.setdefault(entry.qn.n_prime, []).append(entry.e_closed)
         for values in by_np.values():
             for v in values:
-                assert v == pytest.approx(values[0], rel=1e-10)
+                assert v == pytest.approx(values[0], rel=1e-10, abs=0)
 
     def test_deformed_table(self):
         entries = spectrum_table(PhysicalParams(1, 1, 0.1), 2)
         index = {(e.qn.n_prime, e.qn.l): e for e in entries}
         assert index[(1, 0)].e_closed == pytest.approx(0.4196011, abs=1e-6)
         assert index[(2, 1)].e_closed < 0.125
-        assert index[(2, 1)].e_series == pytest.approx(0.1243750, rel=1e-12)
+        assert index[(2, 1)].e_series == pytest.approx(0.1243750, rel=1e-12, abs=0)
 
     def test_single_entry(self):
         entries = spectrum_table(PhysicalParams(1, 1, 0), 1)
         assert len(entries) == 1
         entry = entries[0]
         for value in (entry.e_newton, entry.e_closed, entry.e_numeric, entry.e_series):
-            assert value == pytest.approx(0.5, rel=1e-8)
+            assert value == pytest.approx(0.5, rel=1e-8, abs=0)
 
     def test_corrections_lower_energies(self):
         entries = spectrum_table(PhysicalParams(1, 1, 0.1), 4)
@@ -693,7 +729,7 @@ class TestTableSolver:
         # E0 = 1/(2 n^2) at l = 0 reaches 2^1023 below n = 7.5e-155, and overflows
         monkeypatch.setattr(numerics, "_phase_rows", None)
         for n in (5e-155, 1e-300):
-            (energy,) = numerics._solve_levels(PhysicalParams(1, 1, 0), [n], [0])
+            (energy,) = numerics._solve_levels(0.0, [n], [0])
             assert isinstance(energy, ScaleOutOfRange)
             assert str(energy) == (f"the start E/(m e2^2) = inf leaves the float range "
                                    f"for n={n}, l=0")
@@ -705,7 +741,7 @@ class TestTableSolver:
     ])
     def test_tiny_n_levels_keep_their_last_step(self, n, l, b):
         # residuals of order 2 pi n 1e-12 and below: the secant step stays exact
-        (energy,) = numerics._solve_levels(PhysicalParams(1, 1, b), [n], [l])
+        (energy,) = numerics._solve_levels(b, [n], [l])
         assert abs(energy / level_closed(b, n, l) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("n_prime_max", [8, 20, 50])
@@ -747,7 +783,7 @@ class TestRealQuantumNumbers:
         b = share * (2 * n + l)
         params = PhysicalParams(1, 1, b)  # b = beta, and E = Ẽ
         closed = level_closed(b, float(n), float(l))
-        (numeric,) = numerics._solve_levels(params, [float(n)], [float(l)])
+        (numeric,) = numerics._solve_levels(b, [float(n)], [float(l)])
         assert isinstance(numeric, float), (n, l, b, numeric)
         assert abs(numeric / closed - 1.0) <= 1e-14, (n, l, b, closed, numeric)
         if isinstance(n, int):
@@ -760,13 +796,13 @@ class TestRealQuantumNumbers:
     def test_quantum_numbers_outside_the_real_domain_raise(self, n, l):
         # an int past the float range too, which numpy's float conversion overflows on
         with pytest.raises(ValueError, match=r"need 0 < n < inf and 0 <= l < inf"):
-            numerics._solve_levels(PhysicalParams(1, 1, 0.1), [2.0, n], [1.0, l])
+            numerics._solve_levels(0.1, [2.0, n], [1.0, l])
 
     def test_messages_name_n_and_l_as_given(self):
         # b = 3 makes (1, 0) infeasible: the quadrature route names the level itself
-        (energy,) = numerics._solve_levels(PhysicalParams(1, 1, 3.0), [1], [0])
+        (energy,) = numerics._solve_levels(3.0, [1], [0])
         assert isinstance(energy, NoRootInWindow)
-        assert "for n=1, l=0: level infeasible at beta=3.0" in str(energy)
+        assert "for n=1, l=0: level infeasible at beta m e2 = 3.0" in str(energy)
 
 
 class TestCorrectionOrder:
@@ -822,7 +858,7 @@ class TestLLimitStudy:
         rows = l_limit_study(params, 0.125, [1e-2, 1e-4, 1e-6])
         # gap is exactly -2 pi l at beta = 0
         for row in rows:
-            assert row.gap == pytest.approx(-2 * PI * row.l, rel=1e-9)
+            assert row.gap == pytest.approx(-2 * PI * row.l, rel=1e-9, abs=0)
         assert abs(rows[-1].gap) < 1e-4
 
     def test_deformed_limit_recovers_1d(self):
@@ -834,7 +870,7 @@ class TestLLimitStudy:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-7
         phi_1d = phase_integral_1d_closed(params, 0.125).value
-        assert rows[-1].phi_radial == pytest.approx(phi_1d, rel=1e-9)
+        assert rows[-1].phi_radial == pytest.approx(phi_1d, rel=1e-9, abs=0)
 
     def test_gap_at_small_l_is_band_offset_dominated(self):
         # for g = 2 beta m e2 / W >> l the raw gap approaches
@@ -844,7 +880,7 @@ class TestLLimitStudy:
         w = 1 - 2 * 0.1**2 * 0.125
         g = 2 * 0.1 / w
         expected = -PI * (1e-3 + 1e-6 / (2 * g))
-        assert row.gap == pytest.approx(expected, rel=1e-3)
+        assert row.gap == pytest.approx(expected, rel=1e-3, abs=0)
 
     def test_out_of_window_recorded_in_row(self):
         # E = 0.6 lies above the l = 1 circular-orbit bound but inside the
