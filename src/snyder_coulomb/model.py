@@ -92,11 +92,16 @@ def window_top(b: float, l: float) -> float:
     pole 1/(2 b^2), or ``math.inf``; it can only fall as ``l`` or ``b``
     grows.  Where 1/(2 b^2) overflows (b below about 5e-155) the pole is
     inf, and where 2 b^2 overflows the top is 0.  Where 1/(2 l^2) overflows
-    (l below about 5e-155) the circular bound is inf.
+    (l below about 5e-155) the circular bound is inf.  Raises ValueError
+    unless l >= 0, and for an int past the float range, which it does not
+    quote.
     """
     if not l >= 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    circular = 2.0 * l * l
+    try:
+        circular = 2.0 * l * l
+    except OverflowError:  # str() of such an int can itself fail
+        raise ValueError("l must be < inf, an int within the float range") from None
     e_max = 1.0 / circular if circular > 0.0 else math.inf
     pole = 2.0 * b * b
     # the lower cap, without min(): this runs on every admitted energy

@@ -243,6 +243,16 @@ class TestVerifyIntegrals:
         assert (code, out) == (2, "")
         assert "NonFinite: e-grid entry must be finite" in err
 
+    def test_l_past_the_float_range_is_config_error(self, capsys):
+        # 2.0 * l * l overflowed in window_top, in a traceback
+        code, out, err = run_cli(
+            capsys, "verify-integrals", "--beta-grid", "0.01", "--l-grid", str(10**400),
+            "--e-grid", "0.1",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("snyder-coulomb: error: ValueError: l must be < inf, an int within "
+                       "the float range\n")
+
 
 class TestScanOrder:
     def test_slopes_and_exit(self, capsys):

@@ -410,6 +410,14 @@ class TestPhaseIntegralNumeric:
         closed = radial_phase_integral_closed(params, 1e-20, 4_000_000_000).value
         assert numeric == pytest.approx(closed, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("phase", [phase_integral_numeric, radial_phase_integral_closed])
+    def test_l_past_the_float_range_fails_the_window_check(self, phase):
+        # 2.0 * l * l overflowed in window_top; the message quotes no l
+        with pytest.raises(ValueError, match=r"^l must be < inf, an int within the float range$"):
+            phase(PhysicalParams(1, 1, 0.01), 0.1, 10**400)
+        with pytest.raises(OutOfWindow):  # a float inf closes the window
+            phase(PhysicalParams(1, 1, 0.01), 0.1, math.inf)
+
     def test_negative_l_fails_the_window_check(self):
         with pytest.raises(ValueError, match="l must be >= 0"):
             phase_integral_numeric(PhysicalParams(1, 1, 0), 0.1, -1)
@@ -597,6 +605,81 @@ class TestSpectrumTable:
         assert "NoRootInWindow" in entries[0].error
         assert math.isnan(entries[0].e_closed)
         assert entries[0].e_newton == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n_prime_max", [3.0, "3", True, 0, -1])
+    def test_shell_count_must_be_an_integer_from_1(self, n_prime_max):
+        # 3.0 and "3" raised TypeError, and True gave a 1-shell table
+        with pytest.raises(ValueError, match="n_prime_max must be"):
+            spectrum_table(PhysicalParams(1, 1, 0.1), n_prime_max)
+
+
+def table_fields(table):
+    """Every field of every entry, floats as hex: equal exactly when bit for bit, NaN too."""
+    return [(e.qn, e.error, *(float.hex(x) for x in (e.e_newton, e.e_closed, e.e_numeric,
+                                                       e.e_series))) for e in table]
+
+
+class TestLevelSet:
+    """A table's b-free structure is built once per shape and changes no result."""
+
+    def test_tables_read_as_their_cold_calls(self):
+        # beta = 3.0 gives the error rows
+        betas = (0.01, 0.14, 3.0)
+        cold = []
+        for beta in betas:
+            numerics._table_levels.cache_clear()
+            numerics._level_set.cache_clear()
+            cold.append(table_fields(spectrum_table(PhysicalParams(1, 1, beta), 8)))
+        for beta in (0.0, 0.05, 0.9):
+            spectrum_table(PhysicalParams(1, 1, beta), 8)
+            spectrum_table(PhysicalParams(1, 1, beta), 5)
+        warm = [table_fields(spectrum_table(PhysicalParams(1, 1, beta), 8)) for beta in betas]
+        assert warm == cold
+        assert any(row[1] is not None for row in cold[2])
+
+    def test_cached_structure_is_read_only(self):
+        levels, n, l = numerics._table_levels(4)
+        assert all(type(x) is tuple for x in (levels, n, l))
+        for array in numerics._level_set(n, l):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_a_repeated_shape_builds_no_levels_and_no_tops(self, monkeypatch):
+        spectrum_table(PhysicalParams(1, 1, 0.02), 8)
+        built, tops = [], []
+        post_init, window = QuantumNumbers.__post_init__, numerics.window_top
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_window(*args):
+            tops.append(args)
+            return window(*args)
+
+        monkeypatch.setattr(QuantumNumbers, "__post_init__", counting_post_init)
+        monkeypatch.setattr(numerics, "window_top", counting_window)
+        table = spectrum_table(PhysicalParams(1, 1, 0.05), 8)
+        assert len(table) == 36 and all(entry.error is None for entry in table)
+        assert (built, tops) == ([], [])
+
+    @pytest.mark.parametrize("b", [0.0, 1e-160, 0.1, 1e160])
+    def test_array_tops_are_window_top_bit_for_bit(self, b):
+        ls = (0, 5e-160, 1, 7, 1e200)
+        _, _, circular, _ = numerics._level_set((1,) * len(ls), ls)
+        tops = numerics._window_tops(b, circular).tolist()
+        assert [x.hex() for x in tops] == [window_top(b, x).hex() for x in ls]
+
+    @pytest.mark.parametrize("n,l", [(0, 1), (1, -1), (math.nan, 1), (1, math.nan),
+                                     (math.inf, 1), (1, math.inf), (10**400, 1), (1, 10**400)])
+    def test_invalid_levels_raise_and_are_not_cached(self, n, l):
+        valid = numerics._solve_levels(0.1, [2, 1], [1, 1])
+        size = numerics._level_set.cache_info().currsize
+        with pytest.raises(ValueError, match=r"need 0 < n < inf and 0 <= l < inf"):
+            numerics._solve_levels(0.1, [2, n], [1, l])
+        assert numerics._level_set.cache_info().currsize == size
+        assert numerics._solve_levels(0.1, [2, 1], [1, 1]) == valid
 
 
 class TestTableSolver:
