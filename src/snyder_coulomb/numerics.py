@@ -63,16 +63,16 @@ same code, so this module loads no scipy.
 All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.  A beta sweep of tables
 of one shape builds their b-free structure once: ``spectrum_table`` keeps
-the levels of its latest shape (``_table_levels``), and ``_solve_levels``
-keeps the float l rows, targets 2 pi n, circular bounds and starts E0 of its
-8 latest level sets (``_level_set``).  Both caches are read-only, hold no
-energy, no Phi and nothing that depends on b, and change no result.
+the levels of its latest shape (``_table_levels``), with their float l rows,
+targets 2 pi n and starts E0 (``_level_set``), read-only.  That cache holds
+no energy, no Phi and nothing that depends on b, and changes no result.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -256,31 +256,28 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
 
     line = (l == 0).nonzero()[0]
     if line.size:
-        line_two_e = two_e[line]
-        line_c = (line_two_e * b2)[:, None]  # 2Ẽ b^2 < 1 inside the window
+        line_c = (two_e[line] * b2)[:, None]  # 2Ẽ b^2 < 1 inside the window
 
         def line_integrand(n: int) -> np.ndarray:  # on x in [-45, 45]
             t2, weight = _line_factors(n)
             return weight / (1.0 + line_c * t2)
 
         total, estimate = _trapezoid(line_integrand, 90.0, 450)
-        scale = np.sqrt(line_two_e)  # p = sqrt(2Ẽ) t
+        scale = np.sqrt(two_e[line])  # p = sqrt(2Ẽ) t
         value[line], err[line] = total / scale, estimate / scale
 
     band = ((l != 0) & (energy >= BAND_FLOOR)).nonzero()[0]
     if band.size:
-        band_l = l[band, None]
         with np.errstate(all="ignore"):  # edges past the float range: refused just below
-            z_minus, z_plus = _band_edges(energy[band, None], band_l)
+            z_minus, z_plus = _band_edges(energy[band, None], l[band, None])
             ratio = z_plus / z_minus
             held = (np.maximum(z_plus * z_plus, ratio) < _EDGE_LIMIT)[:, 0]
         if not held.all():
-            band, band_l = band[held], band_l[held]
-            z_minus, z_plus, ratio = z_minus[held], z_plus[held], ratio[held]
+            band, z_minus, z_plus, ratio = band[held], z_minus[held], z_plus[held], ratio[held]
     if band.size:
         band_two_e = two_e[band, None]
         log_z_minus, width = np.log(z_minus), np.log(ratio)
-        factor = band_l * width  # l times L, of ds = L sin(2 phi) dphi
+        factor = l[band, None] * width  # l times L, of ds = L sin(2 phi) dphi
 
         def band_integrand(n: int) -> np.ndarray:  # on phi in [0, pi/2]
             sin2, sin_double = _phi_factors(n)
@@ -311,17 +308,13 @@ def phase_integral_numeric(params: PhysicalParams, energy: float, l: float) -> P
     return PhaseIntegralResult(value=float(value[0]), kind="numeric", err_estimate=float(err[0]))
 
 
-@functools.lru_cache(maxsize=8)
-def _level_set(n: tuple, l: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The b-free arrays of the levels (n[i], l[i]), cached and read-only, reduced.
+def _level_set(n: Sequence[float], l: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The b-free arrays of the levels (n[i], l[i]), read-only, reduced.
 
-    The float l rows, the targets 2 pi n, the circular bounds 1/(2 l^2)
-    (inf where 2 l^2 is 0, 0 where it overflows, as :func:`window_top` has
-    them) and the undeformed levels E0 = 1/(2 n'^2), n' = n + l (inf past
-    the float range).  Raises ValueError unless 0 < n < inf and
-    0 <= l < inf, an int past the float range too; a call that raises is
-    not cached.  The 8 latest sets stay alive, each as its two key tuples
-    and four float arrays, 48 bytes a level besides the numbers the keys hold.
+    The float l rows, the targets 2 pi n and the undeformed levels
+    E0 = 1/(2 n'^2), n' = n + l (inf past the float range).  Raises
+    ValueError unless 0 < n < inf and 0 <= l < inf, an int past the float
+    range too.
     """
     try:
         n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
@@ -331,24 +324,14 @@ def _level_set(n: tuple, l: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     if not real:
         raise ValueError("levels need 0 < n < inf and 0 <= l < inf")
     with np.errstate(over="ignore", divide="ignore"):  # an E0 past the float range fails per call
-        arrays = (l_rows, TWO_PI * n_rows, 1.0 / (2.0 * l_rows * l_rows),
-                  1.0 / (2.0 * (n_rows + l_rows) ** 2))
+        arrays = (l_rows, TWO_PI * n_rows, 1.0 / (2.0 * (n_rows + l_rows) ** 2))
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
-def _window_tops(b: float, circular: np.ndarray) -> np.ndarray:
-    """:func:`window_top` at b of the rows whose circular bounds are ``circular``, bit for bit.
-
-    Its float operations, in its order: the lower of each bound and the
-    pole 1/(2 b^2), or the bounds themselves at 2 b^2 = 0.
-    """
-    pole = 2.0 * b * b
-    return circular if pole == 0.0 else np.where(circular < 1.0 / pole, circular, 1.0 / pole)
-
-
-def _solve_levels(b: float, n: Sequence[float], l: Sequence[float]) -> list:
+def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
+                  level_set: tuple[np.ndarray, ...] | None = None) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n at the levels (n[i], l[i]) together, reduced.
 
     The core takes what ``analytic.level_closed`` takes: b = beta m e2, and
@@ -359,11 +342,11 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float]) -> list:
     with slope pi sqrt(2) on both channels.  Each level starts at min(E0,
     top): its undeformed level E0 = 1/(2 n'^2), which the deformation
     lowers, or top = ``window_top(b, l)`` (1 - 1e-9).  All that does not
-    depend on b is the cached level set of (n, l) (:func:`_level_set`); per
-    call, b enters only the tops (:func:`_window_tops`, window_top's float
-    operations in its order), the secant and the quadrature.  A level's
-    first step takes the b = 0 slope, and each later one the secant through
-    its last two iterates.  Each residual's sign moves one end of the level's bracket; a
+    depend on b is ``level_set``, :func:`_level_set` of (n, l), built here
+    unless the caller passes it (a table passes its cached one); b enters
+    only the tops, the secant and the quadrature.  A level's first step
+    takes the b = 0 slope, and each later one the secant through its last
+    two iterates.  Each residual's sign moves one end of the level's bracket; a
     step that leaves the bracket bisects it, or doubles u while no residual
     above 0 is known, and no step goes above top.  A residual >= 0 at top
     makes the level infeasible, quoting that residual, and so does an empty
@@ -379,8 +362,8 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float]) -> list:
     """
     result: list = [None] * len(n)
     active = np.ones(len(n), dtype=bool)
-    l_rows, target, circular, e0 = _level_set(tuple(n), tuple(l))
-    top = _window_tops(b, circular) * (1.0 - 1e-9)
+    l_rows, target, e0 = _level_set(n, l) if level_set is None else level_set
+    top = np.array([window_top(b, x) * (1.0 - 1e-9) for x in l])
     start = np.minimum(e0, top)
 
     def fail(i: int, exc: SnyderCoulombError) -> None:
@@ -456,18 +439,21 @@ def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _table_levels(n_prime_max: int) -> tuple[tuple[QuantumNumbers, ...], tuple, tuple]:
-    """The levels of an ``n_prime_max``-shell table, ordered by (n', l), and their n and l.
+def _table_levels(n_prime_max: int) -> tuple[tuple[QuantumNumbers, ...], tuple, tuple, tuple]:
+    """An ``n_prime_max``-shell table's levels, ordered by (n', l), with their n, l and level set.
 
-    Cached for the latest shape only: its n'(n' + 1)/2 ``QuantumNumbers``
-    stay alive until a table of another shape, about 2M of them at 2,000 shells.
+    The level set is :func:`_level_set` of the n and l.  Cached for the
+    latest shape only: its n'(n' + 1)/2 ``QuantumNumbers``, the n and l
+    tuples and three read-only float arrays stay alive until a table of
+    another shape, about 2M levels at 2,000 shells.
     """
     levels = tuple(
         QuantumNumbers(n=n_prime - l, l=l)
         for n_prime in range(1, n_prime_max + 1)
         for l in range(n_prime)
     )
-    return levels, tuple(qn.n for qn in levels), tuple(qn.l for qn in levels)
+    n, l = tuple(qn.n for qn in levels), tuple(qn.l for qn in levels)
+    return levels, n, l, _level_set(n, l)
 
 
 def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEntry]:
@@ -479,16 +465,17 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     each undeformed level), one array evaluation of Phi per round.  A row's
     error is the closed route's failure, else the quadrature route's; it
     does not abort the table or move the other rows.  Raises ValueError
-    unless ``n_prime_max`` is an int >= 1, not a bool.  A beta sweep of one
-    shape builds its levels once (:func:`_table_levels`).
+    unless ``n_prime_max`` is an integer >= 1 (numpy's too), not a bool.
+    A beta sweep of one shape builds its levels once (:func:`_table_levels`).
     """
-    if not isinstance(n_prime_max, int) or isinstance(n_prime_max, bool):
+    if isinstance(n_prime_max, bool) or not hasattr(n_prime_max, "__index__"):
         raise ValueError(f"n_prime_max must be an integer, got {n_prime_max!r}")
+    n_prime_max = operator.index(n_prime_max)
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")
-    levels, n, l = _table_levels(n_prime_max)
+    levels, n, l, level_set = _table_levels(n_prime_max)
     entries: list[SpectrumEntry] = []
-    solved = _solve_levels(params.b, n, l)
+    solved = _solve_levels(params.b, n, l, level_set)
     for qn, e_numeric in zip(levels, solved):
         try:
             e_closed = energy_closed(params, qn)
