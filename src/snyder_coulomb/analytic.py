@@ -18,9 +18,10 @@ the formulas: each is its physical form at m = e2 = 1.
   problem in polar momentum coordinates, expressed in z = p_rho^2 between
   the turning points z- <= z <= z+.
 * ``level_closed`` -- the reduced level of any real n > 0, l >= 0 at b
-  itself: Phi(E) = 2 pi n solved algebraically (a quadratic for l = 0, the
-  1D problem, and a quartic for l > 0), with no root search; a level raises
-  unless b < 2n + l and its float energy lies strictly inside the window.
+  itself: Phi(E) = 2 pi n solved algebraically, a quadratic in closed form
+  for l = 0, the 1D problem, and for l > 0 a quartic, whose one root in the
+  window a bracketed Newton iteration finds; neither evaluates Phi.  A level
+  raises unless b < 2n + l and its float energy lies strictly inside the window.
   ``energy_closed`` is the level of a ``QuantumNumbers`` in physical units.
 * ``energy_series`` -- its leading-order expansion in the deformation
   (first order for l = 0, second order for l >= 1).
@@ -43,13 +44,12 @@ All functions are pure and all result types immutable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from typing import Sequence
 
 from .errors import NoRootInWindow, OutOfWindow, RequiresNonzeroL, ScaleOutOfRange
-from .model import PhysicalParams, QuantumNumbers, window_top
+from .model import PhysicalParams, QuantumNumbers, check_level, quote, window_top
 
 __all__ = [
     "PhaseIntegralResult",
@@ -131,7 +131,7 @@ def radial_phase_integral_closed(
     small-l limit study.
     """
     if not l > 0:
-        raise ValueError(f"l must be > 0, got {l!r}")
+        raise ValueError(f"l must be > 0{quote(l)}")
     energy = params.admit(energy, l)
     b, s = params.b, math.sqrt(2.0 / energy)
     lw = l * (1.0 - 2.0 * b * b * energy)
@@ -143,7 +143,8 @@ def level_closed(b: float, n: float, l: float) -> float:
     """Reduced level Ẽ = E/(m e2^2) of (n, l) at b = beta m e2: Phi = 2 pi n solved exactly.
 
     Real n and l, 0 < n < inf and 0 <= l < inf, else ValueError, an int past
-    the float range too; n' = n + l.
+    the float range too, as :func:`~snyder_coulomb.model.check_level` decides
+    for both level cores; n' = n + l.
     Algebraically, in u = sqrt(2 Ẽ).  For l = 0 (the 1D problem) the condition is
     b n u^2 + n u - 1 = 0 in u > 0, solved in the cancellation-free form
     u = 2 / (n + sqrt(n^2 + 4 b n)); Ẽ lies below the pole exactly when
@@ -172,8 +173,7 @@ def level_closed(b: float, n: float, l: float) -> float:
     onto the pole or underflowing to 0.  Where u0^4 overflows (n' below
     about 1e-77) it raises ScaleOutOfRange.  The messages name no level.
     """
-    if not (0.0 < n <= sys.float_info.max and 0.0 <= l <= sys.float_info.max):
-        raise ValueError(f"a level needs 0 < n < inf and 0 <= l < inf, got n={n!r}, l={l!r}")
+    check_level(n, l)
     a, big_n = 2.0, 2 * n + l
     if not b * a < 2 * big_n:
         raise NoRootInWindow(f"beta m e2 = {b!r} is not below 2n + l = {big_n}")
@@ -278,12 +278,16 @@ def l_limit_study(
     """
     rows: list[LLimitRow] = []
     for l in l_grid:
+        try:
+            l = float(l)
+        except OverflowError:  # an int past the float range: read as the inf it exceeds
+            l = math.inf if l > 0 else -math.inf
         phi_1d = math.nan
         try:
             phi_1d = phase_integral_1d_closed(params, energy).value
-            phi_r = radial_phase_integral_closed(params, energy, float(l)).value
-            rows.append(LLimitRow(float(l), phi_r, phi_1d, phi_r - phi_1d))
+            phi_r = radial_phase_integral_closed(params, energy, l).value
+            rows.append(LLimitRow(l, phi_r, phi_1d, phi_r - phi_1d))
         except OutOfWindow as exc:
             error = f"{type(exc).__name__}: {exc}"
-            rows.append(LLimitRow(float(l), math.nan, phi_1d, math.nan, error))
+            rows.append(LLimitRow(l, math.nan, phi_1d, math.nan, error))
     return rows

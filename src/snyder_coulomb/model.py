@@ -26,6 +26,7 @@ everything here is safe to use from concurrent code.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -47,9 +48,19 @@ __all__ = [
 
 
 _NORMAL = sys.float_info.min  # the least positive normal float
+_LARGEST = sys.float_info.max  # the largest finite float, a global: check_level runs per level
 _SMALLEST = math.ulp(0.0)  # the least positive (subnormal) float
 _DOUBLE_OVERFLOWS = math.ldexp(1.0, 1023)  # the least float whose double is inf
 _QUANTUM_MAX = 2**53  # the largest n or l: every integer up to it is a float
+
+
+def quote(value: object, prefix: str = ", got ") -> str:
+    """``prefix`` and the repr of ``value``, for an error message; "" for an int past +-2**53.
+
+    str() of an int past 4,300 digits raises its own ValueError, so no
+    message quotes an int past the bound :func:`quantum_number` puts on n and l.
+    """
+    return "" if isinstance(value, int) and abs(value) > _QUANTUM_MAX else f"{prefix}{value!r}"
 
 
 def finite_float(name: str, value: object, rule: str = "finite") -> float:
@@ -64,8 +75,36 @@ def finite_float(name: str, value: object, rule: str = "finite") -> float:
         if abs(value) <= sys.float_info.max:
             value = float(value)
     if not abs(value) <= sys.float_info.max:  # nan, inf or an int past float range
-        raise NonFinite(f"{name} must be {rule}, got {value!r}")
+        raise NonFinite(f"{name} must be {rule}{quote(value)}")
     return value
+
+
+def quantum_number(name: str, value: object, low: int) -> int:
+    """``value`` as an int from ``low`` to 2**53, up to which every integer is a float.
+
+    Takes any integer (``operator.index``) but a bool, else ValueError: the
+    rule of ``QuantumNumbers``' n and l and of a table's shell count.
+    """
+    if type(value) is not int:  # an int, the common case, is its own index
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}{quote(value)}")
+    if value > _QUANTUM_MAX:
+        raise ValueError(f"{name} must be <= 2**53, up to which every integer is a float")
+    return value
+
+
+def check_level(n: float, l: float) -> None:
+    """The one rule of a level's numbers: ValueError unless 0 < n < inf and 0 <= l < inf.
+
+    Real n and l, compared and never converted, so an int past the float
+    range fails too.  Both level cores, ``analytic.level_closed`` and the
+    quadrature route's ``numerics._level_set``, ask it before anything else.
+    """
+    if not (0.0 < n <= _LARGEST and 0.0 <= l <= _LARGEST):
+        raise ValueError(f"n{quote(n, '=')}, l{quote(l, '=')} need 0 < n < inf and 0 <= l < inf")
 
 
 def _product(x: float, y: float, z: float) -> float:
@@ -93,11 +132,11 @@ def window_top(b: float, l: float) -> float:
     grows.  Where 1/(2 b^2) overflows (b below about 5e-155) the pole is
     inf, and where 2 b^2 overflows the top is 0.  Where 1/(2 l^2) overflows
     (l below about 5e-155) the circular bound is inf.  Raises ValueError
-    unless l >= 0, and for an int past the float range, which it does not
-    quote.
+    unless l >= 0, and for an int past the float range: the l of a window,
+    where inf closes it, not of a level, which :func:`check_level` decides.
     """
     if not l >= 0:
-        raise ValueError(f"l must be >= 0, got {l}")
+        raise ValueError(f"l must be >= 0{quote(l)}")
     try:
         circular = 2.0 * l * l
     except OverflowError:  # str() of such an int can itself fail
@@ -153,7 +192,10 @@ class PhysicalParams:
 
     def reduced(self, energy: float) -> float:
         """The reduced energy E/unit of the physical energy ``energy``."""
-        reduced = energy / self.unit if self.unit else math.nan
+        try:
+            reduced = energy / self.unit if self.unit else math.nan
+        except OverflowError:  # an int past the float range: read as the inf it exceeds
+            return self.reduced(math.inf if energy > 0 else -math.inf)
         return reduced if _NORMAL <= reduced < _DOUBLE_OVERFLOWS else self._in_range(
             reduced, energy, _NORMAL, _DOUBLE_OVERFLOWS)
 
@@ -177,7 +219,8 @@ class PhysicalParams:
         reduced, top = self.reduced(energy), window_top(self.b, l)
         if 0.0 < reduced < top:
             return reduced
-        raise OutOfWindow(f"E={energy!r} outside the window (0, {self.unit * top!r}) at l={l!r}")
+        raise OutOfWindow(f"E{quote(energy, '=')} outside the window (0, {self.unit * top!r}) "
+                          f"at l={l!r}")
 
 
 @dataclass(frozen=True)
@@ -186,23 +229,18 @@ class QuantumNumbers:
 
     The principal number ``n_prime = n + l`` labels the undeformed spectrum
     ``E = m e2^2 / (2 n'^2)``.  The magnetic quantum number never enters the
-    spectrum (rotational invariance) and is not modeled.  Both numbers are at
-    most 2**53, up to which every integer is a float: the formulas take them
-    as floats.
+    spectrum (rotational invariance) and is not modeled.  Both numbers are
+    ints at most 2**53, up to which every integer is a float: the formulas
+    take them as floats.  :func:`quantum_number` checks each and stores an
+    int, a numpy integer's too.
     """
 
     n: int
     l: int = 0
 
     def __post_init__(self):
-        for name, value, low in (("n", self.n, 1), ("l", self.l, 0)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:  # the value is quoted only where str() of it cannot fail
-                got = f", got {value}" if value >= -_QUANTUM_MAX else ""
-                raise ValueError(f"{name} must be >= {low}{got}")
-            if value > _QUANTUM_MAX:  # no value: str() of a huge int can itself fail
-                raise ValueError(f"{name} must be <= 2**53, up to which every integer is a float")
+        object.__setattr__(self, "n", quantum_number("n", self.n, 1))
+        object.__setattr__(self, "l", quantum_number("l", self.l, 0))
 
     @property
     def n_prime(self) -> int:

@@ -47,8 +47,10 @@ roundoff, so a tighter one would change no output, only the number of nodes.
 Every level has two routes, and neither gates the other; both cores take
 (b, n, l), b = beta m e2 and real n > 0, l >= 0 (``analytic.level_closed``,
 ``_solve_levels``), and the public entries pass ``PhysicalParams.b`` and
-unwrap ``QuantumNumbers``.  The closed-form route is algebraic
-(``analytic.energy_closed``): no root search.  The quadrature
+unwrap ``QuantumNumbers``; ``model.check_level`` alone decides which
+(n, l) is a level.  The closed-form route is algebraic
+(``analytic.energy_closed``): a quadratic in closed form, or a bracketed
+Newton iteration on the level quartic, which evaluates no Phi.  The quadrature
 route solves Phi(E) = 2 pi n for a whole table at once, infeasible levels
 included, by a safeguarded secant method in u = Ẽ^(-1/2), where Phi is
 exactly linear at b = 0: each level starts at its undeformed level
@@ -72,7 +74,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -93,7 +94,8 @@ from .errors import (
     SnyderCoulombError,
     ToleranceNotReached,
 )
-from .model import PhysicalParams, QuantumNumbers, finite_float, window_top
+from .model import (PhysicalParams, QuantumNumbers, check_level, finite_float, quantum_number,
+                    window_top)
 
 __all__ = [
     "SpectrumEntry",
@@ -313,16 +315,12 @@ def _level_set(n: Sequence[float], l: Sequence[float]) -> tuple[np.ndarray, ...]
 
     The float l rows, the targets 2 pi n and the undeformed levels
     E0 = 1/(2 n'^2), n' = n + l (inf past the float range).  Raises
-    ValueError unless 0 < n < inf and 0 <= l < inf, an int past the float
-    range too.
+    ValueError unless ``model.check_level`` takes every (n[i], l[i]):
+    0 < n < inf and 0 <= l < inf, an int past the float range too.
     """
-    try:
-        n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
-        real = ((0.0 < n_rows) & (n_rows < math.inf) & (0.0 <= l_rows) & (l_rows < math.inf)).all()
-    except OverflowError:  # an int past the float range
-        real = False
-    if not real:
-        raise ValueError("levels need 0 < n < inf and 0 <= l < inf")
+    for pair in zip(n, l):
+        check_level(*pair)
+    n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):  # an E0 past the float range fails per call
         arrays = (l_rows, TWO_PI * n_rows, 1.0 / (2.0 * (n_rows + l_rows) ** 2))
     for array in arrays:
@@ -465,15 +463,11 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     each undeformed level), one array evaluation of Phi per round.  A row's
     error is the closed route's failure, else the quadrature route's; it
     does not abort the table or move the other rows.  Raises ValueError
-    unless ``n_prime_max`` is an integer >= 1 (numpy's too), not a bool.
+    unless ``n_prime_max`` is an integer from 1 to 2**53 (numpy's too), not a
+    bool, before any level is built (``model.quantum_number``).
     A beta sweep of one shape builds its levels once (:func:`_table_levels`).
     """
-    if isinstance(n_prime_max, bool) or not hasattr(n_prime_max, "__index__"):
-        raise ValueError(f"n_prime_max must be an integer, got {n_prime_max!r}")
-    n_prime_max = operator.index(n_prime_max)
-    if n_prime_max < 1:
-        raise ValueError(f"n_prime_max must be >= 1, got {n_prime_max!r}")
-    levels, n, l, level_set = _table_levels(n_prime_max)
+    levels, n, l, level_set = _table_levels(quantum_number("n_prime_max", n_prime_max, 1))
     entries: list[SpectrumEntry] = []
     solved = _solve_levels(params.b, n, l, level_set)
     for qn, e_numeric in zip(levels, solved):

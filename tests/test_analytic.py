@@ -463,7 +463,7 @@ class TestReducedLevel:
                                      (1.0, math.inf), (10**400, 0), (1, 10**400)])
     def test_quantum_numbers_outside_the_real_domain_raise(self, n, l):
         # an int past the float range too: compared, never converted
-        with pytest.raises(ValueError, match=r"needs 0 < n < inf and 0 <= l < inf"):
+        with pytest.raises(ValueError, match=r"need 0 < n < inf and 0 <= l < inf"):
             level_closed(0.1, n, l)
 
     @pytest.mark.parametrize("beta", [0.0, 1e-3])

@@ -6,8 +6,8 @@ command loads only the numpy layer it runs, ``numerics`` or ``dynamics``,
 and ``l-limit`` loads neither.  Package modules also import no private
 (``_``-prefixed) name from each other, and the quadrature route calls no
 closed-form function.  The reduced level cores take b = beta m e2 and leave
-the physical scale to ``model``, and no test leaves a relative bound with
-approx's default absolute one.
+the physical scale, and the rule of which (n, l) is a level, to ``model``,
+and no test leaves a relative bound with approx's default absolute one.
 """
 
 import ast
@@ -241,6 +241,33 @@ def test_level_and_quadrature_cores_name_no_quantum_numbers():
             isinstance(node, ast.Name) and node.id == "QuantumNumbers"
             for node in ast.walk(defs[name]))]
     assert (named, missing) == ([], [])
+
+
+LEVEL_RULE_CALLERS = {"analytic": "level_closed", "numerics": "_level_set"}
+
+
+def test_only_model_decides_a_levels_numbers():
+    # one owner of the (n, l) rule: both level cores ask model.check_level, and no
+    # function of analytic or numerics that takes n and l bounds them or reads the float range
+    bounds, asks = [], {}
+    for module, caller in LEVEL_RULE_CALLERS.items():
+        if "float_info" in (SRC / "snyder_coulomb" / f"{module}.py").read_text():
+            bounds.append(f"{module}: float_info")
+        defs = _defs(module)
+        for name, node in defs.items():
+            if {"n", "l"} <= {arg.arg for arg in node.args.args}:
+                bounds += [
+                    f"{module}.{name}: {ast.unparse(compare)}" for compare in ast.walk(node)
+                    if isinstance(compare, ast.Compare)
+                    and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                            for op in compare.ops)
+                    and any(isinstance(side, ast.Name) and side.id in ("n", "l")
+                            for side in (compare.left, *compare.comparators))
+                ]
+        asks[caller] = any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                           and node.func.id == "check_level" for node in ast.walk(defs[caller]))
+    assert (bounds, asks) == ([], dict.fromkeys(asks, True))
+    assert "check_level" not in model.__all__
 
 
 def test_unknown_attribute_still_raises():

@@ -1,6 +1,7 @@
 """Parameter validation, quantum numbers, and energy windows."""
 
 import math
+import re
 import sys
 from dataclasses import astuple
 
@@ -12,10 +13,19 @@ from snyder_coulomb import (
     NonFinite,
     NonPositiveCoupling,
     NonPositiveMass,
+    OrbitState,
     OutOfWindow,
     PhysicalParams,
     QuantumNumbers,
     ScaleOutOfRange,
+    correction_order,
+    integrate_orbit,
+    l_limit_study,
+    level_closed,
+    phase_integral_1d_closed,
+    phase_integral_numeric,
+    radial_phase_integral_closed,
+    spectrum_table,
     window_top,
 )
 
@@ -98,6 +108,11 @@ class TestQuantumNumbers:
 
     def test_largest_numbers_are_kept(self):
         assert QuantumNumbers(n=2**53, l=2**53).n_prime == 2**54
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        # one integer rule with the shell count of spectrum_table, which takes numpy's
+        qn = QuantumNumbers(n=np.int64(2), l=np.uint8(1))
+        assert (qn, type(qn.n), type(qn.l)) == (QuantumNumbers(2, 1), int, int)
 
 
 class TestEnergyWindow:
@@ -255,3 +270,38 @@ class TestScale:
                 params.admit(0.1 * params.unit, 0)
         params = PhysicalParams(1e200, 1e-50, 1e200)
         assert (params.unit, params.b) == (1e100, math.inf)
+
+
+PARAMS = PhysicalParams(1, 1, 0.01)
+STATE = OrbitState(1.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call,sign,error,message", [
+    (lambda x: PhysicalParams(1, 1, x), 1, NonFinite, "beta must be finite"),
+    (lambda x: OrbitState(x, 0, 0, 1), 1, NonFinite, "x1 must be finite"),
+    (lambda x: integrate_orbit(STATE, PARAMS, x), 1, NonFinite, "t_end must be finite and > 0"),
+    (lambda x: integrate_orbit(STATE, PARAMS, 1.0, local_tol=x), -1, NonFinite,
+     "local_tol must be finite and > 0"),
+    (lambda x: correction_order(PhysicalParams(1, 1), QuantumNumbers(1), [x, 1, 2, 3]), 1,
+     NonFinite, "beta must be finite"),
+    (lambda x: level_closed(0.0, x, 0), 1, ValueError,
+     "n, l=0 need 0 < n < inf and 0 <= l < inf"),
+    (lambda x: radial_phase_integral_closed(PARAMS, 0.1, x), -1, ValueError, "l must be > 0"),
+    (lambda x: phase_integral_numeric(PARAMS, 0.1, x), -1, ValueError, "l must be >= 0"),
+    (lambda x: window_top(0.0, x), -1, ValueError, "l must be >= 0"),
+    (lambda x: spectrum_table(PARAMS, x), -1, ValueError, "n_prime_max must be >= 1"),
+    (lambda x: phase_integral_1d_closed(PARAMS, x), 1, OutOfWindow,
+     r"E outside the window \(0, 5000\.0\) at l=0"),
+    (lambda x: PARAMS.admit(x, 1), -1, OutOfWindow, r"E outside the window \(0, 0\.5\) at l=1"),
+    (lambda x: l_limit_study(PARAMS, 0.1, [x]), -1, ValueError, "l must be > 0, got -inf"),
+], ids=["PhysicalParams", "OrbitState", "t_end", "local_tol", "correction_order",
+        "level_closed", "radial_phase_integral_closed", "phase_integral_numeric", "window_top",
+        "spectrum_table", "phase_integral_1d_closed", "admit", "l_limit_study"])
+def test_an_int_past_the_float_range_fails_typed(call, sign, error, message):
+    # str() of the int raised Python's own ValueError past 4,300 digits, and float() of it
+    # OverflowError: each entry raises what it raises at the float inf of the same sign
+    for value in (sign * math.inf, sign * 10**5000):
+        with pytest.raises(error) as info:
+            call(value)
+        assert type(info.value) is error
+    assert re.fullmatch(message, str(info.value))

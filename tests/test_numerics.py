@@ -618,6 +618,16 @@ class TestSpectrumTable:
         assert table_fields(spectrum_table(params, np.int64(3))) == table_fields(
             spectrum_table(params, 3))
 
+    @pytest.mark.parametrize("n_prime_max", [2**53 + 1, 2**70], ids=["2**53+1", "2**70"])
+    def test_shell_count_past_2_to_the_53_builds_no_levels(self, monkeypatch, n_prime_max):
+        # 2**70 shells ran until memory ran out: QuantumNumbers bounds n and l by 2**53
+        def no_levels(count):
+            raise AssertionError(f"the levels of {count} shells were built")
+
+        monkeypatch.setattr(numerics, "_table_levels", no_levels)
+        with pytest.raises(ValueError, match=r"^n_prime_max must be <= 2\*\*53"):
+            spectrum_table(PhysicalParams(1, 1, 0.1), n_prime_max)
+
 
 def table_fields(table):
     """Every field of every entry, floats as hex: equal exactly when bit for bit, NaN too."""
