@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NoRootInWindow, OutOfWindow, RequiresNonzeroL, ScaleOutOfRange
-from .model import PhysicalParams, QuantumNumbers, check_level, quote, window_top
+from .model import PhysicalParams, QuantumNumbers, as_float, check_level, quote, window_top
 
 __all__ = [
     "PhaseIntegralResult",
@@ -167,16 +167,17 @@ def level_closed(b: float, n: float, l: float) -> float:
     most A/(u (1 + b u)) - N <= -l.
 
     Both channels are thus feasible exactly when b < 2n + l, tested first
-    as b A < 2N; an infeasible level raises NoRootInWindow quoting that
-    rule, and no Phi is evaluated.  So does a float Ẽ = u^2/2 not strictly
-    inside the window (:func:`~snyder_coulomb.model.window_top`): rounded
-    onto the pole or underflowing to 0.  Where u0^4 overflows (n' below
+    as b < N (b A < 2N with A = 2), which compares an int b past the float
+    range without converting it; an infeasible level raises NoRootInWindow
+    quoting that rule, and no Phi is evaluated.  So does a float Ẽ = u^2/2
+    not strictly inside the window (:func:`~snyder_coulomb.model.window_top`):
+    rounded onto the pole or underflowing to 0.  Where u0^4 overflows (n' below
     about 1e-77) it raises ScaleOutOfRange.  The messages name no level.
     """
     check_level(n, l)
     a, big_n = 2.0, 2 * n + l
-    if not b * a < 2 * big_n:
-        raise NoRootInWindow(f"beta m e2 = {b!r} is not below 2n + l = {big_n}")
+    if not b < big_n:  # b A < 2N, compared without converting an int b
+        raise NoRootInWindow(f"beta m e2{quote(b, ' = ')} is not below 2n + l = {big_n}")
     if l == 0:
         u = a / (n + math.sqrt(n * n + 4.0 * b * n))
     else:
@@ -274,14 +275,12 @@ def l_limit_study(
     (for every beta), as the rows make visible.  Each row evaluates the 1D
     form, then the radial form; the first OutOfWindow failure is recorded
     in-row, as in :func:`~snyder_coulomb.numerics.spectrum_table`, and does
-    not abort the study.
+    not abort the study.  Each l is read by
+    :func:`~snyder_coulomb.model.as_float`, so an int past the float range
+    fails as the inf of its sign.
     """
     rows: list[LLimitRow] = []
-    for l in l_grid:
-        try:
-            l = float(l)
-        except OverflowError:  # an int past the float range: read as the inf it exceeds
-            l = math.inf if l > 0 else -math.inf
+    for l in map(as_float, l_grid):
         phi_1d = math.nan
         try:
             phi_1d = phase_integral_1d_closed(params, energy).value

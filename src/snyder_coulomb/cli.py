@@ -334,8 +334,7 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_l_limit(cfg: dict[str, Any]) -> int:
-    if not finite_float("energy", cfg["energy"], "> 0 and finite") > 0:
-        raise ValueError("energy must be > 0")
+    finite_float("energy", cfg["energy"], positive=True)
     header = ["beta", "l", "phi_radial", "phi_one_dim", "gap", "error"]
     rows = []
     for beta in cfg["beta_grid"]:

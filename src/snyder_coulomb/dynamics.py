@@ -39,7 +39,8 @@ tolerance costs about a third fewer steps than stepping in t.  Since
 r > 0, every event keeps its sign under the transform.  A
 structure-preserving scheme does exist: the canonical realization
 x = X + beta^2 (X.P) P, p = P carries canonical pairs (X, P) onto this
-bracket.  Inputs pass ``model.finite_float``.
+bracket.  Inputs pass ``model.finite_float``; ``OrbitState`` stores its
+fields through ``model.store_floats``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .errors import (
     InsufficientPeriods,
     StepUnderflow,
 )
-from .model import PhysicalParams, finite_float
+from .model import PhysicalParams, finite_float, quote, store_floats
 
 __all__ = [
     "OrbitState",
@@ -85,9 +86,7 @@ class OrbitState:
     p2: float
 
     def __post_init__(self):
-        for name, value in (("x1", self.x1), ("x2", self.x2), ("p1", self.p1), ("p2", self.p2)):
-            if finite_float(name, value) is not value:  # a float comes back as itself
-                object.__setattr__(self, name, float(value))
+        store_floats(self, "x1", "x2", "p1", "p2")
         if self.x1 == 0.0 and self.x2 == 0.0:
             raise ValueError("collision state r = 0 rejected")
 
@@ -136,10 +135,11 @@ def equations_of_motion(
 
     ``y`` is the phase-space point (x1, x2, p1, p2), any sequence of four
     numbers.  Raises ValueError where the flow is not finite at ``y``: where
-    a term overflows, or r^3 underflows to 0 (r below about 1e-108).
+    a term overflows, an int past the float range included, or r^3
+    underflows to 0 (r below about 1e-108).
     """
     x1, x2, p1, p2 = y
-    return _finite_flow(_flow(params), (x1, x2, p1, p2), f"y = {y!r}")
+    return _finite_flow(_flow(params), (x1, x2, p1, p2), f"y{quote(y, ' = ')}")
 
 
 def _finite_flow(flow: Callable[..., tuple[float, ...]], y: Sequence[float],
@@ -147,7 +147,7 @@ def _finite_flow(flow: Callable[..., tuple[float, ...]], y: Sequence[float],
     """``flow(*y)``, or ValueError naming the point ``where`` unless all of it is finite."""
     try:
         derivs = flow(*y)
-    except ZeroDivisionError:  # r^3 underflowed to 0
+    except (ZeroDivisionError, OverflowError):  # r^3 underflowed to 0; an int overflowed
         derivs = (math.nan,)
     if not all(math.isfinite(v) for v in derivs):
         raise ValueError(f"the flow is not finite at {where}")
@@ -232,8 +232,9 @@ def integrate_orbit(
 
     Raises CollisionSingularity if the orbit starts inside or reaches
     r = 1e-8, ValueError if the flow is not finite at ``state0`` (momenta
-    so large that p^2 overflows) or unless ``t_end`` and ``local_tol`` are
-    finite numbers > 0, checked in that order, and StepUnderflow if the
+    so large that p^2 overflows), then ``t_end`` and then ``local_tol``
+    under model's rule ``must be finite and > 0`` (NonFinite where one is
+    not finite, ValueError where it is <= 0), and StepUnderflow if the
     controller's step collapses, the state overflows (the message names
     the clock of the last finite state) or the run takes more than 10**6
     steps, before ``t_end``; and :func:`invariants` raises ValueError where
@@ -251,11 +252,8 @@ def integrate_orbit(
     flow = _flow(params)
     # the loop would not return: a NaN first step never falls below the smallest step
     _finite_flow(flow, y0[:4], f"the initial state {state0!r}")
-    t_end = finite_float("t_end", t_end, "finite and > 0")  # a numpy float comes back a float
-    local_tol = finite_float("local_tol", local_tol, "finite and > 0")
-    for name, value in (("t_end", t_end), ("local_tol", local_tol)):
-        if not value > 0:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    t_end = finite_float("t_end", t_end, positive=True)  # a numpy float comes back a float
+    local_tol = finite_float("local_tol", local_tol, positive=True)
 
     # d(r^2)/dt = 2 (x.p)(1 + beta^2 p^2)/m: x.p rises through 0 at each minimum of r
     def perihelion(y: list[float]) -> float:

@@ -19,6 +19,11 @@ window that :meth:`PhysicalParams.admit` alone decides:
 * ``b > 0`` additionally requires ``1 - 2*b**2*Ẽ > 0``, the pole of the
   deformed radial closed form.
 
+Every number from outside is read by the rules here, which no other module
+repeats: :func:`finite_float` (and its positive rule, finite and > 0),
+:func:`as_float` for an int past the float range, :func:`store_floats` for
+the float fields of a frozen dataclass, and :func:`quote` for a message.
+
 All types are immutable after construction and all functions are pure, so
 everything here is safe to use from concurrent code.
 """
@@ -48,7 +53,7 @@ __all__ = [
 
 
 _NORMAL = sys.float_info.min  # the least positive normal float
-_LARGEST = sys.float_info.max  # the largest finite float, a global: check_level runs per level
+_LARGEST = sys.float_info.max  # the largest finite float, a global: read on every input check
 _SMALLEST = math.ulp(0.0)  # the least positive (subnormal) float
 _DOUBLE_OVERFLOWS = math.ldexp(1.0, 1023)  # the least float whose double is inf
 _QUANTUM_MAX = 2**53  # the largest n or l: every integer up to it is a float
@@ -58,25 +63,62 @@ def quote(value: object, prefix: str = ", got ") -> str:
     """``prefix`` and the repr of ``value``, for an error message; "" for an int past +-2**53.
 
     str() of an int past 4,300 digits raises its own ValueError, so no
-    message quotes an int past the bound :func:`quantum_number` puts on n and l.
+    message quotes an int past the bound :func:`quantum_number` puts on n
+    and l, nor any value whose repr raises that error, such as a Fraction
+    of such an int: a message must not fail on the value it quotes.
     """
-    return "" if isinstance(value, int) and abs(value) > _QUANTUM_MAX else f"{prefix}{value!r}"
+    if isinstance(value, int) and abs(value) > _QUANTUM_MAX:
+        return ""
+    try:
+        return f"{prefix}{value!r}"
+    except ValueError:
+        return ""
 
 
-def finite_float(name: str, value: object, rule: str = "finite") -> float:
+def as_float(value: float) -> float:
+    """``float(value)``, and the inf of its sign for an int past the float range.
+
+    The one reader of such an int: float arithmetic would round it to that
+    inf, where float() overflows.  The conversions and :func:`window_top`
+    reach it only on that overflow; ``l_limit_study`` reads its grid with it.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def finite_float(name: str, value: object, positive: bool = False) -> float:
     """The one check of numeric inputs: ``value`` as a float, else NonFinite.
 
     Rejects bools, non-numbers, nan, +-inf and ints past the float range,
-    which float() would take or overflow on; the message says ``name`` must be ``rule``.
+    which float() would take or overflow on: the message says ``name`` must
+    be finite.  ``positive`` is the one rule of the inputs that must also be
+    > 0 (a time, a tolerance, a grid's deformation, an energy): NonFinite
+    where ``value`` is not finite and ValueError where it is <= 0, both
+    saying ``name`` must be finite and > 0.
     """
     if type(value) is not float:  # a float, the common case, needs only the range test
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise NonFinite(f"{name} must be a real number, got {value!r}")
-        if abs(value) <= sys.float_info.max:
+            raise NonFinite(f"{name} must be a real number{quote(value)}")
+        if abs(value) <= _LARGEST:
             value = float(value)
-    if not abs(value) <= sys.float_info.max:  # nan, inf or an int past float range
-        raise NonFinite(f"{name} must be {rule}{quote(value)}")
+    if not abs(value) <= _LARGEST:  # nan, +-inf or an int past the float range
+        raise NonFinite(f"{name} must be finite{' and > 0' if positive else ''}{quote(value)}")
+    if positive and not value > 0.0:
+        raise ValueError(f"{name} must be finite and > 0{quote(value)}")
     return value
+
+
+def store_floats(instance: object, *names: str) -> None:
+    """Check each named field of the frozen dataclass ``instance`` and store it as a float.
+
+    The fields' one rule is :func:`finite_float`, which returns a float: a
+    numpy float or an int is stored as the float it reads as, in the
+    instance's ``__dict__``, past frozen, as functools.cached_property stores.
+    """
+    for name in names:
+        instance.__dict__[name] = finite_float(name, instance.__dict__[name])
 
 
 def quantum_number(name: str, value: object, low: int) -> int:
@@ -130,10 +172,12 @@ def window_top(b: float, l: float) -> float:
     The lower of the circular-orbit bound 1/(2 l^2) (``l > 0``) and the
     pole 1/(2 b^2), or ``math.inf``; it can only fall as ``l`` or ``b``
     grows.  Where 1/(2 b^2) overflows (b below about 5e-155) the pole is
-    inf, and where 2 b^2 overflows the top is 0.  Where 1/(2 l^2) overflows
-    (l below about 5e-155) the circular bound is inf.  Raises ValueError
-    unless l >= 0, and for an int past the float range: the l of a window,
-    where inf closes it, not of a level, which :func:`check_level` decides.
+    inf, and where 2 b^2 overflows the top is 0, an int b past the float
+    range included, read as the inf of its sign (:func:`as_float`).  Where
+    1/(2 l^2) overflows (l below about 5e-155) the circular bound is inf.
+    Raises ValueError unless l >= 0, and for an int l past the float range:
+    the l of a window, where inf closes it, not of a level, which
+    :func:`check_level` decides.
     """
     if not l >= 0:
         raise ValueError(f"l must be >= 0{quote(l)}")
@@ -142,14 +186,17 @@ def window_top(b: float, l: float) -> float:
     except OverflowError:  # str() of such an int can itself fail
         raise ValueError("l must be < inf, an int within the float range") from None
     e_max = 1.0 / circular if circular > 0.0 else math.inf
-    pole = 2.0 * b * b
+    try:
+        pole = 2.0 * b * b
+    except OverflowError:  # an int b past the float range
+        return window_top(as_float(b), l)
     # the lower cap, without min(): this runs on every admitted energy
     return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Mass, coupling and deformation, each checked by :func:`finite_float`, as floats.
+    """Mass, coupling and deformation, each checked and stored as a float by :func:`store_floats`.
 
     The spectra see them only through the scale, two floats set on
     construction: ``unit`` = m e2^2, the energy unit, and ``b`` = beta m e2.
@@ -168,9 +215,7 @@ class PhysicalParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("m", self.m), ("e2", self.e2), ("beta", self.beta)):
-            if finite_float(name, value) is not value:  # a float comes back as itself
-                object.__setattr__(self, name, float(value))
+        store_floats(self, "m", "e2", "beta")
         if self.m <= 0:
             raise NonPositiveMass(f"m must be > 0, got {self.m!r}")
         if self.e2 <= 0:
@@ -182,20 +227,35 @@ class PhysicalParams:
         self.__dict__["b"] = _product(self.m, self.e2, self.beta)
 
     def deformation(self, beta: float) -> float:
-        """b = beta m e2 at the deformation ``beta``, as ``b`` is at ``self.beta``."""
-        return _product(self.m, self.e2, beta)
+        """b = beta m e2 at the deformation ``beta``, as ``b`` is at ``self.beta``.
+
+        An int past the float range reads as the inf of its sign (:func:`as_float`).
+        """
+        try:
+            return _product(self.m, self.e2, beta)
+        except OverflowError:  # an int past the float range
+            return _product(self.m, self.e2, as_float(beta))
 
     def physical(self, reduced: float) -> float:
-        """The physical energy unit * Ẽ of the reduced energy ``reduced``."""
-        energy = self.unit * reduced
+        """The physical energy unit * Ẽ of the reduced energy ``reduced``.
+
+        An int past the float range reads as the inf of its sign (:func:`as_float`).
+        """
+        try:
+            energy = self.unit * reduced
+        except OverflowError:  # an int past the float range
+            return self.physical(as_float(reduced))
         return energy if 0.0 < energy < math.inf else self._in_range(energy, reduced, _SMALLEST)
 
     def reduced(self, energy: float) -> float:
-        """The reduced energy E/unit of the physical energy ``energy``."""
+        """The reduced energy E/unit of the physical energy ``energy``.
+
+        An int past the float range reads as the inf of its sign (:func:`as_float`).
+        """
         try:
             reduced = energy / self.unit if self.unit else math.nan
-        except OverflowError:  # an int past the float range: read as the inf it exceeds
-            return self.reduced(math.inf if energy > 0 else -math.inf)
+        except OverflowError:  # an int past the float range
+            return self.reduced(as_float(energy))
         return reduced if _NORMAL <= reduced < _DOUBLE_OVERFLOWS else self._in_range(
             reduced, energy, _NORMAL, _DOUBLE_OVERFLOWS)
 

@@ -8,7 +8,7 @@ between them is the core cross-check of the package (see
 ``spectrum_table`` puts the two routes side by side, and
 ``correction_order`` fits the closed-form levels, with numpy's ``polyfit``.
 The closed-form-only ``l_limit_study`` lives in ``analytic``, which needs
-no numpy; this module binds it and ``LLimitRow`` too.
+no numpy; this module binds it too.
 
 Units: the public functions take and return physical energies, and
 everything between computes in the reduced units of ``model.PhysicalParams``:
@@ -79,12 +79,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (  # LLimitRow and l_limit_study stay readable from here
+from .analytic import (  # l_limit_study stays readable from here
     energy_closed,
     energy_series,
     l_limit_study,
     level_closed,
-    LLimitRow,
     PhaseIntegralResult,
 )
 from .errors import (
@@ -500,15 +499,15 @@ def correction_order(
     log|E(beta)/E(0) - 1| against log beta by least squares.  The 1D
     channel has slope 1, the l >= 1 channels slope 2.  Grid points with a
     correction below ``NOISE_FLOOR`` are excluded; fewer than two usable
-    points raise DegenerateFit.  ``params_base.beta`` must be 0.
+    points raise DegenerateFit.  ``params_base.beta`` must be 0, and each
+    beta passes model's rule ``beta must be finite and > 0``
+    (:func:`~snyder_coulomb.model.finite_float` with ``positive``).
     """
     if params_base.beta != 0.0:
         raise ValueError(f"params_base.beta must be 0, got {params_base.beta!r}")
-    betas = [finite_float("beta", b) for b in beta_grid]
+    betas = [finite_float("beta", b, positive=True) for b in beta_grid]
     if len(betas) < 4:
         raise ValueError("beta_grid needs at least 4 points")
-    if any(b <= 0 for b in betas):
-        raise ValueError("beta_grid entries must be > 0")
     if math.log10(max(betas) / min(betas)) < 1.5 - 1e-12:
         raise ValueError("beta_grid must span at least 1.5 decades")
 

@@ -451,13 +451,13 @@ class TestLLimit:
     def test_nan_energy_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "l-limit", "--energy", "nan")
         assert (code, out) == (2, "")
-        assert "energy must be > 0" in err
+        assert "energy must be finite and > 0" in err
 
     @pytest.mark.parametrize("energy", ["inf", "-inf", "0"])
     def test_infinite_or_zero_energy_is_config_error(self, capsys, energy):
         code, out, err = run_cli(capsys, "l-limit", f"--energy={energy}")
         assert (code, out) == (2, "")
-        assert "energy must be > 0" in err
+        assert "energy must be finite and > 0" in err
 
     def test_out_of_window_rows_flagged(self, capsys):
         code, out, _ = run_cli(

@@ -270,6 +270,43 @@ def test_only_model_decides_a_levels_numbers():
     assert "check_level" not in model.__all__
 
 
+# the inputs that must be finite and > 0, by the function of each module that reads them
+POSITIVE_INPUTS = {"dynamics": ("integrate_orbit", {"t_end", "local_tol", "value"}),
+                   "numerics": ("correction_order", {"b", "betas", "beta"}),
+                   "cli": ("_cmd_l_limit", {"cfg", "energy"})}
+
+
+def _names(node):
+    return {child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
+
+
+def test_model_owns_the_rules_of_reading_a_number():
+    # one owner for an outside number: no other module tests those inputs against 0,
+    # an int past the float range is read through model.as_float, and dynamics sets
+    # no frozen field
+    against_zero = []
+    for module, (name, inputs) in POSITIVE_INPUTS.items():
+        for node in ast.walk(_defs(module)[name]):
+            if not (isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)):
+                continue
+            sides = [node.left, *node.comparators]
+            if _names(node) & inputs and any(isinstance(side, ast.Constant) and side.value == 0
+                                             for side in sides):
+                against_zero.append(f"{module}.{name}: {ast.unparse(node)}")
+    l_limit = _names(_defs("analytic")["l_limit_study"])
+    reduced = next(node for node in ast.walk(ast.parse((SRC / "snyder_coulomb" / "model.py")
+                                                       .read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "reduced")
+    dynamics_ = ast.walk(ast.parse((SRC / "snyder_coulomb" / "dynamics.py").read_text()))
+    setattr_ = [node for node in dynamics_
+                if isinstance(node, ast.Attribute) and node.attr == "__setattr__"]
+    assert (against_zero, "OverflowError" in l_limit, setattr_) == ([], False, [])
+    assert "as_float" in l_limit and "as_float" in _names(reduced)
+    assert list(inspect.signature(model.finite_float).parameters) == ["name", "value", "positive"]
+    assert {"as_float", "store_floats"}.isdisjoint(model.__all__)
+
+
 def test_unknown_attribute_still_raises():
     for module in (numerics, snyder_coulomb):
         with pytest.raises(AttributeError, match="no_such_name"):

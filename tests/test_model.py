@@ -1,15 +1,19 @@
 """Parameter validation, quantum numbers, and energy windows."""
 
+import contextlib
+import io
 import math
 import re
 import sys
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from snyder_coulomb import (
     NegativeBeta,
+    NoRootInWindow,
     NonFinite,
     NonPositiveCoupling,
     NonPositiveMass,
@@ -19,6 +23,7 @@ from snyder_coulomb import (
     QuantumNumbers,
     ScaleOutOfRange,
     correction_order,
+    equations_of_motion,
     integrate_orbit,
     l_limit_study,
     level_closed,
@@ -28,6 +33,8 @@ from snyder_coulomb import (
     spectrum_table,
     window_top,
 )
+from snyder_coulomb.cli import main
+from snyder_coulomb.model import quote
 
 
 class TestValidateParams:
@@ -283,7 +290,7 @@ STATE = OrbitState(1.0, 0.0, 0.0, 1.0)
     (lambda x: integrate_orbit(STATE, PARAMS, 1.0, local_tol=x), -1, NonFinite,
      "local_tol must be finite and > 0"),
     (lambda x: correction_order(PhysicalParams(1, 1), QuantumNumbers(1), [x, 1, 2, 3]), 1,
-     NonFinite, "beta must be finite"),
+     NonFinite, "beta must be finite and > 0"),
     (lambda x: level_closed(0.0, x, 0), 1, ValueError,
      "n, l=0 need 0 < n < inf and 0 <= l < inf"),
     (lambda x: radial_phase_integral_closed(PARAMS, 0.1, x), -1, ValueError, "l must be > 0"),
@@ -294,9 +301,15 @@ STATE = OrbitState(1.0, 0.0, 0.0, 1.0)
      r"E outside the window \(0, 5000\.0\) at l=0"),
     (lambda x: PARAMS.admit(x, 1), -1, OutOfWindow, r"E outside the window \(0, 0\.5\) at l=1"),
     (lambda x: l_limit_study(PARAMS, 0.1, [x]), -1, ValueError, "l must be > 0, got -inf"),
+    (lambda x: level_closed(x, 1, 1), 1, NoRootInWindow, r"beta m e2 is not below 2n \+ l = 3"),
+    (lambda x: equations_of_motion([x, 0, 0, 1], PARAMS), 1, ValueError,
+     "the flow is not finite at y"),
+    (lambda x: equations_of_motion([1, 0, 0, x], PARAMS), -1, ValueError,
+     "the flow is not finite at y"),
 ], ids=["PhysicalParams", "OrbitState", "t_end", "local_tol", "correction_order",
         "level_closed", "radial_phase_integral_closed", "phase_integral_numeric", "window_top",
-        "spectrum_table", "phase_integral_1d_closed", "admit", "l_limit_study"])
+        "spectrum_table", "phase_integral_1d_closed", "admit", "l_limit_study",
+        "level_closed_b", "equations_of_motion_x1", "equations_of_motion_p2"])
 def test_an_int_past_the_float_range_fails_typed(call, sign, error, message):
     # str() of the int raised Python's own ValueError past 4,300 digits, and float() of it
     # OverflowError: each entry raises what it raises at the float inf of the same sign
@@ -305,3 +318,70 @@ def test_an_int_past_the_float_range_fails_typed(call, sign, error, message):
             call(value)
         assert type(info.value) is error
     assert re.fullmatch(message, str(info.value))
+
+
+@pytest.mark.parametrize("call,sign,expected", [
+    (PARAMS.physical, 1, math.inf),
+    (PARAMS.physical, -1, -math.inf),
+    (PARAMS.deformation, 1, math.inf),
+    (lambda x: window_top(x, 1), 1, 0.0),
+    (lambda x: window_top(x, 1), -1, 0.0),
+], ids=["physical", "physical_negative", "deformation", "window_top_b", "window_top_negative_b"])
+def test_an_int_past_the_float_range_reads_as_the_inf_of_its_sign(call, sign, expected):
+    # float() of the int raised OverflowError: each entry returns what it does at that inf
+    assert call(sign * math.inf) == expected
+    assert call(sign * 10**5000) == expected
+
+
+@pytest.mark.parametrize("y", [[10**400, 0, 0, 1], [1, 0, 0, 10**200]])
+def test_a_flow_past_the_float_range_quotes_its_point(y):
+    with pytest.raises(ValueError, match=re.escape(f"the flow is not finite at y = {y!r}")):
+        equations_of_motion(y, PARAMS)
+
+
+def test_a_value_whose_repr_fails_is_refused_unquoted():
+    # repr() of the Fraction raises Python's own ValueError past 4,300 digits
+    with pytest.raises(NonFinite) as info:
+        PhysicalParams(Fraction(10**5000), 1)
+    assert (type(info.value), str(info.value)) == (NonFinite, "m must be a real number")
+    assert quote(Fraction(10**5000)) == "" and quote(Fraction(1, 3)) == ", got Fraction(1, 3)"
+
+
+def _raised(call):
+    def entry(value):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        return type(info.value).__name__, str(info.value)
+    return entry
+
+
+def _l_limit_energy(value):
+    """``l-limit --energy=value`` as the CLI reports it: exit 2, the error's type and message."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["l-limit", f"--energy={value!r}"]) == 2
+    kind, message = err.getvalue().removeprefix("snyder-coulomb: error: ").split(": ", 1)
+    return kind, message.rstrip("\n")
+
+
+NOT_POSITIVE = [0, -1, math.nan, math.inf, -math.inf]
+POSITIVE_RULE = {
+    "t_end": _raised(lambda x: integrate_orbit(STATE, PARAMS, x)),
+    "local_tol": _raised(lambda x: integrate_orbit(STATE, PARAMS, 1.0, local_tol=x)),
+    "beta": _raised(lambda x: correction_order(PhysicalParams(1, 1), QuantumNumbers(1),
+                                               [0.01, 0.1, 1.0, x])),
+}
+
+
+@pytest.mark.parametrize("name,entry,value", [
+    *[pytest.param(name, entry, value, id=f"{name}-{value!r}")
+      for name, entry in POSITIVE_RULE.items() for value in NOT_POSITIVE],
+    *[pytest.param(name, entry, sign * 10**5000, id=f"{name}-{sign}e5000")
+      for name, entry in POSITIVE_RULE.items() for sign in (1, -1)],
+    *[pytest.param("energy", _l_limit_energy, value, id=f"l-limit-energy-{value!r}")
+      for value in NOT_POSITIVE],
+])
+def test_inputs_that_must_be_positive_share_one_rule(name, entry, value):
+    # model's one rule: NonFinite where the value is not finite, else ValueError
+    kind, message = entry(value)
+    assert kind == ("ValueError" if abs(value) <= sys.float_info.max else "NonFinite")
+    assert message.startswith(f"{name} must be finite and > 0"), message
