@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NoRootInWindow, OutOfWindow, RequiresNonzeroL, ScaleOutOfRange
-from .model import PhysicalParams, QuantumNumbers, as_float, check_level, quote, window_top
+from .model import (PhysicalParams, QuantumNumbers, as_float, check_deformation, check_level,
+                    quote, window_top)
 
 __all__ = [
     "PhaseIntegralResult",
@@ -144,7 +145,8 @@ def level_closed(b: float, n: float, l: float) -> float:
 
     Real n and l, 0 < n < inf and 0 <= l < inf, else ValueError, an int past
     the float range too, as :func:`~snyder_coulomb.model.check_level` decides
-    for both level cores; n' = n + l.
+    for both level cores; n' = n + l.  A b not >= 0, nan included, raises
+    ValueError too (:func:`~snyder_coulomb.model.check_deformation`).
     Algebraically, in u = sqrt(2 Ẽ).  For l = 0 (the 1D problem) the condition is
     b n u^2 + n u - 1 = 0 in u > 0, solved in the cancellation-free form
     u = 2 / (n + sqrt(n^2 + 4 b n)); Ẽ lies below the pole exactly when
@@ -175,6 +177,7 @@ def level_closed(b: float, n: float, l: float) -> float:
     about 1e-77) it raises ScaleOutOfRange.  The messages name no level.
     """
     check_level(n, l)
+    check_deformation(b)
     a, big_n = 2.0, 2 * n + l
     if not b < big_n:  # b A < 2N, compared without converting an int b
         raise NoRootInWindow(f"beta m e2{quote(b, ' = ')} is not below 2n + l = {big_n}")

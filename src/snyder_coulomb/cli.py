@@ -14,7 +14,8 @@ JSON), CSV uses '.' decimals and ',' separators, JSON is a single object
 with ``meta`` (full config echo plus tool version) and ``rows``.  Exit
 status is 0 only when every requested check passed its stated tolerance;
 invalid input (any ValueError, including the library's parameter errors)
-exits 2, failed checks or per-row errors exit 1.
+and a file that cannot be read or written (any OSError, for ``--config``
+or ``--out``) exit 2, failed checks or per-row errors exit 1.
 
 Option precedence: command-line flags override ``--config`` file entries,
 which override built-in defaults; the config entries become argparse
@@ -80,11 +81,8 @@ def _apply_config(path: str, command: argparse.ArgumentParser, actions: dict) ->
     Values are converted and checked as argparse converts and checks the
     flag of the same name.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -144,14 +142,13 @@ def _render_json(payload: dict[str, Any]) -> str:
 
 def _emit(
     cfg: dict[str, Any],
-    command: str,
     header: Sequence[str],
     rows: Sequence[Sequence[Any]],
     summary: dict[str, Any] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> None:
     meta: dict[str, Any] = {"tool": "snyder-coulomb", "version": __version__,
-                            "command": command}
+                            "command": cfg["command"]}
     for key, value in cfg.items():
         if key in ("config", "out", "format"):
             continue
@@ -203,7 +200,7 @@ def _cmd_spectrum(cfg: dict[str, Any]) -> int:
             entry.e_closed, entry.e_numeric, entry.e_series, gap,
             entry.error or "",
         ])
-    _emit(cfg, "spectrum", header, rows)
+    _emit(cfg, header, rows)
     return EXIT_CHECK_FAILED if any(entry.error for entry in entries) else EXIT_OK
 
 
@@ -261,7 +258,7 @@ def _cmd_verify_integrals(cfg: dict[str, Any]) -> int:
         "threshold": VERIFY_THRESHOLD,
         "pass": passed,
     }
-    _emit(cfg, "verify-integrals", header, rows, summary=summary)
+    _emit(cfg, header, rows, summary=summary)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -279,7 +276,7 @@ def _cmd_scan_order(cfg: dict[str, Any]) -> int:
         ok = lo <= fit.slope <= hi
         all_pass = all_pass and ok
         rows.append([l, fit.slope, fit.rms_residual, fit.n_used, ok])
-    _emit(cfg, "scan-order", header, rows)
+    _emit(cfg, header, rows)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -329,7 +326,7 @@ def _cmd_orbit(cfg: dict[str, Any]) -> int:
             summary = {"h_drift": traj.h_drift, "j_drift": traj.j_drift,
                        "precession_per_orbit": precession}
             header, rows = names, records
-    _emit(cfg, "orbit", header, rows, summary=summary, extra=extra)
+    _emit(cfg, header, rows, summary=summary, extra=extra)
     return EXIT_OK
 
 
@@ -342,17 +339,8 @@ def _cmd_l_limit(cfg: dict[str, Any]) -> int:
         for row in l_limit_study(params, cfg["energy"], cfg["l_grid"]):
             rows.append([beta, row.l, row.phi_radial, row.phi_one_dim, row.gap,
                          row.error or ""])
-    _emit(cfg, "l-limit", header, rows)
+    _emit(cfg, header, rows)
     return EXIT_CHECK_FAILED if any(row[-1] for row in rows) else EXIT_OK
-
-
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "verify-integrals": _cmd_verify_integrals,
-    "scan-order": _cmd_scan_order,
-    "orbit": _cmd_orbit,
-    "l-limit": _cmd_l_limit,
-}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
@@ -366,8 +354,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     subparsers = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def add_command(name: str) -> Callable[..., None]:
+    def add_command(name: str, run: Callable[[dict], int]) -> Callable[..., None]:
         sub = subparsers.add_parser(name)
+        sub.set_defaults(run=run)
         actions: dict[str, argparse.Action] = {}
         commands[name] = (sub, actions)
 
@@ -384,11 +373,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 
     floats, ints = _list_of(float), _list_of(int)
 
-    add = add_command("spectrum")
+    add = add_command("spectrum", _cmd_spectrum)
     add("beta", type=float, default=0.0, help="deformation parameter")
     add("n-prime-max", type=int, default=3, help="largest principal number n'")
 
-    add = add_command("verify-integrals")
+    add = add_command("verify-integrals", _cmd_verify_integrals)
     add("beta-grid", type=floats, default=[0.0, 0.05, 0.1], metavar="LIST",
         help="comma list of betas")
     add("l-grid", type=ints, default=[0, 1, 2, 3], metavar="LIST",
@@ -398,14 +387,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     add("e-grid", type=floats, metavar="LIST",
         help="explicit energies (overrides generation)")
 
-    add = add_command("scan-order")
+    add = add_command("scan-order", _cmd_scan_order)
     add("l-list", type=ints, default=[0, 1, 2], metavar="LIST",
         help="comma list of angular momenta")
     add("n", type=int, default=1, help="radial quantum number of the scanned level")
     add("beta-grid", type=floats, default=[10.0**e for e in _linspace(-4.0, -2.0, 7)],
         metavar="LIST", help="comma list of betas (>= 4 points over >= 1.5 decades)")
 
-    add = add_command("orbit")
+    add = add_command("orbit", _cmd_orbit)
     add("beta", type=float, default=0.0, help="deformation parameter")
     add("x1", type=float, default=2.0, help="initial position x1")
     add("x2", type=float, default=0.0, help="initial position x2")
@@ -418,7 +407,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     add("dump-samples", action="store_true",
         help="emit the orbit at the accepted integrator steps")
 
-    add = add_command("l-limit")
+    add = add_command("l-limit", _cmd_l_limit)
     add("beta-grid", type=floats, default=[0.001, 0.01, 0.1], metavar="LIST",
         help="comma list of betas")
     add("energy", type=float, default=0.125, help="binding energy of the comparison")
@@ -430,10 +419,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit status.
 
-    Invalid input (including a bad ``--config`` file) returns 2 and a
-    failed check or per-row error returns 1.  Argparse usage errors, such
-    as an unknown flag or a flag value it cannot convert, still raise
-    ``SystemExit(2)``; ``--help`` and ``--version`` raise ``SystemExit(0)``.
+    Invalid input (including a bad ``--config`` file) and a ``--config``
+    that cannot be read or an ``--out`` that cannot be written (any
+    OSError) return 2; a failed check or per-row error returns 1.
+    Argparse usage errors, such as an unknown flag or a flag value it
+    cannot convert, still raise ``SystemExit(2)``; ``--help`` and
+    ``--version`` raise ``SystemExit(0)``.
     """
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
@@ -442,8 +433,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _apply_config(args.config, *commands[args.command])
             args = parser.parse_args(argv)
         cfg = vars(args)
-        return _COMMANDS[cfg.pop("command")](cfg)
-    except ValueError as exc:
+        return cfg.pop("run")(cfg)
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SnyderCoulombError as exc:

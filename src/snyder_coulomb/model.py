@@ -129,7 +129,7 @@ def quantum_number(name: str, value: object, low: int) -> int:
     """
     if type(value) is not int:  # an int, the common case, is its own index
         if isinstance(value, bool) or not hasattr(value, "__index__"):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer{quote(value)}")
         value = operator.index(value)
     if value < low:
         raise ValueError(f"{name} must be >= {low}{quote(value)}")
@@ -147,6 +147,18 @@ def check_level(n: float, l: float) -> None:
     """
     if not (0.0 < n <= _LARGEST and 0.0 <= l <= _LARGEST):
         raise ValueError(f"n{quote(n, '=')}, l{quote(l, '=')} need 0 < n < inf and 0 <= l < inf")
+
+
+def check_deformation(b: float) -> None:
+    """The one rule of a level's b = beta m e2: ValueError unless b >= 0.
+
+    Compared and never converted, so nan and any negative b fail, an int
+    past the float range too, and -0.0 and inf pass.  Both level cores,
+    ``analytic.level_closed`` and ``numerics._solve_levels``, ask it before
+    any arithmetic on b.
+    """
+    if not b >= 0.0:
+        raise ValueError(f"beta m e2 must be >= 0{quote(b)}")
 
 
 def _product(x: float, y: float, z: float) -> float:

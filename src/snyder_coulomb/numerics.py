@@ -48,7 +48,8 @@ Every level has two routes, and neither gates the other; both cores take
 (b, n, l), b = beta m e2 and real n > 0, l >= 0 (``analytic.level_closed``,
 ``_solve_levels``), and the public entries pass ``PhysicalParams.b`` and
 unwrap ``QuantumNumbers``; ``model.check_level`` alone decides which
-(n, l) is a level.  The closed-form route is algebraic
+(n, l) is a level, and ``model.check_deformation`` that b >= 0.  The
+closed-form route is algebraic
 (``analytic.energy_closed``): a quadratic in closed form, or a bracketed
 Newton iteration on the level quartic, which evaluates no Phi.  The quadrature
 route solves Phi(E) = 2 pi n for a whole table at once, infeasible levels
@@ -93,8 +94,8 @@ from .errors import (
     SnyderCoulombError,
     ToleranceNotReached,
 )
-from .model import (PhysicalParams, QuantumNumbers, check_level, finite_float, quantum_number,
-                    window_top)
+from .model import (PhysicalParams, QuantumNumbers, check_deformation, check_level, finite_float,
+                    quantum_number, window_top)
 
 __all__ = [
     "SpectrumEntry",
@@ -331,7 +332,8 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
                   level_set: tuple[np.ndarray, ...] | None = None) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n at the levels (n[i], l[i]) together, reduced.
 
-    The core takes what ``analytic.level_closed`` takes: b = beta m e2, and
+    The core takes what ``analytic.level_closed`` takes: b = beta m e2 >= 0
+    (``model.check_deformation``), and
     real n and l, 0 < n < inf and 0 <= l < inf (else ValueError, an int past
     the float range too), with n' = n + l; the messages name a level by its
     n and l, and quote b as ``beta m e2``.  A safeguarded secant method runs
@@ -360,6 +362,7 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
     result: list = [None] * len(n)
     active = np.ones(len(n), dtype=bool)
     l_rows, target, e0 = _level_set(n, l) if level_set is None else level_set
+    check_deformation(b)
     top = np.array([window_top(b, x) * (1.0 - 1e-9) for x in l])
     start = np.minimum(e0, top)
 

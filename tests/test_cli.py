@@ -498,6 +498,22 @@ class TestInfrastructure:
         content = out_path.read_text()
         assert content.startswith("n_prime,")
 
+    @pytest.mark.parametrize("where", ["", "missing/table.csv"], ids=["directory", "missing-dir"])
+    def test_unwritable_output_file_is_config_error(self, capsys, tmp_path, where):
+        # IsADirectoryError and FileNotFoundError: one error line, no traceback, no file
+        out_path = tmp_path / where
+        code, out, err = run_cli(capsys, "spectrum", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("snyder-coulomb: error: ") and err.count("\n") == 1
+        assert str(out_path) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_that_is_a_directory_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("snyder-coulomb: error: IsADirectoryError: ")
+        assert str(tmp_path) in err and err.count("\n") == 1
+
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("# comment\nbeta = 0.1\nn-prime-max = 2\n")

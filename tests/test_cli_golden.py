@@ -79,6 +79,8 @@ RUNS = {
     "spectrum-nan-beta": ["spectrum", "--beta", "nan"],
     "spectrum-bad-int-flag": ["spectrum", "--n-prime-max", "x"],
     "spectrum-out-file": ["spectrum", "--beta", "0.1", "--out", "{tmp}/table.csv"],
+    "spectrum-out-directory": ["spectrum", "--out", "{tmp}"],
+    "spectrum-out-missing-directory": ["spectrum", "--out", "{tmp}/missing/table.csv"],
     # verify-integrals
     "verify-default-csv": ["verify-integrals"],
     "verify-default-json": ["verify-integrals", "--format", "json"],
@@ -190,7 +192,7 @@ def _run(name: str, tmp: Path) -> dict:
         record["stdout"] = text
     if "--out" in argv:
         out = Path(argv[argv.index("--out") + 1])
-        record["out"] = out.read_text(encoding="utf-8") if out.exists() else None
+        record["out"] = out.read_text(encoding="utf-8") if out.is_file() else None
     return record
 
 

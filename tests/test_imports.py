@@ -307,6 +307,27 @@ def test_model_owns_the_rules_of_reading_a_number():
     assert {"as_float", "store_floats"}.isdisjoint(model.__all__)
 
 
+def test_cli_names_each_command_once():
+    # a handler is named once, where _build_parser creates its subcommand: no handler
+    # dict, _emit reads the command from cfg, and _apply_config leaves an OSError to main
+    tree = ast.parse((SRC / "snyder_coulomb" / "cli.py").read_text())
+    defs = _defs("cli")
+    handlers = {name for name in defs if name.startswith("_cmd_")}
+    uses = {name: [] for name in handlers}
+    for statement in tree.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and node.id in handlers:
+                uses[node.id].append(getattr(statement, "name", "<module>"))
+    dicts = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Dict) and _names(node) & handlers]
+    caught = [ast.unparse(node.type) for node in ast.walk(defs["_apply_config"])
+              if isinstance(node, ast.ExceptHandler)]
+    assert len(handlers) == 5 and uses == dict.fromkeys(handlers, ["_build_parser"])
+    assert dicts == []
+    assert "command" not in {arg.arg for arg in defs["_emit"].args.args}
+    assert caught == ["ValueError"]  # a config value's file:line context, never an OSError
+
+
 def test_unknown_attribute_still_raises():
     for module in (numerics, snyder_coulomb):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -345,6 +345,12 @@ def test_a_value_whose_repr_fails_is_refused_unquoted():
         PhysicalParams(Fraction(10**5000), 1)
     assert (type(info.value), str(info.value)) == (NonFinite, "m must be a real number")
     assert quote(Fraction(10**5000)) == "" and quote(Fraction(1, 3)) == ", got Fraction(1, 3)"
+    for call, name in [(lambda: QuantumNumbers(Fraction(10**5000), 1), "n"),
+                       (lambda: spectrum_table(PhysicalParams(1, 1), Fraction(10**5000)),
+                        "n_prime_max")]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (ValueError, f"{name} must be an integer")
 
 
 def _raised(call):

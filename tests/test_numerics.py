@@ -887,6 +887,21 @@ class TestRealQuantumNumbers:
         with pytest.raises(ValueError, match=r"need 0 < n < inf and 0 <= l < inf"):
             numerics._solve_levels(0.1, [2.0, n], [1.0, l])
 
+    @pytest.mark.parametrize("core", [
+        lambda b, l: level_closed(b, 1, l),
+        lambda b, l: numerics._solve_levels(b, [1], [l]),
+    ], ids=["level_closed", "_solve_levels"])
+    @pytest.mark.parametrize("b", [-0.1, -1.0, math.nan, -10**5000],
+                             ids=["-0.1", "-1.0", "nan", "-10**5000"])
+    def test_a_b_not_at_least_zero_raises(self, core, b):
+        # the level at |b|, a math domain error, an OverflowError or a row error before
+        quoted = "" if isinstance(b, int) else f", got {b!r}"
+        for l in (0, 1):
+            with pytest.raises(ValueError) as info:
+                core(b, l)
+            assert (type(info.value), str(info.value)) == (
+                ValueError, f"beta m e2 must be >= 0{quoted}")
+
     def test_messages_name_n_and_l_as_given(self):
         # b = 3 makes (1, 0) infeasible: the quadrature route names the level itself
         (energy,) = numerics._solve_levels(3.0, [1], [0])
