@@ -241,8 +241,13 @@ class PhysicalParams:
     def deformation(self, beta: float) -> float:
         """b = beta m e2 at the deformation ``beta``, as ``b`` is at ``self.beta``.
 
-        An int past the float range reads as the inf of its sign (:func:`as_float`).
+        Raises NonFinite for nan and NegativeBeta for any negative beta, -inf
+        included, which the constructor refuses too.  inf, and an int past
+        the float range, read as inf (:func:`as_float`).
         """
+        if not beta >= 0.0:
+            raise (NegativeBeta(f"beta must be >= 0{quote(beta)}") if beta < 0.0
+                   else NonFinite(f"beta must be finite{quote(beta)}"))
         try:
             return _product(self.m, self.e2, beta)
         except OverflowError:  # an int past the float range

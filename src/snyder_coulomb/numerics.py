@@ -67,8 +67,11 @@ All operations are pure; tables are evaluated sequentially and ordered by
 (n', l) regardless of how callers might parallelize.  A beta sweep of tables
 of one shape builds their b-free structure once: ``spectrum_table`` keeps
 the levels of its latest shape (``_table_levels``), with their float l rows,
-targets 2 pi n and starts E0 (``_level_set``), read-only.  That cache holds
-no energy, no Phi and nothing that depends on b, and changes no result.
+targets 2 pi n and starts E0 (``_level_set``), and the band geometry at the
+starts (``_band_geometry``: every factor of the band integrand but 1 + b^2 z,
+at the first order's 64 panels, 3 x 65 floats per band row), read-only, so
+a table's first round, with every level at its E0, computes that one factor.
+That cache holds no Phi and nothing that depends on b, and changes no result.
 """
 
 from __future__ import annotations
@@ -119,6 +122,7 @@ BAND_FLOOR = 1e-100
 # it every factor of the band integrand is finite (z+ ~ 4/l^2 at small l, so z+/z-
 # leaves the floats once l^2 E is below about 1.5e-154, and z+^2 first when E > 1/2).
 _EDGE_LIMIT = 2.0**1022
+BAND_PANELS = 64  # the band rule's first panel count
 
 
 @dataclass(frozen=True)
@@ -183,24 +187,25 @@ def _trapezoid(
         n *= 2
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only: a cached array is shared by every later call."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=64)
 def _phi_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(phi) and sin(2 phi) on the n-panel grid phi = (pi/2) k/n, cached and read-only."""
     phi = (math.pi / 2.0 / n) * np.arange(n + 1)
-    factors = np.sin(phi) ** 2, np.sin(2.0 * phi)
-    for factor in factors:
-        factor.flags.writeable = False
-    return factors
+    return _read_only(np.sin(phi) ** 2, np.sin(2.0 * phi))
 
 
 @functools.lru_cache(maxsize=64)
 def _line_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """t^2 and 4t/(1 + t^2) at t = e^x, x = -45 + (90/n) k, k = 0..n, cached and read-only."""
     t = np.exp(-45.0 + (90.0 / n) * np.arange(n + 1))
-    factors = t * t, 4.0 * t / (1.0 + t * t)
-    for factor in factors:
-        factor.flags.writeable = False
-    return factors
+    return _read_only(t * t, 4.0 * t / (1.0 + t * t))
 
 
 def _missed(energy: float, l: float, estimate: float) -> ToleranceNotReached:
@@ -230,7 +235,47 @@ def _band_edges(energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return two_e * two_e / z_plus, z_plus
 
 
-def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _band_terms(edges: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
+    """The b-free terms (z, num, den0) of the band integrand on the n-panel phi grid.
+
+    ``edges`` is the per-row part of :func:`_band_geometry`.  With z = e^s,
+    s = ln z- + L sin^2(phi): num = l L sqrt((z - z-)(z+ - z)) sin(2 phi)
+    and den0 = z + 2Ẽ, rows x (n + 1) arrays, so that the integrand at b is
+    num / (den0 (1 + b^2 z)).  The raw integrand's 1/z cancels dz = z ds.
+    """
+    z_minus, z_plus, log_z_minus, width, factor, two_e = edges
+    sin2, sin_double = _phi_factors(n)
+    z = np.exp(log_z_minus + width * sin2)
+    radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
+    return z, factor * np.sqrt(radicand) * sin_double, z + two_e
+
+
+def _band_geometry(energy: np.ndarray, l: np.ndarray) -> tuple:
+    """The b-free part of the band integrand at the float rows (energy[i], l[i]).
+
+    Returns (rows, edges, start): the indices of the band rows (l > 0) that
+    :func:`_phase_rows` takes, their edges z- and z+ (:func:`_band_edges`),
+    ln z-, L = ln(z+/z-), l L and 2Ẽ, as columns, and their terms at
+    ``BAND_PANELS``, the rule's first order (:func:`_band_terms`).  The
+    rows it leaves out are those :func:`_phase_rows` refuses.
+    """
+    rows = ((l != 0) & (energy >= BAND_FLOOR)).nonzero()[0]
+    if not rows.size:
+        return rows, (), ()
+    with np.errstate(all="ignore"):  # edges past the float range: refused just below
+        z_minus, z_plus = _band_edges(energy[rows, None], l[rows, None])
+        ratio = z_plus / z_minus
+        held = (np.maximum(z_plus * z_plus, ratio) < _EDGE_LIMIT)[:, 0]
+    if not held.all():
+        rows, z_minus, z_plus, ratio = rows[held], z_minus[held], z_plus[held], ratio[held]
+    width = np.log(ratio)
+    edges = (z_minus, z_plus, np.log(z_minus), width, l[rows, None] * width,
+             2.0 * energy[rows, None])
+    return rows, edges, _band_terms(edges, BAND_PANELS)
+
+
+def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray,
+                band: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Loop phase integrals at the float rows (energy[i], l[i]), from the raw integrands, reduced.
 
     The rows must lie strictly inside their windows, where every band has
@@ -246,11 +291,13 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
     l sqrt((z - z-)(z+ - z)) / (z (z + 2Ẽ)(1 + b^2 z)) over the band
     between the edges z- < z+ (:func:`_band_edges`, one call for all rows),
     with z = e^s and s = ln z- + L sin^2(phi), L = ln(z+/z-), on one shared
-    grid of phi in [0, pi/2] starting at 64 panels; the 1/z cancels
-    dz = z ds, and l L is one factor per row.  Every operation acts on a
-    row alone, so a row reads as its one-row call, bit for bit.  Returns
-    (values, error estimates) as arrays; a row that missed ``QUAD_RTOL`` is
-    NaN with its last estimate (:func:`_missed`).
+    grid of phi in [0, pi/2] starting at ``BAND_PANELS``; the 1/z cancels
+    dz = z ds, and l L is one factor per row.  All of it but 1 + b^2 z is
+    free of b (:func:`_band_geometry`): ``band`` is that part at these very
+    rows, which a caller that keeps it passes, else it is built here.  Every
+    operation acts on a row alone, so a row reads as its one-row call, bit
+    for bit.  Returns (values, error estimates) as arrays; a row that missed
+    ``QUAD_RTOL`` is NaN with its last estimate (:func:`_missed`).
     """
     b2 = b * b
     two_e = 2.0 * energy
@@ -268,27 +315,14 @@ def _phase_rows(b: float, energy: np.ndarray, l: np.ndarray) -> tuple[np.ndarray
         scale = np.sqrt(two_e[line])  # p = sqrt(2Ẽ) t
         value[line], err[line] = total / scale, estimate / scale
 
-    band = ((l != 0) & (energy >= BAND_FLOOR)).nonzero()[0]
-    if band.size:
-        with np.errstate(all="ignore"):  # edges past the float range: refused just below
-            z_minus, z_plus = _band_edges(energy[band, None], l[band, None])
-            ratio = z_plus / z_minus
-            held = (np.maximum(z_plus * z_plus, ratio) < _EDGE_LIMIT)[:, 0]
-        if not held.all():
-            band, z_minus, z_plus, ratio = band[held], z_minus[held], z_plus[held], ratio[held]
-    if band.size:
-        band_two_e = two_e[band, None]
-        log_z_minus, width = np.log(z_minus), np.log(ratio)
-        factor = l[band, None] * width  # l times L, of ds = L sin(2 phi) dphi
+    rows, edges, start = _band_geometry(energy, l) if band is None else band
+    if rows.size:
 
         def band_integrand(n: int) -> np.ndarray:  # on phi in [0, pi/2]
-            sin2, sin_double = _phi_factors(n)
-            z = np.exp(log_z_minus + width * sin2)
-            radicand = np.maximum((z - z_minus) * (z_plus - z), 0.0)
-            # the raw integrand's 1/z cancels dz = z ds
-            return factor * np.sqrt(radicand) * sin_double / ((z + band_two_e) * (1.0 + b2 * z))
+            z, num, den0 = start if n == BAND_PANELS else _band_terms(edges, n)
+            return num / (den0 * (1.0 + b2 * z))
 
-        value[band], err[band] = _trapezoid(band_integrand, math.pi / 2.0, 64)
+        value[rows], err[rows] = _trapezoid(band_integrand, math.pi / 2.0, BAND_PANELS)
     return value, err
 
 
@@ -322,14 +356,12 @@ def _level_set(n: Sequence[float], l: Sequence[float]) -> tuple[np.ndarray, ...]
         check_level(*pair)
     n_rows, l_rows = np.array(n, dtype=float), np.array(l, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):  # an E0 past the float range fails per call
-        arrays = (l_rows, TWO_PI * n_rows, 1.0 / (2.0 * (n_rows + l_rows) ** 2))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+        return _read_only(l_rows, TWO_PI * n_rows, 1.0 / (2.0 * (n_rows + l_rows) ** 2))
 
 
 def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
-                  level_set: tuple[np.ndarray, ...] | None = None) -> list:
+                  level_set: tuple[np.ndarray, ...] | None = None,
+                  start_band: tuple | None = None) -> list:
     """Roots of the quadrature Phi(E) = 2 pi n at the levels (n[i], l[i]) together, reduced.
 
     The core takes what ``analytic.level_closed`` takes: b = beta m e2 >= 0
@@ -342,8 +374,10 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
     top): its undeformed level E0 = 1/(2 n'^2), which the deformation
     lowers, or top = ``window_top(b, l)`` (1 - 1e-9).  All that does not
     depend on b is ``level_set``, :func:`_level_set` of (n, l), built here
-    unless the caller passes it (a table passes its cached one); b enters
-    only the tops, the secant and the quadrature.  A level's first step
+    unless the caller passes it (a table passes its cached one), and
+    ``start_band``, :func:`_band_geometry` at the starts E0, which a table
+    passes too and the first round takes when every level starts at its E0;
+    b enters only the tops, the secant and the quadrature.  A level's first step
     takes the b = 0 slope, and each later one the secant through its last
     two iterates.  Each residual's sign moves one end of the level's bracket; a
     step that leaves the bracket bisects it, or doubles u while no residual
@@ -369,8 +403,8 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
     def fail(i: int, exc: SnyderCoulombError) -> None:
         result[i], active[i] = exc, False
 
-    def residual(rows: np.ndarray, energy: np.ndarray) -> np.ndarray:
-        phi, err = _phase_rows(b, energy, l_rows[rows])
+    def residual(rows: np.ndarray, energy: np.ndarray, *band: tuple) -> np.ndarray:
+        phi, err = _phase_rows(b, energy, l_rows[rows], *band)
         for k in np.isnan(phi).nonzero()[0]:
             fail(rows[k], _missed(float(energy[k]), l[rows[k]], err[k]))
         return phi - target[rows]
@@ -381,6 +415,9 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
         fail(i, ScaleOutOfRange(f"the start E/(m e2^2) = {float(start[i])!r} leaves the float "
                                 f"range for n={n[i]}, l={l[i]}"))
 
+    # a table's band geometry at E0 serves its first round when every level is open there
+    at_e0 = start_band is not None and active.all() and (start == e0).all()
+    first = (start_band,) if at_e0 else ()
     # u = E^(-1/2) rises as E falls, and so does Phi; lo starts at the top, untried
     u, lo = np.where(active, start, 1.0) ** -0.5, np.where(active, top, 1.0) ** -0.5
     u_top, hi = lo.copy(), np.full(len(n), math.inf)
@@ -392,7 +429,7 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
         if not rows.size:
             break
         x = u[rows]
-        f = residual(rows, start[rows] if step == 0 else 1.0 / (x * x))
+        f = residual(rows, start[rows], *first) if step == 0 else residual(rows, 1.0 / (x * x))
         for k in ((f >= 0.0) & (x == u_top[rows])).nonzero()[0]:
             i = rows[k]
             fail(i, NoRootInWindow(  # quoting Phi - 2 pi n at the window top
@@ -439,13 +476,18 @@ def energy_numeric(params: PhysicalParams, qn: QuantumNumbers) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def _table_levels(n_prime_max: int) -> tuple[tuple[QuantumNumbers, ...], tuple, tuple, tuple]:
-    """An ``n_prime_max``-shell table's levels, ordered by (n', l), with their n, l and level set.
+def _table_levels(n_prime_max: int) -> tuple[tuple[QuantumNumbers, ...], tuple, tuple, tuple,
+                                             tuple]:
+    """An ``n_prime_max``-shell table's levels, ordered by (n', l), with their n, l, level set
+    and the band geometry of their starts.
 
-    The level set is :func:`_level_set` of the n and l.  Cached for the
-    latest shape only: its n'(n' + 1)/2 ``QuantumNumbers``, the n and l
-    tuples and three read-only float arrays stay alive until a table of
-    another shape, about 2M levels at 2,000 shells.
+    The level set is :func:`_level_set` of the n and l, and the geometry
+    :func:`_band_geometry` at their undeformed levels E0, the starts of a
+    table's first secant round.  Cached for the latest shape only: its
+    n'(n' + 1)/2 ``QuantumNumbers``, the n and l tuples, three read-only
+    float arrays and the read-only geometry, 3 x 65 floats per band row
+    (l > 0), stay alive until a table of another shape: about 2M levels at
+    2,000 shells, and a geometry of 44 kB at 8 shells and 7.7 MB at 100.
     """
     levels = tuple(
         QuantumNumbers(n=n_prime - l, l=l)
@@ -453,7 +495,11 @@ def _table_levels(n_prime_max: int) -> tuple[tuple[QuantumNumbers, ...], tuple, 
         for l in range(n_prime)
     )
     n, l = tuple(qn.n for qn in levels), tuple(qn.l for qn in levels)
-    return levels, n, l, _level_set(n, l)
+    level_set = _level_set(n, l)
+    l_rows, _, e0 = level_set
+    rows, edges, start = _band_geometry(e0, l_rows)
+    _read_only(rows, *edges, *start)
+    return levels, n, l, level_set, (rows, edges, start)
 
 
 def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEntry]:
@@ -469,9 +515,10 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     bool, before any level is built (``model.quantum_number``).
     A beta sweep of one shape builds its levels once (:func:`_table_levels`).
     """
-    levels, n, l, level_set = _table_levels(quantum_number("n_prime_max", n_prime_max, 1))
+    levels, n, l, level_set, start_band = _table_levels(
+        quantum_number("n_prime_max", n_prime_max, 1))
     entries: list[SpectrumEntry] = []
-    solved = _solve_levels(params.b, n, l, level_set)
+    solved = _solve_levels(params.b, n, l, level_set, start_band)
     for qn, e_numeric in zip(levels, solved):
         try:
             e_closed = energy_closed(params, qn)
@@ -504,13 +551,15 @@ def correction_order(
     correction below ``NOISE_FLOOR`` are excluded; fewer than two usable
     points raise DegenerateFit.  ``params_base.beta`` must be 0, and each
     beta passes model's rule ``beta must be finite and > 0``
-    (:func:`~snyder_coulomb.model.finite_float` with ``positive``).
+    (:func:`~snyder_coulomb.model.finite_float` with ``positive``); a grid
+    of fewer than 4 distinct betas, or spanning under 1.5 decades, raises
+    ValueError.
     """
     if params_base.beta != 0.0:
         raise ValueError(f"params_base.beta must be 0, got {params_base.beta!r}")
     betas = [finite_float("beta", b, positive=True) for b in beta_grid]
-    if len(betas) < 4:
-        raise ValueError("beta_grid needs at least 4 points")
+    if len(set(betas)) < 4:  # a repeated beta adds no point to the fit
+        raise ValueError("beta_grid needs at least 4 distinct betas")
     if math.log10(max(betas) / min(betas)) < 1.5 - 1e-12:
         raise ValueError("beta_grid must span at least 1.5 decades")
 

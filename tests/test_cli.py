@@ -277,6 +277,11 @@ class TestScanOrder:
         assert code == 2
         assert "at least 4" in err
 
+    def test_repeated_betas_are_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "scan-order", "--beta-grid", "1e-4,1e-4,1e-4,1e-2")
+        assert (code, out, err) == (
+            2, "", "snyder-coulomb: error: ValueError: beta_grid needs at least 4 distinct betas\n")
+
     def test_empty_l_list_is_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["scan-order", "--l-list", ","])
@@ -507,6 +512,17 @@ class TestInfrastructure:
         assert err.startswith("snyder-coulomb: error: ") and err.count("\n") == 1
         assert str(out_path) in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_is_config_error(self, capsys, monkeypatch):
+        # a reader that closed its pipe: the write raises BrokenPipeError, an OSError
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["l-limit"])
+        assert (code, capsys.readouterr().err) == (
+            2, "snyder-coulomb: error: BrokenPipeError: [Errno 32] Broken pipe\n")
 
     def test_config_that_is_a_directory_is_config_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "spectrum", "--config", str(tmp_path))

@@ -62,6 +62,18 @@ class TestValidateParams:
         with pytest.raises(NegativeBeta, match="beta"):
             PhysicalParams(1, 1, -0.5)
 
+    @pytest.mark.parametrize("beta,error,message", [
+        (-1.0, NegativeBeta, "beta must be >= 0, got -1.0"),
+        (-math.inf, NegativeBeta, "beta must be >= 0, got -inf"),
+        (-10**5000, NegativeBeta, "beta must be >= 0"),
+        (math.nan, NonFinite, "beta must be finite, got nan"),
+    ], ids=["-1.0", "-inf", "-10**5000", "nan"])
+    def test_deformation_refuses_what_the_constructor_refuses(self, beta, error, message):
+        # deformation(-1.0) returned -1.0 and deformation(nan) nan
+        with pytest.raises(error) as info:
+            PhysicalParams(1, 1).deformation(beta)
+        assert (type(info.value), str(info.value)) == (error, message)
+
     @pytest.mark.parametrize(
         "args",
         [

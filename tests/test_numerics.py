@@ -1,7 +1,9 @@
 """Quadrature oracles, spectrum solving, and scaling fits."""
 
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -653,12 +655,56 @@ class TestLevelSet:
         assert any(row[1] is not None for row in cold[2])
 
     def test_cached_structure_is_read_only(self):
-        levels, n, l, level_set = numerics._table_levels(4)
-        assert all(type(x) is tuple for x in (levels, n, l, level_set))
-        for array in level_set:
+        levels, n, l, level_set, start_band = numerics._table_levels(4)
+        rows, edges, start = start_band
+        assert all(type(x) is tuple for x in (levels, n, l, level_set, start_band, edges, start))
+        # the band rows' geometry at E0: six columns, and z, num and den0 at 64 panels
+        assert rows.tolist() == [2, 4, 5, 7, 8, 9]
+        assert [array.shape for array in edges + start] == [(6, 1)] * 6 + [(6, 65)] * 3
+        for array in (*level_set, rows, *edges, *start):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    @pytest.mark.parametrize("b", [0.0, 1e-3, 0.05, 0.15, 0.9, 3.0])
+    def test_cached_first_round_reads_as_its_cold_call(self, monkeypatch, b):
+        # at 28 shells the band row (n, l) = (27, 1) doubles to 128 panels at its E0
+        _, _, _, (l_rows, _, e0), start_band = numerics._table_levels(28)
+        orders, terms = [], numerics._band_terms
+
+        def counting_terms(edges, n):
+            orders.append(n)
+            return terms(edges, n)
+
+        monkeypatch.setattr(numerics, "_band_terms", counting_terms)
+        cold = numerics._phase_rows(b, e0, l_rows)
+        assert orders == [64, 128]
+        orders.clear()
+        cached = numerics._phase_rows(b, e0, l_rows, start_band)
+        assert orders == [128]  # the 64-panel terms come from the cache
+        assert [x.tobytes() for x in cached] == [x.tobytes() for x in cold]
+
+    @pytest.mark.parametrize("beta,first", [(0.1, True), (3.0, False)])
+    def test_first_round_takes_the_geometry_when_every_level_starts_at_e0(
+            self, monkeypatch, beta, first):
+        # at beta = 3.0 the window top 1/(2 b^2) caps the start of the l = 0 levels
+        calls, core = [], numerics._phase_rows
+
+        def counting_core(*args):
+            calls.append(len(args) == 4)
+            return core(*args)
+
+        monkeypatch.setattr(numerics, "_phase_rows", counting_core)
+        spectrum_table(PhysicalParams(1, 1, beta), 8)
+        assert (calls[0], len(calls) > 1, any(calls[1:])) == (first, True, False)
+
+    def test_a_new_shape_frees_the_previous_geometry(self):
+        rows, edges, start = numerics._table_levels(6)[4]
+        kept = [weakref.ref(array) for array in (rows, *edges, *start)]
+        del rows, edges, start
+        spectrum_table(PhysicalParams(1, 1, 0.1), 7)
+        gc.collect()
+        assert [ref() for ref in kept] == [None] * 10
 
     def test_a_repeated_shape_builds_no_levels(self, monkeypatch):
         spectrum_table(PhysicalParams(1, 1, 0.02), 8)
@@ -940,6 +986,12 @@ class TestCorrectionOrder:
             correction_order(params, qn, [1e-3, 2e-3, 3e-3, 4e-3])  # < 1.5 decades
         with pytest.raises(ValueError):
             correction_order(params, qn, [0.0, 1e-3, 1e-2, 1e-1])
+
+    def test_repeated_betas_count_once(self):
+        # four points of two betas fitted a line through two points: rms 0.0, n_used 4
+        with pytest.raises(ValueError, match="^beta_grid needs at least 4 distinct betas$"):
+            correction_order(PhysicalParams(1, 1, 0), QuantumNumbers(n=1, l=1),
+                             [1e-4, 1e-4, 1e-4, 1e-2])
 
     def test_nonzero_base_beta_is_rejected(self):
         # the grid sets the deformation; a base beta would be silently ignored
