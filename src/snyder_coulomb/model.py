@@ -187,9 +187,10 @@ def window_top(b: float, l: float) -> float:
     inf, and where 2 b^2 overflows the top is 0, an int b past the float
     range included, read as the inf of its sign (:func:`as_float`).  Where
     1/(2 l^2) overflows (l below about 5e-155) the circular bound is inf.
-    Raises ValueError unless l >= 0, and for an int l past the float range:
-    the l of a window, where inf closes it, not of a level, which
-    :func:`check_level` decides.
+    Raises NonFinite for a nan b, which would read as a nan top; ValueError
+    unless l >= 0, and for an int l past the float range: the l of a
+    window, where inf closes it, not of a level, which :func:`check_level`
+    decides.
     """
     if not l >= 0:
         raise ValueError(f"l must be >= 0{quote(l)}")
@@ -203,7 +204,11 @@ def window_top(b: float, l: float) -> float:
     except OverflowError:  # an int b past the float range
         return window_top(as_float(b), l)
     # the lower cap, without min(): this runs on every admitted energy
-    return e_max if pole == 0.0 or e_max < 1.0 / pole else 1.0 / pole
+    if pole == 0.0 or e_max < 1.0 / pole:
+        return e_max
+    if pole != pole:  # a nan b, which reads as neither cap
+        raise NonFinite("beta m e2 must not be nan")
+    return 1.0 / pole
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,12 @@ class TestEnergyWindow:
         assert window_top(0.0, 1e-200) == window_top(0.0, 5e-324) == math.inf
         assert window_top(0.5, 1e-170) == window_top(0.5, 0) == 2.0
 
+    def test_nan_b_is_refused(self):
+        # 2 b^2 is nan, which neither cap's comparison catches: the top read as nan
+        for l in (0, 1, 0.5, math.inf):
+            with pytest.raises(NonFinite, match="^beta m e2 must not be nan$"):
+                window_top(math.nan, l)
+
     def test_check_is_open_at_both_ends(self):
         params = PhysicalParams(1, 1, 0)
         assert params.admit(0.3, 1) == 0.3

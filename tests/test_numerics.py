@@ -286,6 +286,29 @@ class TestPinnedQuadratureBits:
         assert digest.hexdigest() == PINNED_QUADRATURE
 
 
+PINNED_LEVELS = "a0a5241e7251dd56343e58f58e5c475fd35574d0fc1f36570e69730eb6e7cf05"
+
+
+class TestPinnedLevelBits:
+    """``_solve_levels``' levels and error rows, pinned bit for bit: a change to any
+    floating-point operation or message of the secant shows here."""
+
+    def test_solve_levels_bits(self):
+        digest, failed = hashlib.sha256(), 0
+        for shells in (1, 3, 8, 12):
+            _, n, l, level_set, start_band = numerics._table_levels(shells)
+            for b in (0.0, *np.logspace(-6, 1, 200)):
+                for x in numerics._solve_levels(float(b), n, l, level_set, start_band):
+                    if isinstance(x, SnyderCoulombError):
+                        failed += 1
+                        line = f"{type(x).__name__}: {x}"
+                    else:
+                        line = repr(x)
+                    digest.update(f"{line}\n".encode())
+        assert failed == 370
+        assert digest.hexdigest() == PINNED_LEVELS
+
+
 class TestPhaseIntegralNumeric:
     def test_newtonian_radial(self):
         res = phase_integral_numeric(PhysicalParams(1, 1, 0), 0.125, 1)
@@ -831,6 +854,58 @@ class TestTableSolver:
         with pytest.raises(NoRootInWindow, match="no sign change of Phi"):
             energy_numeric(PhysicalParams(1, 1, 0.1), QuantumNumbers(1, 1))
         assert calls == [1] * 100
+
+    def test_a_flat_secant_in_a_bracket_bisects(self, monkeypatch):
+        # residuals -1, +1, +1: the third step's secant slope is 0, and its step
+        # bisects the bracket in u; then Phi is linear in u with its root at 2.87
+        energies = []
+
+        def scripted(b, energy, l, *band):
+            energies.append(float(energy[0]))
+            if len(energies) <= 3:
+                return np.array([2.0 * PI + (-1.0, 1.0, 1.0)[len(energies) - 1]]), np.zeros(1)
+            return 2.0 * PI + numerics.SLOPE_B0 * (energy**-0.5 - 2.87), np.zeros(1)
+
+        monkeypatch.setattr(numerics, "_phase_rows", scripted)
+        assert numerics._solve_levels(0.1, [1], [1]) == [0.12140489747356407]
+        assert energies == [0.125, 0.10725125595020987, 0.11561649422027252,
+                            0.12017098639588408, 0.12049916449675079, 0.12140489747356407]
+        u = [x**-0.5 for x in energies]
+        assert u[3] == pytest.approx(0.5 * (u[0] + u[2]), rel=1e-15, abs=0)
+
+    def test_the_secant_divides_as_numpy(self):
+        # the secant's float division reads a zero divisor as numpy does, sign of 0 included
+        values = [0.0, -0.0, 1.5, -1.5, 5e-324, math.inf, -math.inf, math.nan]
+        for a in values:
+            for b in values:
+                with np.errstate(all="ignore"):
+                    expected = np.float64(a) / np.float64(b)
+                got = numerics._quotient(a, b)
+                assert type(got) is float
+                assert np.array(got).tobytes() == expected.tobytes() or (
+                    math.isnan(got) and math.isnan(expected))
+
+    def test_a_level_whose_phi_turns_nan_later_fails_alone(self, monkeypatch):
+        # the third round's Phi of level 12, (n, l) = (3, 2), is NaN: that level fails
+        # there, and every other level keeps its bits
+        _, n, l, level_set, start_band = numerics._table_levels(8)
+        unforced = numerics._solve_levels(0.14, n, l, level_set, start_band)
+        calls, core = [], numerics._phase_rows
+
+        def nan_later(*args):
+            value, err = core(*args)
+            calls.append(len(value))
+            if len(calls) == 3:
+                value[12] = math.nan
+            return value, err
+
+        monkeypatch.setattr(numerics, "_phase_rows", nan_later)
+        solved = numerics._solve_levels(0.14, n, l, level_set, start_band)
+        assert calls == [36, 36, 36, 16, 1]
+        assert type(solved[12]) is ToleranceNotReached
+        assert str(solved[12]) == ("trapezoid rule did not reach rtol=1e-10 within 16384 panels "
+                                   "(estimate 0)")
+        assert solved[:12] + solved[13:] == unforced[:12] + unforced[13:]
 
     def test_unreachable_root_tolerance_gives_up_after_100_rounds(self, monkeypatch):
         # no step is shorter than 0, not even one from a residual of exactly 0.0
