@@ -174,30 +174,36 @@ def level_closed(b: float, n: float, l: float) -> float:
     quoting that rule, and no Phi is evaluated.  So does a float Ẽ = u^2/2
     not strictly inside the window (:func:`~snyder_coulomb.model.window_top`):
     rounded onto the pole or underflowing to 0.  Where u0^4 overflows (n' below
-    about 1e-77) it raises ScaleOutOfRange.  The messages name no level.
+    about 1e-77), or an int n is so large (past about 1e154) that n^2 or K
+    leaves the float range, it raises ScaleOutOfRange on either channel; a
+    float n that large rounds to a Ẽ of 0 instead.  The messages name no level.
     """
     check_level(n, l)
     check_deformation(b)
     a, big_n = 2.0, 2 * n + l
     if not b < big_n:  # b A < 2N, compared without converting an int b
         raise NoRootInWindow(f"beta m e2{quote(b, ' = ')} is not below 2n + l = {big_n}")
-    if l == 0:
-        u = a / (n + math.sqrt(n * n + 4.0 * b * n))
-    else:
-        k = 4 * n * (n + l)
-        kb2 = k * b * b
-        lo, hi = 0.0, a / (big_n + l)
-        u = hi
-        try:
+    try:  # an int n whose square leaves the float range, or u0^4 past it: n' below about 1e-77
+        if l == 0:
+            u = a / (n + math.sqrt(n * n + 4.0 * b * n))
+        else:
+            # the invariants of g and g', each rounded as in the products: 2.0 * k * u
+            # is (2.0 * k) * u
+            k = 4 * n * (n + l)
+            kb2 = k * b * b
+            n_minus, n_plus, two_k, two_na, four_kb2 = (
+                big_n - l, big_n + l, 2.0 * k, 2.0 * big_n * a, 4.0 * kb2)
+            lo, hi = 0.0, a / n_plus
+            u = hi
             for _ in range(100):
-                g = ((big_n - l) * u - a) * ((big_n + l) * u - a) - kb2 * u**4
+                g = (n_minus * u - a) * (n_plus * u - a) - kb2 * u**4
                 if g == 0.0:
                     break
                 if g > 0.0:
                     lo = u
                 else:
                     hi = u
-                slope = 2.0 * k * u - 2.0 * big_n * a - 4.0 * kb2 * u**3
+                slope = two_k * u - two_na - four_kb2 * u**3
                 # g'(u0) = -2 A l at b = 0 can round to 0 where l << n: bisect instead
                 new = u - g / slope if slope < 0.0 else 0.5 * (lo + hi)
                 if not lo <= new <= hi:
@@ -205,8 +211,9 @@ def level_closed(b: float, n: float, l: float) -> float:
                 step, u = abs(new - u), new
                 if step <= _NEWTON_RTOL * u:
                     break
-        except OverflowError:  # u0^4 past the float range: n' below about 1e-77
-            raise ScaleOutOfRange(f"the level quartic overflows at n + l = {n + l!r}") from None
+    except OverflowError:
+        raise ScaleOutOfRange(f"the level {'quadratic' if l == 0 else 'quartic'} overflows"
+                              f"{quote(n + l, ' at n + l = ')}") from None
     energy, top = u * u / 2.0, window_top(b, l)
     if not 0.0 < energy < top:
         raise NoRootInWindow(f"E/(m e2^2) = {energy!r} is not inside the open window (0, {top!r})")

@@ -62,11 +62,10 @@ level's bracket and step on Python floats, so a round's Python work is in
 proportion to its open levels.  Only IEEE-exact operations left numpy
 (+ - * /, comparisons, abs and selects), and a division by zero reads as
 numpy's +-inf or nan; u = Ẽ^(-1/2) stays numpy's ``** -0.5``, and log and
-exp stay in the quadrature, because numpy's pow, log and exp round
-differently from Python's (10,292, 701 and 9,863 of about 205k draws
-differ), so every level keeps its bits.  A level ends at its first step
-under ``ROOT_RTOL`` relative in Ẽ, at b = 0 its very first.  A level that
-fails records its error in its own row.
+exp stay in the quadrature: every level keeps its bits, and numpy's pow,
+log and exp do not always round as Python's.  A level ends at its first
+step under ``ROOT_RTOL`` relative in Ẽ, at b = 0 its very first.  A level
+that fails records its error in its own row.
 ``phase_integral_numeric`` and ``energy_numeric`` are one-row calls of the
 same code, so this module loads no scipy.
 
@@ -86,7 +85,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,12 +131,13 @@ _EDGE_LIMIT = 2.0**1022
 BAND_PANELS = 64  # the band rule's first panel count
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One (n', l) level with all four energy determinations.
+class SpectrumEntry(NamedTuple):
+    """One (n', l) level with all four energy determinations, as a named tuple.
 
-    ``error`` carries a per-entry solver failure; the solved energies are
-    NaN in that case while e_newton and e_series stay populated.
+    ``e_newton`` is the undeformed level m e2^2 / (2 n'^2), read from the
+    table's cached E0 (:func:`_level_set`).  ``error`` carries a per-entry
+    solver failure; the solved energies are NaN in that case while e_newton
+    and e_series stay populated.
     """
 
     qn: QuantumNumbers
@@ -183,9 +183,11 @@ def _trapezoid(
         ends = 0.5 * (y[..., 0] + y[..., -1])
         total = h * (np.add.reduce(y, axis=-1) - ends)
         estimate = np.abs(total - 2.0 * h * (np.add.reduce(y[..., ::2], axis=-1) - ends))
-        met = missing & (estimate <= QUAD_RTOL * np.abs(total))
-        if np.logical_and.reduce(met, axis=None):  # every row meets it: the usual case, at once
+        met = estimate <= QUAD_RTOL * np.abs(total)
+        # the first order, where every row is missing: all meet it, the usual case, at once
+        if missing is True and np.logical_and.reduce(met, axis=None):
             return total, estimate
+        met &= missing
         err = np.where(missing, estimate, err)
         value = np.where(met, total, value)
         missing = missing & ~met
@@ -269,15 +271,16 @@ def _band_geometry(energy: np.ndarray, l: np.ndarray) -> tuple:
     rows = ((l != 0) & (energy >= BAND_FLOOR)).nonzero()[0]
     if not rows.size:
         return rows, (), ()
+    energy, l = energy[rows, None], l[rows, None]
     with np.errstate(all="ignore"):  # edges past the float range: refused just below
-        z_minus, z_plus = _band_edges(energy[rows, None], l[rows, None])
+        z_minus, z_plus = _band_edges(energy, l)
         ratio = z_plus / z_minus
         held = (np.maximum(z_plus * z_plus, ratio) < _EDGE_LIMIT)[:, 0]
     if not held.all():
-        rows, z_minus, z_plus, ratio = rows[held], z_minus[held], z_plus[held], ratio[held]
+        rows, energy, l, z_minus, z_plus, ratio = (
+            x[held] for x in (rows, energy, l, z_minus, z_plus, ratio))
     width = np.log(ratio)
-    edges = (z_minus, z_plus, np.log(z_minus), width, l[rows, None] * width,
-             2.0 * energy[rows, None])
+    edges = (z_minus, z_plus, np.log(z_minus), width, l * width, 2.0 * energy)
     return rows, edges, _band_terms(edges, BAND_PANELS)
 
 
@@ -411,10 +414,10 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
     costs Python work in proportion to its open levels.  Only IEEE-exact
     operations left numpy, a division by zero reading as numpy's +-inf or
     nan (:func:`_quotient`), and the starts' u = E^(-1/2) stays numpy's
-    ``** -0.5``: numpy's pow, log and exp round differently from Python's
-    (10,292, 701 and 9,863 of about 205k draws differ), so every level
-    keeps numpy's bits.  Returns, per level, its reduced energy Ẽ or the
-    SnyderCoulombError that stopped it; a failure stays in its own row.
+    ``** -0.5``: every level keeps numpy's bits, which Python's pow, log
+    and exp do not always reproduce.  Returns, per level, its reduced
+    energy Ẽ or the SnyderCoulombError that stopped it; a failure stays in
+    its own row.
     """
     result: list = [None] * len(n)
     l_rows, target, e0 = _level_set(n, l) if level_set is None else level_set
@@ -462,8 +465,13 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
             else:
                 hi[i] = x
             low, high = lo[i], hi[i]
-            slope = SLOPE_B0 if step == 0 else _quotient(f - f_last[i], x - u_last[i])
-            c = x - _quotient(f, slope)  # a flat or repeated secant reads inf or nan
+            # a flat or repeated secant reads inf or nan: _quotient at a zero divisor only
+            if step == 0:
+                slope = SLOPE_B0
+            else:
+                df, du = f - f_last[i], x - u_last[i]
+                slope = df / du if du else _quotient(df, du)
+            c = x - (f / slope if slope else _quotient(f, slope))
             bound = high if high < math.inf else 2.0 * low  # no residual above 0 yet: double u
             if not below[i] and c <= low:
                 c = low
@@ -472,7 +480,8 @@ def _solve_levels(b: float, n: Sequence[float], l: Sequence[float],
             u_last[i], f_last[i], u[i] = x, f, c
             if not abs(c - x) < tol * c:
                 rows_next.append(i)
-                energy_next.append(_quotient(1.0, c * c))
+                c2 = c * c
+                energy_next.append(1.0 / c2 if c2 else _quotient(1.0, c2))
         rows, energy = rows_next, energy_next
     for i in rows:  # still open after 100 rounds
         if hi[i] == math.inf:
@@ -538,17 +547,20 @@ def spectrum_table(params: PhysicalParams, n_prime_max: int) -> list[SpectrumEnt
     unless ``n_prime_max`` is an integer from 1 to 2**53 (numpy's too), not a
     bool, before any level is built (``model.quantum_number``).
     A beta sweep of one shape builds its levels once (:func:`_table_levels`).
+    The entries are ``SpectrumEntry`` named tuples, and each e_newton is
+    m e2^2 times the cached E0 of its level, bit for bit 1/(2 n'^2).
     """
     levels, n, l, level_set, start_band = _table_levels(
         quantum_number("n_prime_max", n_prime_max, 1))
     entries: list[SpectrumEntry] = []
     solved = _solve_levels(params.b, n, l, level_set, start_band)
-    for qn, e_numeric in zip(levels, solved):
+    undeformed = level_set[2].tolist()  # each level's E0 = 1/(2 n'^2)
+    for qn, e0, e_numeric in zip(levels, undeformed, solved):
         try:
             e_closed = energy_closed(params, qn)
         except SnyderCoulombError as exc:  # per-entry isolation
             e_numeric = exc
-        e_newton = params.physical(1.0 / (2.0 * qn.n_prime**2))
+        e_newton = params.physical(e0)
         e_series = energy_series(params, qn)
         if isinstance(e_numeric, SnyderCoulombError):  # the closed failure, else the numeric one
             entries.append(SpectrumEntry(

@@ -29,7 +29,7 @@ from snyder_coulomb import (
     radial_phase_integral_closed,
     window_top,
 )
-from snyder_coulomb.numerics import _band_edges
+from snyder_coulomb.numerics import _band_edges, _solve_levels
 
 PI = math.pi
 INFEASIBLE = r"beta m e2 = .* is not below 2n \+ l"
@@ -482,6 +482,25 @@ class TestReducedLevel:
         # n' = 2e-100: u0^4 = 1/n'^4 leaves the float range
         with pytest.raises(ScaleOutOfRange, match="level quartic overflows"):
             level_closed(0.0, 1e-100, 1e-100)
+
+    @pytest.mark.parametrize("b", [0.0, 0.1])
+    @pytest.mark.parametrize("n,l", [(10**160, 0), (10**160, 1), (2**1000, 0), (2**1000, 3)],
+                             ids=["10**160-0", "10**160-1", "2**1000-0", "2**1000-3"])
+    def test_an_int_n_whose_square_leaves_the_floats_is_a_scale_error(self, b, n, l):
+        # n^2 (l = 0) or K = 4n(n + l) (l > 0) past the float range raised a raw
+        # OverflowError on its conversion; the quadrature route fails at its start
+        channel = "quadratic" if l == 0 else "quartic"
+        with pytest.raises(ScaleOutOfRange, match=rf"^the level {channel} overflows$"):
+            level_closed(b, n, l)
+        (energy,) = _solve_levels(b, [n], [l])
+        assert isinstance(energy, ScaleOutOfRange)
+
+    @pytest.mark.parametrize("b", [0.0, 0.1])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_a_float_n_past_1e154_rounds_to_an_empty_level(self, b, l):
+        # as a float, n^2 and K are inf, not an error: u rounds to 0, and so does E
+        with pytest.raises(NoRootInWindow, match=r"^E/\(m e2\^2\) = 0.0 is not inside"):
+            level_closed(b, 1e160, l)
 
 
 class TestLevelInsideTheWindow:

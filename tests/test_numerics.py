@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import inspect
 import math
 import weakref
 
@@ -19,6 +20,7 @@ from snyder_coulomb import (
     QuantumNumbers,
     ScaleOutOfRange,
     SnyderCoulombError,
+    SpectrumEntry,
     ToleranceNotReached,
     correction_order,
     energy_closed,
@@ -307,6 +309,45 @@ class TestPinnedLevelBits:
                     digest.update(f"{line}\n".encode())
         assert failed == 370
         assert digest.hexdigest() == PINNED_LEVELS
+
+
+PINNED_TABLE = "755a9e9197ee9c935a4d26e44c19be4050481b9cff75dd6f68e59679fba13b49"
+PINNED_CLOSED = "82587d01d46ecfcf9b34b9d8d419a3c073bf2d21aafe8616fdfcb6939983bb20"
+
+
+class TestPinnedTableBits:
+    """Every field of ``spectrum_table``'s entries and the closed route's levels and
+    errors on the grid of ``PINNED_LEVELS``, pinned bit for bit: a change to the
+    assembly of a table or to ``level_closed``'s arithmetic or messages shows here."""
+
+    def test_spectrum_table_bits(self):
+        digest, rows, failed = hashlib.sha256(), 0, 0
+        for m, e2 in ((1.0, 1.0), (2.0, 0.7)):
+            for shells in (1, 3, 8):
+                for beta in (0.0, *np.logspace(-6, 1, 100)):
+                    for e in spectrum_table(PhysicalParams(m, e2, float(beta)), shells):
+                        fields = (e.qn.n, e.qn.l, e.error, *map(float.hex, (
+                            e.e_newton, e.e_closed, e.e_numeric, e.e_series)))
+                        digest.update(f"{fields!r}\n".encode())
+                        rows += 1
+                        failed += e.error is not None
+        assert (rows, failed) == (8686, 327)
+        assert digest.hexdigest() == PINNED_TABLE
+
+    def test_level_closed_bits(self):
+        digest, failed = hashlib.sha256(), 0
+        for shells in (1, 3, 8, 12):
+            _, n, l, _, _ = numerics._table_levels(shells)
+            for b in (0.0, *np.logspace(-6, 1, 200)):
+                for level in zip(n, l):
+                    try:
+                        line = repr(level_closed(float(b), *level))
+                    except SnyderCoulombError as x:
+                        failed += 1
+                        line = f"{type(x).__name__}: {x}"
+                    digest.update(f"{line}\n".encode())
+        assert failed == 370
+        assert digest.hexdigest() == PINNED_CLOSED
 
 
 class TestPhaseIntegralNumeric:
@@ -630,6 +671,28 @@ class TestSpectrumTable:
         assert "NoRootInWindow" in entries[0].error
         assert math.isnan(entries[0].e_closed)
         assert entries[0].e_newton == pytest.approx(0.5)
+
+    def test_entry_fields_default_repr_and_immutability(self):
+        # read as they were when an entry was a frozen dataclass
+        parameters = inspect.signature(SpectrumEntry).parameters.values()
+        required = inspect.Parameter.empty
+        assert [(p.name, p.default) for p in parameters] == [
+            ("qn", required), ("e_newton", required), ("e_closed", required),
+            ("e_numeric", required), ("e_series", required), ("error", None)]
+        entry = SpectrumEntry(QuantumNumbers(2, 1), 0.125, 0.1, 0.2, 0.3)
+        assert entry.error is None
+        assert repr(entry) == ("SpectrumEntry(qn=QuantumNumbers(n=2, l=1), e_newton=0.125, "
+                               "e_closed=0.1, e_numeric=0.2, e_series=0.3, error=None)")
+        with pytest.raises(AttributeError):
+            entry.e_closed = 0.0
+
+    def test_cached_e0_is_the_newtonian_level_bit_for_bit(self):
+        # a table's e_newton is its level set's E0: n'^2 and the quotient round once each
+        n_prime = [*range(1, 2001), 2**26 + 1, 2**40 + 3, 2**53]
+        for n, l in ((n_prime, [0] * len(n_prime)), ([1] * len(n_prime), [x - 1 for x in n_prime])):
+            e0 = numerics._level_set(n, l)[2]
+            assert [float.hex(x) for x in e0.tolist()] == [
+                float.hex(1.0 / (2.0 * x**2)) for x in n_prime]
 
     @pytest.mark.parametrize("n_prime_max", [3.0, "3", True, 0, -1, np.float64(3)])
     def test_shell_count_must_be_an_integer_from_1(self, n_prime_max):
